@@ -20,9 +20,6 @@
 #                    cache hit, SIGTERM-drain cleanly
 #   make signal-smoke SIGINT a running caslock-attack: exit code 3,
 #                    partial structure printed, trace flushed and valid
-#   make engine-smoke differential end-to-end check: attack the same
-#                    32-bit-key instance with and without
-#                    -legacy-encoding and assert byte-identical keys
 #   make portfolio-smoke differential end-to-end check: attack SAT- and
 #                    sim-regime instances with and without -portfolio
 #                    and assert byte-identical keys
@@ -33,8 +30,8 @@
 #                    the daemon's jobs survive the restart
 #   make matrix-smoke end-to-end registry check: lockbench -list must
 #                    enumerate both registries, a -schemes/-attacks
-#                    sub-grid must hold the narrative verdicts on the
-#                    engine and legacy paths, unknown names rejected
+#                    sub-grid must hold the narrative verdicts, unknown
+#                    names rejected
 #   make events-smoke end-to-end observability check: caslock-attack
 #                    -events-out NDJSON validated by tracecheck -events,
 #                    live SSE job stream consumed to the terminal done
@@ -46,7 +43,7 @@
 #                    the skip into a failure on runners that ship it)
 #   make ci          build + vet + fmt-check + test + test-race +
 #                    fuzz-smoke + trace-smoke + serve-smoke +
-#                    signal-smoke + engine-smoke + crash-smoke +
+#                    signal-smoke + portfolio-smoke + crash-smoke +
 #                    matrix-smoke + events-smoke + govulncheck
 #                    (required automatically when installed)
 #   make bench       tier-1 benchmarks with allocation reporting
@@ -62,7 +59,6 @@ FUZZTIME ?= 5s
 SMOKEDIR ?= .trace-smoke
 SERVEDIR ?= .serve-smoke
 SIGDIR ?= .signal-smoke
-ENGDIR ?= .engine-smoke
 PORTDIR ?= .portfolio-smoke
 CRASHDIR ?= .crash-smoke
 EVDIR ?= .events-smoke
@@ -72,7 +68,7 @@ MAXREGRESS ?= 0.20
 # silently skippable: auto-promote the scan to required.
 GOVULNCHECK_REQUIRED ?= $(shell command -v govulncheck >/dev/null 2>&1 && echo 1)
 
-.PHONY: build test test-race vet fmt-check fuzz-smoke trace-smoke serve-smoke signal-smoke engine-smoke crash-smoke matrix-smoke events-smoke govulncheck ci bench benchjson bench-compare
+.PHONY: build test test-race vet fmt-check fuzz-smoke trace-smoke serve-smoke signal-smoke portfolio-smoke crash-smoke matrix-smoke events-smoke govulncheck ci bench benchjson bench-compare
 
 build:
 	$(GO) build ./...
@@ -113,9 +109,6 @@ serve-smoke:
 signal-smoke:
 	GO="$(GO)" sh scripts/signal_smoke.sh $(SIGDIR)
 
-engine-smoke:
-	GO="$(GO)" sh scripts/engine_smoke.sh $(ENGDIR)
-
 portfolio-smoke:
 	GO="$(GO)" sh scripts/portfolio_smoke.sh $(PORTDIR)
 
@@ -142,7 +135,7 @@ govulncheck:
 		echo "govulncheck not installed; skipping vulnerability scan"; \
 	fi
 
-ci: build vet fmt-check test test-race fuzz-smoke trace-smoke serve-smoke signal-smoke engine-smoke portfolio-smoke crash-smoke matrix-smoke events-smoke govulncheck
+ci: build vet fmt-check test test-race fuzz-smoke trace-smoke serve-smoke signal-smoke portfolio-smoke crash-smoke matrix-smoke events-smoke govulncheck
 
 bench:
 	$(GO) test -run XXX -bench . -benchmem ./internal/core/ .

@@ -347,23 +347,15 @@ func main() {
 	})
 	rep.Results = append(rep.Results, toResult("sim_classes_n22", r))
 
-	satRes, err := satWorkload(tel, false, 0)
+	satRes, err := satWorkload(tel, 0)
 	fatalIf(err)
 	rep.Results = append(rep.Results, satRes)
 
-	// The same workload on the legacy per-assignment re-encode path, so
-	// the trajectory records the incremental engine's win explicitly.
-	// It runs uninstrumented: its solver work would otherwise pollute
-	// the engine path's telemetry summary.
-	legRes, err := satWorkload(nil, true, 0)
-	fatalIf(err)
-	rep.Results = append(rep.Results, legRes)
-
-	// And once more behind the racing portfolio, instrumented so the
+	// The same workload behind the racing portfolio, instrumented so the
 	// portfolio_* win/share counters land in the telemetry summary. The
 	// entry joins the gated sat_* aggregate: a portfolio that loses the
 	// race against its own single-engine sibling fails bench-compare.
-	portRes, err := satWorkload(tel, false, engine.DefaultPortfolioSize)
+	portRes, err := satWorkload(tel, engine.DefaultPortfolioSize)
 	fatalIf(err)
 	rep.Results = append(rep.Results, portRes)
 
@@ -621,12 +613,10 @@ func satInstance() (*netlist.Circuit, *lock.Locked, error) {
 
 // satWorkload mirrors BenchmarkDIPExtraction/sat_n8, instrumented so
 // the report's telemetry summary carries the SAT solver's work totals.
-// With legacy set, the extractor runs the per-assignment re-encode path
-// and the result is reported as sat_extract_n8_legacy. With portfolio
-// set, a racing portfolio of that many diversified members carries the
+// With portfolio set, a racing portfolio of that many diversified members carries the
 // queries instead of the single persistent engine and the result is
 // reported as sat_extract_n8_portfolio.
-func satWorkload(tel *telemetry.Registry, legacy bool, portfolio int) (Result, error) {
+func satWorkload(tel *telemetry.Registry, portfolio int) (Result, error) {
 	_, locked, err := satInstance()
 	if err != nil {
 		return Result{}, err
@@ -639,10 +629,7 @@ func satWorkload(tel *telemetry.Registry, legacy bool, portfolio int) (Result, e
 	if err != nil {
 		return Result{}, err
 	}
-	if tel != nil {
-		ext.SetTelemetry(tel)
-	}
-	ext.SetLegacyEncoding(legacy)
+	ext.SetTelemetry(tel)
 	ext.SetPortfolio(portfolio)
 	assign := core.PairAssign{A: make([]bool, locked.Circuit.NumKeys()), B: make([]bool, locked.Circuit.NumKeys())}
 	for _, pos := range layout.Key1Pos {
@@ -660,9 +647,6 @@ func satWorkload(tel *telemetry.Registry, legacy bool, portfolio int) (Result, e
 		}
 	})
 	name := "sat_extract_n8"
-	if legacy {
-		name += "_legacy"
-	}
 	if portfolio > 0 {
 		name += "_portfolio"
 	}

@@ -162,7 +162,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "attack sampling seed")
 		prove      = flag.Bool("prove", true, "SAT-prove the recovered key against the oracle netlist")
 		timeout    = flag.Duration("timeout", 0, "attack deadline (0 = none); on expiry the partial structure is printed and the exit code is 3")
-		legacyEnc  = flag.Bool("legacy-encoding", false, "disable the persistent incremental-SAT engine (re-encode the miter per key assignment)")
 		portfolio  = flag.Bool("portfolio", false, "race a portfolio of diversified SAT engines sharing one encoding and exchanging learned clauses (results stay bit-identical)")
 		portSize   = flag.Int("portfolio-size", engine.DefaultPortfolioSize, "portfolio member count (with -portfolio)")
 		satWidth   = flag.Int("sat-width-limit", 0, "largest block width attacked with the SAT engine (0 = auto-calibrate per instance; a positive value pins the fixed rule)")
@@ -247,8 +246,7 @@ func main() {
 			Ctx: ctx, Locked: locked, Host: original, MCAS: *mcas,
 			NewOracle: func() oracle.Oracle { return orc },
 			SATCap:    *satCap, Seed: *seed, Retries: *retries,
-			Telemetry: tel, LegacySolver: *legacyEnc, LegacyEncoding: *legacyEnc,
-			SATWidthLimit: *satWidth, Portfolio: port,
+			Telemetry: tel, SATWidthLimit: *satWidth, Portfolio: port,
 		})
 		fmt.Printf("%s: %s (%v)\n", atk.Label, out.Detail, time.Since(start).Round(time.Millisecond))
 		if out.Key != nil {
@@ -267,7 +265,6 @@ func main() {
 		Oracle:          orc,
 		Seed:            *seed,
 		MismatchRetries: *retries,
-		LegacyEncoding:  *legacyEnc,
 		SATWidthLimit:   *satWidth,
 		Telemetry:       tel,
 	}

@@ -86,7 +86,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "cell worker count (0 = GOMAXPROCS)")
 		timeout   = flag.Duration("timeout", 0, "deadline for the whole grid (0 = none)")
 		retries   = flag.Int("retries", 0, "oracle transient-retry budget and attack mismatch re-query count (0 = defaults)")
-		legacyEnc = flag.Bool("legacy-encoding", false, "disable the persistent incremental-SAT engine in the DIP-learning cells")
 		portfolio = flag.Bool("portfolio", false, "race a portfolio of diversified SAT engines in the DIP-learning cells (shared encoding, exchanged learned clauses)")
 		portSize  = flag.Int("portfolio-size", engine.DefaultPortfolioSize, "portfolio member count (with -portfolio)")
 		satWidth  = flag.Int("sat-width-limit", 0, "largest block width attacked with the SAT engine in the DIP-learning cells (0 = auto-calibrate per instance)")
@@ -156,19 +155,18 @@ func main() {
 		os.Exit(130)
 	}()
 	cells, err := experiments.RunMatrixOptions(experiments.MatrixOptions{
-		Context:        ctx,
-		HostInputs:     *inputs,
-		SATCap:         *satCap,
-		Seed:           *seed,
-		Workers:        *workers,
-		Noise:          *noise,
-		Retries:        *retries,
-		Telemetry:      tel,
-		LegacyEncoding: *legacyEnc,
-		SATWidthLimit:  *satWidth,
-		Portfolio:      portfolioSize(*portfolio, *portSize),
-		Schemes:        splitList(*schemes),
-		Attacks:        splitList(*attacks),
+		Context:       ctx,
+		HostInputs:    *inputs,
+		SATCap:        *satCap,
+		Seed:          *seed,
+		Workers:       *workers,
+		Noise:         *noise,
+		Retries:       *retries,
+		Telemetry:     tel,
+		SATWidthLimit: *satWidth,
+		Portfolio:     portfolioSize(*portfolio, *portSize),
+		Schemes:       splitList(*schemes),
+		Attacks:       splitList(*attacks),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lockbench:", err)

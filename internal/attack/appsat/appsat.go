@@ -8,13 +8,12 @@
 // third baseline the DIP-learning attack is contrasted with: AppSAT
 // trades exactness for termination, the paper's attack gets both.
 //
-// By default the attack runs on the persistent incremental-SAT engine
+// The attack runs on the persistent incremental-SAT engine
 // (internal/engine): the key-differential miter is encoded once, DIP and
 // reinforcement constraints live in an assumption-guarded session scope,
 // and learned clauses persist across the run (and across runs with a
-// warm Backend). Options.LegacySolver restores the original throwaway
-// per-run solver. Both paths extract canonical lex-min candidate keys,
-// so exact outcomes are bit-identical across the two paths.
+// warm Backend). Candidate keys are extracted lex-min, so they are a
+// function of the constraint set alone, not of the solver's model choice.
 package appsat
 
 import (
@@ -22,9 +21,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/cnf"
 	"repro/internal/engine"
-	"repro/internal/miter"
 	"repro/internal/netlist"
 	"repro/internal/oracle"
 	"repro/internal/sat"
@@ -47,15 +44,10 @@ type Options struct {
 	MaxIterations int
 	// Seed drives sampling.
 	Seed int64
-	// LegacySolver rebuilds a throwaway solver for this run instead of
-	// driving the persistent engine — the pre-engine behavior, kept as
-	// an escape hatch and as the differential-test baseline.
-	LegacySolver bool
 	// Backend, when non-nil, is the engine the attack drives (a warm
 	// pool entry or a portfolio); nil builds a fresh engine for the run.
-	// Ignored under LegacySolver.
 	Backend engine.Backend
-	// Context, when non-nil, bounds the engine path: solves are sliced
+	// Context, when non-nil, bounds the run: solves are sliced
 	// against the deadline and cancellation is polled between slices.
 	Context context.Context
 	// Telemetry instruments the run (attack_* span + engine families).
@@ -94,23 +86,27 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 	}
 	sp := opts.Telemetry.StartSpan("attack_appsat")
 	defer sp.End()
-	if opts.LegacySolver {
-		return runLegacy(locked, orc, opts)
+	be, err := engine.Attach(opts.Backend, locked, opts.Context, opts.Telemetry, "appsat")
+	if err != nil {
+		return nil, err
 	}
-	return runEngine(locked, orc, opts)
-}
 
-// loop is the solver-independent AppSAT protocol: the DIP iteration
-// interleaved with sampling rounds, parameterized over the three solver
-// touchpoints so the engine-session and legacy paths share one
-// control flow (and therefore one oracle/rng consumption order).
-type loop struct {
-	findDIP    func() ([]bool, sat.Status, error)
-	constrain  func(in, out []bool) error
-	extractKey func() ([]bool, error)
-}
+	ses, err := be.OpenSession()
+	if err != nil {
+		return nil, err
+	}
+	defer ses.Close()
+	extractKey := func() ([]bool, error) {
+		key, st, err := ses.ExtractKey()
+		if err != nil {
+			return nil, err
+		}
+		if st != sat.Sat {
+			return nil, fmt.Errorf("appsat: key extraction returned %v", st)
+		}
+		return key, nil
+	}
 
-func (l *loop) run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	sim, err := netlist.NewSimulator(locked)
 	if err != nil {
@@ -120,7 +116,7 @@ func (l *loop) run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*R
 	for {
 		// Sampling round.
 		if res.Iterations > 0 && res.Iterations%opts.RoundInterval == 0 {
-			key, err := l.extractKey()
+			key, err := extractKey()
 			if err != nil {
 				return nil, err
 			}
@@ -159,13 +155,13 @@ func (l *loop) run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*R
 			// Reinforce: the worst sampled disagreement becomes an IO
 			// constraint for both key copies (AppSAT's amendment step).
 			if failIn != nil {
-				if err := l.constrain(failIn, failOut); err != nil {
+				if err := ses.Constrain(failIn, failOut); err != nil {
 					return nil, err
 				}
 			}
 		}
 		if res.Iterations >= opts.MaxIterations {
-			key, err := l.extractKey()
+			key, err := extractKey()
 			if err != nil {
 				return nil, err
 			}
@@ -174,13 +170,13 @@ func (l *loop) run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*R
 			return res, nil
 		}
 		// One DIP iteration.
-		dip, st, err := l.findDIP()
+		dip, st, err := ses.FindDIP()
 		if err != nil {
 			return nil, err
 		}
 		switch st {
 		case sat.Unsat:
-			key, err := l.extractKey()
+			key, err := extractKey()
 			if err != nil {
 				return nil, err
 			}
@@ -196,137 +192,8 @@ func (l *loop) run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*R
 			return nil, err
 		}
 		res.OracleQueries++
-		if err := l.constrain(dip, out); err != nil {
+		if err := ses.Constrain(dip, out); err != nil {
 			return nil, err
 		}
 	}
-}
-
-// runEngine drives the protocol through a persistent engine session.
-func runEngine(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, error) {
-	be := opts.Backend
-	if be == nil {
-		eng, err := engine.New(locked, nil)
-		if err != nil {
-			return nil, err
-		}
-		be = eng
-	}
-	if opts.Context != nil {
-		be.SetContext(opts.Context)
-	}
-	if opts.Telemetry != nil {
-		be.SetTelemetry(opts.Telemetry)
-	}
-	be.SetPhase("appsat")
-
-	ses, err := be.OpenSession()
-	if err != nil {
-		return nil, err
-	}
-	defer ses.Close()
-
-	l := &loop{
-		findDIP:   ses.FindDIP,
-		constrain: ses.Constrain,
-		extractKey: func() ([]bool, error) {
-			key, st, err := ses.ExtractKey()
-			if err != nil {
-				return nil, err
-			}
-			if st != sat.Sat {
-				return nil, fmt.Errorf("appsat: key extraction returned %v", st)
-			}
-			return key, nil
-		},
-	}
-	return l.run(locked, orc, opts)
-}
-
-// runLegacy is the original throwaway-solver attack, kept as the
-// LegacySolver escape hatch and differential baseline.
-func runLegacy(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, error) {
-	kd, err := miter.NewKeyDiff(locked)
-	if err != nil {
-		return nil, err
-	}
-	solver := sat.New()
-	enc, err := cnf.EncodeInto(kd.Circuit, solver)
-	if err != nil {
-		return nil, err
-	}
-	diffLit := enc.OutputLits(kd.Circuit)[0]
-	inputLits := enc.InputLits(kd.Circuit)
-	keyLits := enc.KeyLits(kd.Circuit)
-	keysA := keyLits[:kd.NKeys]
-	keysB := keyLits[kd.NKeys:]
-
-	addIO := func(keys []cnf.Lit, in, out []bool) error {
-		e, err := cnf.EncodeInto(locked, solver)
-		if err != nil {
-			return err
-		}
-		for i, kl := range e.KeyLits(locked) {
-			solver.Add(kl.Neg(), keys[i])
-			solver.Add(kl, keys[i].Neg())
-		}
-		for i, il := range e.InputLits(locked) {
-			if in[i] {
-				solver.Add(il)
-			} else {
-				solver.Add(il.Neg())
-			}
-		}
-		for i, ol := range e.OutputLits(locked) {
-			if out[i] {
-				solver.Add(ol)
-			} else {
-				solver.Add(ol.Neg())
-			}
-		}
-		return nil
-	}
-
-	l := &loop{
-		findDIP: func() ([]bool, sat.Status, error) {
-			st := solver.Solve(diffLit)
-			if st != sat.Sat {
-				return nil, st, nil
-			}
-			dip := make([]bool, len(inputLits))
-			for i, lt := range inputLits {
-				dip[i] = solver.ModelValue(lt)
-			}
-			return dip, sat.Sat, nil
-		},
-		constrain: func(in, out []bool) error {
-			if err := addIO(keysA, in, out); err != nil {
-				return err
-			}
-			return addIO(keysB, in, out)
-		},
-		// Canonical lex-min extraction, matching the engine session: the
-		// candidate key is a function of the constraint set alone, not of
-		// the solver's model choice.
-		extractKey: func() ([]bool, error) {
-			if st := solver.Solve(); st != sat.Sat {
-				return nil, fmt.Errorf("appsat: key extraction returned %v", st)
-			}
-			key := make([]bool, kd.NKeys)
-			assume := make([]cnf.Lit, 0, kd.NKeys)
-			for i, lt := range keysA {
-				switch st := solver.Solve(append(assume, lt.Neg())...); st {
-				case sat.Sat:
-					assume = append(assume, lt.Neg())
-				case sat.Unsat:
-					key[i] = true
-					assume = append(assume, lt)
-				default:
-					return nil, fmt.Errorf("appsat: key extraction returned %v", st)
-				}
-			}
-			return key, nil
-		},
-	}
-	return l.run(locked, orc, opts)
 }

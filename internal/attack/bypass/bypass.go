@@ -14,13 +14,10 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/miter"
 	"repro/internal/netlist"
 	"repro/internal/oracle"
-	"repro/internal/sat"
 	"repro/internal/telemetry"
 )
 
@@ -193,14 +190,10 @@ type GenericOptions struct {
 	MaxFixes int
 	// Seed draws the two wrong keys.
 	Seed int64
-	// LegacySolver enumerates witnesses with a throwaway solver instead
-	// of the persistent engine — the pre-engine behavior, kept as an
-	// escape hatch and as the differential-test baseline.
-	LegacySolver bool
 	// Backend, when non-nil, is the engine the attack drives; nil builds
-	// a fresh engine for the run. Ignored under LegacySolver.
+	// a fresh engine for the run.
 	Backend engine.Backend
-	// Context, when non-nil, bounds the engine path.
+	// Context, when non-nil, bounds the run.
 	Context context.Context
 	// Telemetry instruments the run (attack_* span + engine families).
 	Telemetry *telemetry.Registry
@@ -222,11 +215,9 @@ func RunGeneric(locked *netlist.Circuit, orc oracle.Oracle, maxFixes int, seed i
 // exact circuit (verified by the caller). On high-corruptibility
 // schemes the fix budget blows up, which is the point.
 //
-// By default witnesses come from the persistent engine
-// (Backend.EnumerateWitnesses); the witness *set* is determined by the
-// circuit and the key pair, so the bypass network is the same on either
-// path up to enumeration order (the differential tests prove the fix
-// count, overhead and functional behavior identical).
+// Witnesses come from the persistent engine (Backend.EnumerateWitnesses).
+// The witness *set* is determined by the circuit and the key pair, so the
+// bypass network depends on the engine only through enumeration order.
 func RunGenericOpts(locked *netlist.Circuit, orc oracle.Oracle, opts GenericOptions) (*Result, error) {
 	maxFixes := opts.MaxFixes
 	if maxFixes <= 0 {
@@ -250,10 +241,17 @@ func RunGenericOpts(locked *netlist.Circuit, orc oracle.Oracle, opts GenericOpti
 	if err != nil {
 		return nil, err
 	}
-	if opts.LegacySolver {
-		err = enumerateLegacy(locked, keyA, keyB, b.correct)
-	} else {
-		err = enumerateEngine(locked, keyA, keyB, opts, b.correct)
+	be, err := engine.Attach(opts.Backend, locked, opts.Context, opts.Telemetry, "bypass")
+	if err != nil {
+		return nil, err
+	}
+	var visitErr error
+	err = be.EnumerateWitnesses(keyA, keyB, func(pat []bool) bool {
+		visitErr = b.correct(pat)
+		return visitErr == nil
+	})
+	if visitErr != nil {
+		return nil, visitErr
 	}
 	if err != nil {
 		return nil, err
@@ -261,70 +259,8 @@ func RunGenericOpts(locked *netlist.Circuit, orc oracle.Oracle, opts GenericOpti
 	return b.finish()
 }
 
-// enumerateEngine streams miter witnesses from the persistent engine.
-func enumerateEngine(locked *netlist.Circuit, keyA, keyB []bool, opts GenericOptions, visit func(pat []bool) error) error {
-	be := opts.Backend
-	if be == nil {
-		eng, err := engine.New(locked, nil)
-		if err != nil {
-			return err
-		}
-		be = eng
-	}
-	if opts.Context != nil {
-		be.SetContext(opts.Context)
-	}
-	if opts.Telemetry != nil {
-		be.SetTelemetry(opts.Telemetry)
-	}
-	be.SetPhase("bypass")
-	var visitErr error
-	err := be.EnumerateWitnesses(keyA, keyB, func(pat []bool) bool {
-		visitErr = visit(pat)
-		return visitErr == nil
-	})
-	if visitErr != nil {
-		return visitErr
-	}
-	return err
-}
-
-// enumerateLegacy streams miter witnesses from a throwaway solver with
-// permanent blocking clauses — the original implementation.
-func enumerateLegacy(locked *netlist.Circuit, keyA, keyB []bool, visit func(pat []bool) error) error {
-	m, err := miter.NewFixedKey(locked, keyA, keyB)
-	if err != nil {
-		return err
-	}
-	solver := sat.New()
-	enc, err := cnf.EncodeInto(m, solver)
-	if err != nil {
-		return err
-	}
-	solver.Add(enc.OutputLits(m)[0])
-	inLits := enc.InputLits(m)
-	for solver.Solve() == sat.Sat {
-		pat := make([]bool, len(inLits))
-		blocking := make([]cnf.Lit, len(inLits))
-		for i, l := range inLits {
-			pat[i] = solver.ModelValue(l)
-			if pat[i] {
-				blocking[i] = l.Neg()
-			} else {
-				blocking[i] = l
-			}
-		}
-		solver.Add(blocking...)
-		if err := visit(pat); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // builder accumulates the bypass network over a witness stream. The
-// result depends only on the witness *set* (gate tags aside), so the
-// engine and legacy enumerations converge to the same circuit.
+// result depends only on the witness *set* (gate tags aside).
 type builder struct {
 	applied   *netlist.Circuit
 	sim       *netlist.Simulator

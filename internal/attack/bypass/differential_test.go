@@ -1,22 +1,43 @@
 package bypass
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/lock"
 	"repro/internal/miter"
+	"repro/internal/netlist"
 	"repro/internal/oracle"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
 )
 
-// TestEngineLegacyDifferential holds the engine-backed generic bypass
-// and the legacy throwaway-solver bypass to identical results on the
-// one-point-function schemes the attack targets. The witness set of the
-// two wrong keys' miter is determined by the circuit and the key pair,
-// so even though the engine may enumerate it in a different order, the
-// fix count, the applied key, the gate overhead and the corrected
-// circuit's function must all coincide.
+// recordingOracle logs every pattern the attack queries.
+type recordingOracle struct {
+	oracle.Oracle
+	queries map[uint64]int
+}
+
+func (r *recordingOracle) Query(in []bool) ([]bool, error) {
+	r.queries[netlist.UintFromPattern(in)]++
+	return r.Oracle.Query(in)
+}
+
+// TestEngineLegacyDifferential holds the engine-backed generic bypass to
+// references that share no code with internal/engine, on the
+// one-point-function schemes the attack targets. The wrong-key pair is
+// redrawn from the seed exactly as RunGenericOpts draws it, and
+// simulating both keys and the host on every input pattern yields, by
+// brute force:
+//
+//   - the witness set (patterns where the two keys disagree): the attack
+//     must query the oracle on exactly these patterns, each once;
+//   - the fix set (witnesses where the applied key is the wrong one):
+//     the fix count must equal its size.
+//
+// The corrected circuit must match the host on every input pattern by
+// simulation and be proven equivalent by the plain-encoder miter, and
+// the engine must encode the miter exactly once.
 func TestEngineLegacyDifferential(t *testing.T) {
 	h, err := synth.Generate(synth.Config{Name: "bh", Inputs: 11, Outputs: 3, Gates: 55, Seed: 19})
 	if err != nil {
@@ -25,6 +46,7 @@ func TestEngineLegacyDifferential(t *testing.T) {
 	if _, err := h.TopoOrder(); err != nil {
 		t.Fatal(err)
 	}
+	const seed = 9
 	for _, name := range []string{"antisat", "sarlock"} {
 		sch, ok := lock.SchemeByName(name)
 		if !ok {
@@ -35,43 +57,84 @@ func TestEngineLegacyDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy, err := RunGenericOpts(locked.Circuit, oracle.MustNewSim(h),
-				GenericOptions{MaxFixes: 64, Seed: 9, LegacySolver: true})
-			if err != nil {
-				t.Fatal(err)
-			}
 			tel := telemetry.New()
-			eng, err := RunGenericOpts(locked.Circuit, oracle.MustNewSim(h),
-				GenericOptions{MaxFixes: 64, Seed: 9, Telemetry: tel})
+			orc := &recordingOracle{Oracle: oracle.MustNewSim(h), queries: map[uint64]int{}}
+			res, err := RunGenericOpts(locked.Circuit, orc, GenericOptions{MaxFixes: 64, Seed: seed, Telemetry: tel})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if eng.Fixes != legacy.Fixes {
-				t.Fatalf("fixes: engine %d, legacy %d", eng.Fixes, legacy.Fixes)
+
+			nk := locked.Circuit.NumKeys()
+			rng := rand.New(rand.NewSource(seed))
+			keyA, keyB := make([]bool, nk), make([]bool, nk)
+			for i := range keyA {
+				keyA[i] = rng.Intn(2) == 1
+				keyB[i] = rng.Intn(2) == 1
 			}
-			if eng.OverheadGates != legacy.OverheadGates {
-				t.Fatalf("overhead gates: engine %d, legacy %d", eng.OverheadGates, legacy.OverheadGates)
-			}
-			for i := range eng.AppliedKey {
-				if eng.AppliedKey[i] != legacy.AppliedKey[i] {
-					t.Fatalf("applied key bit %d differs", i)
+			for i := range keyA {
+				if res.AppliedKey[i] != keyA[i] {
+					t.Fatalf("applied key bit %d differs from the seed's draw", i)
 				}
 			}
-			// Both corrected circuits must implement the original design.
-			for _, res := range []*Result{eng, legacy} {
-				ok, cex, err := miter.ProveEquivalentHashed(res.Circuit, h)
+			simL := netlist.MustNewSimulator(locked.Circuit)
+			simH := netlist.MustNewSimulator(h)
+			simC := netlist.MustNewSimulator(res.Circuit)
+			// run copies the outputs out of the simulator's reused buffer.
+			run := func(sim *netlist.Simulator, in, key []bool) []bool {
+				out, err := sim.Run(in, key)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !ok {
-					t.Fatalf("bypassed circuit is not equivalent to the host (cex %v)", cex)
+				return append([]bool(nil), out...)
+			}
+			differs := func(a, b []bool) bool {
+				for i := range a {
+					if a[i] != b[i] {
+						return true
+					}
 				}
+				return false
+			}
+			witnesses, fixes := 0, 0
+			nIn := h.NumInputs()
+			for p := uint64(0); p < 1<<uint(nIn); p++ {
+				in := netlist.PatternFromUint(p, nIn)
+				want := run(simH, in, nil)
+				outA := run(simL, in, keyA)
+				outB := run(simL, in, keyB)
+				if differs(outA, outB) {
+					witnesses++
+					if orc.queries[p] != 1 {
+						t.Fatalf("witness %b queried %d times, want once", p, orc.queries[p])
+					}
+					if differs(outA, want) {
+						fixes++
+					}
+				} else if orc.queries[p] != 0 {
+					t.Fatalf("non-witness %b was queried", p)
+				}
+				if differs(run(simC, in, nil), want) {
+					t.Fatalf("corrected circuit differs from the host on %b", p)
+				}
+			}
+			if res.Fixes != fixes {
+				t.Fatalf("fixes = %d, brute force %d", res.Fixes, fixes)
+			}
+			if got := tel.Counter("engine_witnesses_total").Value(); got != uint64(witnesses) {
+				t.Fatalf("engine_witnesses_total = %d, brute force %d witnesses", got, witnesses)
+			}
+			if witnesses == 0 {
+				t.Fatal("the wrong-key pair has no witnesses; the test instance is too weak")
+			}
+			eq, cex, err := miter.ProveEquivalent(res.Circuit, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !eq {
+				t.Fatalf("plain-encoder miter refutes the bypassed circuit (cex %v)", cex)
 			}
 			if got := tel.Counter("engine_encodings_total").Value(); got != 1 {
 				t.Fatalf("engine_encodings_total = %d, want 1", got)
-			}
-			if got := tel.Counter("engine_witnesses_total").Value(); got == 0 {
-				t.Fatal("engine path enumerated no witnesses")
 			}
 		})
 	}

@@ -64,12 +64,6 @@ type Context struct {
 	Retries int
 	// Telemetry instruments the mount (attack_*/engine_* families).
 	Telemetry *telemetry.Registry
-	// LegacySolver routes the classic attacks through their throwaway
-	// per-run solvers instead of the persistent engine.
-	LegacySolver bool
-	// LegacyEncoding disables the persistent engine inside the
-	// DIP-learning attack (see core.Options.LegacyEncoding).
-	LegacyEncoding bool
 	// SATWidthLimit pins the DIP-learning SAT/sim regime boundary.
 	SATWidthLimit int
 	// Portfolio, when > 0, races that many diversified engines in the
@@ -242,8 +236,7 @@ func init() {
 		Description: "oracle-guided SAT attack (Subramanyan et al., HOST 2015)",
 		Run: func(c *Context) Outcome {
 			res, err := satattack.Run(c.Locked, c.NewOracle(), satattack.Options{
-				MaxIterations: c.SATCap, LegacySolver: c.LegacySolver,
-				Context: c.Ctx, Telemetry: c.Telemetry,
+				MaxIterations: c.SATCap, Context: c.Ctx, Telemetry: c.Telemetry,
 			})
 			if err != nil {
 				return Outcome{Detail: "error: " + trimErr(err)}
@@ -261,7 +254,7 @@ func init() {
 		Description: "approximate SAT attack with sampling rounds (Shamsi et al., HOST 2017)",
 		Run: func(c *Context) Outcome {
 			res, err := appsat.Run(c.Locked, c.NewOracle(), appsat.Options{
-				Seed: c.Seed, MaxIterations: c.SATCap, LegacySolver: c.LegacySolver,
+				Seed: c.Seed, MaxIterations: c.SATCap,
 				Context: c.Ctx, Telemetry: c.Telemetry,
 			})
 			if err != nil {
@@ -322,7 +315,7 @@ func init() {
 			res, err := bypass.Run(c.Locked, c.NewOracle(), bypass.Options{MaxFixes: fixBudget})
 			if err != nil {
 				res, err = bypass.RunGenericOpts(c.Locked, c.NewOracle(), bypass.GenericOptions{
-					MaxFixes: fixBudget, Seed: c.Seed, LegacySolver: c.LegacySolver,
+					MaxFixes: fixBudget, Seed: c.Seed,
 					Context: c.Ctx, Telemetry: c.Telemetry,
 				})
 			}
@@ -345,8 +338,7 @@ func init() {
 		Run: func(c *Context) Outcome {
 			opts := core.Options{
 				Context: c.context(), Seed: c.Seed, MismatchRetries: c.Retries,
-				Telemetry: c.Telemetry, LegacyEncoding: c.LegacyEncoding,
-				SATWidthLimit: c.SATWidthLimit, Portfolio: c.Portfolio,
+				Telemetry: c.Telemetry, SATWidthLimit: c.SATWidthLimit, Portfolio: c.Portfolio,
 			}
 			if c.MCAS {
 				res, err := core.RunMCAS(c.Locked, c.NewOracle(), opts)

@@ -6,23 +6,20 @@
 // oracle on each DIP, and terminates when no further DIP exists — at
 // which point any key satisfying the accumulated constraints is correct.
 //
-// By default the attack runs on the persistent incremental-SAT engine
+// The attack runs on the persistent incremental-SAT engine
 // (internal/engine): the miter is encoded once, per-DIP IO constraints
 // live in an assumption-guarded scope, and learned clauses persist
 // across the whole run (and across runs, when the caller supplies a
-// warm Backend). Options.LegacySolver restores the original throwaway
-// per-run solver; the differential tests hold the two paths to
-// bit-identical keys (both extract the canonical lex-min correct key)
-// and identical iteration budgets on SAT-resistant schemes.
+// warm Backend). On completion it extracts the lexicographically
+// smallest correct key, a canonical representative independent of the
+// DIP sequence.
 package satattack
 
 import (
 	"context"
 	"fmt"
 
-	"repro/internal/cnf"
 	"repro/internal/engine"
-	"repro/internal/miter"
 	"repro/internal/netlist"
 	"repro/internal/oracle"
 	"repro/internal/sat"
@@ -37,15 +34,10 @@ type Options struct {
 	MaxIterations int
 	// ConflictBudget bounds each individual SAT call (0 = unlimited).
 	ConflictBudget uint64
-	// LegacySolver rebuilds a throwaway solver for this run instead of
-	// driving the persistent engine — the pre-engine behavior, kept as
-	// an escape hatch and as the differential-test baseline.
-	LegacySolver bool
 	// Backend, when non-nil, is the engine the attack drives (a warm
 	// pool entry or a portfolio); nil builds a fresh engine for the run.
-	// Ignored under LegacySolver.
 	Backend engine.Backend
-	// Context, when non-nil, bounds the engine path: solves are sliced
+	// Context, when non-nil, bounds the run: solves are sliced
 	// against the deadline and cancellation is polled between slices.
 	Context context.Context
 	// Telemetry instruments the run (attack_* span + engine families).
@@ -76,29 +68,10 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 	}
 	sp := opts.Telemetry.StartSpan("attack_satattack")
 	defer sp.End()
-	if opts.LegacySolver {
-		return runLegacy(locked, orc, opts)
+	be, err := engine.Attach(opts.Backend, locked, opts.Context, opts.Telemetry, "satattack")
+	if err != nil {
+		return nil, err
 	}
-	return runEngine(locked, orc, opts)
-}
-
-// runEngine drives the attack through a persistent engine session.
-func runEngine(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, error) {
-	be := opts.Backend
-	if be == nil {
-		eng, err := engine.New(locked, nil)
-		if err != nil {
-			return nil, err
-		}
-		be = eng
-	}
-	if opts.Context != nil {
-		be.SetContext(opts.Context)
-	}
-	if opts.Telemetry != nil {
-		be.SetTelemetry(opts.Telemetry)
-	}
-	be.SetPhase("satattack")
 	statsBase := be.Stats()
 
 	ses, err := be.OpenSession()
@@ -150,133 +123,6 @@ func runEngine(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Resul
 	res.Key = key
 	res.Completed = true
 	return finish(), nil
-}
-
-// runLegacy is the original throwaway-solver attack, kept bit-compatible
-// as the LegacySolver escape hatch and differential baseline.
-func runLegacy(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, error) {
-	kd, err := miter.NewKeyDiff(locked)
-	if err != nil {
-		return nil, err
-	}
-	solver := sat.New()
-	solver.ConflictBudget = opts.ConflictBudget
-	enc, err := cnf.EncodeInto(kd.Circuit, solver)
-	if err != nil {
-		return nil, err
-	}
-
-	diffLit := enc.OutputLits(kd.Circuit)[0]
-	inputLits := enc.InputLits(kd.Circuit)
-	keyLits := enc.KeyLits(kd.Circuit)
-	keysA := keyLits[:kd.NKeys]
-	keysB := keyLits[kd.NKeys:]
-
-	res := &Result{}
-	queriesBefore := countQueries(orc)
-
-	for {
-		if opts.MaxIterations > 0 && res.Iterations >= opts.MaxIterations {
-			res.SolverStats = solver.Stats()
-			res.OracleQueries = countQueries(orc) - queriesBefore
-			return res, nil
-		}
-		status := solver.Solve(diffLit)
-		if status == sat.Unknown {
-			res.SolverStats = solver.Stats()
-			res.OracleQueries = countQueries(orc) - queriesBefore
-			return res, nil
-		}
-		if status == sat.Unsat {
-			break // no more DIPs: constraints pin a correct key
-		}
-		res.Iterations++
-
-		dip := make([]bool, len(inputLits))
-		for i, l := range inputLits {
-			dip[i] = solver.ModelValue(l)
-		}
-		out, err := orc.Query(dip)
-		if err != nil {
-			return nil, err
-		}
-		// Constrain both key copies to reproduce the oracle on this DIP.
-		for _, keys := range [][]cnf.Lit{keysA, keysB} {
-			if err := addIOConstraint(locked, solver, keys, dip, out); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Any satisfying assignment of the constraints is a correct key; like
-	// the engine path, return the lex-min one so the recovered key is
-	// canonical rather than an artifact of the search trajectory.
-	key, err := lexMinKey(solver, keysA)
-	if err != nil {
-		return nil, err
-	}
-	res.Key = key
-	res.Completed = true
-	res.SolverStats = solver.Stats()
-	res.OracleQueries = countQueries(orc) - queriesBefore
-	return res, nil
-}
-
-// addIOConstraint encodes a fresh copy of the locked circuit into the
-// live solver with inputs fixed to dip, outputs fixed to out, and key
-// variables tied to keyVars.
-func addIOConstraint(locked *netlist.Circuit, solver *sat.Solver,
-	keyVars []cnf.Lit, dip []bool, out []bool) error {
-
-	enc, err := cnf.EncodeInto(locked, solver)
-	if err != nil {
-		return err
-	}
-	for i, kl := range enc.KeyLits(locked) {
-		solver.Add(kl.Neg(), keyVars[i])
-		solver.Add(kl, keyVars[i].Neg())
-	}
-	for i, il := range enc.InputLits(locked) {
-		if dip[i] {
-			solver.Add(il)
-		} else {
-			solver.Add(il.Neg())
-		}
-	}
-	for i, ol := range enc.OutputLits(locked) {
-		if out[i] {
-			solver.Add(ol)
-		} else {
-			solver.Add(ol.Neg())
-		}
-	}
-	return nil
-}
-
-// lexMinKey extracts the lexicographically smallest key satisfying the
-// solver's constraints, one incremental solve per bit: false wins a bit
-// whenever some satisfying key has it false. At attack completion the
-// satisfying keys are exactly the functionally correct keys, so this is
-// a canonical representative independent of the DIP sequence — the
-// legacy-path twin of Session.ExtractKey.
-func lexMinKey(solver *sat.Solver, keys []cnf.Lit) ([]bool, error) {
-	if st := solver.Solve(); st != sat.Sat {
-		return nil, fmt.Errorf("satattack: final key extraction returned %v", st)
-	}
-	key := make([]bool, len(keys))
-	assume := make([]cnf.Lit, 0, len(keys)+1)
-	for i, l := range keys {
-		switch st := solver.Solve(append(assume, l.Neg())...); st {
-		case sat.Sat:
-			assume = append(assume, l.Neg())
-		case sat.Unsat:
-			key[i] = true
-			assume = append(assume, l)
-		default:
-			return nil, fmt.Errorf("satattack: key extraction returned %v", st)
-		}
-	}
-	return key, nil
 }
 
 func countQueries(orc oracle.Oracle) uint64 {

@@ -6,8 +6,9 @@
 // blocked by interfering insertions (SLL) — the evolution step the
 // paper's introduction recounts before the SAT attack changed the game.
 //
-// Candidate patterns come from a SAT query (∃ pattern and background key
-// making the target bit observable); the muting requirement is then
+// Candidate patterns stream from the persistent engine (∃ pattern and
+// background key making the target bit observable), one encoding shared
+// by every key bit; the muting requirement is then
 // verified by simulation across random background keys, which keeps the
 // procedure sound: a bit is only reported when its output image is
 // invariant, so the oracle read-out cannot be misattributed.
@@ -18,12 +19,9 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/cnf"
 	"repro/internal/engine"
-	"repro/internal/miter"
 	"repro/internal/netlist"
 	"repro/internal/oracle"
-	"repro/internal/sat"
 	"repro/internal/telemetry"
 )
 
@@ -37,15 +35,10 @@ type Options struct {
 	MuteSamples int
 	// Seed drives sampling.
 	Seed int64
-	// LegacySolver builds one throwaway solver per key bit instead of
-	// streaming candidates from the persistent engine — the pre-engine
-	// behavior, kept as an escape hatch and as the differential-test
-	// baseline.
-	LegacySolver bool
 	// Backend, when non-nil, is the engine the attack drives; nil builds
-	// a fresh engine for the run. Ignored under LegacySolver.
+	// a fresh engine for the run.
 	Backend engine.Backend
-	// Context, when non-nil, bounds the engine path.
+	// Context, when non-nil, bounds the run.
 	Context context.Context
 	// Telemetry instruments the run (attack_* span + engine families).
 	Telemetry *telemetry.Registry
@@ -87,56 +80,36 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 	}
 	res := &Result{Known: make([]bool, nk), Key: make([]bool, nk)}
 
+	be, err := engine.Attach(opts.Backend, locked, opts.Context, opts.Telemetry, "sensitization")
+	if err != nil {
+		return nil, err
+	}
 	// propose streams up to CandidatesPerBit sensitization candidates for
-	// one key bit, muting-checking each; the engine path shares one
-	// persistent encoding across all bits, the legacy path rebuilds a
-	// solver per bit.
-	var propose func(bit int) (pattern []bool, outIdx int, v0, v1, found bool, err error)
-	if opts.LegacySolver {
-		propose = func(bit int) ([]bool, int, bool, bool, bool, error) {
-			return findSensitizingPattern(locked, sim, bit, opts, rng)
-		}
-	} else {
-		be := opts.Backend
-		if be == nil {
-			eng, err := engine.New(locked, nil)
+	// one key bit from the shared encoding, muting-checking each.
+	propose := func(bit int) (pattern []bool, outIdx int, v0, v1, found bool, err error) {
+		cand := 0
+		var innerErr error
+		enumErr := be.EnumerateSensitizations(bit, func(pat []bool) bool {
+			cand++
+			idx, b0, b1, muted, err := checkMuting(locked, sim, pat, bit, opts, rng)
 			if err != nil {
-				return nil, err
+				innerErr = err
+				return false
 			}
-			be = eng
-		}
-		if opts.Context != nil {
-			be.SetContext(opts.Context)
-		}
-		if opts.Telemetry != nil {
-			be.SetTelemetry(opts.Telemetry)
-		}
-		be.SetPhase("sensitization")
-		propose = func(bit int) (pattern []bool, outIdx int, v0, v1, found bool, err error) {
-			cand := 0
-			var innerErr error
-			enumErr := be.EnumerateSensitizations(bit, func(pat []bool) bool {
-				cand++
-				idx, b0, b1, muted, err := checkMuting(locked, sim, pat, bit, opts, rng)
-				if err != nil {
-					innerErr = err
-					return false
-				}
-				if muted {
-					pattern = append([]bool(nil), pat...)
-					outIdx, v0, v1, found = idx, b0, b1, true
-					return false
-				}
-				return cand < opts.CandidatesPerBit
-			})
-			if innerErr != nil {
-				return nil, 0, false, false, false, innerErr
+			if muted {
+				pattern = append([]bool(nil), pat...)
+				outIdx, v0, v1, found = idx, b0, b1, true
+				return false
 			}
-			if enumErr != nil {
-				return nil, 0, false, false, false, enumErr
-			}
-			return pattern, outIdx, v0, v1, found, nil
+			return cand < opts.CandidatesPerBit
+		})
+		if innerErr != nil {
+			return nil, 0, false, false, false, innerErr
 		}
+		if enumErr != nil {
+			return nil, 0, false, false, false, enumErr
+		}
+		return pattern, outIdx, v0, v1, found, nil
 	}
 
 	for bit := 0; bit < nk; bit++ {
@@ -164,67 +137,6 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 		}
 	}
 	return res, nil
-}
-
-// findSensitizingPattern proposes patterns via a key-differential miter
-// restricted to the target bit and verifies the muting property by
-// simulation. On success it returns the pattern, the output position
-// carrying the bit, and that output's two invariant values (for bit=0
-// and bit=1).
-func findSensitizingPattern(locked *netlist.Circuit, sim *netlist.Simulator, bit int,
-	opts Options, rng *rand.Rand) (pattern []bool, outIdx int, v0, v1 bool, found bool, err error) {
-
-	kd, err := miter.NewKeyDiff(locked)
-	if err != nil {
-		return nil, 0, false, false, false, err
-	}
-	solver := sat.New()
-	enc, err := cnf.EncodeInto(kd.Circuit, solver)
-	if err != nil {
-		return nil, 0, false, false, false, err
-	}
-	keyLits := enc.KeyLits(kd.Circuit)
-	keysA := keyLits[:kd.NKeys]
-	keysB := keyLits[kd.NKeys:]
-	// Both copies share every key bit except the target, which is 0 in
-	// copy A and 1 in copy B.
-	for i := 0; i < kd.NKeys; i++ {
-		if i == bit {
-			solver.Add(keysA[i].Neg())
-			solver.Add(keysB[i])
-			continue
-		}
-		solver.Add(keysA[i].Neg(), keysB[i])
-		solver.Add(keysA[i], keysB[i].Neg())
-	}
-	diff := enc.OutputLits(kd.Circuit)[0]
-	inLits := enc.InputLits(kd.Circuit)
-
-	for cand := 0; cand < opts.CandidatesPerBit; cand++ {
-		if solver.Solve(diff) != sat.Sat {
-			return nil, 0, false, false, false, nil
-		}
-		pat := make([]bool, len(inLits))
-		blocking := make([]cnf.Lit, len(inLits))
-		for i, l := range inLits {
-			pat[i] = solver.ModelValue(l)
-			if pat[i] {
-				blocking[i] = l.Neg()
-			} else {
-				blocking[i] = l
-			}
-		}
-		solver.Add(blocking...)
-
-		idx, b0, b1, muted, err := checkMuting(locked, sim, pat, bit, opts, rng)
-		if err != nil {
-			return nil, 0, false, false, false, err
-		}
-		if muted {
-			return pat, idx, b0, b1, true, nil
-		}
-	}
-	return nil, 0, false, false, false, nil
 }
 
 // checkMuting simulates the pattern under random background keys,

@@ -18,7 +18,7 @@ func fullSnapshot() *Snapshot {
 	return &Snapshot{
 		LockedHash:    "sha256:locked",
 		OracleHash:    "sha256:oracle",
-		OptionsSig:    "v1 seed=7 retries=0 satwidth=0 legacy=false",
+		OptionsSig:    "v2 seed=7 retries=0 satwidth=0",
 		Active:        2,
 		Calib:         5,
 		Phase:         "enumerate",

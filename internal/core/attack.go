@@ -36,16 +36,8 @@ type Options struct {
 	// (timed simulation batches vs. a deadline-budgeted engine probe)
 	// and picks the cheaper engine empirically; a positive value pins
 	// the historical rule: SAT for blocks up to that many inputs,
-	// simulation above. LegacyEncoding also pins the rule (at width 12),
-	// since probe timings against the persistent engine would not
-	// transfer to the re-encode path.
+	// simulation above.
 	SATWidthLimit int
-	// LegacyEncoding disables the persistent incremental-SAT engine and
-	// restores the per-assignment re-encode path: each SAT extraction
-	// compiles (or LRU-replays) a fixed-key miter into a fresh solver,
-	// and candidate distinguishing builds throwaway hashed miters. An
-	// escape hatch — results are identical, the engine is just faster.
-	LegacyEncoding bool
 	// Portfolio, when > 0, replaces the single persistent engine with a
 	// racing portfolio of that many diversified members (distinct VSIDS
 	// decay, restart strategy, phase-saving polarity and decision-order
@@ -53,10 +45,10 @@ type Options struct {
 	// clauses. Every query races all members and the first definitive
 	// answer wins, so wall-clock tracks the luckiest configuration while
 	// results stay bit-identical to a single engine (enforced by the
-	// differential tests; see DESIGN.md §13). Ignored under
-	// LegacyEncoding and in the simulation regime, which have no
-	// persistent engine. engine.DefaultPortfolioSize is the conventional
-	// size for callers that only expose an on/off switch.
+	// differential tests; see DESIGN.md §13). Ignored in the simulation
+	// regime, which has no persistent engine.
+	// engine.DefaultPortfolioSize is the conventional size for callers
+	// that only expose an on/off switch.
 	Portfolio int
 	// EnginePool, when non-nil together with EngineKey, reuses warm
 	// persistent backends across attacks: before building an engine the
@@ -68,8 +60,7 @@ type Options struct {
 	// equal canonical bytes pin the input/key orderings the engine's
 	// literal layout depends on. The pool key is additionally scoped by
 	// Portfolio, so differently sized configurations never exchange
-	// backends. Ignored under LegacyEncoding and in the simulation
-	// regime.
+	// backends. Ignored in the simulation regime.
 	EnginePool *engine.Pool
 	// EngineKey scopes this attack's entries in EnginePool; empty
 	// disables pooling.
@@ -235,9 +226,6 @@ func Run(opts Options) (*Result, error) {
 	if ta, ok := ext.(interface{ SetTelemetry(*telemetry.Registry) }); ok {
 		ta.SetTelemetry(opts.Telemetry)
 	}
-	if la, ok := ext.(interface{ SetLegacyEncoding(bool) }); ok {
-		la.SetLegacyEncoding(opts.LegacyEncoding)
-	}
 	if pa, ok := ext.(interface{ SetPortfolio(int) }); ok {
 		pa.SetPortfolio(opts.Portfolio)
 	}
@@ -314,16 +302,12 @@ type attack struct {
 // of the whole netlist, which hashing collapses in milliseconds while
 // a cold CDCL instance pays an encoding plus a full UNSAT search
 // (measured 20x slower on the c880-profile Table-I row). The engine
-// only wins where it is already warm from SAT enumeration. Nil under
-// LegacyEncoding.
+// only wins where it is already warm from SAT enumeration.
 func (a *attack) engine() engine.Backend {
 	if a.engTried {
 		return a.eng
 	}
 	a.engTried = true
-	if a.opts.LegacyEncoding {
-		return nil
-	}
 	if ea, ok := a.ext.(interface {
 		Engine() (engine.Backend, error)
 	}); ok {
@@ -1062,9 +1046,10 @@ const distinguishConflictBudget = 200000
 // witness in milliseconds); only if the sweep is clean does it fall to
 // SAT — normally an assumption query against the persistent engine,
 // whose learned clauses from the enumeration phases make repeated
-// pairwise probes cheap, or a throwaway structurally-hashed miter under
-// LegacyEncoding. Both run under distinguishConflictBudget with the same
-// Unknown-means-equivalent contract.
+// pairwise probes cheap, or, in the simulation regime where no engine
+// exists, a throwaway structurally-hashed miter. Both run under
+// distinguishConflictBudget with the same Unknown-means-equivalent
+// contract.
 func (a *attack) distinguish(keyA, keyB []bool, st *structured) (witness []bool, equivalent bool, err error) {
 	if w, found, err := a.simDistinguish(keyA, keyB, st); err != nil {
 		return nil, false, err

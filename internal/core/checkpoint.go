@@ -24,8 +24,8 @@ const bankCap = 1 << 15
 // stream or decisions; a snapshot is only resumable under identical
 // semantics (mirrors the service cache key's options component).
 func optionsSig(o *Options) string {
-	return fmt.Sprintf("v1 seed=%d retries=%d satwidth=%d legacy=%t",
-		o.Seed, o.MismatchRetries, o.SATWidthLimit, o.LegacyEncoding)
+	return fmt.Sprintf("v2 seed=%d retries=%d satwidth=%d",
+		o.Seed, o.MismatchRetries, o.SATWidthLimit)
 }
 
 // lockedHash returns the content hash of the circuit's canonical

@@ -159,6 +159,39 @@ func TestResumeMismatchRefused(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesV1Snapshot: a snapshot written under the v1 options
+// signature (which carried the since-removed encoding switch) is
+// refused with ErrResumeMismatch even when every remaining option
+// matches, rather than resumed under semantics it was not taken with.
+func TestResumeRefusesV1Snapshot(t *testing.T) {
+	lockedC, _, h := lockedInstance(t, "2A-O-A", 53)
+	path := filepath.Join(t.TempDir(), "snap.ckpt")
+	w, err := checkpoint.NewWriter(checkpoint.WriterConfig{
+		Path: path, EveryEvents: 1, Interval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Options{
+		Locked: lockedC, Oracle: oracle.MustNewSim(h), Seed: 7,
+		Telemetry: telemetry.New(), Checkpointer: w,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	snap, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.OptionsSig = "v1 seed=7 retries=0 satwidth=0 legacy=false"
+	if _, err := Run(Options{
+		Locked: lockedC, Oracle: oracle.MustNewSim(h), Seed: 7,
+		Telemetry: telemetry.New(), ResumeFrom: snap,
+	}); !errors.Is(err, ErrResumeMismatch) {
+		t.Fatalf("v1 snapshot: got %v, want ErrResumeMismatch", err)
+	}
+}
+
 func TestBankedOracle(t *testing.T) {
 	_, _, h := lockedInstance(t, "2A-O-A", 61)
 	sim := oracle.MustNewSim(h)

@@ -28,11 +28,6 @@ import (
 // learned clauses for the attack proper.
 
 const (
-	// legacySATWidthLimit is the historical fixed crossover, applied when
-	// the caller pins SATWidthLimit (any value > 0 replaces it) or runs
-	// the legacy encoding path, where probe timings would not transfer.
-	legacySATWidthLimit = 12
-
 	// crossoverSimProbeBatches is how many 64-pattern batches the sim
 	// probe times (a multiple of the widest lane group).
 	crossoverSimProbeBatches = 64
@@ -100,10 +95,9 @@ func newCalibratedSAT(opts *Options, layout *BlockLayout) (*SATExtractor, error)
 
 // enginePoolKey scopes warm-pool entries: the caller's netlist identity
 // (EngineKey) plus the portfolio size, so a single engine is never
-// handed to a portfolio run or vice versa. Empty when pooling is off or
-// inapplicable (legacy encoding has no persistent backend).
+// handed to a portfolio run or vice versa. Empty when pooling is off.
 func enginePoolKey(opts *Options) string {
-	if opts.EnginePool == nil || opts.EngineKey == "" || opts.LegacyEncoding {
+	if opts.EnginePool == nil || opts.EngineKey == "" {
 		return ""
 	}
 	return opts.EngineKey + "|p" + strconv.Itoa(opts.Portfolio)
@@ -150,8 +144,8 @@ func newCalibratedSim(opts *Options, layout *BlockLayout) (*SimExtractor, error)
 }
 
 // chooseExtractor resolves the DIP-set engine when Options.Extractor is
-// nil. A pinned SATWidthLimit (> 0) or the legacy encoding path keeps
-// the historical fixed-width rule; otherwise a per-instance calibration
+// nil. A pinned SATWidthLimit (> 0) applies the fixed-width rule (SAT up
+// to that width, simulation above); otherwise a per-instance calibration
 // probe picks the cheaper engine empirically. The decision, both probe
 // costs, and the block width land in crossover_* metrics, and the
 // probe runs under a "calibrate" child span of root.
@@ -177,13 +171,9 @@ func chooseExtractor(ctx context.Context, opts *Options, layout *BlockLayout, ro
 		}
 		opts.Events.Publish(events.Event{Type: events.TypeCrossover, Phase: "calibrate", Fields: f})
 	}
-	if opts.SATWidthLimit > 0 || opts.LegacyEncoding {
+	if opts.SATWidthLimit > 0 {
 		tel.Counter("crossover_pinned_total").Inc()
-		limit := opts.SATWidthLimit
-		if limit <= 0 {
-			limit = legacySATWidthLimit
-		}
-		if n <= limit {
+		if n <= opts.SATWidthLimit {
 			publish("sat", "pinned", 0, 0)
 			return newCalibratedSAT(opts, layout)
 		}

@@ -224,15 +224,14 @@ func TestCrossoverProbeMemo(t *testing.T) {
 	}
 }
 
-// TestCrossoverPinned asserts a positive SATWidthLimit (and the legacy
-// encoding path) bypass the probe and keep the historical fixed rule.
+// TestCrossoverPinned asserts a positive SATWidthLimit bypasses the
+// probe and applies the fixed width rule.
 func TestCrossoverPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts func(o *Options)
 	}{
 		{"width-limit", func(o *Options) { o.SATWidthLimit = 12 }},
-		{"legacy-encoding", func(o *Options) { o.LegacyEncoding = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lockedC, inst, h := lockedInstance(t, "2A-O-A", 31)

@@ -9,15 +9,10 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/cache"
-	"repro/internal/cnf"
 	"repro/internal/engine"
 	"repro/internal/events"
-	"repro/internal/miter"
 	"repro/internal/netlist"
-	"repro/internal/sat"
 	"repro/internal/telemetry"
 )
 
@@ -64,28 +59,11 @@ type Extractor interface {
 // full locked netlist.
 // ---------------------------------------------------------------------
 
-// encodeCacheSize bounds the SAT extractor's per-assignment encoding
-// cache: large enough to hold both Lemma-1 hypothesis assignments plus
-// the calibration sweep's working set (whose Classes→DIPs pairs and
-// re-decode extractions revisit recent assignments), small enough that
-// a long sweep cannot accumulate formulas without bound.
-const encodeCacheSize = 8
-
 // simEventStride is how many 64-pattern batches a simulation shard
 // walks between dip_progress events: rare enough that the shared
 // atomic and the bus mutex stay off the kernel's critical path, fine
 // enough that a multi-second walk reports progress many times a second.
 const simEventStride = 1024
-
-// satEncoding is one memoized fixed-key miter compilation: the Tseitin
-// clauses, the disagreement literal and the block-input literals in
-// chain order. Immutable once built — enumeration replays the clauses
-// into a fresh solver, so cached encodings are safely shared.
-type satEncoding struct {
-	form  *cnf.Formula
-	diff  cnf.Lit
-	block []cnf.Lit
-}
 
 // SATExtractor enumerates DIPs with a SAT solver over the full locked
 // netlist, exactly as the paper does (CryptoMiniSat in the original).
@@ -96,10 +74,6 @@ type satEncoding struct {
 // literals, and every extraction across every attack phase reuses the
 // same clause database, so learned clauses and variable activity carry
 // over between hypotheses and calibration candidates.
-//
-// SetLegacyEncoding(true) restores the pre-engine path: the fixed-key
-// miter and its Tseitin encoding are memoized per key assignment in a
-// small LRU and replayed into a fresh solver per enumeration.
 type SATExtractor struct {
 	locked *netlist.Circuit
 	layout *BlockLayout
@@ -107,17 +81,13 @@ type SATExtractor struct {
 	ctx    context.Context     // nil = never cancelled
 	tel    *telemetry.Registry // nil = uninstrumented
 
-	legacy    bool
 	portfolio int            // >0 = race a portfolio of this many engines
-	eng       engine.Backend // lazily built persistent backend (non-legacy path)
+	eng       engine.Backend // lazily built persistent backend
 	phase     string         // pending phase label, applied when eng is built
 	bus       *events.Bus    // nil = no lifecycle events
 
 	progress func(set *DIPSet, complete bool) // checkpoint hook; nil = disabled
 	seed     *DIPSet                          // resume seed, consumed by the next DIPs call
-
-	// Legacy encoding cache, keyed by the packed (A,B) assignment bits.
-	encodings *cache.LRU[string, *satEncoding]
 }
 
 // NewSATExtractor builds a SAT-based extractor.
@@ -128,8 +98,7 @@ func NewSATExtractor(locked *netlist.Circuit, layout *BlockLayout) (*SATExtracto
 	if layout.N() > 30 {
 		return nil, fmt.Errorf("core: SAT extractor limited to 30 chain inputs (full enumeration); use the simulation extractor")
 	}
-	return &SATExtractor{locked: locked, layout: layout,
-		encodings: cache.NewLRU[string, *satEncoding](encodeCacheSize)}, nil
+	return &SATExtractor{locked: locked, layout: layout}, nil
 }
 
 // BlockWidth implements Extractor.
@@ -159,11 +128,6 @@ func (e *SATExtractor) SetTelemetry(r *telemetry.Registry) {
 	}
 }
 
-// SetLegacyEncoding selects the pre-engine per-assignment re-encode path
-// (the -legacy-encoding escape hatch). Must be chosen before the first
-// extraction; flipping it afterwards only affects subsequent calls.
-func (e *SATExtractor) SetLegacyEncoding(v bool) { e.legacy = v }
-
 // SetPortfolio selects the racing-portfolio backend with n members
 // (0 = single engine). Must be chosen before the first extraction: once
 // the backend is built the setting is fixed for the extractor's
@@ -178,18 +142,24 @@ func (e *SATExtractor) SetPortfolio(n int) {
 // warm pool hands back an already-encoded engine or portfolio for a
 // previously seen netlist, skipping the Tseitin encode entirely. The
 // injected backend must have been built for the identical canonical
-// netlist and layout; the pool keys guarantee that. Ignored in legacy
-// mode and after the extractor has built its own backend.
+// netlist and layout; the pool keys guarantee that. Ignored after the
+// extractor has built its own backend.
 func (e *SATExtractor) SetBackend(b engine.Backend) {
-	if e.eng == nil && !e.legacy {
-		e.eng = b
-		e.eng.SetContext(e.ctx)
-		e.eng.SetTelemetry(e.tel)
-		e.eng.SetEvents(e.bus)
-		if e.phase != "" {
-			e.eng.SetPhase(e.phase)
-		}
+	if e.eng == nil {
+		e.adopt(b)
 	}
+}
+
+// adopt installs b as the extractor's backend and hands it the
+// extractor's context, telemetry, event bus and pending phase label.
+func (e *SATExtractor) adopt(b engine.Backend) {
+	b.SetContext(e.ctx)
+	b.SetTelemetry(e.tel)
+	b.SetEvents(e.bus)
+	if e.phase != "" {
+		b.SetPhase(e.phase)
+	}
+	e.eng = b
 }
 
 // SetEvents attaches a lifecycle event bus, forwarded to the persistent
@@ -203,7 +173,7 @@ func (e *SATExtractor) SetEvents(b *events.Bus) {
 }
 
 // SetPhase labels subsequent engine work for per-phase stats attribution
-// and deadline budgeting; a no-op on the legacy path.
+// and deadline budgeting.
 func (e *SATExtractor) SetPhase(name string) {
 	e.phase = name
 	if e.eng != nil {
@@ -219,10 +189,10 @@ func (e *SATExtractor) SetPhase(name string) {
 func (e *SATExtractor) SetProgress(fn func(set *DIPSet, complete bool)) { e.progress = fn }
 
 // SeedDIPs arms the next DIPs call with a checkpoint's partial set: the
-// seeded patterns are replayed into the enumeration as blocking clauses
-// (engine path) or permanent clauses (legacy path) before solving, so
-// enumeration continues where the snapshot stopped instead of
-// re-deriving every pattern. Consumed by exactly one extraction.
+// seeded patterns are replayed into the enumeration as scope-guarded
+// blocking clauses before solving, so enumeration continues where the
+// snapshot stopped instead of re-deriving every pattern. Consumed by
+// exactly one extraction.
 func (e *SATExtractor) SeedDIPs(set *DIPSet) { e.seed = set }
 
 // takeSeed consumes the pending resume seed if it matches the width.
@@ -237,14 +207,10 @@ func (e *SATExtractor) takeSeed() *DIPSet {
 
 // Engine returns the persistent incremental backend — a single engine,
 // or a racing portfolio when SetPortfolio armed one — building it on
-// first use, or nil when the extractor runs in legacy mode. The attack
-// shares this backend for its SAT-based candidate distinguishing, so
-// verifier queries profit from the clauses the enumeration phases
-// learned.
+// first use. The attack shares this backend for its SAT-based
+// candidate distinguishing, so verifier queries profit from the
+// clauses the enumeration phases learned.
 func (e *SATExtractor) Engine() (engine.Backend, error) {
-	if e.legacy {
-		return nil, nil
-	}
 	if e.eng == nil {
 		var eng engine.Backend
 		var err error
@@ -256,13 +222,7 @@ func (e *SATExtractor) Engine() (engine.Backend, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng.SetContext(e.ctx)
-		eng.SetTelemetry(e.tel)
-		eng.SetEvents(e.bus)
-		if e.phase != "" {
-			eng.SetPhase(e.phase)
-		}
-		e.eng = eng
+		e.adopt(eng)
 	}
 	return e.eng, nil
 }
@@ -273,112 +233,13 @@ func (e *SATExtractor) Engine() (engine.Backend, error) {
 // park it.
 func (e *SATExtractor) Backend() engine.Backend { return e.eng }
 
-// assignKey packs a pair assignment into the encoding cache's string
-// key: one byte per 8 key bits, copy A then copy B.
-func assignKey(assign PairAssign) string {
-	buf := make([]byte, 0, (len(assign.A)+len(assign.B)+7)/8+1)
-	pack := func(bits []bool) {
-		var b byte
-		for i, v := range bits {
-			if v {
-				b |= 1 << uint(i&7)
-			}
-			if i&7 == 7 {
-				buf = append(buf, b)
-				b = 0
-			}
-		}
-		buf = append(buf, b)
-	}
-	pack(assign.A)
-	pack(assign.B)
-	return string(buf)
-}
-
-// compile returns the fixed-key miter encoding for assign, building and
-// caching it on first use: the Tseitin clauses, the disagreement
-// literal and the block-input literals in chain order. The cache spans
-// assignments, so the attack's second hypothesis case and the
-// calibration sweep's Classes→DIPs pairs hit it instead of re-encoding.
-func (e *SATExtractor) compile(assign PairAssign) (*satEncoding, error) {
-	key := assignKey(assign)
-	if enc, ok := e.encodings.Get(key); ok {
-		e.tel.Counter("sat_encode_cache_hits_total").Inc()
-		return enc, nil
-	}
-	e.tel.Counter("sat_encode_cache_misses_total").Inc()
-	sp := e.tel.StartSpan("miter")
-	defer sp.End()
-	m, err := miter.NewFixedKey(e.locked, assign.A, assign.B)
-	if err != nil {
-		return nil, err
-	}
-	form := &cnf.Formula{}
-	enc, err := cnf.EncodeInto(m, form)
-	if err != nil {
-		return nil, err
-	}
-	inLits := enc.InputLits(m)
-	blockLits := make([]cnf.Lit, e.layout.N())
-	for i, pos := range e.layout.InputPos {
-		blockLits[i] = inLits[pos]
-	}
-	out := &satEncoding{form: form, diff: enc.OutputLits(m)[0], block: blockLits}
-	e.encodings.Put(key, out)
-	return out, nil
-}
-
-// satSliceConflicts bounds one Solve slice when a context is attached
-// but carries no deadline (pure cancellation): large enough that the
-// slicing overhead vanishes, small enough that cancellation lands
-// within tens of milliseconds on typical encodings.
-const satSliceConflicts = 1 << 14
-
-// sliceBudget maps the remaining deadline onto a per-Solve conflict
-// budget. The first slice is a small fixed probe; afterwards the
-// observed conflict rate converts time-remaining into
-// conflicts-remaining, and half of that is granted per slice so the
-// deadline is re-examined a few times before it lands. 0 means
-// unbudgeted (no context).
-func (e *SATExtractor) sliceBudget(start time.Time, conflicts uint64) uint64 {
-	if e.ctx == nil {
-		return 0
-	}
-	deadline, ok := e.ctx.Deadline()
-	if !ok {
-		return satSliceConflicts
-	}
-	remaining := time.Until(deadline)
-	if remaining <= 0 {
-		return 1 // expired: the pre-Solve ctx check fires next iteration
-	}
-	elapsed := time.Since(start)
-	if conflicts == 0 || elapsed <= 0 {
-		return 1024
-	}
-	rate := float64(conflicts) / elapsed.Seconds() // conflicts per second
-	budget := uint64(rate * remaining.Seconds() / 2)
-	if budget < 256 {
-		budget = 256
-	}
-	if budget > 1<<20 {
-		budget = 1 << 20
-	}
-	return budget
-}
-
-// DIPs implements Extractor. On the default incremental path it runs an
-// assumption-driven enumeration session against the persistent engine:
-// the key assignment becomes assumption literals, found patterns are
-// excluded with scope-guarded blocking clauses that are retired when the
-// session ends, and nothing is re-encoded. On the legacy path it replays
-// the (memoized) fixed-key miter encoding into a fresh solver. Both
-// honor a context: on expiry the partially enumerated set is returned
-// with the context's error.
+// DIPs implements Extractor. It runs an assumption-driven enumeration
+// session against the persistent engine: the key assignment becomes
+// assumption literals, found patterns are excluded with scope-guarded
+// blocking clauses that are retired when the session ends, and nothing
+// is re-encoded. It honors a context: on expiry the partially enumerated
+// set is returned with the context's error.
 func (e *SATExtractor) DIPs(assign PairAssign) (*DIPSet, error) {
-	if e.legacy {
-		return e.dipsLegacy(assign)
-	}
 	eng, err := e.Engine()
 	if err != nil {
 		return nil, err
@@ -429,94 +290,6 @@ func (e *SATExtractor) DIPs(assign PairAssign) (*DIPSet, error) {
 		e.progress(out, true)
 	}
 	return out, nil
-}
-
-// dipsLegacy is the pre-engine enumeration: compile (or LRU-replay) the
-// fixed-key miter for this assignment into a fresh solver and enumerate
-// models with permanent blocking clauses.
-func (e *SATExtractor) dipsLegacy(assign PairAssign) (*DIPSet, error) {
-	e.count++
-	e.tel.Counter("enum_extractions_total").Inc()
-	enc, err := e.compile(assign)
-	if err != nil {
-		return nil, err
-	}
-	solver := sat.New()
-	solver.EnsureVars(enc.form.NumVars)
-	solver.AddFormula(enc.form)
-	solver.Add(enc.diff) // only interested in disagreement witnesses
-	out, err := NewDIPSet(e.layout.N())
-	if err != nil {
-		return nil, err
-	}
-	sp := e.tel.StartSpan("extract")
-	sp.SetArg("engine", "sat")
-	defer func() {
-		if e.tel != nil {
-			st := solver.Stats()
-			e.tel.Counter("sat_conflicts_total").Add(st.Conflicts)
-			e.tel.Counter("sat_decisions_total").Add(st.Decisions)
-			e.tel.Counter("sat_propagations_total").Add(st.Propagations)
-			e.tel.Counter("sat_restarts_total").Add(st.Restarts)
-			e.tel.Counter("sat_solve_calls_total").Add(st.SolveCalls)
-			sp.SetArg("dips", strconv.FormatUint(out.Count(), 10))
-		}
-		sp.End()
-	}()
-	blocking := make([]cnf.Lit, len(enc.block))
-	if s := e.takeSeed(); s != nil {
-		// Resume seed: the snapshot's patterns are re-blocked permanently
-		// (this path owns a throwaway solver, so no scopes are needed) and
-		// enumeration continues past them.
-		s.ForEach(func(pat uint64) bool {
-			for i, l := range enc.block {
-				if pat&(1<<uint(i)) != 0 {
-					blocking[i] = l.Neg()
-				} else {
-					blocking[i] = l
-				}
-			}
-			out.Add(pat)
-			solver.Add(blocking...)
-			return true
-		})
-	}
-	start := time.Now()
-	for {
-		if e.ctx != nil {
-			if err := e.ctx.Err(); err != nil {
-				return out, err
-			}
-		}
-		solver.ConflictBudget = e.sliceBudget(start, solver.Stats().Conflicts)
-		st := solver.Solve()
-		if st == sat.Unknown {
-			continue // budget slice exhausted: recheck the context
-		}
-		if st == sat.Unsat {
-			if e.progress != nil {
-				e.progress(out, true)
-			}
-			return out, nil
-		}
-		var pat uint64
-		for i, l := range enc.block {
-			if solver.ModelValue(l) {
-				pat |= 1 << uint(i)
-				blocking[i] = l.Neg()
-			} else {
-				blocking[i] = l
-			}
-		}
-		if out.Contains(pat) {
-			return nil, fmt.Errorf("core: SAT enumeration returned duplicate pattern %b", pat)
-		}
-		out.Add(pat)
-		solver.Add(blocking...)
-		if e.progress != nil {
-			e.progress(out, false)
-		}
-	}
 }
 
 // Classes implements Extractor (exact, via DIPs).

@@ -55,7 +55,7 @@ func TestPortfolioSingleEngineKeyDifferential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, seed := range tc.seeds {
 				resetProbeMemo() // portfolio and single runs must each probe their own config
-				singleRes, inst := runPath(t, tc.inputs, tc.chain, seed, seed^0xbeef, false)
+				singleRes, inst, _, _ := runPath(t, tc.inputs, tc.chain, seed, seed^0xbeef)
 				portRes, _ := runPortfolioPath(t, tc.inputs, tc.chain, seed, seed^0xbeef, 3)
 				if !inst.IsCorrectCASKey(singleRes.Key) {
 					t.Fatalf("seed %d: single-engine path recovered a wrong key", seed)
@@ -85,8 +85,7 @@ func TestPortfolioSingleEngineKeyDifferential(t *testing.T) {
 
 // TestPortfolioEncodesOnceAcrossAttack pins the shared-encoding
 // contract on the portfolio path: one Tseitin encode feeds all members
-// for the whole attack, the legacy compile path never runs, and the
-// portfolio counter families (wins, disagreement alarm) are live.
+// for the whole attack, and the portfolio counter families (wins, disagreement alarm) are live.
 func TestPortfolioEncodesOnceAcrossAttack(t *testing.T) {
 	h := host(t, 10)
 	locked, inst, err := lock.ApplyCAS(h, lock.CASOptions{Chain: lock.MustParseChain("A-O-2A-O"), Seed: 7})
@@ -109,9 +108,6 @@ func TestPortfolioEncodesOnceAcrossAttack(t *testing.T) {
 	snap := tel.Snapshot()
 	if got := snap.Counters["engine_encodings_total"]; got != 1 {
 		t.Fatalf("engine_encodings_total = %d, want exactly 1 shared encode", got)
-	}
-	if got := snap.Counters["sat_encode_cache_misses_total"]; got != 0 {
-		t.Fatalf("legacy compile path ran %d times on the portfolio path", got)
 	}
 	if snap.Counters["portfolio_disagreements_total"] != 0 {
 		t.Fatal("soundness alarm: portfolio members disagreed on a verdict")

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/events"
+	"repro/internal/netlist"
 	"repro/internal/sat"
 	"repro/internal/telemetry"
 )
@@ -39,7 +40,6 @@ type Backend interface {
 	DistinguishEx(keyA, keyB []bool, budget uint64) (DistinguishOutcome, error)
 	BudgetRate() float64
 	SetBudgetRate(rate float64)
-	SetBudgetSmoothing(alpha float64)
 	SetCompactBytes(n uint64)
 	Recycle()
 }
@@ -48,3 +48,24 @@ var (
 	_ Backend = (*Engine)(nil)
 	_ Backend = (*Portfolio)(nil)
 )
+
+// Attach is the setup every classic attack shares: it returns be, or a
+// fresh engine over locked when be is nil, bound to ctx and tel (each
+// left as is when nil) and labelled with the attack's phase name.
+func Attach(be Backend, locked *netlist.Circuit, ctx context.Context, tel *telemetry.Registry, phase string) (Backend, error) {
+	if be == nil {
+		eng, err := New(locked, nil)
+		if err != nil {
+			return nil, err
+		}
+		be = eng
+	}
+	if ctx != nil {
+		be.SetContext(ctx)
+	}
+	if tel != nil {
+		be.SetTelemetry(tel)
+	}
+	be.SetPhase(phase)
+	return be, nil
+}

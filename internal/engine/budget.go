@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"math"
 	"time"
 )
 
@@ -24,11 +23,10 @@ const (
 )
 
 // budgeter converts a context deadline into per-Solve conflict budgets.
-// The legacy extractor heuristic re-derived the conflict rate from each
-// enumeration's own wall clock and granted half the predicted remainder
-// per slice, so a long early phase could spend the entire deadline
-// before later phases (calibration, verification) ran at all. The
-// budgeter instead:
+// Re-deriving the conflict rate from each enumeration's own wall clock
+// and granting half the predicted remainder per slice would let a long
+// early phase spend the entire deadline before later phases
+// (calibration, verification) ran at all. The budgeter instead:
 //
 //   - anchors on one engine-lifetime clock and keeps a persistent EWMA
 //     of the observed conflict rate across every solve session and
@@ -44,109 +42,17 @@ const (
 // depends on the budget — it just crawls at minSlice-sized grants, which
 // keeps context polls frequent while leaving headroom for later phases.
 
-// Trajectory is an attack-shape summary a smoothing weight can be
-// learned from: the per-phase wall-clock histogram plus the aggregate
-// solve-session and extraction counts, exactly the fields the committed
-// BENCH snapshot records under "telemetry".
-type Trajectory struct {
-	// PhaseSeconds is wall-clock seconds spent per attack phase.
-	PhaseSeconds map[string]float64
-	// SolveCalls is the total number of solver sessions observed.
-	SolveCalls uint64
-	// Extractions is how many enumerate→distinguish→verify cycles the
-	// trajectory contains; each cycle revisits the phases, so
-	// SolveCalls/Extractions is the sessions-per-visit scale.
-	Extractions uint64
-}
-
-// Smoothing derivation bounds.
-const (
-	// rateResidual is how much of a stale regime's rate may survive in
-	// the EWMA once the dwell of the tightest phase has elapsed.
-	rateResidual = 0.13
-	// minSignificantShare: phases below this share of total time are
-	// noise (algo2 in the committed trajectory holds 0.01%) and must not
-	// drive the weight to its clamp.
-	minSignificantShare = 0.02
-	minSmoothing        = 0.1
-	maxSmoothing        = 0.5
-)
-
-// DeriveSmoothing learns the budgeter's EWMA new-observation weight
-// from a committed trajectory. The constraint: after a rate-regime
-// change (enumeration → distinguish → verification sessions swing the
-// conflict rate 2–3×), the stale rate must decay to rateResidual within
-// the dwell of the tightest significant phase — the smallest number of
-// solve sessions any phase that matters gives the estimator per visit.
-// dwell = min-significant-share × SolveCalls/Extractions, floored at 2
-// (an EWMA cannot meaningfully converge in fewer observations), giving
-// alpha = 1 - rateResidual^(1/dwell), clamped so one outlier session
-// never moves the estimate by more than half (maxSmoothing) and the
-// estimator is never effectively frozen (minSmoothing). Degenerate
-// trajectories (no histogram, no sessions) fall back to maxSmoothing —
-// with nothing known about dwell, tracking fast is the safe side
-// because the budget only sizes slices, never correctness.
-func DeriveSmoothing(tr Trajectory) float64 {
-	var total float64
-	for _, s := range tr.PhaseSeconds {
-		total += s
-	}
-	if total <= 0 || tr.SolveCalls == 0 || tr.Extractions == 0 {
-		return maxSmoothing
-	}
-	minShare := 1.0
-	for _, s := range tr.PhaseSeconds {
-		if share := s / total; share >= minSignificantShare && share < minShare {
-			minShare = share
-		}
-	}
-	dwell := minShare * float64(tr.SolveCalls) / float64(tr.Extractions)
-	if dwell < 2 {
-		dwell = 2
-	}
-	alpha := 1 - math.Pow(rateResidual, 1/dwell)
-	if alpha < minSmoothing {
-		return minSmoothing
-	}
-	if alpha > maxSmoothing {
-		return maxSmoothing
-	}
-	return alpha
-}
-
-// benchTrajectory is the committed BENCH_core.json "telemetry" section
-// (phase_seconds, sat_solve_calls, extractions) — the tablei_k32_c880
-// attack shape the budgeter's default weight is learned from. Refreshed
-// alongside BENCH_core.json regenerations.
-var benchTrajectory = Trajectory{
-	PhaseSeconds: map[string]float64{
-		"algo1":     0.0642,
-		"algo2":     0.0002,
-		"calibrate": 0.0401,
-		"decode":    0.2812,
-		"enumerate": 0.0336,
-		"verify":    1.1513,
-	},
-	SolveCalls:  50116,
-	Extractions: 963,
-}
-
-// defaultBudgetSmoothing is the EWMA weight of the newest rate
-// observation, learned from the committed trajectory instead of
-// hand-picked: the tightest significant phase there (enumerate, ~2% of
-// wall clock at ~52 sessions per extraction cycle) dwells for about one
-// session per visit, so the derivation floors at a 2-session window and
-// clamps to maxSmoothing = 0.5 — a stale regime decays to ~25% in two
-// observations while one outlier session moves the estimate at most
-// half-way. SetBudgetSmoothing remains the per-engine override.
-var defaultBudgetSmoothing = DeriveSmoothing(benchTrajectory)
+// budgetSmoothing is the EWMA weight of the newest rate observation: a
+// stale regime (enumeration → distinguish → verification sessions swing
+// the conflict rate 2–3×) decays to ~25% in two observations, while one
+// outlier session moves the estimate at most half-way.
+const budgetSmoothing = 0.5
 
 type budgeter struct {
 	now func() time.Time // injected for tests; time.Now in production
 
 	// smoothing is the EWMA weight of each new rate observation, in
-	// (0,1); zero means defaultBudgetSmoothing (keeps zero-value
-	// budgeter literals working).
+	// (0,1); zero means budgetSmoothing. Only tests set other weights.
 	smoothing float64
 
 	lastT         time.Time
@@ -159,15 +65,7 @@ type budgeter struct {
 }
 
 func newBudgeter() budgeter {
-	return budgeter{now: time.Now, smoothing: defaultBudgetSmoothing}
-}
-
-// setSmoothing overrides the EWMA weight; values outside (0,1) are
-// ignored.
-func (b *budgeter) setSmoothing(alpha float64) {
-	if alpha > 0 && alpha < 1 {
-		b.smoothing = alpha
-	}
+	return budgeter{now: time.Now}
 }
 
 // enterPhase resets the per-phase state: the new phase may spend at most
@@ -222,7 +120,7 @@ func (b *budgeter) observe(conflicts uint64, now time.Time) {
 		} else {
 			alpha := b.smoothing
 			if alpha == 0 {
-				alpha = defaultBudgetSmoothing
+				alpha = budgetSmoothing
 			}
 			b.rate = (1-alpha)*b.rate + alpha*inst
 		}

@@ -18,6 +18,14 @@ func testBudgeter() (*budgeter, *fakeClock) {
 	return b, clk
 }
 
+// setSmoothing overrides the EWMA weight; values outside (0,1) are
+// ignored.
+func (b *budgeter) setSmoothing(alpha float64) {
+	if alpha > 0 && alpha < 1 {
+		b.smoothing = alpha
+	}
+}
+
 func deadlineCtx(clk *fakeClock, d time.Duration) (context.Context, context.CancelFunc) {
 	// context deadlines use the real clock; anchor them far in the future
 	// relative to real time is unnecessary — we only read ctx.Deadline(),
@@ -188,52 +196,6 @@ func TestSmoothingFactors(t *testing.T) {
 	}
 }
 
-// TestDeriveSmoothing pins the learned-weight derivation: the default
-// weight is exactly what DeriveSmoothing computes from the committed
-// trajectory, a spacious trajectory (long phase dwells) learns a
-// lighter weight than a tight one, sub-significant phases cannot drive
-// the weight, the result always lands in the clamp range, and
-// degenerate trajectories fall back to the fast-tracking end.
-func TestDeriveSmoothing(t *testing.T) {
-	if got := DeriveSmoothing(benchTrajectory); got != defaultBudgetSmoothing {
-		t.Fatalf("default weight %v is not DeriveSmoothing(benchTrajectory) = %v", defaultBudgetSmoothing, got)
-	}
-	if defaultBudgetSmoothing < minSmoothing || defaultBudgetSmoothing > maxSmoothing {
-		t.Fatalf("default weight %v outside [%v, %v]", defaultBudgetSmoothing, minSmoothing, maxSmoothing)
-	}
-	// The committed trajectory's tightest phase dwells ~1 session per
-	// visit, flooring the window at 2 → the weight clamps at the
-	// fast-tracking end.
-	if defaultBudgetSmoothing != maxSmoothing {
-		t.Fatalf("committed trajectory should clamp to maxSmoothing, got %v", defaultBudgetSmoothing)
-	}
-	spacious := Trajectory{
-		PhaseSeconds: map[string]float64{"enumerate": 1, "verify": 1},
-		SolveCalls:   10000, Extractions: 100, // 50 sessions per phase visit
-	}
-	if a := DeriveSmoothing(spacious); a >= defaultBudgetSmoothing {
-		t.Fatalf("long dwells should learn a lighter weight, got %v", a)
-	} else if a < minSmoothing || a > maxSmoothing {
-		t.Fatalf("derived weight %v outside clamp range", a)
-	}
-	// A vanishing phase (below minSignificantShare) must not tighten the
-	// dwell estimate.
-	withNoise := spacious
-	withNoise.PhaseSeconds = map[string]float64{"enumerate": 1, "verify": 1, "algo2": 0.001}
-	if DeriveSmoothing(withNoise) != DeriveSmoothing(spacious) {
-		t.Fatal("a sub-significant phase changed the learned weight")
-	}
-	for _, degenerate := range []Trajectory{
-		{},
-		{PhaseSeconds: map[string]float64{"verify": 1}},
-		{SolveCalls: 100, Extractions: 10},
-	} {
-		if a := DeriveSmoothing(degenerate); a != maxSmoothing {
-			t.Fatalf("degenerate trajectory learned %v, want fallback %v", a, maxSmoothing)
-		}
-	}
-}
-
 // TestSetSmoothingRejectsOutOfRange confirms invalid factors are ignored
 // and the zero-value budgeter falls back to the default weight.
 func TestSetSmoothingRejectsOutOfRange(t *testing.T) {
@@ -250,7 +212,7 @@ func TestSetSmoothingRejectsOutOfRange(t *testing.T) {
 	b.observe(1000, clk.t)
 	clk.advance(time.Second)
 	b.observe(3000, clk.t)
-	want := (1-defaultBudgetSmoothing)*1000 + defaultBudgetSmoothing*2000
+	want := (1-budgetSmoothing)*1000 + budgetSmoothing*2000
 	if b.rate != want {
 		t.Fatalf("zero-value smoothing rate = %v, want default-weight %v", b.rate, want)
 	}
@@ -266,7 +228,7 @@ func TestObserveChargesCapAndUpdatesRate(t *testing.T) {
 	}
 	clk.advance(time.Second)
 	b.observe(3000, clk.t) // instantaneous 2000 c/s
-	want := (1-defaultBudgetSmoothing)*1000 + defaultBudgetSmoothing*2000
+	want := (1-budgetSmoothing)*1000 + budgetSmoothing*2000
 	if b.rate != want {
 		t.Fatalf("EWMA rate = %v, want %v", b.rate, want)
 	}

@@ -112,8 +112,8 @@ func New(locked *netlist.Circuit, blockPos []int) (*Engine, error) {
 func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
 
 // SetTelemetry attaches a metrics registry: solver statistics fold into
-// the sat_* counters (continuing the legacy families) plus the engine_*
-// families, and solve sessions trace as spans on telemetry.EngineLane.
+// the sat_* counters plus the engine_* families, and solve sessions
+// trace as spans on telemetry.EngineLane.
 func (e *Engine) SetTelemetry(r *telemetry.Registry) { e.tel = r }
 
 // SetEvents attaches a lifecycle event bus: each budgeted Solve slice
@@ -223,8 +223,8 @@ func (e *Engine) phaseName() string {
 // and the telemetry counter families.
 func (e *Engine) beginSession(kind string) func() {
 	if e.sessions > 0 {
-		// Every session after the first would have been a miter build +
-		// re-encode (or at best an LRU replay) on the legacy path.
+		// Every session after the first reuses the encoding a throwaway
+		// solver would have rebuilt.
 		e.tel.Counter("engine_encodings_avoided_total").Inc()
 	}
 	e.sessions++
@@ -571,8 +571,3 @@ func (e *Engine) SetBudgetRate(rate float64) {
 		e.bud.rate = rate
 	}
 }
-
-// SetBudgetSmoothing overrides the budgeter's EWMA new-observation
-// weight; values outside (0,1) are ignored (the default is derived from
-// the committed phase-histogram trajectory, see defaultBudgetSmoothing).
-func (e *Engine) SetBudgetSmoothing(alpha float64) { e.bud.setSmoothing(alpha) }

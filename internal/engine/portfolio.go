@@ -428,13 +428,6 @@ func (p *Portfolio) SetBudgetRate(rate float64) {
 	}
 }
 
-// SetBudgetSmoothing sets every member's EWMA weight.
-func (p *Portfolio) SetBudgetSmoothing(alpha float64) {
-	for _, m := range p.members {
-		m.SetBudgetSmoothing(alpha)
-	}
-}
-
 // SetCompactBytes sets every member's Simplify threshold.
 func (p *Portfolio) SetCompactBytes(n uint64) {
 	for _, m := range p.members {

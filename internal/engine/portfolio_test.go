@@ -199,7 +199,7 @@ func TestDistinguishUnknownObservable(t *testing.T) {
 		case ReasonUnknownBudget:
 			unknowns++
 			if !out.Equivalent {
-				t.Fatal("unknown_budget must still report equivalent (legacy contract)")
+				t.Fatal("unknown_budget must still report equivalent (Unknown-means-equivalent contract)")
 			}
 		case ReasonProved:
 		default:

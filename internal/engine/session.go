@@ -57,7 +57,7 @@ func (e *Engine) OpenSession() (*Session, error) {
 }
 
 // SetConflictBudget caps each individual solve of this session (0 =
-// unlimited), mirroring the legacy attacks' per-call ConflictBudget.
+// unlimited): the attacks' per-call ConflictBudget.
 func (s *Session) SetConflictBudget(n uint64) { s.budget = n }
 
 // solve runs one session query. With an explicit per-solve budget the
@@ -140,9 +140,10 @@ func (s *Session) Constrain(in, out []bool) error {
 // keys are exactly the functionally correct keys, so the lex-min one is
 // a canonical representative — independent of solver configuration,
 // clause persistence, portfolio membership, and of which DIP sequence
-// produced the constraints. This is what lets the engine and legacy
-// paths return bit-identical keys even though their CDCL trajectories
-// differ. Each bit costs one incremental solve on the already-solved
+// produced the constraints. This is what lets a portfolio and a single
+// engine return bit-identical keys even though their CDCL trajectories
+// differ, and what a brute-force enumeration of the correct keys can
+// check independently. Each bit costs one incremental solve on the already-solved
 // formula. Returns sat.Unknown when the budget expired mid-extraction.
 func (s *Session) ExtractKey() ([]bool, sat.Status, error) {
 	if s.closed {

@@ -166,13 +166,16 @@ func New(opts Options) *Bus {
 // records it in the history ring, and offers it to every subscriber.
 // It never blocks: a subscriber whose ring is full loses its oldest
 // event instead. Publishing on a nil or closed bus is a no-op.
+//
+// Offers happen under the bus lock, so concurrent publishers deliver in
+// sequence order and a Close cannot overtake an offer in flight.
 func (b *Bus) Publish(ev Event) {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
 		return
 	}
 	b.seq++
@@ -181,12 +184,7 @@ func (b *Bus) Publish(ev Event) {
 		ev.TS = b.now().UnixMilli()
 	}
 	b.hist.push(ev)
-	subs := make([]*Subscription, 0, len(b.subs))
 	for s := range b.subs {
-		subs = append(subs, s)
-	}
-	b.mu.Unlock()
-	for _, s := range subs {
 		if s.offer(ev) {
 			b.dropped.Add(1)
 		}

@@ -63,12 +63,6 @@ type MatrixOptions struct {
 	// Cells run concurrently; the registry is race-safe, so one registry
 	// aggregates the whole grid.
 	Telemetry *telemetry.Registry
-	// LegacyEncoding routes every cell off the persistent engine: the
-	// classic attacks rebuild throwaway solvers per run (see
-	// attack.Context.LegacySolver) and the DIP-learning cells use the
-	// pre-engine encoding (see core.Options.LegacyEncoding) — one flag
-	// for a matrix-level engine-vs-legacy differential.
-	LegacyEncoding bool
 	// SATWidthLimit pins the SAT/sim regime boundary in the DIP-learning
 	// cells; 0 auto-calibrates per instance (see
 	// core.Options.SATWidthLimit).
@@ -184,8 +178,7 @@ func RunMatrixOptions(mo MatrixOptions) ([]MatrixCell, error) {
 			KeyCheck: keyCheck, MCAS: sch.MCAS,
 			NewOracle: func() oracle.Oracle { return mo.newOracle(h, seed^int64(idx)<<20) },
 			SATCap:    mo.SATCap, Seed: seed, Retries: mo.Retries,
-			Telemetry: mo.Telemetry, LegacySolver: mo.LegacyEncoding,
-			LegacyEncoding: mo.LegacyEncoding, SATWidthLimit: mo.SATWidthLimit,
+			Telemetry: mo.Telemetry, SATWidthLimit: mo.SATWidthLimit,
 			Portfolio: mo.Portfolio,
 		})
 		return MatrixCell{

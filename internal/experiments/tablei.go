@@ -106,9 +106,6 @@ type TableIOptions struct {
 	// oracle/SAT/enumeration counters) and times AttackTime from a
 	// "tablei_row" span on the same clock.
 	Telemetry *telemetry.Registry
-	// LegacyEncoding disables the persistent incremental-SAT engine
-	// (see core.Options.LegacyEncoding).
-	LegacyEncoding bool
 }
 
 // RunTableIRow locks a synthetic host with the row's configuration and
@@ -153,13 +150,12 @@ func RunTableIRow(row TableIRow, opts TableIOptions) (*TableIResult, error) {
 	sp.SetArg("benchmark", row.Benchmark)
 	sp.SetArg("chain", row.Chain)
 	res, err := core.Run(core.Options{
-		Context:        opts.Context,
-		Locked:         locked.Circuit,
-		Oracle:         orc,
-		Seed:           opts.Seed + 3,
-		Workers:        opts.Workers,
-		Telemetry:      tel,
-		LegacyEncoding: opts.LegacyEncoding,
+		Context:   opts.Context,
+		Locked:    locked.Circuit,
+		Oracle:    orc,
+		Seed:      opts.Seed + 3,
+		Workers:   opts.Workers,
+		Telemetry: tel,
 	})
 	elapsed := sp.End()
 	if err != nil {

@@ -61,28 +61,6 @@ func (k *KeyDiff) KeysA() []netlist.ID { return k.Circuit.Keys()[:k.NKeys] }
 // KeysB returns the key inputs of copy B.
 func (k *KeyDiff) KeysB() []netlist.ID { return k.Circuit.Keys()[k.NKeys:] }
 
-// NewFixedKey builds the two-copy miter with both keys baked in as
-// constants — the DIP-set extraction circuit of the bypass attack and of
-// the paper's Lemma 1. The result has the locked circuit's inputs and a
-// single output that is 1 exactly on the DIPs distinguishing keyA from
-// keyB.
-func NewFixedKey(locked *netlist.Circuit, keyA, keyB []bool) (*netlist.Circuit, error) {
-	kd, err := NewKeyDiff(locked)
-	if err != nil {
-		return nil, err
-	}
-	if len(keyA) != kd.NKeys || len(keyB) != kd.NKeys {
-		return nil, fmt.Errorf("miter: key lengths %d/%d, want %d", len(keyA), len(keyB), kd.NKeys)
-	}
-	full := append(append([]bool(nil), keyA...), keyB...)
-	fixed, err := oracle.Activate(kd.Circuit, full)
-	if err != nil {
-		return nil, err
-	}
-	fixed.Name = locked.Name + "_fkmiter"
-	return fixed, nil
-}
-
 // NewEquivalence builds a miter over two key-free circuits with
 // identical I/O shape; its single output is 1 iff they disagree.
 func NewEquivalence(a, b *netlist.Circuit) (*netlist.Circuit, error) {

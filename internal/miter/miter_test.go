@@ -79,45 +79,6 @@ func TestNewKeyDiffRejectsUnlocked(t *testing.T) {
 	}
 }
 
-func TestFixedKeyMiter(t *testing.T) {
-	h := host(t)
-	locked, _, err := lock.ApplyCAS(h, lock.CASOptions{Chain: lock.MustParseChain("A-O-A"), Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 4
-	allOne := make([]bool, 2*n)
-	allZero := make([]bool, 2*n)
-	for i := 0; i < n; i++ {
-		allOne[i] = true // K1 = 1...1, K2 = 0...0 (Lemma 1 copy A)
-	}
-	fk, err := NewFixedKey(locked.Circuit, allOne, allZero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fk.NumKeys() != 0 || fk.NumOutputs() != 1 {
-		t.Fatalf("fixed-key miter shape: %s", fk)
-	}
-	// The miter output must be 1 on at least one input (the two keys
-	// differ behaviourally) and 0 on at least one.
-	sim := netlist.MustNewSimulator(fk)
-	ones, zeros := 0, 0
-	for x := uint64(0); x < 256; x++ {
-		out, _ := sim.Run(netlist.PatternFromUint(x, 8), nil)
-		if out[0] {
-			ones++
-		} else {
-			zeros++
-		}
-	}
-	if ones == 0 || zeros == 0 {
-		t.Errorf("degenerate fixed-key miter: %d ones, %d zeros", ones, zeros)
-	}
-	if _, err := NewFixedKey(locked.Circuit, allOne[:3], allZero); err == nil {
-		t.Error("short key accepted")
-	}
-}
-
 func TestProveEquivalent(t *testing.T) {
 	h := host(t)
 	clone := h.Clone()

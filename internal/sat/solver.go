@@ -175,8 +175,8 @@ func (s *Solver) NewVar() cnf.Lit {
 // the decision heap: the solver never branches on it, so it is assigned
 // only by assumptions or unit propagation. Activation and guard literals
 // use this so that wrapping a formula in scoped machinery cannot perturb
-// the branching order of the problem variables — a prerequisite for the
-// engine-vs-legacy differential guarantees.
+// the branching order of the problem variables: the portfolio's and the
+// single engine's results stay comparable bit for bit.
 func (s *Solver) NewAuxVar() cnf.Lit {
 	v := s.newVarInternal()
 	s.aux[v] = true

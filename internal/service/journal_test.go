@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -201,6 +202,49 @@ func TestJournalResumeFromCheckpoint(t *testing.T) {
 	// The sealed job discards its checkpoint blob.
 	if _, err := os.Stat(filepath.Join(dir, "cas", "ck-"+hash+".bin")); !os.IsNotExist(err) {
 		t.Errorf("checkpoint blob still present after outcome sealed (stat err: %v)", err)
+	}
+}
+
+// TestJournalRefusesRemovedOption: a request journaled with an option
+// this build no longer has — here a stand-in for the removed encoding
+// switch — replays as a typed attack_failed job instead of silently
+// running without the option.
+func TestJournalRefusesRemovedOption(t *testing.T) {
+	dir := t.TempDir()
+	fx := makeFixture(t, 8, 3, 19)
+	req := AttackRequest{Locked: fx.locked, Oracle: fx.orig, Seed: 33}
+	hash, _ := hashFixture(t, req)
+	var fields map[string]any
+	if err := json.Unmarshal(mustMarshal(t, req), &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["removed_option"] = true
+	old, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jnl, _, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.append(recSubmit, []byte("j-000011"), []byte(hash), old); err != nil {
+		t.Fatal(err)
+	}
+	jnl.close()
+
+	s, reg := journalService(t, dir, Config{Workers: 1})
+	st, err := s.Get("j-000011")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || st.ErrorKind != KindAttackFailed {
+		t.Fatalf("replayed job = %s/%s (%s), want failed/%s", st.State, st.ErrorKind, st.Error, KindAttackFailed)
+	}
+	if !strings.Contains(st.Error, "no longer admissible") || !strings.Contains(st.Error, "removed_option") {
+		t.Fatalf("error %q does not name the refused field", st.Error)
+	}
+	if got := reg.Counter("service_attack_runs_total").Value(); got != 0 {
+		t.Errorf("refused replay ran %d attacks, want 0", got)
 	}
 }
 

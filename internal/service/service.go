@@ -103,17 +103,11 @@ type AttackRequest struct {
 	Retries int `json:"retries,omitempty"`
 	// SATWidthLimit overrides the SAT/simulation engine crossover.
 	SATWidthLimit int `json:"sat_width_limit,omitempty"`
-	// LegacyEncoding disables the persistent incremental-SAT engine for
-	// this job (the per-assignment re-encode escape hatch). Part of the
-	// cache key: although results are identical, the escape hatch exists
-	// precisely for suspected engine misbehavior, so a legacy run must
-	// not be answered from an engine-path cache entry.
-	LegacyEncoding bool `json:"legacy_encoding,omitempty"`
 	// Portfolio, when > 0, races a portfolio of that many diversified
 	// SAT engines for this job (see core.Options.Portfolio). Part of the
-	// cache key for the same reason LegacyEncoding is: results are
-	// bit-identical by contract, but the knob exists to compare engine
-	// configurations, so runs must not alias in the cache.
+	// cache key: results are bit-identical by contract, but the knob
+	// exists to compare engine configurations, so runs must not alias in
+	// the cache.
 	Portfolio int `json:"portfolio,omitempty"`
 	// TimeoutMS bounds the attack; expiry yields a partial outcome.
 	// Not part of the cache key (a budget, not a problem statement).
@@ -440,11 +434,16 @@ func (s *Service) replay(jobs []*replayJob, doneHashes map[string]string) {
 
 // readmit re-validates a journaled request and queues its execution,
 // deduplicating multiple replayed jobs with the same hash onto one
-// flight exactly like live submissions.
+// flight exactly like live submissions. Like live submissions it
+// rejects unknown fields, so a request journaled with an option this
+// build no longer has fails typed instead of silently running without
+// it.
 func (s *Service) readmit(job *Job, rj *replayJob) {
 	var req AttackRequest
 	parsed, err := func() (*parsedRequest, error) {
-		if err := json.Unmarshal(rj.reqJSON, &req); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(rj.reqJSON))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
 			return nil, err
 		}
 		return s.validate(req)
@@ -510,8 +509,8 @@ func hashRequest(p *parsedRequest) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	opts := fmt.Sprintf("v4 attack=%s mcas=%t seed=%d retries=%d satwidth=%d legacy=%t portfolio=%d",
-		p.req.Attack, p.req.MCAS, p.req.Seed, p.req.Retries, p.req.SATWidthLimit, p.req.LegacyEncoding, p.req.Portfolio)
+	opts := fmt.Sprintf("v5 attack=%s mcas=%t seed=%d retries=%d satwidth=%d portfolio=%d",
+		p.req.Attack, p.req.MCAS, p.req.Seed, p.req.Retries, p.req.SATWidthLimit, p.req.Portfolio)
 	return cache.SumParts(lockedBytes, origBytes, []byte(opts)), nil
 }
 
@@ -1061,7 +1060,6 @@ func (s *Service) runProtected(exec *execution) (out *outcome) {
 		Seed:            req.Seed,
 		MismatchRetries: req.Retries,
 		SATWidthLimit:   req.SATWidthLimit,
-		LegacyEncoding:  req.LegacyEncoding,
 		Portfolio:       req.Portfolio,
 		Workers:         req.Workers,
 		Telemetry:       exec.tel,

@@ -453,10 +453,10 @@ func TestHashExcludesBudgetKnobs(t *testing.T) {
 			t.Errorf("attack spelling %q changed the content address", spelling)
 		}
 	}
-	legacy := base
-	legacy.LegacyEncoding = true
-	if h(legacy) == want {
-		t.Error("legacy-encoding change did not change the content address")
+	raced := base
+	raced.Portfolio = 3
+	if h(raced) == want {
+		t.Error("portfolio change did not change the content address")
 	}
 }
 

@@ -62,7 +62,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		// Live execution — or one that just sealed: a closed bus hands
 		// out a pre-closed subscription that still replays the retained
 		// tail, so this path serves both without racing the worker.
-		s.streamBus(w, r, fl, j.exec.bus, after)
+		s.streamBus(w, r, fl, j.exec, after)
 		return
 	}
 	out := j.outcome()
@@ -90,8 +90,13 @@ func writeSSE(w http.ResponseWriter, ev events.Event) {
 
 // streamBus pumps a subscription until the bus closes (job sealed) or
 // the client disconnects, with heartbeat comments while idle.
-func (s *Service) streamBus(w http.ResponseWriter, r *http.Request, fl http.Flusher, bus *events.Bus, after uint64) {
-	sub := bus.Subscribe(after)
+//
+// The worker publishes done before it finishes the flight (the outcome
+// must carry the sealed history, done included), so the done frame is
+// held until the outcome is readable: a client that sees done can GET
+// the result at once.
+func (s *Service) streamBus(w http.ResponseWriter, r *http.Request, fl http.Flusher, exec *execution, after uint64) {
+	sub := exec.bus.Subscribe(after)
 	defer sub.Close()
 	hb := s.sseHeartbeat
 	if hb <= 0 {
@@ -101,15 +106,27 @@ func (s *Service) streamBus(w http.ResponseWriter, r *http.Request, fl http.Flus
 	defer ticker.Stop()
 	ctx := r.Context()
 	for {
+		// Read Closed before Poll: a bus that closes between an empty
+		// Poll and the Closed check would otherwise end the stream with
+		// its final frames still buffered.
+		closed := sub.Closed()
 		evs := sub.Poll()
 		for _, ev := range evs {
+			if ev.Type == events.TypeDone {
+				fl.Flush()
+				select {
+				case <-exec.flight.Done:
+				case <-ctx.Done():
+					return
+				}
+			}
 			writeSSE(w, ev)
 		}
 		if len(evs) > 0 {
 			fl.Flush()
 			continue // drain fully before blocking
 		}
-		if sub.Closed() {
+		if closed {
 			return // sealed and drained: the done event was the last write
 		}
 		select {

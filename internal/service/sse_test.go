@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/events"
 )
 
@@ -257,5 +258,71 @@ func TestSSECacheHitReplaysSealedHistory(t *testing.T) {
 	// bare synthesized done.
 	if len(frames) < 2 {
 		t.Fatalf("cache-hit stream has %d frames, want the full sealed history", len(frames))
+	}
+}
+
+// TestSSEStreamEndsWithDoneUnderConcurrentClose closes the bus while
+// many streams are pumping it: whenever the close lands — before a
+// stream subscribes, between its polls, or while it waits — the stream
+// must drain the buffered tail and end with the done frame.
+func TestSSEStreamEndsWithDoneUnderConcurrentClose(t *testing.T) {
+	s, _ := newTestService(t, Config{Workers: 1})
+	const trials, streams = 100, 16
+	for trial := 0; trial < trials; trial++ {
+		flight, _ := cache.NewGroup[*outcome]().Join("h")
+		exec := &execution{bus: events.New(events.Options{}), flight: flight}
+		recs := make([]*httptest.ResponseRecorder, streams)
+		var wg sync.WaitGroup
+		for i := range recs {
+			rec := httptest.NewRecorder()
+			recs[i] = rec
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.streamBus(rec, httptest.NewRequest(http.MethodGet, "/", nil), rec, exec, 0)
+			}()
+		}
+		for i := 0; i < trial%8; i++ {
+			exec.bus.Publish(events.Event{Type: events.TypeProgress})
+		}
+		exec.bus.Publish(events.Event{Type: events.TypeDone, Fraction: 1})
+		exec.bus.Close()
+		flight.Finish(&outcome{}, nil)
+		wg.Wait()
+		for i, rec := range recs {
+			body := rec.Body.String()
+			at := strings.LastIndex(body, "event: ")
+			if at < 0 || !strings.HasPrefix(body[at:], "event: "+string(events.TypeDone)+"\n") {
+				t.Fatalf("trial %d stream %d ended without done:\n%s", trial, i, body)
+			}
+		}
+	}
+}
+
+// TestSSEDoneImpliesResultReadable reads each job's stream to done and
+// immediately GETs its result: the done frame must never arrive before
+// the outcome is readable (no 409 not_finished after done).
+func TestSSEDoneImpliesResultReadable(t *testing.T) {
+	f := makeFixture(t, 8, 4, 61)
+	s, _ := newTestService(t, Config{Workers: 2, QueueDepth: 16, JournalDir: t.TempDir()})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for seed := int64(1); seed <= 24; seed++ {
+		job, err := s.Submit(AttackRequest{Locked: f.locked, Oracle: f.orig, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := readSSE(t, ts.URL+"/v1/attacks/"+job.ID()+"/events", 0)
+		if len(frames) == 0 || frames[len(frames)-1].event != events.TypeDone {
+			t.Fatalf("seed %d: stream did not end with done", seed)
+		}
+		resp, err := http.Get(ts.URL + "/v1/attacks/" + job.ID() + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed %d: GET result right after done returned %d", seed, resp.StatusCode)
+		}
 	}
 }

@@ -5,12 +5,8 @@
 # Exercises the scheme and attack registries end to end: -list must
 # enumerate both registries, a -schemes/-attacks sub-grid must run only
 # the requested cells, the narrative cells must hold (SAT breaks RLL,
-# is capped on CAS-Lock, DIP learning breaks CAS-Lock), an unknown
-# registry name must be rejected with the valid universe in the error,
-# and the same sub-grid under -legacy-encoding (classic attacks on
-# throwaway solvers, DIP learning on the pre-engine encoding) must
-# reach the same verdicts — the matrix-level engine-vs-legacy
-# differential.
+# is capped on CAS-Lock, DIP learning breaks CAS-Lock), and an unknown
+# registry name must be rejected with the valid universe in the error.
 #
 # Usage: matrix_smoke.sh <workdir>
 set -eu
@@ -30,48 +26,36 @@ for name in rll cas mcas sat dip sps-removal bypass; do
 	fi
 done
 
-check_grid() {
-	out=$1
-	# Narrative cells, from the per-cell detail lines.
-	grep -q "^RLL  *× SAT  *exact key" "$out" || {
-		echo "matrix-smoke: SAT attack did not break RLL in $out" >&2
-		cat "$out" >&2
-		exit 1
-	}
-	grep -q "^CAS-Lock *× SAT  *capped" "$out" || {
-		echo "matrix-smoke: SAT attack was not capped on CAS-Lock in $out" >&2
-		cat "$out" >&2
-		exit 1
-	}
-	grep -q "^CAS-Lock *× DIP-learning *exact key" "$out" || {
-		echo "matrix-smoke: DIP learning did not break CAS-Lock in $out" >&2
-		cat "$out" >&2
-		exit 1
-	}
-	# The sub-grid must contain exactly the requested 2x2 = 4 cells.
-	cells=$(grep -c "^\(RLL\|CAS-Lock\) *× " "$out")
-	if [ "$cells" -ne 4 ]; then
-		echo "matrix-smoke: sub-grid has $cells cells, want 4" >&2
-		cat "$out" >&2
-		exit 1
-	fi
-}
-
 "$DIR/bin/lockbench" -inputs 12 -satcap 300 -seed 1 \
 	-schemes rll,cas -attacks sat,dip >"$DIR/grid.out" 2>&1 || {
 	echo "matrix-smoke: sub-grid run failed" >&2
 	cat "$DIR/grid.out" >&2
 	exit 1
 }
-check_grid "$DIR/grid.out"
-
-"$DIR/bin/lockbench" -inputs 12 -satcap 300 -seed 1 -legacy-encoding \
-	-schemes rll,cas -attacks sat,dip >"$DIR/legacy.out" 2>&1 || {
-	echo "matrix-smoke: legacy sub-grid run failed" >&2
-	cat "$DIR/legacy.out" >&2
+out="$DIR/grid.out"
+# Narrative cells, from the per-cell detail lines.
+grep -q "^RLL  *× SAT  *exact key" "$out" || {
+	echo "matrix-smoke: SAT attack did not break RLL" >&2
+	cat "$out" >&2
 	exit 1
 }
-check_grid "$DIR/legacy.out"
+grep -q "^CAS-Lock *× SAT  *capped" "$out" || {
+	echo "matrix-smoke: SAT attack was not capped on CAS-Lock" >&2
+	cat "$out" >&2
+	exit 1
+}
+grep -q "^CAS-Lock *× DIP-learning *exact key" "$out" || {
+	echo "matrix-smoke: DIP learning did not break CAS-Lock" >&2
+	cat "$out" >&2
+	exit 1
+}
+# The sub-grid must contain exactly the requested 2x2 = 4 cells.
+cells=$(grep -c "^\(RLL\|CAS-Lock\) *× " "$out")
+if [ "$cells" -ne 4 ]; then
+	echo "matrix-smoke: sub-grid has $cells cells, want 4" >&2
+	cat "$out" >&2
+	exit 1
+fi
 
 if "$DIR/bin/lockbench" -schemes nosuchscheme >"$DIR/bad.out" 2>&1; then
 	echo "matrix-smoke: unknown scheme name was accepted" >&2
@@ -88,5 +72,5 @@ grep -q "have:" "$DIR/bad.out" || {
 	exit 1
 }
 
-echo "matrix-smoke: OK (registries listed, sub-grid verdicts hold on engine and legacy paths, unknown names rejected)"
+echo "matrix-smoke: OK (registries listed, sub-grid verdicts hold, unknown names rejected)"
 rm -rf "$DIR"
