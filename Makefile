@@ -9,8 +9,9 @@
 #   make fmt-check   fail if any file needs gofmt
 #   make fuzz-smoke  short coverage-guided fuzz of the bench parser, the
 #                    compiled gate program vs the interpreted evaluator,
-#                    the checkpoint snapshot decoder, and the service's
-#                    WAL journal replay
+#                    the keyed miter vs activated-copy miters and
+#                    exhaustive simulation, the checkpoint snapshot
+#                    decoder, and the service's WAL journal replay
 #   make trace-smoke end-to-end telemetry check: lock a seed circuit,
 #                    attack it with -trace, and validate the Chrome
 #                    trace (all five phase spans, wall-clock coverage)
@@ -91,6 +92,7 @@ fmt-check:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBenchRead -fuzztime $(FUZZTIME) ./internal/bench/
 	$(GO) test -run '^$$' -fuzz FuzzProgramVsEval64 -fuzztime $(FUZZTIME) ./internal/netlist/
+	$(GO) test -run '^$$' -fuzz FuzzKeyedMiter -fuzztime $(FUZZTIME) ./internal/miter/
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/service/
 

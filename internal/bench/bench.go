@@ -16,7 +16,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/netlist"
@@ -36,12 +36,6 @@ type ReadOptions struct {
 
 // Read parses a bench-format netlist.
 func Read(r io.Reader, opts ReadOptions) (*netlist.Circuit, error) {
-	type protoGate struct {
-		name   string
-		typ    netlist.GateType
-		fanin  []string
-		lineNo int
-	}
 	var (
 		inputs  []string
 		outputs []string
@@ -99,56 +93,68 @@ func Read(r io.Reader, opts ReadOptions) (*netlist.Circuit, error) {
 		}
 	}
 	// Gates may be declared in any order in a bench file; add them in
-	// dependency order.
-	pending := make(map[string]protoGate, len(gates))
-	for _, g := range gates {
-		if _, dup := pending[g.name]; dup || c.HasName(g.name) {
-			return nil, fmt.Errorf("bench: line %d: duplicate definition of %q", g.lineNo, g.name)
-		}
-		pending[g.name] = g
+	// dependency order. The gates are sorted by name once; each pass
+	// walks the pending ones in that order (which keeps gate IDs stable
+	// across runs), adds every gate whose fanins exist, and keeps the
+	// rest, still sorted, for the next pass.
+	pending := make([]*protoGate, len(gates))
+	for i := range gates {
+		pending[i] = &gates[i]
 	}
-	for len(pending) > 0 {
-		progress := false
-		// Deterministic iteration keeps gate IDs stable across runs.
-		names := make([]string, 0, len(pending))
-		for n := range pending {
-			names = append(names, n)
+	slices.SortFunc(pending, func(a, b *protoGate) int {
+		if c := strings.Compare(a.name, b.name); c != 0 {
+			return c
 		}
-		sort.Strings(names)
-		for _, n := range names {
-			g := pending[n]
-			ready := true
-			fanin := make([]netlist.ID, len(g.fanin))
-			for i, f := range g.fanin {
+		return a.lineNo - b.lineNo
+	})
+	// A duplicate is a gate named like an input or like an earlier gate;
+	// report the first one in file order.
+	var dup *protoGate
+	for i, g := range pending {
+		if (i > 0 && pending[i-1].name == g.name) || c.HasName(g.name) {
+			if dup == nil || g.lineNo < dup.lineNo {
+				dup = g
+			}
+		}
+	}
+	if dup != nil {
+		return nil, fmt.Errorf("bench: line %d: duplicate definition of %q", dup.lineNo, dup.name)
+	}
+	var fanin []netlist.ID
+	for len(pending) > 0 {
+		kept := pending[:0]
+		for _, g := range pending {
+			fanin = fanin[:0]
+			for _, f := range g.fanin {
 				id := c.Lookup(f)
 				if id == netlist.InvalidID {
-					ready = false
 					break
 				}
-				fanin[i] = id
+				fanin = append(fanin, id)
 			}
-			if !ready {
+			if len(fanin) < len(g.fanin) {
+				kept = append(kept, g)
 				continue
 			}
 			if _, err := c.AddGate(g.typ, g.name, fanin...); err != nil {
 				return nil, fmt.Errorf("bench: line %d: %w", g.lineNo, err)
 			}
-			delete(pending, n)
-			progress = true
 		}
-		if !progress {
-			for n := range pending {
-				g := pending[n]
+		if len(kept) == len(pending) {
+			waiting := make(map[string]bool, len(kept))
+			for _, g := range kept {
+				waiting[g.name] = true
+			}
+			for _, g := range kept {
 				for _, f := range g.fanin {
-					if c.Lookup(f) == netlist.InvalidID {
-						if _, isPending := pending[f]; !isPending {
-							return nil, fmt.Errorf("bench: line %d: gate %q references undefined signal %q", g.lineNo, g.name, f)
-						}
+					if c.Lookup(f) == netlist.InvalidID && !waiting[f] {
+						return nil, fmt.Errorf("bench: line %d: gate %q references undefined signal %q", g.lineNo, g.name, f)
 					}
 				}
 			}
 			return nil, fmt.Errorf("bench: circuit contains a combinational cycle")
 		}
+		pending = kept
 	}
 	for _, name := range outputs {
 		id := c.Lookup(name)
@@ -185,6 +191,14 @@ func parseDecl(line, kw string, lineNo int) (string, error) {
 		return "", fmt.Errorf("bench: line %d: empty %s name", lineNo, kw)
 	}
 	return name, nil
+}
+
+// protoGate is a parsed gate statement awaiting its fanins.
+type protoGate struct {
+	name   string
+	typ    netlist.GateType
+	fanin  []string
+	lineNo int
 }
 
 type assign struct {

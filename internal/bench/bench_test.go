@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -284,4 +285,118 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(buf[p:])
+}
+
+// readFixedPoint is the dependency ordering Read used before it sorted
+// once: every pass re-collects and re-sorts the pending gate names and
+// adds each gate whose fanins exist. It is kept as the reference that
+// pins Read's gate IDs.
+func readFixedPoint(t *testing.T, text string) *netlist.Circuit {
+	t.Helper()
+	c := netlist.New("ref")
+	pending := make(map[string]assign)
+	for i, line := range strings.Split(text, "\n") {
+		if j := strings.IndexByte(line, '#'); j >= 0 {
+			line = line[:j]
+		}
+		line = strings.TrimSpace(line)
+		switch {
+		case line == "":
+		case hasPrefixFold(line, "INPUT"):
+			name, err := parseDecl(line, "INPUT", i+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.HasPrefix(name, DefaultKeyPrefix) {
+				c.MustAddKey(name)
+			} else {
+				c.MustAddInput(name)
+			}
+		case hasPrefixFold(line, "OUTPUT"):
+		default:
+			g, err := parseAssign(line, i+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pending[g.name] = g
+		}
+	}
+	for len(pending) > 0 {
+		names := make([]string, 0, len(pending))
+		for n := range pending {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		progress := false
+		for _, n := range names {
+			g := pending[n]
+			fanin := make([]netlist.ID, 0, len(g.fanin))
+			for _, f := range g.fanin {
+				if id := c.Lookup(f); id != netlist.InvalidID {
+					fanin = append(fanin, id)
+				}
+			}
+			if len(fanin) < len(g.fanin) {
+				continue
+			}
+			c.MustAddGate(g.typ, g.name, fanin...)
+			delete(pending, n)
+			progress = true
+		}
+		if !progress {
+			t.Fatal("reference reader: no progress")
+		}
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if line = strings.TrimSpace(line); hasPrefixFold(line, "OUTPUT") {
+			name, err := parseDecl(line, "OUTPUT", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.MustMarkOutput(c.Lookup(name))
+		}
+	}
+	return c
+}
+
+// TestReadMatchesFixedPointReference parses random netlists whose lines
+// are shuffled (so dependency order and name order disagree and Read
+// needs several passes) with Read and with the reference ordering, and
+// requires identical serializations: same gate IDs, same structure.
+func TestReadMatchesFixedPointReference(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		text, err := WriteString(randomCircuit(seed, 4+rng.Intn(8), 20+rng.Intn(120)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(text), "\n")
+		rng.Shuffle(len(lines), func(i, j int) { lines[i], lines[j] = lines[j], lines[i] })
+		shuffled := strings.Join(lines, "\n") + "\n"
+
+		got, err := ReadString("ref", shuffled)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		want := readFixedPoint(t, shuffled)
+		gotText, err := WriteString(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantText, err := WriteString(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotText != wantText {
+			t.Fatalf("seed %d: Read and the fixed-point reference disagree:\n%s\n---\n%s", seed, gotText, wantText)
+		}
+		if got.NumGates() != want.NumGates() {
+			t.Fatalf("seed %d: %d gates, reference %d", seed, got.NumGates(), want.NumGates())
+		}
+		for id := 0; id < got.NumGates(); id++ {
+			if g, w := got.Gate(netlist.ID(id)), want.Gate(netlist.ID(id)); g.Name != w.Name {
+				t.Fatalf("seed %d: gate ID %d is %q, reference %q", seed, id, g.Name, w.Name)
+			}
+		}
+	}
 }

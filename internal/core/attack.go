@@ -151,8 +151,10 @@ type Result struct {
 	// sweep); Calibrations counts brute-forced calibration candidates;
 	// CandidatesTried counts key candidates submitted to oracle probes.
 	Extractions, Calibrations, CandidatesTried int
-	// OracleQueries counts oracle pattern evaluations spent by the
-	// attack (probing and final verification).
+	// OracleQueries counts the patterns the chip evaluated for the
+	// attack: 64 per packed batch (the shared probe and every DIP-replay
+	// batch, unused lanes included) plus one per scalar query
+	// (distinguishing inputs and noise re-queries).
 	OracleQueries uint64
 }
 
@@ -232,7 +234,11 @@ func Run(opts Options) (*Result, error) {
 	if ea, ok := ext.(interface{ SetEvents(*events.Bus) }); ok {
 		ea.SetEvents(opts.Events)
 	}
-	a := &attack{opts: opts, layout: layout, ext: ext, ctx: ctx,
+	sim, err := netlist.NewSimulator(opts.Locked)
+	if err != nil {
+		return nil, err
+	}
+	a := &attack{opts: opts, layout: layout, ext: ext, ctx: ctx, sim: sim,
 		tel: opts.Telemetry, root: root, bus: opts.Events,
 		rng: rand.New(rand.NewSource(opts.Seed ^ 0x5eed))}
 	a.cQueries = opts.Telemetry.Counter("attack_oracle_queries_total")
@@ -271,6 +277,11 @@ type attack struct {
 	ext    Extractor
 	ctx    context.Context
 	rng    *rand.Rand
+	// sim is the locked netlist compiled once per attack; probing,
+	// distinguishing and the DIP replay all run on it. Its Run and Run64
+	// results share one output buffer, so a caller that holds one across
+	// another run copies it first.
+	sim *netlist.Simulator
 
 	tel           *telemetry.Registry
 	root          *telemetry.Span
@@ -298,11 +309,12 @@ type attack struct {
 // extractor, when it offers one. In the simulation-extractor regime
 // (wide blocks) no engine exists and callers fall back to the
 // structural-hashing prover — deliberately: a distinguishing query
-// there is almost always an equivalence proof of two activated copies
-// of the whole netlist, which hashing collapses in milliseconds while
-// a cold CDCL instance pays an encoding plus a full UNSAT search
-// (measured 20x slower on the c880-profile Table-I row). The engine
-// only wins where it is already warm from SAT enumeration.
+// there is almost always an equivalence proof of the netlist under two
+// keys, which hashing with the keys folded in collapses to their
+// key-dependent cones in milliseconds, while a cold CDCL instance pays
+// an encoding plus a full UNSAT search (measured 20x slower on the
+// c880-profile Table-I row). The engine only wins where it is already
+// warm from SAT enumeration.
 func (a *attack) engine() engine.Backend {
 	if a.engTried {
 		return a.eng
@@ -954,6 +966,10 @@ func (a *attack) verifyCandidates(active int, calib uint64, st *structured) (*Re
 		cd  cand
 		key []bool
 	}
+	probe, err := a.newProbeSet(st)
+	if err != nil {
+		return nil, a.verifyErr(active, st, err)
+	}
 	var survivors []scored
 	for _, cd := range cands {
 		if err := a.ctxErr(); err != nil {
@@ -962,7 +978,7 @@ func (a *attack) verifyCandidates(active int, calib uint64, st *structured) (*Re
 		a.candidates++
 		a.cCandidates.Inc()
 		key := a.buildKey(active, cd.aActive, cd.aCalib)
-		ok, err := a.probeKey(key, st)
+		ok, err := a.passesProbes(probe, key)
 		if err != nil {
 			return nil, a.verifyErr(active, st, err)
 		}
@@ -1047,7 +1063,8 @@ const distinguishConflictBudget = 200000
 // SAT — normally an assumption query against the persistent engine,
 // whose learned clauses from the enumeration phases make repeated
 // pairwise probes cheap, or, in the simulation regime where no engine
-// exists, a throwaway structurally-hashed miter. Both run under
+// exists, a throwaway structurally-hashed miter with both keys folded
+// in as constants (miter.ProveKeysEquivalentBudget). Both run under
 // distinguishConflictBudget with the same Unknown-means-equivalent
 // contract.
 func (a *attack) distinguish(keyA, keyB []bool, st *structured) (witness []bool, equivalent bool, err error) {
@@ -1070,15 +1087,7 @@ func (a *attack) distinguish(keyA, keyB []bool, st *structured) (witness []bool,
 		}
 		return out.Witness, out.Equivalent, nil
 	}
-	actA, err := oracle.Activate(a.opts.Locked, keyA)
-	if err != nil {
-		return nil, false, err
-	}
-	actB, err := oracle.Activate(a.opts.Locked, keyB)
-	if err != nil {
-		return nil, false, err
-	}
-	eq, w, err := miter.ProveEquivalentHashedBudget(actA, actB, distinguishConflictBudget)
+	eq, w, err := miter.ProveKeysEquivalentBudget(a.opts.Locked, keyA, keyB, distinguishConflictBudget)
 	if err != nil {
 		return nil, false, err
 	}
@@ -1087,27 +1096,14 @@ func (a *attack) distinguish(keyA, keyB []bool, st *structured) (witness []bool,
 
 // simDistinguish searches for a distinguishing input by simulating both
 // keys over the block space: the extracted DIP patterns, the candidate
-// corruption anchors, and a random sweep.
+// corruption anchors, and a random sweep, 512 patterns per simulator
+// pass.
 func (a *attack) simDistinguish(keyA, keyB []bool, st *structured) ([]bool, bool, error) {
-	sim, err := netlist.NewSimulator(a.opts.Locked)
-	if err != nil {
-		return nil, false, err
-	}
-	nIn := a.opts.Locked.NumInputs()
-	wordsA := make([]uint64, len(keyA))
-	wordsB := make([]uint64, len(keyB))
-	for i := range keyA {
-		if keyA[i] {
-			wordsA[i] = ^uint64(0)
-		}
-		if keyB[i] {
-			wordsB[i] = ^uint64(0)
-		}
-	}
+	banksA, banksB := keyBanks(keyA), keyBanks(keyB)
 	mask := blockMask(a.layout.N())
 	wnc := NonControllingPattern(st.chainH)
 	patterns := []uint64{wnc, ^wnc & mask, st.dipNC, ^st.dipNC & mask}
-	budget := 4096
+	const budget = 8 * 512
 	st.forEachBig(func(p uint64) bool {
 		if len(patterns) >= budget/2 {
 			return false
@@ -1125,48 +1121,36 @@ func (a *attack) simDistinguish(keyA, keyB []bool, st *structured) ([]bool, bool
 	for len(patterns) < budget {
 		patterns = append(patterns, a.rng.Uint64()&mask)
 	}
-	in := make([]uint64, nIn)
-	for base := 0; base < len(patterns); base += 64 {
-		end := base + 64
-		if end > len(patterns) {
-			end = len(patterns)
+	in := make([]uint64, a.opts.Locked.NumInputs())
+	in8 := make([][8]uint64, len(in))
+	outA := make([][8]uint64, a.opts.Locked.NumOutputs())
+	for base := 0; base < budget; base += 512 {
+		for g := 0; g < 8; g++ {
+			a.packBlocks(in, patterns[base+64*g:base+64*(g+1)])
+			for i, w := range in {
+				in8[i][g] = w
+			}
 		}
-		chunk := patterns[base:end]
-		for i := range in {
-			in[i] = a.rng.Uint64()
+		got, err := a.sim.Run512(in8, banksA)
+		if err != nil {
+			return nil, false, err
 		}
-		for i, pos := range a.layout.InputPos {
-			var w uint64
-			for l, p := range chunk {
-				if p&(1<<uint(i)) != 0 {
-					w |= 1 << uint(l)
+		copy(outA, got)
+		got, err = a.sim.Run512(in8, banksB)
+		if err != nil {
+			return nil, false, err
+		}
+		for g := 0; g < 8; g++ {
+			var diff uint64
+			for o := range got {
+				diff |= outA[o][g] ^ got[o][g]
+			}
+			if diff != 0 {
+				for i := range in {
+					in[i] = in8[i][g]
 				}
+				return laneInput(in, trailingZeros(diff)), true, nil
 			}
-			in[pos] = w
-		}
-		outA, err := sim.Run64(in, wordsA)
-		if err != nil {
-			return nil, false, err
-		}
-		outACopy := append([]uint64(nil), outA...)
-		outB, err := sim.Run64(in, wordsB)
-		if err != nil {
-			return nil, false, err
-		}
-		var diff uint64
-		for i := range outB {
-			diff |= outACopy[i] ^ outB[i]
-		}
-		if len(chunk) < 64 {
-			diff &= (uint64(1) << uint(len(chunk))) - 1
-		}
-		if diff != 0 {
-			lane := trailingZeros(diff)
-			witness := make([]bool, nIn)
-			for i := range witness {
-				witness[i] = in[i]&(1<<uint(lane)) != 0
-			}
-			return witness, true, nil
 		}
 	}
 	return nil, false, nil
@@ -1180,7 +1164,7 @@ func (a *attack) agreesWithOracle(in []bool, key []bool) (bool, error) {
 		return false, err
 	}
 	a.countQueries(1)
-	got, err := a.opts.Locked.Eval(in, key)
+	got, err := a.sim.Run(in, key)
 	if err != nil {
 		return false, err
 	}
@@ -1222,13 +1206,29 @@ func (a *attack) confirmDisagreement(in []bool, key []bool) (bool, error) {
 			}
 		}
 	}
-	got, err := a.opts.Locked.Eval(in, key)
+	got, err := a.sim.Run(in, key)
 	if err != nil {
 		return false, err
 	}
 	for i := range got {
 		if (2*counts[i] > votes) != got[i] {
 			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// confirmLanes adjudicates the disagreeing lanes (bad) of one packed
+// batch in lane order and reports whether any disagreement stands.
+// Callers reduce their simulator output to bad before calling: each
+// adjudication reruns the shared simulator.
+func (a *attack) confirmLanes(in []uint64, bad uint64, key []bool) (bool, error) {
+	for bad != 0 {
+		lane := trailingZeros(bad)
+		bad &^= 1 << uint(lane)
+		confirmed, err := a.confirmDisagreement(laneInput(in, lane), key)
+		if err != nil || confirmed {
+			return confirmed, err
 		}
 	}
 	return false, nil
@@ -1314,52 +1314,49 @@ func (a *attack) buildKey(active int, aActive, aCalib uint64) []bool {
 	return key
 }
 
-// probeKey checks a candidate key against the oracle on a probe set
-// drawn from the extracted DIPs (where wrong keys are most likely to
-// disagree) plus random patterns.
-func (a *attack) probeKey(key []bool, st *structured) (bool, error) {
-	sim, err := netlist.NewSimulator(a.opts.Locked)
+// probeSet is the oracle probe shared by every candidate of one decoded
+// structure: up to 64 block patterns packed into the lanes of one input
+// batch, answered by a single Query64.
+type probeSet struct {
+	in, want []uint64
+	lanes    int
+}
+
+// newProbeSet draws the probe patterns and asks the oracle once.
+func (a *attack) newProbeSet(st *structured) (*probeSet, error) {
+	patterns := a.probePatterns(st)
+	in := make([]uint64, a.opts.Locked.NumInputs())
+	a.packBlocks(in, patterns)
+	want, err := a.opts.Oracle.Query64(in)
+	if err != nil {
+		return nil, err
+	}
+	a.countQueries(64)
+	return &probeSet{in: in, want: append([]uint64(nil), want...), lanes: len(patterns)}, nil
+}
+
+// passesProbes checks a candidate key against the probe set in one
+// 64-lane simulation. Every lane where the candidate and the oracle
+// disagree goes to confirmDisagreement; the candidate fails on the first
+// disagreement that stands.
+func (a *attack) passesProbes(p *probeSet, key []bool) (bool, error) {
+	got, err := a.sim.Run64(p.in, keyWords(key))
 	if err != nil {
 		return false, err
 	}
-	probes := a.probePatterns(st, 96)
-	for _, block := range probes {
-		if err := a.ctxErr(); err != nil {
-			return false, err
-		}
-		in := a.embedBlockPattern(block)
-		want, err := a.opts.Oracle.Query(in)
-		if err != nil {
-			return false, err
-		}
-		a.countQueries(1)
-		got, err := sim.Run(in, key)
-		if err != nil {
-			return false, err
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				confirmed, err := a.confirmDisagreement(in, key)
-				if err != nil {
-					return false, err
-				}
-				if confirmed {
-					return false, nil
-				}
-				break // noise: this probe is inconclusive, move on
-			}
-		}
-	}
-	return true, nil
+	confirmed, err := a.confirmLanes(p.in, diffLanes(p.want, got, p.lanes), key)
+	return !confirmed && err == nil, err
 }
 
-// probePatterns samples block patterns, leading with the two patterns
-// every residual-misalignment candidate provably corrupts (DIP_nc and
-// its complement: in the candidate's own coordinates they sit on w_nc,
-// which any surviving δ-error maps outside the one-point set), followed
-// by class samples and random patterns. probeKey stops on the first
-// disagreement, so wrong candidates typically cost O(1) oracle queries.
-func (a *attack) probePatterns(st *structured, budget int) []uint64 {
+// probeLanes is the size of the shared probe set: one packed batch.
+const probeLanes = 64
+
+// probePatterns samples probeLanes block patterns, leading with the two
+// patterns every residual-misalignment candidate provably corrupts
+// (DIP_nc and its complement: in the candidate's own coordinates they
+// sit on w_nc, which any surviving δ-error maps outside the one-point
+// set), followed by class samples and random patterns.
+func (a *attack) probePatterns(st *structured) []uint64 {
 	mask := blockMask(a.layout.N())
 	// A candidate whose only error is a residual inter-block offset m
 	// corrupts exactly the patterns X with X ∈ W, X⊕m ∉ W (its canonical
@@ -1378,25 +1375,77 @@ func (a *attack) probePatterns(st *structured, budget int) []uint64 {
 			return true
 		})
 	}
-	take(st.forEachBig, budget/2)
-	take(st.forEachSmall, budget/4)
-	for i := 0; i < budget/4+1; i++ {
+	samples := probeLanes - len(out)
+	take(st.forEachBig, samples/2)
+	take(st.forEachSmall, samples/4)
+	for len(out) < probeLanes {
 		out = append(out, a.rng.Uint64()&mask)
 	}
 	return out
 }
 
-// embedBlockPattern places a block pattern on the chain inputs and fills
-// the remaining primary inputs randomly.
-func (a *attack) embedBlockPattern(block uint64) []bool {
-	in := make([]bool, a.opts.Locked.NumInputs())
+// packBlocks fills a packed input batch: lane l carries block pattern
+// blocks[l] on the chain inputs (lanes past len(blocks) carry 0), and
+// every other primary input gets random bits.
+func (a *attack) packBlocks(in []uint64, blocks []uint64) {
 	for i := range in {
-		in[i] = a.rng.Intn(2) == 1
+		in[i] = a.rng.Uint64()
 	}
-	for i, pos := range a.layout.InputPos {
-		in[pos] = block&(1<<uint(i)) != 0
+	pos := a.layout.InputPos
+	for _, p := range pos {
+		in[p] = 0
 	}
-	return in
+	for l, p := range blocks {
+		for ; p != 0; p &= p - 1 {
+			in[pos[trailingZeros(p)]] |= 1 << uint(l)
+		}
+	}
+}
+
+// keyWords broadcasts a key to every lane of a 64-lane batch.
+func keyWords(key []bool) []uint64 {
+	w := make([]uint64, len(key))
+	for i, b := range key {
+		if b {
+			w[i] = ^uint64(0)
+		}
+	}
+	return w
+}
+
+// keyBanks broadcasts a key to every lane of a 512-lane batch.
+func keyBanks(key []bool) [][8]uint64 {
+	w := make([][8]uint64, len(key))
+	for i, b := range key {
+		if b {
+			for j := range w[i] {
+				w[i][j] = ^uint64(0)
+			}
+		}
+	}
+	return w
+}
+
+// laneInput unpacks one lane of a packed input batch.
+func laneInput(in []uint64, lane int) []bool {
+	out := make([]bool, len(in))
+	for i, w := range in {
+		out[i] = w&(1<<uint(lane)) != 0
+	}
+	return out
+}
+
+// diffLanes returns the lanes, among the first lanes, on which two
+// packed output batches differ.
+func diffLanes(want, got []uint64, lanes int) uint64 {
+	var d uint64
+	for i := range want {
+		d |= want[i] ^ got[i]
+	}
+	if lanes < 64 {
+		d &= (uint64(1) << uint(lanes)) - 1
+	}
+	return d
 }
 
 // verifyKeyOnDIPs replays every extracted DIP against the oracle under
@@ -1405,19 +1454,8 @@ func (a *attack) embedBlockPattern(block uint64) []bool {
 // BatchOracle.EvalMany when the oracle offers it, and the locked-netlist
 // side replays the group in one 512-lane simulator pass.
 func (a *attack) verifyKeyOnDIPs(key []bool, st *structured) error {
-	sim, err := netlist.NewSimulator(a.opts.Locked)
-	if err != nil {
-		return err
-	}
 	nIn := a.opts.Locked.NumInputs()
-	key8 := make([][8]uint64, len(key))
-	for i, b := range key {
-		if b {
-			for j := range key8[i] {
-				key8[i][j] = ^uint64(0)
-			}
-		}
-	}
+	kw, key8 := keyWords(key), keyBanks(key)
 	all := st.dips.Elements()
 
 	const group = 8
@@ -1426,45 +1464,10 @@ func (a *attack) verifyKeyOnDIPs(key []bool, st *structured) error {
 		ins[g] = make([]uint64, nIn)
 	}
 	lens := make([]int, group)
+	bad := make([]uint64, group)
 	in8 := make([][8]uint64, nIn)
 	batchOrc, _ := a.opts.Oracle.(oracle.BatchOracle)
-
-	// checkBatch compares one 64-pattern batch, falling back to the
-	// targeted per-lane re-query protocol on mismatch.
-	checkBatch := func(in, want []uint64, got func(o int) uint64, lanes int) error {
-		laneMask := ^uint64(0)
-		if lanes < 64 {
-			laneMask = (uint64(1) << uint(lanes)) - 1
-		}
-		var badLanes uint64
-		for i := range want {
-			badLanes |= (want[i] ^ got(i)) & laneMask
-		}
-		if badLanes == 0 {
-			return nil
-		}
-		if a.opts.MismatchRetries <= 0 {
-			return fmt.Errorf("core: candidate key disagrees with the oracle on an extracted DIP")
-		}
-		// Targeted re-query: adjudicate each disagreeing lane alone
-		// before letting it sink the candidate.
-		for badLanes != 0 {
-			lane := trailingZeros(badLanes)
-			badLanes &^= 1 << uint(lane)
-			inB := make([]bool, nIn)
-			for i := range inB {
-				inB[i] = in[i]&(1<<uint(lane)) != 0
-			}
-			confirmed, err := a.confirmDisagreement(inB, key)
-			if err != nil {
-				return err
-			}
-			if confirmed {
-				return fmt.Errorf("core: candidate key disagrees with the oracle on an extracted DIP")
-			}
-		}
-		return nil
-	}
+	errDisagree := errors.New("core: candidate key disagrees with the oracle on an extracted DIP")
 
 	flush := func(gN int) error {
 		if gN == 0 {
@@ -1488,40 +1491,51 @@ func (a *attack) verifyKeyOnDIPs(key []bool, st *structured) error {
 				wants[g] = append([]uint64(nil), w...)
 			}
 		}
-		for g := 0; g < gN; g++ {
-			a.countQueries(uint64(lens[g]))
-		}
+		// The chip answers every lane of every batch.
+		a.countQueries(64 * uint64(gN))
 		// Candidate side: a full group replays through the 512-lane
-		// kernel; a short tail group runs batch by batch.
+		// kernel; a short tail group runs batch by batch. Either way each
+		// batch is reduced to its disagreeing lanes before any of them is
+		// adjudicated, since adjudication reruns the simulator.
 		if gN == group {
 			for i := 0; i < nIn; i++ {
 				for g := 0; g < group; g++ {
 					in8[i][g] = ins[g][i]
 				}
 			}
-			got8, err := sim.Run512(in8, key8)
+			got8, err := a.sim.Run512(in8, key8)
 			if err != nil {
 				return err
 			}
 			for g := 0; g < group; g++ {
-				g := g
-				if err := checkBatch(ins[g], wants[g], func(o int) uint64 { return got8[o][g] }, lens[g]); err != nil {
-					return err
+				var d uint64
+				for o := range wants[g] {
+					d |= wants[g][o] ^ got8[o][g]
+				}
+				bad[g] = d
+				if lens[g] < 64 {
+					bad[g] &= (uint64(1) << uint(lens[g])) - 1
 				}
 			}
-			return nil
-		}
-		keyWords := make([]uint64, len(key))
-		for i := range key8 {
-			keyWords[i] = key8[i][0]
+		} else {
+			for g := 0; g < gN; g++ {
+				got, err := a.sim.Run64(ins[g], kw)
+				if err != nil {
+					return err
+				}
+				bad[g] = diffLanes(wants[g], got, lens[g])
+			}
 		}
 		for g := 0; g < gN; g++ {
-			got, err := sim.Run64(ins[g], keyWords)
+			if bad[g] == 0 {
+				continue
+			}
+			confirmed, err := a.confirmLanes(ins[g], bad[g], key)
 			if err != nil {
 				return err
 			}
-			if err := checkBatch(ins[g], wants[g], func(o int) uint64 { return got[o] }, lens[g]); err != nil {
-				return err
+			if confirmed {
+				return errDisagree
 			}
 		}
 		return nil
@@ -1532,24 +1546,8 @@ func (a *attack) verifyKeyOnDIPs(key []bool, st *structured) error {
 		if err := a.ctxErr(); err != nil {
 			return err
 		}
-		end := base + 64
-		if end > len(all) {
-			end = len(all)
-		}
-		chunk := all[base:end]
-		in := ins[gN]
-		for i := range in {
-			in[i] = a.rng.Uint64()
-		}
-		for i, pos := range a.layout.InputPos {
-			var w uint64
-			for l, p := range chunk {
-				if p&(1<<uint(i)) != 0 {
-					w |= 1 << uint(l)
-				}
-			}
-			in[pos] = w
-		}
+		chunk := all[base:min(base+64, len(all))]
+		a.packBlocks(ins[gN], chunk)
 		lens[gN] = len(chunk)
 		gN++
 		if gN == group {

@@ -16,16 +16,20 @@ import (
 
 // cancelOracle cancels the attack's context after a fixed number of
 // oracle calls — a deterministic stand-in for a crash mid-attack.
+// tripped records that the cancel fired, so a test whose attack needs
+// fewer calls than left cannot pass without crashing.
 type cancelOracle struct {
-	inner  oracle.Oracle
-	left   int
-	cancel context.CancelFunc
+	inner   oracle.Oracle
+	left    int
+	cancel  context.CancelFunc
+	tripped bool
 }
 
 func (o *cancelOracle) tick() {
 	o.left--
 	if o.left == 0 {
 		o.cancel()
+		o.tripped = true
 	}
 }
 func (o *cancelOracle) NumInputs() int  { return o.inner.NumInputs() }
@@ -59,8 +63,9 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 	refQueries := simRef.Queries()
 
-	// Crashed run: checkpoint on every progress event, die after five
-	// oracle calls.
+	// Crashed run: checkpoint on every progress event, die at the first
+	// oracle call — the shared candidate probe, after the DIP set is
+	// enumerated and decoded.
 	path := filepath.Join(t.TempDir(), "snap.ckpt")
 	telCrash := telemetry.New()
 	w, err := checkpoint.NewWriter(checkpoint.WriterConfig{
@@ -71,11 +76,14 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	co := &cancelOracle{inner: oracle.MustNewSim(h), left: 5, cancel: cancel}
+	co := &cancelOracle{inner: oracle.MustNewSim(h), left: 1, cancel: cancel}
 	_, err = Run(Options{
 		Locked: lockedC, Oracle: co, Seed: seed, Telemetry: telCrash,
 		Context: ctx, Checkpointer: w,
 	})
+	if !co.tripped {
+		t.Fatal("the attack finished before the injected crash")
+	}
 	if err == nil {
 		t.Fatal("interrupted attack reported success")
 	}

@@ -154,8 +154,14 @@ func (e *errOracle) Query64(in []uint64) ([]uint64, error) {
 
 func TestAttackPropagatesOracleErrors(t *testing.T) {
 	lockedC, _, h := lockedInstance(t, "2A-O-A", 7)
-	orc := &errOracle{inner: oracle.MustNewSim(h), budget: 3}
-	if _, err := Run(Options{Locked: lockedC, Oracle: orc, Seed: 8}); err == nil {
+	// One call answers the shared candidate probe; the DIP replay's
+	// batch is the first to fail.
+	orc := &errOracle{inner: oracle.MustNewSim(h), budget: 1}
+	_, err := Run(Options{Locked: lockedC, Oracle: orc, Seed: 8})
+	if orc.queries <= orc.budget {
+		t.Fatalf("the attack finished in %d oracle calls, before the injected failure", orc.queries)
+	}
+	if err == nil {
 		t.Error("oracle failure not propagated")
 	}
 }

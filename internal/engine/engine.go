@@ -460,7 +460,7 @@ type DistinguishOutcome struct {
 // input vector of a disagreement, or (nil, true, nil) when the keys are
 // proved equivalent — or when the conflict budget runs out first, which
 // callers must treat as "no difference found" exactly as with
-// miter.ProveEquivalentHashedBudget (safe when candidates are only ever
+// miter.ProveKeysEquivalentBudget (safe when candidates are only ever
 // eliminated on concrete oracle disagreements). budget 0 is unbounded.
 // Use DistinguishEx to tell those two "equivalent" answers apart.
 func (e *Engine) Distinguish(keyA, keyB []bool, budget uint64) (witness []bool, equivalent bool, err error) {

@@ -156,12 +156,18 @@ func TestJournalResumeFromCheckpoint(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	// Cancel at the first oracle call: the shared candidate probe, after
+	// the DIP set is enumerated and decoded.
+	tick := &tickingOracle{inner: oracle.MustNewSim(parsed.orig), left: 1, cancel: cancel}
 	_, runErr := core.Run(core.Options{
 		Locked: parsed.locked,
-		Oracle: &tickingOracle{inner: oracle.MustNewSim(parsed.orig), left: 4, cancel: cancel},
+		Oracle: tick,
 		Seed:   req.Seed, Telemetry: telemetry.New(),
 		Context: ctx, Checkpointer: w,
 	})
+	if !tick.tripped {
+		t.Fatal("fabricated crash run finished before the injected cancel")
+	}
 	if runErr == nil {
 		t.Fatal("fabricated crash run succeeded")
 	}
@@ -375,15 +381,17 @@ func mustMarshal(t *testing.T, req AttackRequest) []byte {
 // tickingOracle cancels the attack's context after a fixed number of
 // oracle calls — a deterministic stand-in for a crash mid-attack.
 type tickingOracle struct {
-	inner  oracle.Oracle
-	left   int
-	cancel context.CancelFunc
+	inner   oracle.Oracle
+	left    int
+	cancel  context.CancelFunc
+	tripped bool // the cancel fired
 }
 
 func (o *tickingOracle) tick() {
 	o.left--
 	if o.left == 0 {
 		o.cancel()
+		o.tripped = true
 	}
 }
 func (o *tickingOracle) NumInputs() int  { return o.inner.NumInputs() }
