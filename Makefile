@@ -38,6 +38,10 @@
 #                    live SSE job stream consumed to the terminal done
 #                    event, Last-Event-ID resume, and the debug server's
 #                    /dashboard + /metrics/history.json surfaces
+#   make perfbench-test the benchmark's own tests (cd perfbench && go
+#                    test .): every workload's counts must repeat
+#                    exactly for a fixed seed, which pins the encoders
+#                    and solvers as deterministic
 #   make govulncheck govulncheck ./... when the tool is installed
 #                    (skips with a notice otherwise — no network
 #                    installs in CI; set GOVULNCHECK_REQUIRED=1 to turn
@@ -45,8 +49,8 @@
 #   make ci          build + vet + fmt-check + test + test-race +
 #                    fuzz-smoke + trace-smoke + serve-smoke +
 #                    signal-smoke + portfolio-smoke + crash-smoke +
-#                    matrix-smoke + events-smoke + govulncheck
-#                    (required automatically when installed)
+#                    matrix-smoke + events-smoke + perfbench-test +
+#                    govulncheck (required automatically when installed)
 #   make bench       tier-1 benchmarks with allocation reporting
 #   make benchjson   refresh BENCH_core.json (the perf trajectory file);
 #                    diffs against the committed baseline into the
@@ -69,7 +73,7 @@ MAXREGRESS ?= 0.20
 # silently skippable: auto-promote the scan to required.
 GOVULNCHECK_REQUIRED ?= $(shell command -v govulncheck >/dev/null 2>&1 && echo 1)
 
-.PHONY: build test test-race vet fmt-check fuzz-smoke trace-smoke serve-smoke signal-smoke portfolio-smoke crash-smoke matrix-smoke events-smoke govulncheck ci bench benchjson bench-compare
+.PHONY: build test test-race vet fmt-check fuzz-smoke trace-smoke serve-smoke signal-smoke portfolio-smoke crash-smoke matrix-smoke events-smoke perfbench-test govulncheck ci bench benchjson bench-compare
 
 build:
 	$(GO) build ./...
@@ -123,6 +127,9 @@ events-smoke:
 matrix-smoke:
 	GO="$(GO)" sh scripts/matrix_smoke.sh $(MATDIR)
 
+perfbench-test:
+	cd perfbench && $(GO) test .
+
 # Vulnerability scan, gated: the CI container has no network, so the
 # tool cannot be installed on the fly. Runs when present, else skips
 # loudly enough to notice — unless GOVULNCHECK_REQUIRED=1, which makes
@@ -137,7 +144,7 @@ govulncheck:
 		echo "govulncheck not installed; skipping vulnerability scan"; \
 	fi
 
-ci: build vet fmt-check test test-race fuzz-smoke trace-smoke serve-smoke signal-smoke portfolio-smoke crash-smoke matrix-smoke events-smoke govulncheck
+ci: build vet fmt-check test test-race fuzz-smoke trace-smoke serve-smoke signal-smoke portfolio-smoke crash-smoke matrix-smoke events-smoke perfbench-test govulncheck
 
 bench:
 	$(GO) test -run XXX -bench . -benchmem ./internal/core/ .

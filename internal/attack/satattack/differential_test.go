@@ -1,9 +1,11 @@
 package satattack
 
 import (
+	"fmt"
 	"math/bits"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/lock"
 	"repro/internal/miter"
 	"repro/internal/netlist"
@@ -242,5 +244,58 @@ func TestEngineLegacyDifferential(t *testing.T) {
 				t.Fatalf("engine_encodings_total = %d, want 1", got)
 			}
 		})
+	}
+}
+
+// TestWarmPoolBackToBack runs two attacks in a row on one engine taken
+// from and parked back in an engine.Pool, for a completing and a
+// SAT-resistant scheme. The warm run must answer as a fresh engine
+// does: the same lex-min key on completion, the exact cap otherwise.
+// Per-DIP encoder state that survived the first attack's session would
+// leave the second attack's repeated DIPs unconstrained and fail it.
+func TestWarmPoolBackToBack(t *testing.T) {
+	h := host(t, 10)
+	for _, name := range []string{"rll", "sarlock"} {
+		sch, _ := lock.SchemeByName(name)
+		locked, _, err := sch.Apply(h.Clone(), 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const cap = 64
+		fresh, err := Run(locked.Circuit, oracle.MustNewSim(h), Options{MaxIterations: cap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := engine.NewPool(1)
+		eng, err := engine.New(locked.Circuit, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Put(name, eng)
+		for run := 1; run <= 2; run++ {
+			be := pool.Take(name)
+			if be == nil {
+				t.Fatalf("%s run %d: pool lost the warm engine", name, run)
+			}
+			tel := telemetry.New()
+			res, err := Run(locked.Circuit, oracle.MustNewSim(h), Options{MaxIterations: cap, Backend: be, Telemetry: tel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool.Put(name, be)
+			if res.Completed != fresh.Completed || fmt.Sprint(res.Key) != fmt.Sprint(fresh.Key) {
+				t.Fatalf("%s run %d: completed=%v key %v, fresh engine: completed=%v key %v",
+					name, run, res.Completed, res.Key, fresh.Completed, fresh.Key)
+			}
+			if !res.Completed && res.Iterations != cap {
+				t.Fatalf("%s run %d: stopped after %d iterations, want the cap %d", name, run, res.Iterations, cap)
+			}
+			if n := tel.Counter("engine_encodings_total").Value(); run > 1 && n != 0 {
+				t.Fatalf("%s run %d: warm engine re-encoded %d times", name, run, n)
+			}
+		}
+		if name == "rll" && !fresh.Completed {
+			t.Fatal("rll did not complete within the cap; the warm-key comparison went unchecked")
+		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package engine hosts the persistent incremental-SAT layer of the
-// attack: the key-differential miter of the locked circuit is Tseitin
-// encoded exactly once into one long-lived CDCL instance, with the key
-// bits of both copies left as free variables. Every SAT phase of the
+// attack: the key-differential miter of the locked circuit is encoded
+// exactly once — through the folding, structurally hashing cnf.Hasher —
+// into one long-lived CDCL instance, with the key bits of both copies
+// left as free variables. Every SAT phase of the
 // attack — the Lemma-1 hypothesis extractions, each blocking-clause
 // enumeration step, the calibration sweep's re-extractions, and the
 // pairwise candidate distinguishing of the verifier — is then an
@@ -24,7 +25,6 @@ import (
 
 	"repro/internal/cnf"
 	"repro/internal/events"
-	"repro/internal/miter"
 	"repro/internal/netlist"
 	"repro/internal/sat"
 	"repro/internal/telemetry"
@@ -46,7 +46,7 @@ type Engine struct {
 	blockPos []int
 
 	solver *sat.Solver
-	inc    *cnf.Incremental
+	zero   cnf.Lit   // the encoding's constant false, shared by session encoders
 	keysA  []cnf.Lit // copy A's key bits, in the locked circuit's key order
 	keysB  []cnf.Lit // copy B's key bits
 	inputs []cnf.Lit // primary inputs, in the locked circuit's input order
@@ -183,31 +183,69 @@ func (e *Engine) ensure() error {
 	}
 	sp := e.tel.StartSpanLane("engine_encode", e.lane)
 	defer sp.End()
-	kd, err := miter.NewKeyDiff(e.locked)
-	if err != nil {
-		return err
-	}
 	solver := sat.New()
-	inc := cnf.NewIncremental(solver)
-	enc, err := inc.Encode(kd.Circuit)
+	m, err := encodeKeyMiter(e.locked, solver)
 	if err != nil {
 		return err
 	}
-	keyLits := enc.KeyLits(kd.Circuit)
 	e.solver = solver
-	e.inc = inc
-	e.keysA = keyLits[:kd.NKeys]
-	e.keysB = keyLits[kd.NKeys:]
-	e.inputs = enc.InputLits(kd.Circuit)
-	e.block = make([]cnf.Lit, len(e.blockPos))
-	for i, pos := range e.blockPos {
-		e.block[i] = e.inputs[pos]
-	}
-	e.diff = enc.OutputLits(kd.Circuit)[0]
+	e.adopt(m)
 	sp.SetArg("vars", strconv.Itoa(solver.NumVars()))
 	sp.SetArg("clauses", strconv.Itoa(solver.NumClauses()))
 	e.tel.Counter("engine_encodings_total").Inc()
 	return nil
+}
+
+// keyMiter holds the literals of an encoded free-key miter.
+type keyMiter struct {
+	zero         cnf.Lit   // constant false
+	inputs       []cnf.Lit // primary inputs, shared by both copies
+	keysA, keysB []cnf.Lit // each copy's key bits
+	diff         cnf.Lit   // true iff the copies' outputs differ
+}
+
+// encodeKeyMiter encodes two copies of the locked circuit over shared
+// input literals, each with its own free key bits, through one hashed
+// encoder: every gate outside the key cone hashes to one variable, and
+// outputs no key reaches drop out of diff.
+func encodeKeyMiter(locked *netlist.Circuit, sink cnf.Sink) (keyMiter, error) {
+	h := cnf.NewHasher(sink, 0)
+	fresh := func(n int) []cnf.Lit {
+		ls := make([]cnf.Lit, n)
+		for i := range ls {
+			ls[i] = sink.NewVar()
+		}
+		return ls
+	}
+	m := keyMiter{
+		zero:   h.Const(false),
+		inputs: fresh(locked.NumInputs()),
+		keysA:  fresh(locked.NumKeys()),
+		keysB:  fresh(locked.NumKeys()),
+	}
+	outsA, err := h.Encode(locked, m.inputs, m.keysA, nil)
+	if err != nil {
+		return keyMiter{}, err
+	}
+	outsB, err := h.Encode(locked, m.inputs, m.keysB, nil)
+	if err != nil {
+		return keyMiter{}, err
+	}
+	m.diff = h.Diff(outsA, outsB)
+	return m, nil
+}
+
+// adopt points the engine at an encoded miter in its solver.
+func (e *Engine) adopt(m keyMiter) {
+	e.zero = m.zero
+	e.inputs = m.inputs
+	e.keysA = m.keysA
+	e.keysB = m.keysB
+	e.diff = m.diff
+	e.block = make([]cnf.Lit, len(e.blockPos))
+	for i, pos := range e.blockPos {
+		e.block[i] = e.inputs[pos]
+	}
 }
 
 // phaseName returns the attribution key for the current phase.

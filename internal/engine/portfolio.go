@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cnf"
 	"repro/internal/events"
-	"repro/internal/miter"
 	"repro/internal/netlist"
 	"repro/internal/sat"
 	"repro/internal/telemetry"
@@ -208,38 +207,22 @@ func (p *Portfolio) ensure() error {
 	}
 	sp := p.tel.StartSpanLane("portfolio_encode", telemetry.EngineLane)
 	defer sp.End()
-	kd, err := miter.NewKeyDiff(p.locked)
-	if err != nil {
-		return err
-	}
 	solvers := make([]*sat.Solver, len(p.members))
 	for i := range p.members {
 		solvers[i] = sat.NewWithOptions(memberOptions(i))
 	}
-	inc := cnf.NewIncremental(teeSink{solvers})
-	enc, err := inc.Encode(kd.Circuit)
+	mit, err := encodeKeyMiter(p.locked, teeSink{solvers})
 	if err != nil {
 		return err
 	}
 	p.sharedVars = solvers[0].NumVars()
-	keyLits := enc.KeyLits(kd.Circuit)
-	inputLits := enc.InputLits(kd.Circuit)
-	diff := enc.OutputLits(kd.Circuit)[0]
 
 	p.inbox = make([]chan []cnf.Lit, len(p.members))
 	p.exportSeen = make([]map[string]struct{}, len(p.members))
 	p.importSeen = make([]map[string]struct{}, len(p.members))
 	for i, m := range p.members {
 		m.solver = solvers[i]
-		m.inc = inc
-		m.keysA = keyLits[:kd.NKeys]
-		m.keysB = keyLits[kd.NKeys:]
-		m.inputs = inputLits
-		m.block = make([]cnf.Lit, len(m.blockPos))
-		for j, pos := range m.blockPos {
-			m.block[j] = inputLits[pos]
-		}
-		m.diff = diff
+		m.adopt(mit)
 		p.inbox[i] = make(chan []cnf.Lit, memberInboxCap)
 		p.exportSeen[i] = make(map[string]struct{})
 		p.importSeen[i] = make(map[string]struct{})

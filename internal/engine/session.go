@@ -17,12 +17,12 @@ import (
 // clauses, so one warm engine serves any mix of attacks back to back:
 // the encoding is paid once and learned clauses survive every phase.
 
-// guardedSink feeds a Tseitin encoding into the solver's open blocking
-// scope: auxiliary variables are ordinary fresh variables, but every
-// clause is guarded by the scope's activation literal, so the whole
-// encoded copy is retracted when the scope retires. This is what lets a
-// session add per-DIP IO-constraint copies of the locked circuit without
-// poisoning the engine for the next attack.
+// guardedSink feeds an encoding into the solver's open blocking scope:
+// auxiliary variables are ordinary fresh variables, but every clause is
+// guarded by the scope's activation literal, so the whole encoding is
+// retracted when the scope retires. This is what lets a session add
+// per-DIP IO constraints over the locked circuit without poisoning the
+// engine for the next attack.
 type guardedSink struct{ s *sat.Solver }
 
 func (g guardedSink) NewVar() cnf.Lit     { return g.s.NewVar() }
@@ -37,9 +37,21 @@ func (g guardedSink) Add(lits ...cnf.Lit) { g.s.PushBlocking(lits...) }
 type Session struct {
 	e      *Engine
 	act    cnf.Lit
+	hash   *cnf.Hasher // encodes Constrain's copies into the scope; dropped at Close
 	flush  func()
 	budget uint64 // per-solve conflict cap; 0 = unbudgeted (or deadline-sliced)
 	closed bool
+}
+
+// WidthError reports an IO constraint whose input or output vector does
+// not match the locked circuit.
+type WidthError struct {
+	Port      string // "input" or "output"
+	Got, Want int
+}
+
+func (w *WidthError) Error() string {
+	return fmt.Sprintf("engine: constraint %s width %d, circuit has %d %ss", w.Port, w.Got, w.Want, w.Port)
 }
 
 // OpenSession opens a scoped free-key session. The caller must Close it
@@ -53,7 +65,10 @@ func (e *Engine) OpenSession() (*Session, error) {
 	}
 	flush := e.beginSession("engine_session")
 	e.tel.Counter("engine_sessions_total").Inc()
-	return &Session{e: e, act: e.solver.BlockingLit(), flush: flush}, nil
+	// The session's gate table is its own: its variables are defined
+	// only by clauses of this scope, which Close retires.
+	hash := cnf.NewHasher(guardedSink{e.solver}, e.zero)
+	return &Session{e: e, act: e.solver.BlockingLit(), hash: hash, flush: flush}, nil
 }
 
 // SetConflictBudget caps each individual solve of this session (0 =
@@ -101,34 +116,44 @@ func (s *Session) FindDIP() ([]bool, sat.Status, error) {
 	return dip, sat.Sat, nil
 }
 
-// Constrain encodes two fresh copies of the locked circuit — one tied to
-// each key copy — with inputs fixed to in and outputs fixed to out: the
-// classic SAT-attack IO constraint, forcing both hypothesis keys to
-// reproduce the oracle on this pattern. All clauses (including the
-// key-tie and IO units) are scope-guarded, so Close retracts them.
+// Constrain adds the classic SAT-attack IO constraint: under the DIP's
+// inputs in, both hypothesis keys must reproduce the oracle's outputs
+// out. Each key copy of the locked circuit is encoded through the
+// session's hashed encoder with the inputs as constants, so only the
+// logic the key bits still control is encoded (and gates shared with
+// earlier DIPs are reused); each folded output literal is then pinned
+// to the oracle's answer. An output that folds to a constant contrary
+// to the oracle adds the guarded empty clause, so the session goes
+// Unsat rather than failing. All clauses are scope-guarded, so Close
+// retracts them. A vector of the wrong width is a *WidthError.
 func (s *Session) Constrain(in, out []bool) error {
 	if s.closed {
 		return fmt.Errorf("engine: session is closed")
 	}
 	e := s.e
 	if len(in) != len(e.inputs) {
-		return fmt.Errorf("engine: constraint input width %d, circuit has %d inputs", len(in), len(e.inputs))
+		return &WidthError{Port: "input", Got: len(in), Want: len(e.inputs)}
 	}
-	sink := guardedSink{e.solver}
+	if n := e.locked.NumOutputs(); len(out) != n {
+		return &WidthError{Port: "output", Got: len(out), Want: n}
+	}
+	consts := make([]cnf.Lit, len(in))
+	for i, b := range in {
+		consts[i] = s.hash.Const(b)
+	}
 	for _, keys := range [][]cnf.Lit{e.keysA, e.keysB} {
-		enc, err := cnf.EncodeInto(e.locked, sink)
+		outs, err := s.hash.Encode(e.locked, consts, keys, nil)
 		if err != nil {
 			return err
 		}
-		for i, kl := range enc.KeyLits(e.locked) {
-			sink.Add(kl.Neg(), keys[i])
-			sink.Add(kl, keys[i].Neg())
-		}
-		for i, il := range enc.InputLits(e.locked) {
-			sink.Add(signLit(il, in[i]))
-		}
-		for i, ol := range enc.OutputLits(e.locked) {
-			sink.Add(signLit(ol, out[i]))
+		for i, ol := range outs {
+			switch want := signLit(ol, out[i]); want {
+			case s.hash.Const(true): // the DIP's inputs already force the answer
+			case s.hash.Const(false):
+				e.solver.PushBlocking() // ¬act: this key copy cannot match the oracle
+			default:
+				e.solver.PushBlocking(want)
+			}
 		}
 	}
 	e.tel.Counter("engine_session_constraints_total").Inc()
@@ -182,6 +207,7 @@ func (s *Session) Close() {
 		return
 	}
 	s.closed = true
+	s.hash = nil
 	s.e.solver.ConflictBudget = 0
 	s.e.retireScope()
 	s.e.releaseScope()

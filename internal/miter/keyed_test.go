@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cnf"
 	"repro/internal/lock"
 	"repro/internal/netlist"
 	"repro/internal/oracle"
+	"repro/internal/sat"
 	"repro/internal/synth"
 )
 
@@ -182,11 +184,84 @@ func checkKeyedPair(t testing.TB, label string, c *netlist.Circuit, keyA, keyB [
 	return eq
 }
 
+// checkInputFolding checks the hashed encoder with primary inputs as
+// constants. With the inputs in mask fixed to the matching bits of vals,
+// the key pair is decided over that subcube of inputs and compared with
+// exhaustive simulation of the subcube; a witness must lie in it and
+// distinguish the keys. With every input fixed to vals, each output
+// must fold to the constant that simulation gives under keyA.
+func checkInputFolding(t testing.TB, label string, c *netlist.Circuit, keyA, keyB []bool, mask, vals uint64) {
+	t.Helper()
+	n := c.NumInputs()
+	mask &= 1<<uint(n) - 1
+	bit := func(w uint64, i int) bool { return w>>uint(i)&1 == 1 }
+
+	solver := sat.New()
+	h := cnf.NewHasher(solver, 0)
+	all := make([]cnf.Lit, n)
+	for i := range all {
+		all[i] = h.Const(bit(vals, i))
+	}
+	outs, err := h.Encode(c, all, constants(h, keyA), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.Eval(netlist.PatternFromUint(vals, n), keyA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for o, l := range outs {
+		if l != h.Const(want[o]) {
+			t.Fatalf("%s: output %d under constant inputs %b is literal %d, want the constant %v", label, o, vals, l, want[o])
+		}
+	}
+
+	inputs := make([]cnf.Lit, n)
+	for i := range inputs {
+		if bit(mask, i) {
+			inputs[i] = h.Const(bit(vals, i))
+		} else {
+			inputs[i] = solver.NewVar()
+		}
+	}
+	outsA, err := h.Encode(c, inputs, constants(h, keyA), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outsB, err := h.Encode(c, inputs, constants(h, keyB), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	differs := false
+	for p := uint64(0); p < 1<<uint(n) && !differs; p++ {
+		if (p^vals)&mask == 0 {
+			differs = distinguishes(t, c, netlist.PatternFromUint(p, n), keyA, keyB)
+		}
+	}
+	st := solver.Solve(h.Diff(outsA, outsB))
+	if st == sat.Unknown || (st == sat.Sat) != differs {
+		t.Fatalf("%s: on the subcube %b/%b the folded miter says %v, simulation differs=%v", label, mask, vals, st, differs)
+	}
+	if st == sat.Sat {
+		w := make([]bool, n)
+		for i, l := range inputs {
+			w[i] = solver.ModelValue(l)
+			if bit(mask, i) && w[i] != bit(vals, i) {
+				t.Fatalf("%s: witness leaves the subcube at input %d", label, i)
+			}
+		}
+		if !distinguishes(t, c, w, keyA, keyB) {
+			t.Fatalf("%s: folded witness %v does not distinguish the keys", label, w)
+		}
+	}
+}
+
 // TestKeyedMiterDifferential checks the keyed miter against the
 // independent deciders on every registry scheme with random and
 // joint-complement key pairs. Distinct keys must come out both ways
 // (equivalent ones are the multi-key schemes' correct keys and joint
-// complements), so neither verdict goes unchecked.
+// complements), so neither verdict goes unchecked. Each pair is also
+// decided with random inputs folded in as constants.
 func TestKeyedMiterDifferential(t *testing.T) {
 	var equivalent, differing int
 	for _, s := range lock.Schemes() {
@@ -194,7 +269,9 @@ func TestKeyedMiterDifferential(t *testing.T) {
 			l := mustKeyedInstance(t, s, seed*31)
 			rng := rand.New(rand.NewSource(seed))
 			for i, p := range keyPairs(l.Key, rng) {
-				eq := checkKeyedPair(t, fmt.Sprintf("%s/seed%d/pair%d", s.Name, seed, i), l.Circuit, p[0], p[1])
+				label := fmt.Sprintf("%s/seed%d/pair%d", s.Name, seed, i)
+				eq := checkKeyedPair(t, label, l.Circuit, p[0], p[1])
+				checkInputFolding(t, label, l.Circuit, p[0], p[1], rng.Uint64(), rng.Uint64())
 				switch {
 				case !eq:
 					differing++
@@ -257,12 +334,14 @@ func TestKeyedMiterRejectsBadKeys(t *testing.T) {
 
 // FuzzKeyedMiter draws a registry scheme, a small random host and a key
 // pair, and requires the keyed miter to agree with the activated-copy
-// miters and exhaustive simulation.
+// miters and exhaustive simulation. Its folding leg fixes the inputs in
+// fix to the bits of vals and checks the hashed encoding of that
+// subcube against simulation.
 func FuzzKeyedMiter(f *testing.F) {
 	for i := range lock.Schemes() {
-		f.Add(uint8(i), int64(i+1), int64(7*i), uint8(i))
+		f.Add(uint8(i), int64(i+1), int64(7*i), uint8(i), uint16(0x155*i), uint16(0x2a3*i))
 	}
-	f.Fuzz(func(t *testing.T, scheme uint8, seed, keySeed int64, pair uint8) {
+	f.Fuzz(func(t *testing.T, scheme uint8, seed, keySeed int64, pair uint8, fix, vals uint16) {
 		schemes := lock.Schemes()
 		s := schemes[int(scheme)%len(schemes)]
 		l, err := keyedInstance(s, seed)
@@ -272,5 +351,6 @@ func FuzzKeyedMiter(f *testing.F) {
 		pairs := keyPairs(l.Key, rand.New(rand.NewSource(keySeed)))
 		p := pairs[int(pair)%len(pairs)]
 		_ = checkKeyedPair(t, s.Name, l.Circuit, p[0], p[1])
+		checkInputFolding(t, s.Name, l.Circuit, p[0], p[1], uint64(fix), uint64(vals))
 	})
 }
