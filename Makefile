@@ -14,16 +14,16 @@
 #                    decoder, and the service's WAL journal replay
 #   make trace-smoke end-to-end telemetry check: lock a seed circuit,
 #                    attack it with -trace, and validate the Chrome
-#                    trace (all five phase spans, wall-clock coverage)
+#                    trace (all five phase spans, wall-clock coverage);
+#                    then a pinned SAT-regime leg (width-12 block,
+#                    -sat-width-limit 12) that must SAT-prove its key
+#                    on exactly one engine encoding and trace cleanly
 #   make serve-smoke end-to-end service check: start caslock-served,
 #                    submit over HTTP, poll, tracecheck the per-job
 #                    trace, assert the resubmission is a zero-work
 #                    cache hit, SIGTERM-drain cleanly
 #   make signal-smoke SIGINT a running caslock-attack: exit code 3,
 #                    partial structure printed, trace flushed and valid
-#   make portfolio-smoke differential end-to-end check: attack SAT- and
-#                    sim-regime instances with and without -portfolio
-#                    and assert byte-identical keys
 #   make crash-smoke chaos harness: SIGKILL caslock-attack and
 #                    caslock-served mid-attack at seeded-random points,
 #                    restart/resume, and assert the resumed key is
@@ -48,9 +48,9 @@
 #                    the skip into a failure on runners that ship it)
 #   make ci          build + vet + fmt-check + test + test-race +
 #                    fuzz-smoke + trace-smoke + serve-smoke +
-#                    signal-smoke + portfolio-smoke + crash-smoke +
-#                    matrix-smoke + events-smoke + perfbench-test +
-#                    govulncheck (required automatically when installed)
+#                    signal-smoke + crash-smoke + matrix-smoke +
+#                    events-smoke + perfbench-test + govulncheck
+#                    (required automatically when installed)
 #   make bench       tier-1 benchmarks with allocation reporting
 #   make benchjson   refresh BENCH_core.json (the perf trajectory file);
 #                    diffs against the committed baseline into the
@@ -64,7 +64,6 @@ FUZZTIME ?= 5s
 SMOKEDIR ?= .trace-smoke
 SERVEDIR ?= .serve-smoke
 SIGDIR ?= .signal-smoke
-PORTDIR ?= .portfolio-smoke
 CRASHDIR ?= .crash-smoke
 EVDIR ?= .events-smoke
 MATDIR ?= .matrix-smoke
@@ -73,7 +72,7 @@ MAXREGRESS ?= 0.20
 # silently skippable: auto-promote the scan to required.
 GOVULNCHECK_REQUIRED ?= $(shell command -v govulncheck >/dev/null 2>&1 && echo 1)
 
-.PHONY: build test test-race vet fmt-check fuzz-smoke trace-smoke serve-smoke signal-smoke portfolio-smoke crash-smoke matrix-smoke events-smoke perfbench-test govulncheck ci bench benchjson bench-compare
+.PHONY: build test test-race vet fmt-check fuzz-smoke trace-smoke serve-smoke signal-smoke crash-smoke matrix-smoke events-smoke perfbench-test govulncheck ci bench benchjson bench-compare
 
 build:
 	$(GO) build ./...
@@ -107,6 +106,17 @@ trace-smoke:
 	$(GO) run ./cmd/caslock-attack -locked $(SMOKEDIR)/locked.bench -oracle $(SMOKEDIR)/orig.bench \
 		-trace $(SMOKEDIR)/trace.json -metrics-out $(SMOKEDIR)/metrics.prom
 	$(GO) run ./cmd/tracecheck -in $(SMOKEDIR)/trace.json
+	$(GO) run ./cmd/casgen -inputs 14 -gates 70 -scheme cas -chain "5A-O-5A" \
+		-out $(SMOKEDIR)/sat_locked.bench -orig $(SMOKEDIR)/sat_orig.bench
+	$(GO) run ./cmd/caslock-attack -locked $(SMOKEDIR)/sat_locked.bench -oracle $(SMOKEDIR)/sat_orig.bench \
+		-sat-width-limit 12 -trace $(SMOKEDIR)/sat_trace.json -metrics-out $(SMOKEDIR)/sat_metrics.prom \
+		> $(SMOKEDIR)/sat.out
+	@grep -q "SAT-PROVEN equivalent" $(SMOKEDIR)/sat.out || \
+		{ echo "trace-smoke: SAT-regime key not SAT-proven" >&2; cat $(SMOKEDIR)/sat.out >&2; exit 1; }
+	@grep -qx "engine_encodings_total 1" $(SMOKEDIR)/sat_metrics.prom || \
+		{ echo "trace-smoke: SAT-regime attack did not encode exactly once" >&2; \
+		  grep engine_encodings $(SMOKEDIR)/sat_metrics.prom >&2; exit 1; }
+	$(GO) run ./cmd/tracecheck -in $(SMOKEDIR)/sat_trace.json
 	@rm -rf $(SMOKEDIR)
 
 serve-smoke:
@@ -114,9 +124,6 @@ serve-smoke:
 
 signal-smoke:
 	GO="$(GO)" sh scripts/signal_smoke.sh $(SIGDIR)
-
-portfolio-smoke:
-	GO="$(GO)" sh scripts/portfolio_smoke.sh $(PORTDIR)
 
 crash-smoke:
 	GO="$(GO)" sh scripts/crash_smoke.sh $(CRASHDIR)
@@ -144,7 +151,7 @@ govulncheck:
 		echo "govulncheck not installed; skipping vulnerability scan"; \
 	fi
 
-ci: build vet fmt-check test test-race fuzz-smoke trace-smoke serve-smoke signal-smoke portfolio-smoke crash-smoke matrix-smoke events-smoke perfbench-test govulncheck
+ci: build vet fmt-check test test-race fuzz-smoke trace-smoke serve-smoke signal-smoke crash-smoke matrix-smoke events-smoke perfbench-test govulncheck
 
 bench:
 	$(GO) test -run XXX -bench . -benchmem ./internal/core/ .

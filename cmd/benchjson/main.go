@@ -33,7 +33,6 @@ import (
 	"repro/internal/attack/satattack"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/events"
 	"repro/internal/experiments"
 	"repro/internal/lock"
@@ -166,11 +165,6 @@ type TelemetrySummary struct {
 	// which engine the self-tuning boundary picked, probe costs in ns),
 	// so the trajectory shows calibration drift alongside raw timings.
 	Crossover map[string]int64 `json:"crossover,omitempty"`
-	// Portfolio records the portfolio_* family verbatim (per-member race
-	// wins, learned clauses exported/imported over the sharing channel,
-	// disagreements — the latter must stay zero), so the trajectory shows
-	// whether the racing members actually cooperate.
-	Portfolio map[string]int64 `json:"portfolio,omitempty"`
 }
 
 // summarize extracts the summary fields from a registry snapshot. Phase
@@ -195,18 +189,13 @@ func summarize(tel *telemetry.Registry) *TelemetrySummary {
 		ts.PhaseSeconds[phase] = h.Sum
 	}
 	cross := func(name string, v int64) {
-		switch {
-		case strings.HasPrefix(name, "crossover_"):
-			if ts.Crossover == nil {
-				ts.Crossover = make(map[string]int64)
-			}
-			ts.Crossover[name] = v
-		case strings.HasPrefix(name, "portfolio_"):
-			if ts.Portfolio == nil {
-				ts.Portfolio = make(map[string]int64)
-			}
-			ts.Portfolio[name] = v
+		if !strings.HasPrefix(name, "crossover_") {
+			return
 		}
+		if ts.Crossover == nil {
+			ts.Crossover = make(map[string]int64)
+		}
+		ts.Crossover[name] = v
 	}
 	for name, v := range snap.Counters {
 		cross(name, int64(v))
@@ -347,17 +336,9 @@ func main() {
 	})
 	rep.Results = append(rep.Results, toResult("sim_classes_n22", r))
 
-	satRes, err := satWorkload(tel, 0)
+	satRes, err := satWorkload(tel)
 	fatalIf(err)
 	rep.Results = append(rep.Results, satRes)
-
-	// The same workload behind the racing portfolio, instrumented so the
-	// portfolio_* win/share counters land in the telemetry summary. The
-	// entry joins the gated sat_* aggregate: a portfolio that loses the
-	// race against its own single-engine sibling fails bench-compare.
-	portRes, err := satWorkload(tel, engine.DefaultPortfolioSize)
-	fatalIf(err)
-	rep.Results = append(rep.Results, portRes)
 
 	// The classic oracle-guided SAT attack on the engine path, capped on
 	// the same resistant instance, so the trajectory prices the attack
@@ -613,10 +594,7 @@ func satInstance() (*netlist.Circuit, *lock.Locked, error) {
 
 // satWorkload mirrors BenchmarkDIPExtraction/sat_n8, instrumented so
 // the report's telemetry summary carries the SAT solver's work totals.
-// With portfolio set, a racing portfolio of that many diversified members carries the
-// queries instead of the single persistent engine and the result is
-// reported as sat_extract_n8_portfolio.
-func satWorkload(tel *telemetry.Registry, portfolio int) (Result, error) {
+func satWorkload(tel *telemetry.Registry) (Result, error) {
 	_, locked, err := satInstance()
 	if err != nil {
 		return Result{}, err
@@ -630,7 +608,6 @@ func satWorkload(tel *telemetry.Registry, portfolio int) (Result, error) {
 		return Result{}, err
 	}
 	ext.SetTelemetry(tel)
-	ext.SetPortfolio(portfolio)
 	assign := core.PairAssign{A: make([]bool, locked.Circuit.NumKeys()), B: make([]bool, locked.Circuit.NumKeys())}
 	for _, pos := range layout.Key1Pos {
 		assign.A[pos] = true
@@ -646,11 +623,7 @@ func satWorkload(tel *telemetry.Registry, portfolio int) (Result, error) {
 			}
 		}
 	})
-	name := "sat_extract_n8"
-	if portfolio > 0 {
-		name += "_portfolio"
-	}
-	return toResult(name, r), nil
+	return toResult("sat_extract_n8", r), nil
 }
 
 // satAttackCap bounds the classic SAT attack's DIP loop on the

@@ -40,7 +40,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/events"
 	"repro/internal/faults"
 	"repro/internal/miter"
@@ -162,8 +161,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "attack sampling seed")
 		prove      = flag.Bool("prove", true, "SAT-prove the recovered key against the oracle netlist")
 		timeout    = flag.Duration("timeout", 0, "attack deadline (0 = none); on expiry the partial structure is printed and the exit code is 3")
-		portfolio  = flag.Bool("portfolio", false, "race a portfolio of diversified SAT engines sharing one encoding and exchanging learned clauses (results stay bit-identical)")
-		portSize   = flag.Int("portfolio-size", engine.DefaultPortfolioSize, "portfolio member count (with -portfolio)")
 		satWidth   = flag.Int("sat-width-limit", 0, "largest block width attacked with the SAT engine (0 = auto-calibrate per instance; a positive value pins the fixed rule)")
 		retries    = flag.Int("retries", 0, "transient-failure retry budget and per-mismatch re-query count (0 = defaults)")
 		noise      = flag.Float64("noise", 0, "inject this per-output-bit flip rate into the oracle (demo; arms majority voting)")
@@ -179,7 +176,7 @@ func main() {
 		eventsOut  = flag.String("events-out", "", "stream the attack's lifecycle events (phase transitions, DIP progress, crossover decision, checkpoints, progress digests, terminal done) to this file as NDJSON")
 	)
 	flag.Parse()
-	if *lockedPath == "" || *oraclePath == "" || *noise < 0 || *noise >= 1 || *timeout < 0 || *satWidth < 0 || *oracleLat < 0 || *portSize < 1 {
+	if *lockedPath == "" || *oraclePath == "" || *noise < 0 || *noise >= 1 || *timeout < 0 || *satWidth < 0 || *oracleLat < 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -237,16 +234,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "caslock-attack: unknown attack %q (have: %s)\n", *attackName, attack.Universe())
 			os.Exit(2)
 		}
-		port := 0
-		if *portfolio {
-			port = *portSize
-		}
 		start := time.Now()
 		out := atk.Run(&attack.Context{
 			Ctx: ctx, Locked: locked, Host: original, MCAS: *mcas,
 			NewOracle: func() oracle.Oracle { return orc },
 			SATCap:    *satCap, Seed: *seed, Retries: *retries,
-			Telemetry: tel, SATWidthLimit: *satWidth, Portfolio: port,
+			Telemetry: tel, SATWidthLimit: *satWidth,
 		})
 		fmt.Printf("%s: %s (%v)\n", atk.Label, out.Detail, time.Since(start).Round(time.Millisecond))
 		if out.Key != nil {
@@ -267,9 +260,6 @@ func main() {
 		MismatchRetries: *retries,
 		SATWidthLimit:   *satWidth,
 		Telemetry:       tel,
-	}
-	if *portfolio {
-		opts.Portfolio = *portSize
 	}
 	if *progress {
 		opts.Log = func(format string, args ...any) {

@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/lock"
 	"repro/internal/telemetry"
@@ -69,15 +68,6 @@ func printRegistries(w *os.File) {
 	tw.Flush()
 }
 
-// portfolioSize maps the -portfolio/-portfolio-size flag pair to
-// core.Options.Portfolio (0 = single engine).
-func portfolioSize(enabled bool, size int) int {
-	if !enabled {
-		return 0
-	}
-	return size
-}
-
 func main() {
 	var (
 		inputs    = flag.Int("inputs", 14, "host primary inputs")
@@ -86,8 +76,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "cell worker count (0 = GOMAXPROCS)")
 		timeout   = flag.Duration("timeout", 0, "deadline for the whole grid (0 = none)")
 		retries   = flag.Int("retries", 0, "oracle transient-retry budget and attack mismatch re-query count (0 = defaults)")
-		portfolio = flag.Bool("portfolio", false, "race a portfolio of diversified SAT engines in the DIP-learning cells (shared encoding, exchanged learned clauses)")
-		portSize  = flag.Int("portfolio-size", engine.DefaultPortfolioSize, "portfolio member count (with -portfolio)")
 		satWidth  = flag.Int("sat-width-limit", 0, "largest block width attacked with the SAT engine in the DIP-learning cells (0 = auto-calibrate per instance)")
 		noise     = flag.Float64("noise", 0, "per-output-bit oracle flip rate injected into every cell (arms majority voting)")
 		trace     = flag.String("trace", "", "write a Chrome-trace JSON of the grid's attack spans here (open in Perfetto)")
@@ -102,7 +90,7 @@ func main() {
 		printRegistries(os.Stdout)
 		return
 	}
-	if *noise < 0 || *noise >= 1 || *timeout < 0 || *satWidth < 0 || *portSize < 1 {
+	if *noise < 0 || *noise >= 1 || *timeout < 0 || *satWidth < 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -164,7 +152,6 @@ func main() {
 		Retries:       *retries,
 		Telemetry:     tel,
 		SATWidthLimit: *satWidth,
-		Portfolio:     portfolioSize(*portfolio, *portSize),
 		Schemes:       splitList(*schemes),
 		Attacks:       splitList(*attacks),
 	})

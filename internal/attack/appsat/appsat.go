@@ -12,7 +12,7 @@
 // (internal/engine): the key-differential miter is encoded once, DIP and
 // reinforcement constraints live in an assumption-guarded session scope,
 // and learned clauses persist across the run (and across runs with a
-// warm Backend). Candidate keys are extracted lex-min, so they are a
+// warm engine). Candidate keys are extracted lex-min, so they are a
 // function of the constraint set alone, not of the solver's model choice.
 package appsat
 
@@ -45,8 +45,8 @@ type Options struct {
 	// Seed drives sampling.
 	Seed int64
 	// Backend, when non-nil, is the engine the attack drives (a warm
-	// pool entry or a portfolio); nil builds a fresh engine for the run.
-	Backend engine.Backend
+	// pool entry); nil builds a fresh engine for the run.
+	Backend *engine.Engine
 	// Context, when non-nil, bounds the run: solves are sliced
 	// against the deadline and cancellation is polled between slices.
 	Context context.Context

@@ -192,7 +192,7 @@ type GenericOptions struct {
 	Seed int64
 	// Backend, when non-nil, is the engine the attack drives; nil builds
 	// a fresh engine for the run.
-	Backend engine.Backend
+	Backend *engine.Engine
 	// Context, when non-nil, bounds the run.
 	Context context.Context
 	// Telemetry instruments the run (attack_* span + engine families).
@@ -215,7 +215,7 @@ func RunGeneric(locked *netlist.Circuit, orc oracle.Oracle, maxFixes int, seed i
 // exact circuit (verified by the caller). On high-corruptibility
 // schemes the fix budget blows up, which is the point.
 //
-// Witnesses come from the persistent engine (Backend.EnumerateWitnesses).
+// Witnesses come from the persistent engine (Engine.EnumerateWitnesses).
 // The witness *set* is determined by the circuit and the key pair, so the
 // bypass network depends on the engine only through enumeration order.
 func RunGenericOpts(locked *netlist.Circuit, orc oracle.Oracle, opts GenericOptions) (*Result, error) {

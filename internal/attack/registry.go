@@ -66,9 +66,6 @@ type Context struct {
 	Telemetry *telemetry.Registry
 	// SATWidthLimit pins the DIP-learning SAT/sim regime boundary.
 	SATWidthLimit int
-	// Portfolio, when > 0, races that many diversified engines in the
-	// DIP-learning attack.
-	Portfolio int
 }
 
 func (c *Context) context() context.Context {
@@ -338,7 +335,7 @@ func init() {
 		Run: func(c *Context) Outcome {
 			opts := core.Options{
 				Context: c.context(), Seed: c.Seed, MismatchRetries: c.Retries,
-				Telemetry: c.Telemetry, SATWidthLimit: c.SATWidthLimit, Portfolio: c.Portfolio,
+				Telemetry: c.Telemetry, SATWidthLimit: c.SATWidthLimit,
 			}
 			if c.MCAS {
 				res, err := core.RunMCAS(c.Locked, c.NewOracle(), opts)

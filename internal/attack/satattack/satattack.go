@@ -10,7 +10,7 @@
 // (internal/engine): the miter is encoded once, per-DIP IO constraints
 // live in an assumption-guarded scope, and learned clauses persist
 // across the whole run (and across runs, when the caller supplies a
-// warm Backend). On completion it extracts the lexicographically
+// warm engine). On completion it extracts the lexicographically
 // smallest correct key, a canonical representative independent of the
 // DIP sequence.
 package satattack
@@ -35,8 +35,8 @@ type Options struct {
 	// ConflictBudget bounds each individual SAT call (0 = unlimited).
 	ConflictBudget uint64
 	// Backend, when non-nil, is the engine the attack drives (a warm
-	// pool entry or a portfolio); nil builds a fresh engine for the run.
-	Backend engine.Backend
+	// pool entry); nil builds a fresh engine for the run.
+	Backend *engine.Engine
 	// Context, when non-nil, bounds the run: solves are sliced
 	// against the deadline and cancellation is polled between slices.
 	Context context.Context

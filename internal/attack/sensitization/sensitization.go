@@ -37,7 +37,7 @@ type Options struct {
 	Seed int64
 	// Backend, when non-nil, is the engine the attack drives; nil builds
 	// a fresh engine for the run.
-	Backend engine.Backend
+	Backend *engine.Engine
 	// Context, when non-nil, bounds the run.
 	Context context.Context
 	// Telemetry instruments the run (attack_* span + engine families).

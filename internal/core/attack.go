@@ -38,29 +38,15 @@ type Options struct {
 	// the historical rule: SAT for blocks up to that many inputs,
 	// simulation above.
 	SATWidthLimit int
-	// Portfolio, when > 0, replaces the single persistent engine with a
-	// racing portfolio of that many diversified members (distinct VSIDS
-	// decay, restart strategy, phase-saving polarity and decision-order
-	// seeds) sharing one miter encoding and exchanging short learned
-	// clauses. Every query races all members and the first definitive
-	// answer wins, so wall-clock tracks the luckiest configuration while
-	// results stay bit-identical to a single engine (enforced by the
-	// differential tests; see DESIGN.md §13). Ignored in the simulation
-	// regime, which has no persistent engine.
-	// engine.DefaultPortfolioSize is the conventional size for callers
-	// that only expose an on/off switch.
-	Portfolio int
 	// EnginePool, when non-nil together with EngineKey, reuses warm
-	// persistent backends across attacks: before building an engine the
-	// SAT extractor asks the pool for an idle backend parked under
-	// EngineKey, and when the attack finishes its backend is recycled
+	// persistent engines across attacks: before building an engine the
+	// SAT extractor asks the pool for an idle engine parked under
+	// EngineKey, and when the attack finishes its engine is recycled
 	// back into the pool — encoding, learned clauses and budgeter rate
 	// intact. EngineKey must uniquely identify the attacked netlist;
 	// canonical-serialization hashes (bench.Canonical) qualify, since
 	// equal canonical bytes pin the input/key orderings the engine's
-	// literal layout depends on. The pool key is additionally scoped by
-	// Portfolio, so differently sized configurations never exchange
-	// backends. Ignored in the simulation regime.
+	// literal layout depends on. Ignored in the simulation regime.
 	EnginePool *engine.Pool
 	// EngineKey scopes this attack's entries in EnginePool; empty
 	// disables pooling.
@@ -199,7 +185,7 @@ func Run(opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Park the warm backend when the attack ends, however it ends —
+		// Park the warm engine when the attack ends, however it ends —
 		// except through a panic, whose mid-solve state must not poison
 		// the next job. Only extractors this attack built are parked: a
 		// caller-supplied extractor still belongs to the caller.
@@ -209,9 +195,7 @@ func Run(opts Options) (*Result, error) {
 					panic(r)
 				}
 				if sx, ok := ext.(*SATExtractor); ok {
-					if b := sx.Backend(); b != nil {
-						opts.EnginePool.Put(key, b)
-					}
+					opts.EnginePool.Put(key, sx.Backend()) // nil (SAT never ran) is ignored
 				}
 			}()
 		}
@@ -227,9 +211,6 @@ func Run(opts Options) (*Result, error) {
 	}
 	if ta, ok := ext.(interface{ SetTelemetry(*telemetry.Registry) }); ok {
 		ta.SetTelemetry(opts.Telemetry)
-	}
-	if pa, ok := ext.(interface{ SetPortfolio(int) }); ok {
-		pa.SetPortfolio(opts.Portfolio)
 	}
 	if ea, ok := ext.(interface{ SetEvents(*events.Bus) }); ok {
 		ea.SetEvents(opts.Events)
@@ -293,7 +274,7 @@ type attack struct {
 	phaseAt   map[string]int64 // phase → enter timestamp (ms), event durations
 	evQueries uint64           // oracle queries since the last oracle_batch event
 
-	eng      engine.Backend // persistent engine/portfolio for SAT distinguishing
+	eng      *engine.Engine // persistent engine for SAT distinguishing
 	engTried bool
 
 	ck     *ckptState           // non-nil when a Checkpointer is armed
@@ -315,13 +296,13 @@ type attack struct {
 // an encoding plus a full UNSAT search (measured 20x slower on the
 // c880-profile Table-I row). The engine only wins where it is already
 // warm from SAT enumeration.
-func (a *attack) engine() engine.Backend {
+func (a *attack) engine() *engine.Engine {
 	if a.engTried {
 		return a.eng
 	}
 	a.engTried = true
 	if ea, ok := a.ext.(interface {
-		Engine() (engine.Backend, error)
+		Engine() (*engine.Engine, error)
 	}); ok {
 		eng, err := ea.Engine()
 		if err == nil {

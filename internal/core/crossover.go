@@ -63,44 +63,37 @@ func resetProbeMemo() { probeMemo = cache.NewLRU[string, string](64) }
 
 // probeMemoKey identifies a crossover decision's scope. Empty when the
 // netlist cannot be canonicalized (the attack will fail later anyway).
-// The portfolio size is part of the scope: probe timings against a
-// 3-member race do not transfer to a single engine (or vice versa), so
-// differently configured runs over the same instance probe separately.
 func probeMemoKey(opts *Options) string {
 	canon, err := bench.Canonical(opts.Locked)
 	if err != nil {
 		return ""
 	}
-	return cache.SumParts(canon) + "|w" + strconv.Itoa(opts.Workers) + "|p" + strconv.Itoa(opts.Portfolio)
+	return cache.SumParts(canon) + "|w" + strconv.Itoa(opts.Workers)
 }
 
-// newCalibratedSAT builds the SAT extractor configured per opts — the
-// portfolio setting must be armed before the probe builds the backend,
-// or the probe would race a different engine than the attack runs.
-// When a warm pool is configured, an idle backend parked under this
-// instance's key is adopted instead of building (and encoding) fresh.
+// newCalibratedSAT builds the SAT extractor for opts. When a warm pool
+// is configured, an idle engine parked under this instance's key is
+// adopted instead of building (and encoding) fresh.
 func newCalibratedSAT(opts *Options, layout *BlockLayout) (*SATExtractor, error) {
 	se, err := NewSATExtractor(opts.Locked, layout)
 	if err != nil {
 		return nil, err
 	}
-	se.SetPortfolio(opts.Portfolio)
 	if key := enginePoolKey(opts); key != "" {
-		if b := opts.EnginePool.Take(key); b != nil {
-			se.SetBackend(b)
+		if eng := opts.EnginePool.Take(key); eng != nil {
+			se.SetBackend(eng)
 		}
 	}
 	return se, nil
 }
 
-// enginePoolKey scopes warm-pool entries: the caller's netlist identity
-// (EngineKey) plus the portfolio size, so a single engine is never
-// handed to a portfolio run or vice versa. Empty when pooling is off.
+// enginePoolKey scopes warm-pool entries by the caller's netlist
+// identity (EngineKey). Empty when pooling is off.
 func enginePoolKey(opts *Options) string {
-	if opts.EnginePool == nil || opts.EngineKey == "" {
+	if opts.EnginePool == nil {
 		return ""
 	}
-	return opts.EngineKey + "|p" + strconv.Itoa(opts.Portfolio)
+	return opts.EngineKey
 }
 
 // crossoverCell names a crossover decision's scope for per-cell metric

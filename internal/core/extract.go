@@ -81,10 +81,9 @@ type SATExtractor struct {
 	ctx    context.Context     // nil = never cancelled
 	tel    *telemetry.Registry // nil = uninstrumented
 
-	portfolio int            // >0 = race a portfolio of this many engines
-	eng       engine.Backend // lazily built persistent backend
-	phase     string         // pending phase label, applied when eng is built
-	bus       *events.Bus    // nil = no lifecycle events
+	eng   *engine.Engine // lazily built persistent engine
+	phase string         // pending phase label, applied when eng is built
+	bus   *events.Bus    // nil = no lifecycle events
 
 	progress func(set *DIPSet, complete bool) // checkpoint hook; nil = disabled
 	seed     *DIPSet                          // resume seed, consumed by the next DIPs call
@@ -128,38 +127,28 @@ func (e *SATExtractor) SetTelemetry(r *telemetry.Registry) {
 	}
 }
 
-// SetPortfolio selects the racing-portfolio backend with n members
-// (0 = single engine). Must be chosen before the first extraction: once
-// the backend is built the setting is fixed for the extractor's
-// lifetime, so a late call is ignored.
-func (e *SATExtractor) SetPortfolio(n int) {
+// SetBackend injects a pre-built engine — the attack service's warm
+// pool hands back an already-encoded engine for a previously seen
+// netlist, skipping the Tseitin encode entirely. The injected engine
+// must have been built for the identical canonical netlist and layout;
+// the pool keys guarantee that. Ignored after the extractor has built
+// its own engine.
+func (e *SATExtractor) SetBackend(eng *engine.Engine) {
 	if e.eng == nil {
-		e.portfolio = n
+		e.adopt(eng)
 	}
 }
 
-// SetBackend injects a pre-built engine backend — the attack service's
-// warm pool hands back an already-encoded engine or portfolio for a
-// previously seen netlist, skipping the Tseitin encode entirely. The
-// injected backend must have been built for the identical canonical
-// netlist and layout; the pool keys guarantee that. Ignored after the
-// extractor has built its own backend.
-func (e *SATExtractor) SetBackend(b engine.Backend) {
-	if e.eng == nil {
-		e.adopt(b)
-	}
-}
-
-// adopt installs b as the extractor's backend and hands it the
+// adopt installs eng as the extractor's engine and hands it the
 // extractor's context, telemetry, event bus and pending phase label.
-func (e *SATExtractor) adopt(b engine.Backend) {
-	b.SetContext(e.ctx)
-	b.SetTelemetry(e.tel)
-	b.SetEvents(e.bus)
+func (e *SATExtractor) adopt(eng *engine.Engine) {
+	eng.SetContext(e.ctx)
+	eng.SetTelemetry(e.tel)
+	eng.SetEvents(e.bus)
 	if e.phase != "" {
-		b.SetPhase(e.phase)
+		eng.SetPhase(e.phase)
 	}
-	e.eng = b
+	e.eng = eng
 }
 
 // SetEvents attaches a lifecycle event bus, forwarded to the persistent
@@ -205,20 +194,13 @@ func (e *SATExtractor) takeSeed() *DIPSet {
 	return s
 }
 
-// Engine returns the persistent incremental backend — a single engine,
-// or a racing portfolio when SetPortfolio armed one — building it on
-// first use. The attack shares this backend for its SAT-based
-// candidate distinguishing, so verifier queries profit from the
-// clauses the enumeration phases learned.
-func (e *SATExtractor) Engine() (engine.Backend, error) {
+// Engine returns the persistent incremental engine, building it on
+// first use. The attack shares this engine for its SAT-based candidate
+// distinguishing, so verifier queries profit from the clauses the
+// enumeration phases learned.
+func (e *SATExtractor) Engine() (*engine.Engine, error) {
 	if e.eng == nil {
-		var eng engine.Backend
-		var err error
-		if e.portfolio > 0 {
-			eng, err = engine.NewPortfolio(e.locked, e.layout.InputPos, e.portfolio)
-		} else {
-			eng, err = engine.New(e.locked, e.layout.InputPos)
-		}
+		eng, err := engine.New(e.locked, e.layout.InputPos)
 		if err != nil {
 			return nil, err
 		}
@@ -227,11 +209,11 @@ func (e *SATExtractor) Engine() (engine.Backend, error) {
 	return e.eng, nil
 }
 
-// Backend returns the already-built backend, or nil. Unlike Engine it
+// Backend returns the already-built engine, or nil. Unlike Engine it
 // never triggers a build: the warm-pool put-back path uses it so an
 // attack that never touched SAT does not construct an engine just to
 // park it.
-func (e *SATExtractor) Backend() engine.Backend { return e.eng }
+func (e *SATExtractor) Backend() *engine.Engine { return e.eng }
 
 // DIPs implements Extractor. It runs an assumption-driven enumeration
 // session against the persistent engine: the key assignment becomes

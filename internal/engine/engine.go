@@ -58,12 +58,6 @@ type Engine struct {
 	tel   *telemetry.Registry // nil = uninstrumented
 	bus   *events.Bus         // nil = no lifecycle events
 	phase string
-	lane  int // trace lane for this engine's spans (portfolio members get their own)
-
-	// preSolve, when set, runs before every Solve call at decision
-	// level 0 — the portfolio drains shared-clause imports here, so
-	// foreign clauses only ever enter between solves.
-	preSolve func()
 
 	bud        budgeter
 	phaseStats map[string]sat.Stats
@@ -102,8 +96,27 @@ func New(locked *netlist.Circuit, blockPos []int) (*Engine, error) {
 		nKeys:        locked.NumKeys(),
 		bud:          newBudgeter(),
 		compactBytes: defaultCompactBytes,
-		lane:         telemetry.EngineLane,
 	}, nil
+}
+
+// Attach is the setup every classic attack shares: it returns eng, or a
+// fresh engine over locked when eng is nil, bound to ctx and tel (each
+// left as is when nil) and labelled with the attack's phase name.
+func Attach(eng *Engine, locked *netlist.Circuit, ctx context.Context, tel *telemetry.Registry, phase string) (*Engine, error) {
+	if eng == nil {
+		var err error
+		if eng, err = New(locked, nil); err != nil {
+			return nil, err
+		}
+	}
+	if ctx != nil {
+		eng.SetContext(ctx)
+	}
+	if tel != nil {
+		eng.SetTelemetry(tel)
+	}
+	eng.SetPhase(phase)
+	return eng, nil
 }
 
 // SetContext bounds subsequent queries: enumeration slices its Solve
@@ -145,9 +158,6 @@ func (e *Engine) Recycle() {
 	e.tel = nil
 	e.bus = nil
 	e.SetPhase("")
-	if e.solver != nil {
-		e.solver.SetInterrupt(nil)
-	}
 }
 
 // NumKeys returns the key width of one miter copy.
@@ -181,7 +191,7 @@ func (e *Engine) ensure() error {
 	if e.solver != nil {
 		return nil
 	}
-	sp := e.tel.StartSpanLane("engine_encode", e.lane)
+	sp := e.tel.StartSpanLane("engine_encode", telemetry.EngineLane)
 	defer sp.End()
 	solver := sat.New()
 	m, err := encodeKeyMiter(e.locked, solver)
@@ -266,7 +276,7 @@ func (e *Engine) beginSession(kind string) func() {
 		e.tel.Counter("engine_encodings_avoided_total").Inc()
 	}
 	e.sessions++
-	sp := e.tel.StartSpanLane(kind, e.lane)
+	sp := e.tel.StartSpanLane(kind, telemetry.EngineLane)
 	sp.SetArg("phase", e.phaseName())
 	base := e.solver.Stats()
 	return func() {
@@ -287,7 +297,6 @@ func (e *Engine) beginSession(kind string) func() {
 			BlockingPushed:  ps.BlockingPushed + d.BlockingPushed,
 			BlockingRetired: ps.BlockingRetired + d.BlockingRetired,
 			Simplified:      ps.Simplified + d.Simplified,
-			Imported:        ps.Imported + d.Imported,
 		}
 		if e.tel != nil {
 			e.tel.Counter("sat_conflicts_total").Add(d.Conflicts)
@@ -404,9 +413,6 @@ func (e *Engine) EnumerateDIPsSeeded(A, B []bool, seed func(yield func(pat uint6
 				return err
 			}
 		}
-		if e.preSolve != nil {
-			e.preSolve()
-		}
 		e.solver.ConflictBudget = e.bud.slice(e.ctx, e.solver.Stats().Conflicts)
 		switch e.solver.Solve(assume...) {
 		case sat.Unknown:
@@ -460,9 +466,9 @@ const (
 	// ReasonUnknownBudget: the conflict budget ran out; the pair is
 	// reported equivalent without a proof.
 	ReasonUnknownBudget DistinguishReason = "unknown_budget"
-	// ReasonUnknownCanceled: the solve was interrupted by context
-	// cancellation (e.g. a portfolio race already has a winner); the
-	// verdict carries no information.
+	// ReasonUnknownCanceled: the budget ran out after the attack's
+	// context was cancelled (deadline reached); the verdict carries no
+	// information.
 	ReasonUnknownCanceled DistinguishReason = "unknown_canceled"
 )
 
@@ -482,13 +488,6 @@ type DistinguishOutcome struct {
 	Equivalent bool
 	// Reason types the verdict.
 	Reason DistinguishReason
-	// Member is the portfolio member that produced the verdict
-	// (0 outside a portfolio).
-	Member int
-	// Disagreed is true when another portfolio member returned a
-	// conflicting definitive verdict — a soundness alarm, also counted
-	// in portfolio_disagreements_total.
-	Disagreed bool
 }
 
 // Distinguish searches for a primary-input pattern on which the locked
@@ -524,9 +523,6 @@ func (e *Engine) DistinguishEx(keyA, keyB []bool, budget uint64) (DistinguishOut
 	defer flush()
 	defer func() { e.solver.ConflictBudget = 0 }()
 
-	if e.preSolve != nil {
-		e.preSolve()
-	}
 	assume := e.keyAssumptions(e.assume[:0], keyA, keyB)
 	assume = append(assume, e.diff)
 	e.assume = assume
@@ -535,8 +531,8 @@ func (e *Engine) DistinguishEx(keyA, keyB []bool, budget uint64) (DistinguishOut
 	switch e.solver.Solve(assume...) {
 	case sat.Unknown:
 		if e.ctx != nil && e.ctx.Err() != nil {
-			// Canceled mid-solve (portfolio loser or deadline): not a
-			// budget starvation, don't alarm on it.
+			// Canceled by the deadline: not a budget starvation, don't
+			// alarm on it.
 			return DistinguishOutcome{Equivalent: true, Reason: ReasonUnknownCanceled}, nil
 		}
 		e.tel.Counter("engine_distinguish_unknown_total").Inc()
@@ -578,7 +574,7 @@ func (e *Engine) retireScope() {
 	if e.solver.RetiredBytes() < e.compactBytes {
 		return
 	}
-	sp := e.tel.StartSpanLane("engine_compact", e.lane)
+	sp := e.tel.StartSpanLane("engine_compact", telemetry.EngineLane)
 	removedBefore := e.solver.Stats().Simplified
 	e.solver.Simplify()
 	e.tel.Counter("engine_simplify_runs_total").Inc()

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/events"
 	"repro/internal/lock"
 	"repro/internal/miter"
 	"repro/internal/netlist"
@@ -145,6 +146,69 @@ func TestScopesIndependent(t *testing.T) {
 		if !again[p] {
 			t.Fatalf("re-enumeration lost pattern %b", p)
 		}
+	}
+}
+
+// TestEnumerateDIPsSeeded checks the checkpoint-resume path against
+// brute force: with half of the true DIP set replayed as seeds, no
+// seeded pattern is re-visited and the solver finds exactly the rest.
+// All trials share one engine, so each seeded session also runs on the
+// learned clauses and retired scopes of the sessions before it.
+func TestEnumerateDIPsSeeded(t *testing.T) {
+	locked := lockedInstance(t, 6, "A-O-2A", 3)
+	eng, err := New(locked, allInputs(locked))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(43))
+	nk := locked.NumKeys()
+	seededTrials := 0
+	for trial := 0; trial < 6; trial++ {
+		keyA, keyB := randomKey(rng, nk), randomKey(rng, nk)
+		want := bruteDIPs(t, locked, keyA, keyB)
+		if len(want) < 2 {
+			continue
+		}
+		seededTrials++
+		seeded := make(map[uint64]bool)
+		for p := range want {
+			if len(seeded) >= len(want)/2 {
+				break
+			}
+			seeded[p] = true
+		}
+		seedFn := func(yield func(pat uint64) bool) {
+			for p := range seeded {
+				if !yield(p) {
+					return
+				}
+			}
+		}
+		got := make(map[uint64]bool)
+		err := eng.EnumerateDIPsSeeded(keyA, keyB, seedFn, func(pat uint64) bool {
+			if seeded[pat] {
+				t.Fatalf("trial %d: seeded pattern %b re-visited", trial, pat)
+			}
+			if got[pat] {
+				t.Fatalf("trial %d: duplicate pattern %b", trial, pat)
+			}
+			got[pat] = true
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got)+len(seeded) != len(want) {
+			t.Fatalf("trial %d: %d found + %d seeded != %d true DIPs", trial, len(got), len(seeded), len(want))
+		}
+		for p := range got {
+			if !want[p] {
+				t.Fatalf("trial %d: %b is not a DIP", trial, p)
+			}
+		}
+	}
+	if seededTrials == 0 {
+		t.Fatal("no trial had enough DIPs to seed")
 	}
 }
 
@@ -339,5 +403,56 @@ func TestCompactBytesTrigger(t *testing.T) {
 	eng.SetCompactBytes(0) // ignored
 	if eng.compactBytes != 1 {
 		t.Fatal("SetCompactBytes(0) was not ignored")
+	}
+}
+
+// TestDistinguishUnknownObservable pins the budget-starvation path: a
+// one-conflict budget must produce ReasonUnknownBudget (never a silent
+// "proved"), increment engine_distinguish_unknown_total, and publish a
+// distinguish event with the reason.
+func TestDistinguishUnknownObservable(t *testing.T) {
+	locked := lockedInstance(t, 7, "2A-O-2A", 11)
+	eng, err := New(locked, allInputs(locked))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	bus := events.New(events.Options{})
+	eng.SetTelemetry(reg)
+	eng.SetEvents(bus)
+	rng := rand.New(rand.NewSource(53))
+	nk := locked.NumKeys()
+	var unknowns uint64
+	for trial := 0; trial < 6; trial++ {
+		keyA := randomKey(rng, nk)
+		out, err := eng.DistinguishEx(keyA, keyA, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch out.Reason {
+		case ReasonUnknownBudget:
+			unknowns++
+			if !out.Equivalent {
+				t.Fatal("unknown_budget must still report equivalent (Unknown-means-equivalent contract)")
+			}
+		case ReasonProved:
+		default:
+			t.Fatalf("trial %d: unexpected reason %q", trial, out.Reason)
+		}
+	}
+	if unknowns == 0 {
+		t.Skip("every 1-conflict solve completed; nothing to observe on this host")
+	}
+	if got := reg.Snapshot().Counters["engine_distinguish_unknown_total"]; got != unknowns {
+		t.Fatalf("engine_distinguish_unknown_total = %d, want %d", got, unknowns)
+	}
+	found := false
+	for _, ev := range bus.History(0) {
+		if ev.Type == events.TypeDistinguish && ev.Fields["reason"] == string(ReasonUnknownBudget) {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("no distinguish event with reason=unknown_budget on the bus")
 	}
 }

@@ -82,9 +82,6 @@ func (s *Session) SetConflictBudget(n uint64) { s.budget = n }
 func (s *Session) solve(assume []cnf.Lit) (sat.Status, error) {
 	e := s.e
 	if s.budget > 0 {
-		if e.preSolve != nil {
-			e.preSolve()
-		}
 		e.solver.ConflictBudget = s.budget
 		defer func() { e.solver.ConflictBudget = 0 }()
 		return e.solver.Solve(assume...), nil
@@ -163,13 +160,13 @@ func (s *Session) Constrain(in, out []bool) error {
 // ExtractKey returns the lexicographically smallest key satisfying the
 // accumulated constraints: once FindDIP returns Unsat, the satisfying
 // keys are exactly the functionally correct keys, so the lex-min one is
-// a canonical representative — independent of solver configuration,
-// clause persistence, portfolio membership, and of which DIP sequence
-// produced the constraints. This is what lets a portfolio and a single
-// engine return bit-identical keys even though their CDCL trajectories
-// differ, and what a brute-force enumeration of the correct keys can
-// check independently. Each bit costs one incremental solve on the already-solved
-// formula. Returns sat.Unknown when the budget expired mid-extraction.
+// a canonical representative — independent of clause persistence and
+// of which DIP sequence produced the constraints. This is what lets a
+// warm engine and a fresh one return bit-identical keys even though
+// their CDCL trajectories differ, and what a brute-force enumeration of
+// the correct keys can check independently. Each bit costs one
+// incremental solve on the already-solved formula. Returns sat.Unknown
+// when the budget expired mid-extraction.
 func (s *Session) ExtractKey() ([]bool, sat.Status, error) {
 	if s.closed {
 		return nil, sat.Unknown, fmt.Errorf("engine: session is closed")
@@ -237,9 +234,6 @@ func (e *Engine) solveSliced(assume []cnf.Lit) (sat.Status, error) {
 			if err := e.ctx.Err(); err != nil {
 				return sat.Unknown, err
 			}
-		}
-		if e.preSolve != nil {
-			e.preSolve()
 		}
 		e.solver.ConflictBudget = e.bud.slice(e.ctx, e.solver.Stats().Conflicts)
 		st := e.solver.Solve(assume...)

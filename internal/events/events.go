@@ -57,8 +57,7 @@ const (
 	// TypeDistinguish reports a distinguish verdict that is not a
 	// proof: Fields["reason"] is "unknown_budget" when the conflict
 	// budget ran out (the caller will treat the pair as equivalent
-	// without one), and "disagreement" when portfolio members returned
-	// conflicting definitive answers (a soundness alarm).
+	// without one).
 	TypeDistinguish Type = "distinguish"
 	// TypeProgress is the estimator's digest: Fraction, Phase, and
 	// ETAMillis are authoritative on this event type.

@@ -67,9 +67,6 @@ type MatrixOptions struct {
 	// cells; 0 auto-calibrates per instance (see
 	// core.Options.SATWidthLimit).
 	SATWidthLimit int
-	// Portfolio, when > 0, races a portfolio of that many diversified
-	// SAT engines in each cell (see core.Options.Portfolio).
-	Portfolio int
 	// Schemes restricts the rows to the named schemes (registry names or
 	// labels); empty means the full scheme registry.
 	Schemes []string
@@ -179,7 +176,6 @@ func RunMatrixOptions(mo MatrixOptions) ([]MatrixCell, error) {
 			NewOracle: func() oracle.Oracle { return mo.newOracle(h, seed^int64(idx)<<20) },
 			SATCap:    mo.SATCap, Seed: seed, Retries: mo.Retries,
 			Telemetry: mo.Telemetry, SATWidthLimit: mo.SATWidthLimit,
-			Portfolio: mo.Portfolio,
 		})
 		return MatrixCell{
 			Scheme: sch.Label, Attack: atk.Label,

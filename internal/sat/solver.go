@@ -44,9 +44,6 @@ type Stats struct {
 	BlockingRetired uint64
 	// Simplified counts clauses removed by Simplify (satisfied at level 0).
 	Simplified uint64
-	// Imported counts clauses added through ImportClause (portfolio
-	// clause sharing).
-	Imported uint64
 }
 
 // Diff returns the counter-wise difference s - prev; with prev a snapshot
@@ -64,7 +61,6 @@ func (s Stats) Diff(prev Stats) Stats {
 		BlockingPushed:  s.BlockingPushed - prev.BlockingPushed,
 		BlockingRetired: s.BlockingRetired - prev.BlockingRetired,
 		Simplified:      s.Simplified - prev.Simplified,
-		Imported:        s.Imported - prev.Imported,
 	}
 }
 
@@ -122,18 +118,6 @@ type Solver struct {
 	model      []lbool
 	solveBase  uint64 // stats.Conflicts at entry to the current Solve
 
-	// Diversification knobs (see Options); the defaults reproduce the
-	// classic configuration.
-	varDecay     float64
-	restart      RestartStrategy
-	polaritySeed uint64
-	orderSeed    uint64
-
-	interrupt  func() bool     // polled during search; true aborts with Unknown
-	learntHook func([]cnf.Lit) // clause-export hook (see SetLearntHook)
-	hookMaxVar int
-	hookMaxLen int
-
 	stats Stats
 }
 
@@ -144,7 +128,6 @@ func New() *Solver {
 		varInc:     1.0,
 		claInc:     1.0,
 		maxLearnts: 3000,
-		varDecay:   defaultVarDecay,
 	}
 }
 
@@ -175,8 +158,7 @@ func (s *Solver) NewVar() cnf.Lit {
 // the decision heap: the solver never branches on it, so it is assigned
 // only by assumptions or unit propagation. Activation and guard literals
 // use this so that wrapping a formula in scoped machinery cannot perturb
-// the branching order of the problem variables: the portfolio's and the
-// single engine's results stay comparable bit for bit.
+// the branching order of the problem variables.
 func (s *Solver) NewAuxVar() cnf.Lit {
 	v := s.newVarInternal()
 	s.aux[v] = true
@@ -194,13 +176,6 @@ func (s *Solver) newVarInternal() int {
 	s.level = append(s.level, 0)
 	s.seen = append(s.seen, 0)
 	s.watches = append(s.watches, nil, nil)
-	if s.polaritySeed != 0 {
-		s.polarity[v] = splitmix64(s.polaritySeed+uint64(v))&1 == 1
-	}
-	if s.orderSeed != 0 {
-		// Jitter below any real activity bump: shuffles only ties.
-		s.activity[v] = float64(splitmix64(s.orderSeed+uint64(v))>>11) / (1 << 53) * 1e-6
-	}
 	if s.order == nil {
 		s.order = newVarHeap(&s.activity)
 	}
@@ -439,8 +414,8 @@ func (s *Solver) bumpClause(c *clause) {
 }
 
 const (
-	defaultVarDecay = 1.0 / 0.95
-	clauseDecay     = 1.0 / 0.999
+	varDecay    = 1.0 / 0.95
+	clauseDecay = 1.0 / 0.999
 )
 
 // analyze performs 1UIP conflict analysis, returning the learnt clause
@@ -671,13 +646,8 @@ func (s *Solver) search(budget uint64) Status {
 				s.uncheckedEnqueue(learnt[0], c)
 				s.stats.Learned++
 			}
-			s.exportLearnt(learnt)
-			s.varInc *= s.varDecay
+			s.varInc *= varDecay
 			s.claInc *= clauseDecay
-			if s.interrupt != nil && conflicts&0xFF == 0 && s.interrupt() {
-				s.cancelUntil(0)
-				return Unknown
-			}
 			continue
 		}
 		if conflicts >= budget {
@@ -751,18 +721,10 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 
 	var restarts uint64
 	for {
-		if s.interrupt != nil && s.interrupt() {
-			return Unknown
-		}
 		if s.ConflictBudget > 0 && s.stats.Conflicts >= s.solveBase+s.ConflictBudget {
 			return Unknown
 		}
-		var budget uint64
-		if s.restart == RestartGeometric {
-			budget = geometricBudget(restarts)
-		} else {
-			budget = luby(restarts+1) * 100
-		}
+		budget := luby(restarts+1) * 100
 		if s.ConflictBudget > 0 {
 			if remaining := s.solveBase + s.ConflictBudget - s.stats.Conflicts; budget > remaining {
 				budget = remaining

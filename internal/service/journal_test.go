@@ -1,9 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -212,45 +215,79 @@ func TestJournalResumeFromCheckpoint(t *testing.T) {
 }
 
 // TestJournalRefusesRemovedOption: a request journaled with an option
-// this build no longer has — here a stand-in for the removed encoding
-// switch — replays as a typed attack_failed job instead of silently
-// running without the option.
+// this build no longer has — the removed "portfolio" field, and a
+// stand-in for any later removal — replays as a typed attack_failed job
+// instead of silently running without the option.
 func TestJournalRefusesRemovedOption(t *testing.T) {
-	dir := t.TempDir()
-	fx := makeFixture(t, 8, 3, 19)
-	req := AttackRequest{Locked: fx.locked, Oracle: fx.orig, Seed: 33}
-	hash, _ := hashFixture(t, req)
-	var fields map[string]any
-	if err := json.Unmarshal(mustMarshal(t, req), &fields); err != nil {
-		t.Fatal(err)
-	}
-	fields["removed_option"] = true
-	old, err := json.Marshal(fields)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jnl, _, err := openJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jnl.append(recSubmit, []byte("j-000011"), []byte(hash), old); err != nil {
-		t.Fatal(err)
-	}
-	jnl.close()
+	for _, removed := range []struct {
+		field string
+		value any
+	}{
+		{"removed_option", true},
+		{"portfolio", 3},
+	} {
+		t.Run(removed.field, func(t *testing.T) {
+			dir := t.TempDir()
+			fx := makeFixture(t, 8, 3, 19)
+			req := AttackRequest{Locked: fx.locked, Oracle: fx.orig, Seed: 33}
+			hash, _ := hashFixture(t, req)
+			old := marshalWith(t, req, removed.field, removed.value)
+			jnl, _, err := openJournal(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := jnl.append(recSubmit, []byte("j-000011"), []byte(hash), old); err != nil {
+				t.Fatal(err)
+			}
+			jnl.close()
 
-	s, reg := journalService(t, dir, Config{Workers: 1})
-	st, err := s.Get("j-000011")
+			s, reg := journalService(t, dir, Config{Workers: 1})
+			st, err := s.Get("j-000011")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != StateFailed || st.ErrorKind != KindAttackFailed {
+				t.Fatalf("replayed job = %s/%s (%s), want failed/%s", st.State, st.ErrorKind, st.Error, KindAttackFailed)
+			}
+			if !strings.Contains(st.Error, "no longer admissible") || !strings.Contains(st.Error, removed.field) {
+				t.Fatalf("error %q does not name the refused field", st.Error)
+			}
+			if got := reg.Counter("service_attack_runs_total").Value(); got != 0 {
+				t.Errorf("refused replay ran %d attacks, want 0", got)
+			}
+		})
+	}
+}
+
+// TestSubmitRefusesRemovedOption is the live counterpart: a POST
+// carrying the removed "portfolio" field is a 400 whose error names the
+// field, and no job is admitted.
+func TestSubmitRefusesRemovedOption(t *testing.T) {
+	fx := makeFixture(t, 8, 3, 19)
+	s, reg := newTestService(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	body := marshalWith(t, AttackRequest{Locked: fx.locked, Oracle: fx.orig, Seed: 33}, "portfolio", 3)
+	resp, err := http.Post(ts.URL+"/v1/attacks", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != StateFailed || st.ErrorKind != KindAttackFailed {
-		t.Fatalf("replayed job = %s/%s (%s), want failed/%s", st.State, st.ErrorKind, st.Error, KindAttackFailed)
+	defer resp.Body.Close()
+	var refusal errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&refusal); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(st.Error, "no longer admissible") || !strings.Contains(st.Error, "removed_option") {
-		t.Fatalf("error %q does not name the refused field", st.Error)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d (%q), want %d", resp.StatusCode, refusal.Error, http.StatusBadRequest)
+	}
+	if !strings.Contains(refusal.Error, "portfolio") {
+		t.Fatalf("error %q does not name the refused field", refusal.Error)
+	}
+	if n := len(s.List()); n != 0 {
+		t.Fatalf("refused request admitted %d jobs", n)
 	}
 	if got := reg.Counter("service_attack_runs_total").Value(); got != 0 {
-		t.Errorf("refused replay ran %d attacks, want 0", got)
+		t.Errorf("refused request ran %d attacks, want 0", got)
 	}
 }
 
@@ -367,6 +404,22 @@ func assertCorrectKey(t *testing.T, fx fixture, key string) {
 	if !fx.inst.IsCorrectCASKey(bits) {
 		t.Fatalf("recovered key %s is not correct for the instance", key)
 	}
+}
+
+// marshalWith encodes req with one extra top-level field — a request
+// as an older build that still had the field would have written it.
+func marshalWith(t *testing.T, req AttackRequest, field string, value any) []byte {
+	t.Helper()
+	var fields map[string]any
+	if err := json.Unmarshal(mustMarshal(t, req), &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields[field] = value
+	data, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 func mustMarshal(t *testing.T, req AttackRequest) []byte {

@@ -71,13 +71,12 @@ type Config struct {
 	// ones re-admitted, resuming from their latest checkpoint. Empty
 	// disables durability (the pre-journal in-memory behavior).
 	JournalDir string
-	// WarmEngines, when > 0, keeps up to that many idle SAT backends
-	// (engines or portfolios) warm across jobs in an LRU pool keyed by
-	// the canonical hashes of both netlists plus the portfolio size: a
-	// repeat attack over the same instance adopts a parked backend —
-	// encoding, learned clauses and budgeter rate intact — instead of
-	// re-encoding from scratch. Jobs over distinct netlists never share
-	// members. 0 disables the pool.
+	// WarmEngines, when > 0, keeps up to that many idle SAT engines warm
+	// across jobs in an LRU pool keyed by the canonical hashes of both
+	// netlists: a repeat attack over the same instance adopts a parked
+	// engine — encoding, learned clauses and budgeter rate intact —
+	// instead of re-encoding from scratch. Jobs over distinct netlists
+	// never share engines. 0 disables the pool.
 	WarmEngines int
 }
 
@@ -103,12 +102,6 @@ type AttackRequest struct {
 	Retries int `json:"retries,omitempty"`
 	// SATWidthLimit overrides the SAT/simulation engine crossover.
 	SATWidthLimit int `json:"sat_width_limit,omitempty"`
-	// Portfolio, when > 0, races a portfolio of that many diversified
-	// SAT engines for this job (see core.Options.Portfolio). Part of the
-	// cache key: results are bit-identical by contract, but the knob
-	// exists to compare engine configurations, so runs must not alias in
-	// the cache.
-	Portfolio int `json:"portfolio,omitempty"`
 	// TimeoutMS bounds the attack; expiry yields a partial outcome.
 	// Not part of the cache key (a budget, not a problem statement).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -509,8 +502,8 @@ func hashRequest(p *parsedRequest) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	opts := fmt.Sprintf("v5 attack=%s mcas=%t seed=%d retries=%d satwidth=%d portfolio=%d",
-		p.req.Attack, p.req.MCAS, p.req.Seed, p.req.Retries, p.req.SATWidthLimit, p.req.Portfolio)
+	opts := fmt.Sprintf("v6 attack=%s mcas=%t seed=%d retries=%d satwidth=%d",
+		p.req.Attack, p.req.MCAS, p.req.Seed, p.req.Retries, p.req.SATWidthLimit)
 	return cache.SumParts(lockedBytes, origBytes, []byte(opts)), nil
 }
 
@@ -534,7 +527,7 @@ func (s *Service) validate(req AttackRequest) (*parsedRequest, error) {
 	if strings.TrimSpace(req.Locked) == "" || strings.TrimSpace(req.Oracle) == "" {
 		return nil, errInvalid("locked and oracle netlists are required")
 	}
-	if req.Retries < 0 || req.SATWidthLimit < 0 || req.Workers < 0 || req.TimeoutMS < 0 || req.Portfolio < 0 {
+	if req.Retries < 0 || req.SATWidthLimit < 0 || req.Workers < 0 || req.TimeoutMS < 0 {
 		return nil, errInvalid("negative option values")
 	}
 	attackName := req.Attack
@@ -1060,7 +1053,6 @@ func (s *Service) runProtected(exec *execution) (out *outcome) {
 		Seed:            req.Seed,
 		MismatchRetries: req.Retries,
 		SATWidthLimit:   req.SATWidthLimit,
-		Portfolio:       req.Portfolio,
 		Workers:         req.Workers,
 		Telemetry:       exec.tel,
 		Events:          exec.bus,
@@ -1102,9 +1094,9 @@ func (s *Service) runProtected(exec *execution) (out *outcome) {
 }
 
 // warmKey scopes a job's warm-pool entries. Canonical hashes of BOTH
-// netlists: the backend's literal layout only depends on the locked
+// netlists: the engine's literal layout only depends on the locked
 // circuit, but keying the oracle too keeps jobs against different
-// oracles on fresh members (conservative isolation, and the property
+// oracles on fresh engines (conservative isolation, and the property
 // the pool regression test pins). The MCAS flag is included because
 // the mirrored pipeline attacks the SPS-stripped inner circuit, not
 // the submitted one. Empty (no pooling) when canonicalization fails —

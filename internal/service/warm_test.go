@@ -25,7 +25,7 @@ func checkJobKey(t *testing.T, s *Service, j *Job, f fixture, label string) {
 // TestWarmEnginePoolReuse runs two jobs over the same netlists (the
 // seeds differ, so the result cache cannot answer the second) against a
 // warm-engine service and checks the second adopts the first's parked
-// backend: one pool miss, then one pool hit, with both keys correct and
+// engine: one pool miss, then one pool hit, with both keys correct and
 // identical.
 func TestWarmEnginePoolReuse(t *testing.T) {
 	f := makeFixture(t, 8, 4, 1)
@@ -47,7 +47,7 @@ func TestWarmEnginePoolReuse(t *testing.T) {
 			snap.Counters["engine_pool_misses_total"], snap.Counters["engine_pool_hits_total"])
 	}
 	if s.warm.Len() != 1 {
-		t.Fatalf("pool holds %d backends after job 1, want 1", s.warm.Len())
+		t.Fatalf("pool holds %d engines after job 1, want 1", s.warm.Len())
 	}
 
 	req.Seed = 8 // different cache hash, same warm-pool key
@@ -62,10 +62,10 @@ func TestWarmEnginePoolReuse(t *testing.T) {
 	checkJobKey(t, s, j2, f, "job 2")
 	snap = reg.Snapshot()
 	if snap.Counters["engine_pool_hits_total"] != 1 {
-		t.Fatalf("after job 2: hits %d, want 1 (warm backend not adopted)", snap.Counters["engine_pool_hits_total"])
+		t.Fatalf("after job 2: hits %d, want 1 (warm engine not adopted)", snap.Counters["engine_pool_hits_total"])
 	}
 	if s.warm.Len() != 1 {
-		t.Fatalf("pool holds %d backends after job 2, want 1 (parked back)", s.warm.Len())
+		t.Fatalf("pool holds %d engines after job 2, want 1 (parked back)", s.warm.Len())
 	}
 
 	// A job over distinct netlists must get fresh members, not someone
@@ -89,11 +89,10 @@ func TestWarmEnginePoolReuse(t *testing.T) {
 
 // TestWarmKeyOracleIsolation pins the pool-key scope directly: the same
 // locked netlist under a different oracle, or under the MCAS pipeline,
-// must never share pool entries (the portfolio-size scope is appended
-// by core's enginePoolKey on top of this key). The oracle clause is the
-// regression the warm pool shipped with — the backend's state only
-// depends on the locked circuit, but jobs against distinct oracles stay
-// on fresh members by design.
+// must never share pool entries. The oracle clause is the regression
+// the warm pool shipped with — the engine's state only depends on the
+// locked circuit, but jobs against distinct oracles stay on fresh
+// engines by design.
 func TestWarmKeyOracleIsolation(t *testing.T) {
 	f := makeFixture(t, 8, 4, 1)
 	f2 := makeFixture(t, 8, 4, 5) // same arity: its oracle is admissible for f.locked
