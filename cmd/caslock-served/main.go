@@ -50,11 +50,10 @@ func main() {
 		maxTimeout = flag.Duration("max-timeout", 10*time.Minute, "cap (and default) for per-job attack deadlines (0 = none)")
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof/ on this address (e.g. :6060)")
 		journalDir = flag.String("journal-dir", "", "durability directory: WAL-journal every job and replay it on boot (empty = in-memory only)")
-		warmEng    = flag.Int("warm-engines", 0, "keep up to this many idle SAT engines warm across jobs over the same netlists (0 = off)")
 		quiet      = flag.Bool("quiet", false, "suppress per-job log lines")
 	)
 	flag.Parse()
-	if *workers < 1 || *queueDepth < 1 || *maxTimeout < 0 || *warmEng < 0 || flag.NArg() != 0 {
+	if *workers < 1 || *queueDepth < 1 || *maxTimeout < 0 || flag.NArg() != 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -75,7 +74,6 @@ func main() {
 		Registry:       reg,
 		Log:            logf,
 		JournalDir:     *journalDir,
-		WarmEngines:    *warmEng,
 	})
 	if err != nil {
 		logger.Fatalf("service: %v", err)

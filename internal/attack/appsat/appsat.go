@@ -11,9 +11,9 @@
 // The attack runs on the persistent incremental-SAT engine
 // (internal/engine): the key-differential miter is encoded once, DIP and
 // reinforcement constraints live in an assumption-guarded session scope,
-// and learned clauses persist across the run (and across runs with a
-// warm engine). Candidate keys are extracted lex-min, so they are a
-// function of the constraint set alone, not of the solver's model choice.
+// and learned clauses persist across the run. Candidate keys are
+// extracted lex-min, so they are a function of the constraint set alone,
+// not of the solver's model choice.
 package appsat
 
 import (
@@ -44,9 +44,6 @@ type Options struct {
 	MaxIterations int
 	// Seed drives sampling.
 	Seed int64
-	// Backend, when non-nil, is the engine the attack drives (a warm
-	// pool entry); nil builds a fresh engine for the run.
-	Backend *engine.Engine
 	// Context, when non-nil, bounds the run: solves are sliced
 	// against the deadline and cancellation is polled between slices.
 	Context context.Context
@@ -86,7 +83,7 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 	}
 	sp := opts.Telemetry.StartSpan("attack_appsat")
 	defer sp.End()
-	be, err := engine.Attach(opts.Backend, locked, opts.Context, opts.Telemetry, "appsat")
+	be, err := engine.Attach(locked, opts.Context, opts.Telemetry, "appsat")
 	if err != nil {
 		return nil, err
 	}

@@ -190,9 +190,6 @@ type GenericOptions struct {
 	MaxFixes int
 	// Seed draws the two wrong keys.
 	Seed int64
-	// Backend, when non-nil, is the engine the attack drives; nil builds
-	// a fresh engine for the run.
-	Backend *engine.Engine
 	// Context, when non-nil, bounds the run.
 	Context context.Context
 	// Telemetry instruments the run (attack_* span + engine families).
@@ -241,7 +238,7 @@ func RunGenericOpts(locked *netlist.Circuit, orc oracle.Oracle, opts GenericOpti
 	if err != nil {
 		return nil, err
 	}
-	be, err := engine.Attach(opts.Backend, locked, opts.Context, opts.Telemetry, "bypass")
+	be, err := engine.Attach(locked, opts.Context, opts.Telemetry, "bypass")
 	if err != nil {
 		return nil, err
 	}

@@ -9,8 +9,7 @@
 // The attack runs on the persistent incremental-SAT engine
 // (internal/engine): the miter is encoded once, per-DIP IO constraints
 // live in an assumption-guarded scope, and learned clauses persist
-// across the whole run (and across runs, when the caller supplies a
-// warm engine). On completion it extracts the lexicographically
+// across the whole run. On completion it extracts the lexicographically
 // smallest correct key, a canonical representative independent of the
 // DIP sequence.
 package satattack
@@ -34,9 +33,6 @@ type Options struct {
 	MaxIterations int
 	// ConflictBudget bounds each individual SAT call (0 = unlimited).
 	ConflictBudget uint64
-	// Backend, when non-nil, is the engine the attack drives (a warm
-	// pool entry); nil builds a fresh engine for the run.
-	Backend *engine.Engine
 	// Context, when non-nil, bounds the run: solves are sliced
 	// against the deadline and cancellation is polled between slices.
 	Context context.Context
@@ -68,7 +64,7 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 	}
 	sp := opts.Telemetry.StartSpan("attack_satattack")
 	defer sp.End()
-	be, err := engine.Attach(opts.Backend, locked, opts.Context, opts.Telemetry, "satattack")
+	be, err := engine.Attach(locked, opts.Context, opts.Telemetry, "satattack")
 	if err != nil {
 		return nil, err
 	}

@@ -35,9 +35,6 @@ type Options struct {
 	MuteSamples int
 	// Seed drives sampling.
 	Seed int64
-	// Backend, when non-nil, is the engine the attack drives; nil builds
-	// a fresh engine for the run.
-	Backend *engine.Engine
 	// Context, when non-nil, bounds the run.
 	Context context.Context
 	// Telemetry instruments the run (attack_* span + engine families).
@@ -80,7 +77,7 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 	}
 	res := &Result{Known: make([]bool, nk), Key: make([]bool, nk)}
 
-	be, err := engine.Attach(opts.Backend, locked, opts.Context, opts.Telemetry, "sensitization")
+	be, err := engine.Attach(locked, opts.Context, opts.Telemetry, "sensitization")
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,8 @@
 // Package cache is the attack service's memoization layer: a generic
-// bounded LRU (also backing the SAT extractor's miter-encoding memo), a
-// content-addressed result store keyed by SHA-256 digests of canonical
-// serializations, and a reference-counted singleflight group that
-// collapses identical in-flight computations onto one execution.
+// bounded LRU, which the service uses as its content-addressed result
+// store keyed by SHA-256 digests of canonical serializations, and a
+// reference-counted singleflight group that collapses identical
+// in-flight computations onto one execution.
 //
 // Everything here is dependency-free and safe for concurrent use; the
 // singleflight Flight additionally carries a cancel hook so that an
@@ -91,28 +91,6 @@ func (c *LRU[K, V]) Len() int {
 	defer c.mu.Unlock()
 	return c.l.Len()
 }
-
-// Store is a content-addressed store: a bounded LRU from digest keys
-// (as produced by SumParts) to completed values. It is the "have we
-// already solved this exact problem" half of the service cache; the
-// in-flight half is Group.
-type Store[V any] struct {
-	lru *LRU[string, V]
-}
-
-// NewStore returns a Store holding at most capacity entries.
-func NewStore[V any](capacity int) *Store[V] {
-	return &Store[V]{lru: NewLRU[string, V](capacity)}
-}
-
-// Lookup returns the value stored under the digest key.
-func (s *Store[V]) Lookup(key string) (V, bool) { return s.lru.Get(key) }
-
-// Put stores a completed value under the digest key.
-func (s *Store[V]) Put(key string, v V) { s.lru.Put(key, v) }
-
-// Len returns the number of cached values.
-func (s *Store[V]) Len() int { return s.lru.Len() }
 
 // Group collapses concurrent computations of the same key onto a single
 // Flight. Unlike the classic singleflight, joiners are reference

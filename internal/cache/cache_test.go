@@ -25,6 +25,9 @@ func TestSumPartsBoundaries(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	l := NewLRU[int, string](2)
+	if _, ok := l.Get(1); ok {
+		t.Fatal("empty LRU hit")
+	}
 	l.Put(1, "a")
 	l.Put(2, "b")
 	if _, ok := l.Get(1); !ok { // touch 1: 2 becomes LRU
@@ -59,14 +62,21 @@ func TestLRUUnbounded(t *testing.T) {
 	}
 }
 
+// TestStore exercises the LRU in its role as the content-addressed
+// result store: keys are SumParts digests, so equal inputs hit and
+// distinct inputs miss.
 func TestStore(t *testing.T) {
-	s := NewStore[int](4)
-	if _, ok := s.Lookup("x"); ok {
+	s := NewLRU[string, int](4)
+	key := SumParts([]byte("locked"), []byte("oracle"))
+	if _, ok := s.Get(key); ok {
 		t.Fatal("empty store hit")
 	}
-	s.Put("x", 7)
-	if v, ok := s.Lookup("x"); !ok || v != 7 {
-		t.Fatalf("x = %d,%v", v, ok)
+	s.Put(key, 7)
+	if v, ok := s.Get(SumParts([]byte("locked"), []byte("oracle"))); !ok || v != 7 {
+		t.Fatalf("stored value = %d,%v", v, ok)
+	}
+	if _, ok := s.Get(SumParts([]byte("lockedoracle"))); ok {
+		t.Fatal("distinct parts share a digest")
 	}
 }
 

@@ -38,19 +38,6 @@ type Options struct {
 	// the historical rule: SAT for blocks up to that many inputs,
 	// simulation above.
 	SATWidthLimit int
-	// EnginePool, when non-nil together with EngineKey, reuses warm
-	// persistent engines across attacks: before building an engine the
-	// SAT extractor asks the pool for an idle engine parked under
-	// EngineKey, and when the attack finishes its engine is recycled
-	// back into the pool — encoding, learned clauses and budgeter rate
-	// intact. EngineKey must uniquely identify the attacked netlist;
-	// canonical-serialization hashes (bench.Canonical) qualify, since
-	// equal canonical bytes pin the input/key orderings the engine's
-	// literal layout depends on. Ignored in the simulation regime.
-	EnginePool *engine.Pool
-	// EngineKey scopes this attack's entries in EnginePool; empty
-	// disables pooling.
-	EngineKey string
 	// MaxCalibrations caps the Algorithm-2 brute-force loop over the
 	// calibration block's upper key bits (default 1<<20).
 	MaxCalibrations uint64
@@ -178,28 +165,19 @@ func Run(opts Options) (*Result, error) {
 	root := opts.Telemetry.StartSpan("attack")
 	defer root.End()
 
-	ext := opts.Extractor
-	if ext == nil {
-		var err error
-		ext, err = chooseExtractor(ctx, &opts, layout, root)
-		if err != nil {
+	sim, err := netlist.NewSimulator(opts.Locked)
+	if err != nil {
+		return nil, err
+	}
+	a := &attack{opts: opts, layout: layout, ext: opts.Extractor, ctx: ctx, sim: sim,
+		tel: opts.Telemetry, root: root, bus: opts.Events,
+		rng: rand.New(rand.NewSource(opts.Seed ^ 0x5eed))}
+	if a.ext == nil {
+		if a.ext, err = a.chooseExtractor(); err != nil {
 			return nil, err
 		}
-		// Park the warm engine when the attack ends, however it ends —
-		// except through a panic, whose mid-solve state must not poison
-		// the next job. Only extractors this attack built are parked: a
-		// caller-supplied extractor still belongs to the caller.
-		if key := enginePoolKey(&opts); key != "" {
-			defer func() {
-				if r := recover(); r != nil {
-					panic(r)
-				}
-				if sx, ok := ext.(*SATExtractor); ok {
-					opts.EnginePool.Put(key, sx.Backend()) // nil (SAT never ran) is ignored
-				}
-			}()
-		}
 	}
+	ext := a.ext
 
 	// Extractors that understand cancellation get the attack's context;
 	// a caller-supplied extractor may opt in by implementing the same
@@ -215,13 +193,6 @@ func Run(opts Options) (*Result, error) {
 	if ea, ok := ext.(interface{ SetEvents(*events.Bus) }); ok {
 		ea.SetEvents(opts.Events)
 	}
-	sim, err := netlist.NewSimulator(opts.Locked)
-	if err != nil {
-		return nil, err
-	}
-	a := &attack{opts: opts, layout: layout, ext: ext, ctx: ctx, sim: sim,
-		tel: opts.Telemetry, root: root, bus: opts.Events,
-		rng: rand.New(rand.NewSource(opts.Seed ^ 0x5eed))}
 	a.cQueries = opts.Telemetry.Counter("attack_oracle_queries_total")
 	a.cCandidates = opts.Telemetry.Counter("attack_candidates_total")
 	a.cCalibrations = opts.Telemetry.Counter("attack_calibrations_total")

@@ -3,11 +3,8 @@ package core
 import (
 	"context"
 	"strconv"
-	"strings"
 	"time"
 
-	"repro/internal/bench"
-	"repro/internal/cache"
 	"repro/internal/events"
 	"repro/internal/netlist"
 	"repro/internal/telemetry"
@@ -48,73 +45,6 @@ const (
 	crossoverMaxProbeDIPs = 1 << 16
 )
 
-// probeMemo remembers probe-decided crossover outcomes ("sat" or "sim")
-// keyed by canonical netlist hash and worker count. Benchmark sweeps and
-// the attack service run many attacks over the same locked instance;
-// the probe's answer is a property of the instance, not the run, so
-// repeat attacks skip the calibration cost entirely. Only outcomes the
-// SAT-vs-sim race actually decided are memoized — structural shortcuts
-// (beyond-sat-cap, sim-floor, *-unavailable) are already cheap and may
-// depend on transient conditions.
-var probeMemo = cache.NewLRU[string, string](64)
-
-// resetProbeMemo clears the memo; tests use it to force a fresh probe.
-func resetProbeMemo() { probeMemo = cache.NewLRU[string, string](64) }
-
-// probeMemoKey identifies a crossover decision's scope. Empty when the
-// netlist cannot be canonicalized (the attack will fail later anyway).
-func probeMemoKey(opts *Options) string {
-	canon, err := bench.Canonical(opts.Locked)
-	if err != nil {
-		return ""
-	}
-	return cache.SumParts(canon) + "|w" + strconv.Itoa(opts.Workers)
-}
-
-// newCalibratedSAT builds the SAT extractor for opts. When a warm pool
-// is configured, an idle engine parked under this instance's key is
-// adopted instead of building (and encoding) fresh.
-func newCalibratedSAT(opts *Options, layout *BlockLayout) (*SATExtractor, error) {
-	se, err := NewSATExtractor(opts.Locked, layout)
-	if err != nil {
-		return nil, err
-	}
-	if key := enginePoolKey(opts); key != "" {
-		if eng := opts.EnginePool.Take(key); eng != nil {
-			se.SetBackend(eng)
-		}
-	}
-	return se, nil
-}
-
-// enginePoolKey scopes warm-pool entries by the caller's netlist
-// identity (EngineKey). Empty when pooling is off.
-func enginePoolKey(opts *Options) string {
-	if opts.EnginePool == nil {
-		return ""
-	}
-	return opts.EngineKey
-}
-
-// crossoverCell names a crossover decision's scope for per-cell metric
-// mirrors: the canonical-hash prefix of the instance plus its block
-// width. Per-process gauges like crossover_sim_probe_ns record only the
-// last decision, which self-overwrites across a lockbench matrix run;
-// the labeled mirrors keep every cell's probe evidence visible at once.
-func crossoverCell(memoKey string, n int) string {
-	if memoKey == "" {
-		return ""
-	}
-	h := memoKey
-	if i := strings.IndexByte(h, '|'); i >= 0 {
-		h = h[:i]
-	}
-	if len(h) > 12 {
-		h = h[:12]
-	}
-	return h + "/n" + strconv.Itoa(n)
-}
-
 // lemma1Assign is the attack's first-hypothesis pair assignment (copy A
 // carries key 1 on block 1, copy B all zeros) — the probe measures the
 // exact workload the enumerate phase runs first.
@@ -141,14 +71,14 @@ func newCalibratedSim(opts *Options, layout *BlockLayout) (*SimExtractor, error)
 // to that width, simulation above); otherwise a per-instance calibration
 // probe picks the cheaper engine empirically. The decision, both probe
 // costs, and the block width land in crossover_* metrics, and the
-// probe runs under a "calibrate" child span of root.
-func chooseExtractor(ctx context.Context, opts *Options, layout *BlockLayout, root *telemetry.Span) (Extractor, error) {
-	tel := opts.Telemetry
+// probe runs as the "calibrate" phase under the attack's root span.
+func (a *attack) chooseExtractor() (Extractor, error) {
+	opts, layout, tel := &a.opts, a.layout, a.tel
 	n := layout.N()
 	// publish mirrors every decision onto the event bus (one event per
 	// attack; the estimator reads sim_est_ns as the expected walk cost).
 	publish := func(engine, reason string, simEst, satNs time.Duration) {
-		if opts.Events == nil {
+		if a.bus == nil {
 			return
 		}
 		f := map[string]string{
@@ -162,64 +92,22 @@ func chooseExtractor(ctx context.Context, opts *Options, layout *BlockLayout, ro
 		if satNs > 0 {
 			f["sat_probe_ns"] = strconv.FormatInt(int64(satNs), 10)
 		}
-		opts.Events.Publish(events.Event{Type: events.TypeCrossover, Phase: "calibrate", Fields: f})
+		a.bus.Publish(events.Event{Type: events.TypeCrossover, Phase: "calibrate", Fields: f})
 	}
 	if opts.SATWidthLimit > 0 {
 		tel.Counter("crossover_pinned_total").Inc()
 		if n <= opts.SATWidthLimit {
 			publish("sat", "pinned", 0, 0)
-			return newCalibratedSAT(opts, layout)
+			return NewSATExtractor(opts.Locked, layout)
 		}
 		publish("sim", "pinned", 0, 0)
 		return newCalibratedSim(opts, layout)
 	}
 
-	memoKey := probeMemoKey(opts)
-	cell := crossoverCell(memoKey, n)
-	// setGauge mirrors each probe gauge per lockbench cell alongside the
-	// process-wide last-decision value.
-	setGauge := func(name string, v int64) {
-		tel.Gauge(name).Set(v)
-		if cell != "" {
-			tel.Gauge(telemetry.Label(name, "cell", cell)).Set(v)
-		}
-	}
-	if memoKey != "" {
-		if engine, ok := probeMemo.Get(memoKey); ok {
-			var ext Extractor
-			var err error
-			if engine == "sat" {
-				ext, err = newCalibratedSAT(opts, layout)
-			} else {
-				ext, err = newCalibratedSim(opts, layout)
-			}
-			if err == nil {
-				tel.Counter("crossover_probe_reused_total").Inc()
-				setGauge("crossover_block_width", int64(n))
-				sp := root.Child("calibrate")
-				sp.SetArg("engine", engine)
-				sp.SetArg("reason", "probe-reused")
-				d := sp.End()
-				tel.Histogram(telemetry.Label("attack_phase_seconds", "phase", "calibrate"),
-					telemetry.DurationBuckets).Observe(d.Seconds())
-				tel.Counter(telemetry.Label("crossover_selected_total", "engine", engine)).Inc()
-				publish(engine, "probe-reused", 0, 0)
-				return ext, nil
-			}
-			// The remembered engine cannot be built in this process (e.g.
-			// the sim extractor's worker planning rejected the config);
-			// fall through and probe fresh.
-		}
-	}
-
 	tel.Counter("crossover_probes_total").Inc()
-	setGauge("crossover_block_width", int64(n))
-	sp := root.Child("calibrate")
-	defer func() {
-		d := sp.End()
-		tel.Histogram(telemetry.Label("attack_phase_seconds", "phase", "calibrate"),
-			telemetry.DurationBuckets).Observe(d.Seconds())
-	}()
+	tel.Gauge("crossover_block_width").Set(int64(n))
+	sp := a.startPhase(a.root, "calibrate")
+	defer a.endPhase(sp, "calibrate")
 	var simEst, satNs time.Duration
 	pick := func(engine, reason string, ext Extractor) Extractor {
 		sp.SetArg("engine", engine)
@@ -236,7 +124,7 @@ func chooseExtractor(ctx context.Context, opts *Options, layout *BlockLayout, ro
 			// at 30 chain inputs).
 			return nil, simErr
 		}
-		satExt, err := newCalibratedSAT(opts, layout)
+		satExt, err := NewSATExtractor(opts.Locked, layout)
 		if err != nil {
 			return nil, err
 		}
@@ -268,7 +156,7 @@ func chooseExtractor(ctx context.Context, opts *Options, layout *BlockLayout, ro
 		perBatch = 1
 	}
 	simEst = perBatch * time.Duration(nBatches) / time.Duration(se.shardPlan(nBatches))
-	setGauge("crossover_sim_probe_ns", int64(simEst))
+	tel.Gauge("crossover_sim_probe_ns").Set(int64(simEst))
 	sp.SetArg("sim_est_ns", strconv.FormatInt(int64(simEst), 10))
 	if simEst <= crossoverSimFloor {
 		return pick("sim", "sim-floor", se), nil
@@ -277,7 +165,7 @@ func chooseExtractor(ctx context.Context, opts *Options, layout *BlockLayout, ro
 	// SAT probe: give the persistent engine a deadline equal to the sim
 	// estimate (capped) and let it race the same enumeration. The
 	// engine's budgeter slices its Solve calls against that deadline.
-	satExt, err := newCalibratedSAT(opts, layout)
+	satExt, err := NewSATExtractor(opts.Locked, layout)
 	if err != nil {
 		return pick("sim", "sat-unavailable", se), nil
 	}
@@ -285,7 +173,7 @@ func chooseExtractor(ctx context.Context, opts *Options, layout *BlockLayout, ro
 	if budget > crossoverProbeCap {
 		budget = crossoverProbeCap
 	}
-	probeCtx, cancel := context.WithTimeout(ctx, budget)
+	probeCtx, cancel := context.WithTimeout(a.ctx, budget)
 	defer cancel()
 	satExt.SetContext(probeCtx)
 	satExt.SetTelemetry(tel)
@@ -306,25 +194,18 @@ func chooseExtractor(ctx context.Context, opts *Options, layout *BlockLayout, ro
 		return true
 	})
 	satNs = time.Since(satStart)
-	setGauge("crossover_sat_probe_ns", int64(satNs))
+	tel.Gauge("crossover_sat_probe_ns").Set(int64(satNs))
 	sp.SetArg("sat_probe_ns", strconv.FormatInt(int64(satNs), 10))
 	sp.SetArg("sat_probe_dips", strconv.FormatUint(dips, 10))
-	memo := func(engine string) {
-		if memoKey != "" {
-			probeMemo.Put(memoKey, engine)
-		}
-	}
 	if enumErr == nil && !overflow {
 		// The engine finished the first hypothesis' full enumeration
 		// inside the sim estimate; it keeps the learned clauses, so the
 		// attack's own extraction replays at assumption-switch cost.
-		memo("sat")
 		return pick("sat", "probe-won", satExt), nil
 	}
 	reason := "probe-timeout"
 	if overflow {
 		reason = "probe-dip-overflow"
 	}
-	memo("sim")
 	return pick("sim", reason, se), nil
 }

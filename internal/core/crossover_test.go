@@ -1,10 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
+	"repro/internal/events"
 	"repro/internal/lock"
 	"repro/internal/netlist"
 	"repro/internal/oracle"
@@ -120,15 +120,16 @@ func TestSetLaneWidthValidation(t *testing.T) {
 }
 
 // TestCrossoverAutoCalibration runs the full attack with SATWidthLimit
-// left at 0 and asserts both that the recovered key is correct and that
-// the calibration probe is visible in the crossover_* telemetry family.
+// left at 0 and asserts that the recovered key is correct, that the
+// calibration probe is visible in the crossover_* telemetry family, and
+// that calibrate is a phase like the others: one balanced
+// phase_enter/phase_exit pair on the bus, before enumerate enters.
 func TestCrossoverAutoCalibration(t *testing.T) {
-	resetProbeMemo()
-	t.Cleanup(resetProbeMemo)
 	lockedC, inst, h := lockedInstance(t, "2A-O-A", 21)
 	tel := telemetry.New()
+	bus := events.New(events.Options{History: 1 << 16})
 	res, err := Run(Options{
-		Locked: lockedC, Oracle: oracle.MustNewSim(h), Seed: 22, Telemetry: tel,
+		Locked: lockedC, Oracle: oracle.MustNewSim(h), Seed: 22, Telemetry: tel, Events: bus,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,77 +151,30 @@ func TestCrossoverAutoCalibration(t *testing.T) {
 	if got := tel.Gauge("crossover_block_width").Value(); got != 5 {
 		t.Errorf("crossover_block_width = %d, want 5", got)
 	}
-}
+	if got := tel.Histogram(telemetry.Label("attack_phase_seconds", "phase", "calibrate"),
+		telemetry.DurationBuckets).Snapshot().Count; got != 1 {
+		t.Errorf("calibrate attack_phase_seconds observations = %d, want 1", got)
+	}
 
-// TestCrossoverProbeMemo covers probe-cost amortization: a second
-// calibration over the same canonical netlist and worker count skips
-// the probe and reuses the remembered engine, while a different worker
-// count is a different calibration scope and probes fresh.
-func TestCrossoverProbeMemo(t *testing.T) {
-	resetProbeMemo()
-	t.Cleanup(resetProbeMemo)
-	lockedC, layout := widthInstance(t, 13, 301)
-
-	choose := func(tel *telemetry.Registry, workers int) Extractor {
-		t.Helper()
-		opts := Options{Locked: lockedC, Telemetry: tel, Workers: workers}
-		root := tel.StartSpan("attack")
-		defer root.End()
-		ext, err := chooseExtractor(context.Background(), &opts, layout, root)
-		if err != nil {
-			t.Fatal(err)
+	var enters, exits int
+	for _, ev := range bus.History(0) {
+		if ev.Phase == "enumerate" && ev.Type == events.TypePhaseEnter {
+			break
 		}
-		return ext
-	}
-
-	tel1 := telemetry.New()
-	choose(tel1, 1)
-	if got := tel1.Counter("crossover_probes_total").Value(); got != 1 {
-		t.Fatalf("first choice: crossover_probes_total = %d, want 1", got)
-	}
-	if got := tel1.Counter("crossover_probe_reused_total").Value(); got != 0 {
-		t.Fatalf("first choice: crossover_probe_reused_total = %d, want 0", got)
-	}
-	if probeMemo.Len() == 0 {
-		// The probe short-circuited structurally on this host (for
-		// example sim-floor on a very fast machine); such outcomes are
-		// deliberately not memoized, so seed the memo the way a
-		// probe-decided run would have to keep the reuse path covered.
-		probeMemo.Put(probeMemoKey(&Options{Locked: lockedC, Workers: 1}), "sim")
-	}
-
-	tel2 := telemetry.New()
-	ext2 := choose(tel2, 1)
-	if got := tel2.Counter("crossover_probe_reused_total").Value(); got != 1 {
-		t.Errorf("second choice: crossover_probe_reused_total = %d, want 1", got)
-	}
-	if got := tel2.Counter("crossover_probes_total").Value(); got != 0 {
-		t.Errorf("second choice: crossover_probes_total = %d, want 0 (memo hit)", got)
-	}
-	engine, ok := probeMemo.Get(probeMemoKey(&Options{Locked: lockedC, Workers: 1}))
-	if !ok {
-		t.Fatal("memo entry vanished")
-	}
-	switch engine {
-	case "sat":
-		if _, isSat := ext2.(*SATExtractor); !isSat {
-			t.Errorf("memo says sat but reuse built %T", ext2)
+		if ev.Phase != "calibrate" {
+			continue
 		}
-	case "sim":
-		if _, isSim := ext2.(*SimExtractor); !isSim {
-			t.Errorf("memo says sim but reuse built %T", ext2)
+		switch ev.Type {
+		case events.TypePhaseEnter:
+			enters++
+		case events.TypePhaseExit:
+			if exits++; exits > enters {
+				t.Fatal("calibrate phase_exit before its phase_enter")
+			}
 		}
-	default:
-		t.Fatalf("memo holds unknown engine %q", engine)
 	}
-
-	tel3 := telemetry.New()
-	choose(tel3, 2)
-	if got := tel3.Counter("crossover_probes_total").Value(); got != 1 {
-		t.Errorf("different workers: crossover_probes_total = %d, want 1", got)
-	}
-	if got := tel3.Counter("crossover_probe_reused_total").Value(); got != 0 {
-		t.Errorf("different workers: crossover_probe_reused_total = %d, want 0", got)
+	if enters != 1 || exits != 1 {
+		t.Fatalf("calibrate phase events before enumerate: %d enter / %d exit, want 1/1", enters, exits)
 	}
 }
 
@@ -236,7 +190,8 @@ func TestCrossoverPinned(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			lockedC, inst, h := lockedInstance(t, "2A-O-A", 31)
 			tel := telemetry.New()
-			opts := Options{Locked: lockedC, Oracle: oracle.MustNewSim(h), Seed: 32, Telemetry: tel}
+			bus := events.New(events.Options{History: 1 << 16})
+			opts := Options{Locked: lockedC, Oracle: oracle.MustNewSim(h), Seed: 32, Telemetry: tel, Events: bus}
 			tc.opts(&opts)
 			res, err := Run(opts)
 			if err != nil {
@@ -250,6 +205,16 @@ func TestCrossoverPinned(t *testing.T) {
 			}
 			if got := tel.Counter("crossover_probes_total").Value(); got != 0 {
 				t.Errorf("crossover_probes_total = %d, want 0", got)
+			}
+			for _, ev := range bus.History(0) {
+				if ev.Phase == "calibrate" && (ev.Type == events.TypePhaseEnter || ev.Type == events.TypePhaseExit) {
+					t.Fatalf("pinned run published a calibrate %s event", ev.Type)
+				}
+			}
+			for _, rec := range tel.SpanRecords() {
+				if rec.Name == "calibrate" {
+					t.Fatal("pinned run opened a calibrate span")
+				}
 			}
 		})
 	}

@@ -127,30 +127,6 @@ func (e *SATExtractor) SetTelemetry(r *telemetry.Registry) {
 	}
 }
 
-// SetBackend injects a pre-built engine — the attack service's warm
-// pool hands back an already-encoded engine for a previously seen
-// netlist, skipping the Tseitin encode entirely. The injected engine
-// must have been built for the identical canonical netlist and layout;
-// the pool keys guarantee that. Ignored after the extractor has built
-// its own engine.
-func (e *SATExtractor) SetBackend(eng *engine.Engine) {
-	if e.eng == nil {
-		e.adopt(eng)
-	}
-}
-
-// adopt installs eng as the extractor's engine and hands it the
-// extractor's context, telemetry, event bus and pending phase label.
-func (e *SATExtractor) adopt(eng *engine.Engine) {
-	eng.SetContext(e.ctx)
-	eng.SetTelemetry(e.tel)
-	eng.SetEvents(e.bus)
-	if e.phase != "" {
-		eng.SetPhase(e.phase)
-	}
-	e.eng = eng
-}
-
 // SetEvents attaches a lifecycle event bus, forwarded to the persistent
 // engine (which publishes budget_slice events from its deadline-sliced
 // solve loop). Nil disables event publishing.
@@ -204,16 +180,14 @@ func (e *SATExtractor) Engine() (*engine.Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.adopt(eng)
+		eng.SetContext(e.ctx)
+		eng.SetTelemetry(e.tel)
+		eng.SetEvents(e.bus)
+		eng.SetPhase(e.phase)
+		e.eng = eng
 	}
 	return e.eng, nil
 }
-
-// Backend returns the already-built engine, or nil. Unlike Engine it
-// never triggers a build: the warm-pool put-back path uses it so an
-// attack that never touched SAT does not construct an engine just to
-// park it.
-func (e *SATExtractor) Backend() *engine.Engine { return e.eng }
 
 // DIPs implements Extractor. It runs an assumption-driven enumeration
 // session against the persistent engine: the key assignment becomes

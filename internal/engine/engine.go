@@ -99,22 +99,16 @@ func New(locked *netlist.Circuit, blockPos []int) (*Engine, error) {
 	}, nil
 }
 
-// Attach is the setup every classic attack shares: it returns eng, or a
-// fresh engine over locked when eng is nil, bound to ctx and tel (each
-// left as is when nil) and labelled with the attack's phase name.
-func Attach(eng *Engine, locked *netlist.Circuit, ctx context.Context, tel *telemetry.Registry, phase string) (*Engine, error) {
-	if eng == nil {
-		var err error
-		if eng, err = New(locked, nil); err != nil {
-			return nil, err
-		}
+// Attach is the setup every classic attack shares: a fresh engine over
+// locked, bound to ctx and tel and labelled with the attack's phase
+// name.
+func Attach(locked *netlist.Circuit, ctx context.Context, tel *telemetry.Registry, phase string) (*Engine, error) {
+	eng, err := New(locked, nil)
+	if err != nil {
+		return nil, err
 	}
-	if ctx != nil {
-		eng.SetContext(ctx)
-	}
-	if tel != nil {
-		eng.SetTelemetry(tel)
-	}
+	eng.SetContext(ctx)
+	eng.SetTelemetry(tel)
 	eng.SetPhase(phase)
 	return eng, nil
 }
@@ -145,19 +139,6 @@ func (e *Engine) SetPhase(name string) {
 	}
 	e.phase = name
 	e.bud.enterPhase(e.ctx)
-}
-
-// Recycle detaches the engine from a finished attack so it can be
-// parked in a Pool and handed to the next one: the context, telemetry
-// registry, event bus and phase label are cleared (they belong to the
-// finished job), while the encoding, learned clauses, variable
-// activity and the budgeter's EWMA conflict rate — the warmth the pool
-// exists to preserve — are kept.
-func (e *Engine) Recycle() {
-	e.ctx = nil
-	e.tel = nil
-	e.bus = nil
-	e.SetPhase("")
 }
 
 // NumKeys returns the key width of one miter copy.

@@ -14,8 +14,8 @@ import (
 // key when the DIPs run out) — and EnumerateWitnesses /
 // EnumerateSensitizations cover the bypass and key-sensitization
 // attacks. All of them fix structure purely with assumptions and scoped
-// clauses, so one warm engine serves any mix of attacks back to back:
-// the encoding is paid once and learned clauses survive every phase.
+// clauses, so a closed session leaves nothing behind but learned
+// clauses: the encoding is paid once per attack and serves every phase.
 
 // guardedSink feeds an encoding into the solver's open blocking scope:
 // auxiliary variables are ordinary fresh variables, but every clause is
@@ -161,12 +161,12 @@ func (s *Session) Constrain(in, out []bool) error {
 // accumulated constraints: once FindDIP returns Unsat, the satisfying
 // keys are exactly the functionally correct keys, so the lex-min one is
 // a canonical representative — independent of clause persistence and
-// of which DIP sequence produced the constraints. This is what lets a
-// warm engine and a fresh one return bit-identical keys even though
-// their CDCL trajectories differ, and what a brute-force enumeration of
-// the correct keys can check independently. Each bit costs one
-// incremental solve on the already-solved formula. Returns sat.Unknown
-// when the budget expired mid-extraction.
+// of which DIP sequence produced the constraints. This is what lets
+// engines with different CDCL trajectories return bit-identical keys,
+// and what a brute-force enumeration of the correct keys can check
+// independently. Each bit costs one incremental solve on the
+// already-solved formula. Returns sat.Unknown when the budget expired
+// mid-extraction.
 func (s *Session) ExtractKey() ([]bool, sat.Status, error) {
 	if s.closed {
 		return nil, sat.Unknown, fmt.Errorf("engine: session is closed")

@@ -33,7 +33,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/events"
 	"repro/internal/netlist"
 	"repro/internal/oracle"
@@ -71,13 +70,6 @@ type Config struct {
 	// ones re-admitted, resuming from their latest checkpoint. Empty
 	// disables durability (the pre-journal in-memory behavior).
 	JournalDir string
-	// WarmEngines, when > 0, keeps up to that many idle SAT engines warm
-	// across jobs in an LRU pool keyed by the canonical hashes of both
-	// netlists: a repeat attack over the same instance adopts a parked
-	// engine — encoding, learned clauses and budgeter rate intact —
-	// instead of re-encoding from scratch. Jobs over distinct netlists
-	// never share engines. 0 disables the pool.
-	WarmEngines int
 }
 
 // AttackRequest is one job submission. Locked and Oracle are
@@ -263,7 +255,7 @@ type JobStatus struct {
 type Service struct {
 	cfg   Config
 	tel   *telemetry.Registry
-	store *cache.Store[*outcome]
+	store *cache.LRU[string, *outcome]
 	group *cache.Group[*outcome]
 	queue chan *execution
 
@@ -289,7 +281,6 @@ type Service struct {
 	beforeRun func(ctx context.Context, hash string) error
 
 	journal *journal
-	warm    *engine.Pool // nil = warm-engine reuse disabled
 
 	cSubmitted      *telemetry.Counter
 	cCacheHits      *telemetry.Counter
@@ -347,7 +338,7 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:       cfg,
 		tel:       cfg.Registry,
-		store:     cache.NewStore[*outcome](cfg.CacheSize),
+		store:     cache.NewLRU[string, *outcome](cfg.CacheSize),
 		group:     cache.NewGroup[*outcome](),
 		queue:     make(chan *execution, queueCap),
 		jobs:      make(map[string]*Job),
@@ -355,10 +346,6 @@ func New(cfg Config) (*Service, error) {
 		baseCtx:   ctx,
 		cancelAll: cancel,
 		journal:   jnl,
-	}
-	if cfg.WarmEngines > 0 {
-		s.warm = engine.NewPool(cfg.WarmEngines)
-		s.warm.SetTelemetry(cfg.Registry)
 	}
 	s.cSubmitted = s.tel.Counter("service_jobs_submitted_total")
 	s.cCacheHits = s.tel.Counter("service_cache_hits_total")
@@ -612,7 +599,7 @@ func (s *Service) Submit(req AttackRequest) (*Job, error) {
 		hash:        hash,
 		submittedAt: time.Now(),
 	}
-	if out, ok := s.store.Lookup(hash); ok {
+	if out, ok := s.store.Get(hash); ok {
 		job.cached = true
 		job.done = out
 		s.jobs[job.id] = job
@@ -1057,12 +1044,6 @@ func (s *Service) runProtected(exec *execution) (out *outcome) {
 		Telemetry:       exec.tel,
 		Events:          exec.bus,
 	}
-	if s.warm != nil {
-		if key := warmKey(exec); key != "" {
-			opts.EnginePool = s.warm
-			opts.EngineKey = key
-		}
-	}
 	if w := s.armDurability(exec, &opts); w != nil {
 		defer w.Close()
 	}
@@ -1091,26 +1072,6 @@ func (s *Service) runProtected(exec *execution) (out *outcome) {
 	s.cQueries.Add(queriesOf(res, exec.tel))
 	jobSpan.SetArg("state", string(out.state()))
 	return s.sealTrace(exec, out)
-}
-
-// warmKey scopes a job's warm-pool entries. Canonical hashes of BOTH
-// netlists: the engine's literal layout only depends on the locked
-// circuit, but keying the oracle too keeps jobs against different
-// oracles on fresh engines (conservative isolation, and the property
-// the pool regression test pins). The MCAS flag is included because
-// the mirrored pipeline attacks the SPS-stripped inner circuit, not
-// the submitted one. Empty (no pooling) when canonicalization fails —
-// the attack will surface that error itself.
-func warmKey(exec *execution) string {
-	lockedBytes, err := bench.Canonical(exec.parsed.locked)
-	if err != nil {
-		return ""
-	}
-	origBytes, err := bench.Canonical(exec.parsed.orig)
-	if err != nil {
-		return ""
-	}
-	return cache.SumParts(lockedBytes, origBytes, []byte(fmt.Sprintf("mcas=%t", exec.parsed.req.MCAS)))
 }
 
 // armDurability points a journal-armed job at its checkpoint slot in
