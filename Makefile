@@ -7,7 +7,8 @@
 #                    concurrent; data races are correctness bugs here)
 #   make vet         go vet
 #   make fmt-check   fail if any file needs gofmt
-#   make fuzz-smoke  short coverage-guided fuzz of the bench parser, the
+#   make fuzz-smoke  short coverage-guided fuzz of the bench parser
+#                    (differential against a fixed-point reference), the
 #                    compiled gate program vs the interpreted evaluator,
 #                    the keyed miter vs activated-copy miters and
 #                    exhaustive simulation, the checkpoint snapshot
@@ -154,7 +155,7 @@ govulncheck:
 ci: build vet fmt-check test test-race fuzz-smoke trace-smoke serve-smoke signal-smoke crash-smoke matrix-smoke events-smoke perfbench-test govulncheck
 
 bench:
-	$(GO) test -run XXX -bench . -benchmem ./internal/core/ .
+	$(GO) test -run XXX -bench . -benchmem ./internal/core/ ./internal/bench/ .
 
 benchjson:
 	$(GO) run ./cmd/benchjson -o BENCH_core.json -baseline BENCH_core.json

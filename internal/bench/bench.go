@@ -18,6 +18,7 @@ import (
 	"io"
 	"slices"
 	"strings"
+	"unicode"
 
 	"repro/internal/netlist"
 )
@@ -34,53 +35,167 @@ type ReadOptions struct {
 	KeyPrefix string
 }
 
-// Read parses a bench-format netlist.
+// maxLine is the length, in bytes, from which a line is rejected with
+// bufio.ErrTooLong.
+const maxLine = 16 << 20
+
+// Read parses a bench-format netlist. It takes in the whole input first
+// and then parses it as ReadString does.
 func Read(r io.Reader, opts ReadOptions) (*netlist.Circuit, error) {
-	var (
-		inputs  []string
-		outputs []string
-		gates   []protoGate
-	)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
+	text, rerr := io.ReadAll(r)
+	// Lines that arrived before a read error are still parsed, and a
+	// malformed one among them is the error reported.
+	p, err := scan(string(text))
+	if err != nil {
+		return nil, err
+	}
+	if rerr != nil {
+		return nil, fmt.Errorf("bench: read: %w", rerr)
+	}
+	return p.build(opts)
+}
+
+// ReadString parses a bench-format netlist from a string with the default
+// key prefix.
+func ReadString(name, s string) (*netlist.Circuit, error) {
+	p, err := scan(s)
+	if err != nil {
+		return nil, err
+	}
+	return p.build(ReadOptions{Name: name, KeyPrefix: DefaultKeyPrefix})
+}
+
+// parsed is a bench text taken apart statement by statement. Every name
+// is a substring of the text (so a circuit keeps its text alive); the
+// fanin names of all gate statements share one arena.
+type parsed struct {
+	inputs  []string
+	outputs []string
+	gates   []protoGate
+	fanins  []string
+}
+
+// protoGate is a gate statement awaiting its fanins.
+type protoGate struct {
+	name   string
+	lo, hi int32 // fanin names: fanins[lo:hi]
+	lineNo int32
+	typ    netlist.GateType
+}
+
+// scan splits text into lines and parses each one, sizing its tables
+// from the line and comma counts up front.
+func scan(text string) (*parsed, error) {
+	lines := strings.Count(text, "\n") + 1
+	p := &parsed{
+		gates:  make([]protoGate, 0, lines),
+		fanins: make([]string, 0, lines+strings.Count(text, ",")),
+	}
+	for lineNo := 1; text != ""; lineNo++ {
+		line := text
+		if i := strings.IndexByte(text, '\n'); i >= 0 {
+			line, text = text[:i], text[i+1:]
+		} else {
+			text = ""
+		}
+		if len(line) >= maxLine {
+			return nil, fmt.Errorf("bench: read: %w", bufio.ErrTooLong)
+		}
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
 		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
 		switch {
-		case hasPrefixFold(line, "INPUT"):
+		case line == "":
+		case isDecl(line, "INPUT"):
 			name, err := parseDecl(line, "INPUT", lineNo)
 			if err != nil {
 				return nil, err
 			}
-			inputs = append(inputs, name)
-		case hasPrefixFold(line, "OUTPUT"):
+			p.inputs = append(p.inputs, name)
+		case isDecl(line, "OUTPUT"):
 			name, err := parseDecl(line, "OUTPUT", lineNo)
 			if err != nil {
 				return nil, err
 			}
-			outputs = append(outputs, name)
+			p.outputs = append(p.outputs, name)
 		default:
-			g, err := parseAssign(line, lineNo)
-			if err != nil {
+			if err := p.parseAssign(line, lineNo); err != nil {
 				return nil, err
 			}
-			gates = append(gates, protoGate{g.name, g.typ, g.fanin, lineNo})
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("bench: read: %w", err)
-	}
+	return p, nil
+}
 
-	c := netlist.New(opts.Name)
-	for _, name := range inputs {
+// isDecl reports whether line declares a port: the keyword in any case,
+// then optional spaces and "(". A gate statement whose name merely
+// starts with the keyword ("output1 = NOT(a)") is not a declaration.
+func isDecl(line, kw string) bool {
+	return len(line) > len(kw) && strings.EqualFold(line[:len(kw)], kw) &&
+		strings.HasPrefix(strings.TrimLeftFunc(line[len(kw):], unicode.IsSpace), "(")
+}
+
+// parseDecl extracts the name of a declaration isDecl accepted.
+func parseDecl(line, kw string, lineNo int) (string, error) {
+	rest := strings.TrimSpace(line[len(kw):])
+	if !strings.HasSuffix(rest, ")") {
+		return "", fmt.Errorf("bench: line %d: malformed %s declaration %q", lineNo, kw, line)
+	}
+	name := strings.TrimSpace(rest[1 : len(rest)-1])
+	if name == "" {
+		return "", fmt.Errorf("bench: line %d: empty %s name", lineNo, kw)
+	}
+	return name, nil
+}
+
+var typeByMnemonic = map[string]netlist.GateType{
+	"AND": netlist.And, "NAND": netlist.Nand,
+	"OR": netlist.Or, "NOR": netlist.Nor,
+	"XOR": netlist.Xor, "XNOR": netlist.Xnor,
+	"NOT": netlist.Not, "INV": netlist.Not,
+	"BUF": netlist.Buf, "BUFF": netlist.Buf,
+}
+
+// parseAssign parses a gate statement "name = TYPE(f1, f2, ...)",
+// appending its fanin names to the arena.
+func (p *parsed) parseAssign(line string, lineNo int) error {
+	eq := strings.IndexByte(line, '=')
+	if eq < 0 {
+		return fmt.Errorf("bench: line %d: unrecognized statement %q", lineNo, line)
+	}
+	name := strings.TrimSpace(line[:eq])
+	rhs := strings.TrimSpace(line[eq+1:])
+	open := strings.IndexByte(rhs, '(')
+	if open < 0 || !strings.HasSuffix(rhs, ")") {
+		return fmt.Errorf("bench: line %d: malformed gate expression %q", lineNo, rhs)
+	}
+	mnemonic := strings.ToUpper(strings.TrimSpace(rhs[:open]))
+	typ, ok := typeByMnemonic[mnemonic]
+	if !ok {
+		if mnemonic == "DFF" {
+			return fmt.Errorf("bench: line %d: sequential element DFF unsupported (combinational circuits only)", lineNo)
+		}
+		return fmt.Errorf("bench: line %d: unknown gate type %q", lineNo, mnemonic)
+	}
+	lo := int32(len(p.fanins))
+	for args, more := rhs[open+1:len(rhs)-1], true; more; {
+		var f string
+		f, args, more = strings.Cut(args, ",")
+		if f = strings.TrimSpace(f); f == "" {
+			return fmt.Errorf("bench: line %d: empty fanin in %q", lineNo, line)
+		}
+		p.fanins = append(p.fanins, f)
+	}
+	p.gates = append(p.gates, protoGate{name, lo, int32(len(p.fanins)), int32(lineNo), typ})
+	return nil
+}
+
+// build assembles the circuit: inputs first, in declaration order, then
+// the gates in dependency order, then the outputs.
+func (p *parsed) build(opts ReadOptions) (*netlist.Circuit, error) {
+	c := netlist.NewSized(opts.Name, len(p.inputs)+len(p.gates))
+	for _, name := range p.inputs {
 		isKey := opts.KeyPrefix != "" && strings.HasPrefix(name, opts.KeyPrefix)
 		var err error
 		if isKey {
@@ -92,63 +207,54 @@ func Read(r io.Reader, opts ReadOptions) (*netlist.Circuit, error) {
 			return nil, fmt.Errorf("bench: %w", err)
 		}
 	}
+	nIn := c.NumGates()
+	refs, err := p.resolve(c)
+	if err != nil {
+		return nil, err
+	}
 	// Gates may be declared in any order in a bench file; add them in
-	// dependency order. The gates are sorted by name once; each pass
-	// walks the pending ones in that order (which keeps gate IDs stable
-	// across runs), adds every gate whose fanins exist, and keeps the
-	// rest, still sorted, for the next pass.
-	pending := make([]*protoGate, len(gates))
-	for i := range gates {
-		pending[i] = &gates[i]
-	}
-	slices.SortFunc(pending, func(a, b *protoGate) int {
-		if c := strings.Compare(a.name, b.name); c != 0 {
-			return c
+	// dependency order. Each pass walks the pending statements in name
+	// order (which keeps gate IDs stable across runs), adds every one
+	// whose fanins exist by then, and keeps the rest, still in name
+	// order, for the next pass.
+	// placed[r] is the ID of reference r once it is in the circuit.
+	placed := make([]netlist.ID, nIn+len(p.gates))
+	for r := range placed {
+		placed[r] = netlist.InvalidID
+		if r < nIn {
+			placed[r] = netlist.ID(r)
 		}
-		return a.lineNo - b.lineNo
-	})
-	// A duplicate is a gate named like an input or like an earlier gate;
-	// report the first one in file order.
-	var dup *protoGate
-	for i, g := range pending {
-		if (i > 0 && pending[i-1].name == g.name) || c.HasName(g.name) {
-			if dup == nil || g.lineNo < dup.lineNo {
-				dup = g
-			}
-		}
-	}
-	if dup != nil {
-		return nil, fmt.Errorf("bench: line %d: duplicate definition of %q", dup.lineNo, dup.name)
 	}
 	var fanin []netlist.ID
-	for len(pending) > 0 {
+	for pending := p.sortByName(); len(pending) > 0; {
 		kept := pending[:0]
-		for _, g := range pending {
+		for _, i := range pending {
+			g := &p.gates[i]
 			fanin = fanin[:0]
-			for _, f := range g.fanin {
-				id := c.Lookup(f)
-				if id == netlist.InvalidID {
+			for _, r := range refs[g.lo:g.hi] {
+				if r < 0 || placed[r] == netlist.InvalidID {
 					break
 				}
-				fanin = append(fanin, id)
+				fanin = append(fanin, placed[r])
 			}
-			if len(fanin) < len(g.fanin) {
-				kept = append(kept, g)
+			if len(fanin) < int(g.hi-g.lo) {
+				kept = append(kept, i)
 				continue
 			}
-			if _, err := c.AddGate(g.typ, g.name, fanin...); err != nil {
+			id, err := c.AddGate(g.typ, g.name, fanin...)
+			if err != nil {
 				return nil, fmt.Errorf("bench: line %d: %w", g.lineNo, err)
 			}
+			placed[nIn+int(i)] = id
 		}
 		if len(kept) == len(pending) {
-			waiting := make(map[string]bool, len(kept))
-			for _, g := range kept {
-				waiting[g.name] = true
-			}
-			for _, g := range kept {
-				for _, f := range g.fanin {
-					if c.Lookup(f) == netlist.InvalidID && !waiting[f] {
-						return nil, fmt.Errorf("bench: line %d: gate %q references undefined signal %q", g.lineNo, g.name, f)
+			// No progress: report the first reference to an undefined
+			// signal, else the cycle.
+			for _, i := range kept {
+				g := &p.gates[i]
+				for k := g.lo; k < g.hi; k++ {
+					if refs[k] < 0 {
+						return nil, fmt.Errorf("bench: line %d: gate %q references undefined signal %q", g.lineNo, g.name, p.fanins[k])
 					}
 				}
 			}
@@ -156,7 +262,8 @@ func Read(r io.Reader, opts ReadOptions) (*netlist.Circuit, error) {
 		}
 		pending = kept
 	}
-	for _, name := range outputs {
+
+	for _, name := range p.outputs {
 		id := c.Lookup(name)
 		if id == netlist.InvalidID {
 			return nil, fmt.Errorf("bench: OUTPUT(%s) references undefined signal", name)
@@ -171,78 +278,84 @@ func Read(r io.Reader, opts ReadOptions) (*netlist.Circuit, error) {
 	return c, nil
 }
 
-// ReadString parses a bench-format netlist from a string with the default
-// key prefix.
-func ReadString(name, s string) (*netlist.Circuit, error) {
-	return Read(strings.NewReader(s), ReadOptions{Name: name, KeyPrefix: DefaultKeyPrefix})
-}
-
-func hasPrefixFold(s, prefix string) bool {
-	return len(s) >= len(prefix) && strings.EqualFold(s[:len(prefix)], prefix)
-}
-
-func parseDecl(line, kw string, lineNo int) (string, error) {
-	rest := strings.TrimSpace(line[len(kw):])
-	if !strings.HasPrefix(rest, "(") || !strings.HasSuffix(rest, ")") {
-		return "", fmt.Errorf("bench: line %d: malformed %s declaration %q", lineNo, kw, line)
+// resolve looks every fanin name up once, against c's inputs (IDs 0 to
+// nIn-1) and the gate statements: the reference of input ID k is k, of
+// gate statement i is nIn+i, of an undefined name -1. The first
+// statement, in file order, that reuses a name is reported as a
+// duplicate.
+func (p *parsed) resolve(c *netlist.Circuit) ([]int32, error) {
+	nIn := c.NumGates()
+	refOf := make(map[string]int32, nIn+len(p.gates))
+	for id := 0; id < nIn; id++ {
+		refOf[c.Gate(netlist.ID(id)).Name] = int32(id)
 	}
-	name := strings.TrimSpace(rest[1 : len(rest)-1])
-	if name == "" {
-		return "", fmt.Errorf("bench: line %d: empty %s name", lineNo, kw)
-	}
-	return name, nil
-}
-
-// protoGate is a parsed gate statement awaiting its fanins.
-type protoGate struct {
-	name   string
-	typ    netlist.GateType
-	fanin  []string
-	lineNo int
-}
-
-type assign struct {
-	name  string
-	typ   netlist.GateType
-	fanin []string
-}
-
-var typeByMnemonic = map[string]netlist.GateType{
-	"AND": netlist.And, "NAND": netlist.Nand,
-	"OR": netlist.Or, "NOR": netlist.Nor,
-	"XOR": netlist.Xor, "XNOR": netlist.Xnor,
-	"NOT": netlist.Not, "INV": netlist.Not,
-	"BUF": netlist.Buf, "BUFF": netlist.Buf,
-}
-
-func parseAssign(line string, lineNo int) (assign, error) {
-	eq := strings.IndexByte(line, '=')
-	if eq < 0 {
-		return assign{}, fmt.Errorf("bench: line %d: unrecognized statement %q", lineNo, line)
-	}
-	name := strings.TrimSpace(line[:eq])
-	rhs := strings.TrimSpace(line[eq+1:])
-	open := strings.IndexByte(rhs, '(')
-	if open < 0 || !strings.HasSuffix(rhs, ")") {
-		return assign{}, fmt.Errorf("bench: line %d: malformed gate expression %q", lineNo, rhs)
-	}
-	mnemonic := strings.ToUpper(strings.TrimSpace(rhs[:open]))
-	typ, ok := typeByMnemonic[mnemonic]
-	if !ok {
-		if mnemonic == "DFF" {
-			return assign{}, fmt.Errorf("bench: line %d: sequential element DFF unsupported (combinational circuits only)", lineNo)
+	for i, g := range p.gates {
+		// The map only grows if the name is new.
+		if refOf[g.name] = int32(nIn + i); len(refOf) == nIn+i {
+			return nil, fmt.Errorf("bench: line %d: duplicate definition of %q", g.lineNo, g.name)
 		}
-		return assign{}, fmt.Errorf("bench: line %d: unknown gate type %q", lineNo, mnemonic)
 	}
-	var fanin []string
-	for _, f := range strings.Split(rhs[open+1:len(rhs)-1], ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			return assign{}, fmt.Errorf("bench: line %d: empty fanin in %q", lineNo, line)
+	refs := make([]int32, len(p.fanins))
+	for k, f := range p.fanins {
+		if r, ok := refOf[f]; ok {
+			refs[k] = r
+		} else {
+			refs[k] = -1
 		}
-		fanin = append(fanin, f)
 	}
-	return assign{name: name, typ: typ, fanin: fanin}, nil
+	return refs, nil
+}
+
+// sortByName returns the gate statements' indices in name order. Each
+// name's first eight bytes, big-endian and zero-padded, form a key that
+// orders names whose keys differ; the statements are radix-sorted by key
+// (a byte every key shares costs no pass), and each run of equal keys is
+// then ordered by whole name.
+func (p *parsed) sortByName() []int32 {
+	n := len(p.gates)
+	keys, idx := make([]uint64, n), make([]int32, n)
+	for i, g := range p.gates {
+		var key uint64
+		for j := 0; j < 8; j++ {
+			key <<= 8
+			if j < len(g.name) {
+				key |= uint64(g.name[j])
+			}
+		}
+		keys[i], idx[i] = key, int32(i)
+	}
+	// Least significant byte first, one stable counting-sort pass each.
+	keys2, idx2 := make([]uint64, n), make([]int32, n)
+	for shift := 0; shift < 64 && n > 0; shift += 8 {
+		var at [256]int
+		for _, k := range keys {
+			at[k>>shift&0xff]++
+		}
+		if at[keys[0]>>shift&0xff] == n {
+			continue
+		}
+		sum := 0
+		for b, c := range at {
+			at[b], sum = sum, sum+c
+		}
+		for j, k := range keys {
+			d := k >> shift & 0xff
+			keys2[at[d]], idx2[at[d]] = k, idx[j]
+			at[d]++
+		}
+		keys, keys2, idx, idx2 = keys2, keys, idx2, idx
+	}
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && keys[hi] == keys[lo] {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(idx[lo:hi], func(a, b int32) int { return strings.Compare(p.gates[a].name, p.gates[b].name) })
+		}
+		lo = hi
+	}
+	return idx
 }
 
 // Write serializes a circuit in bench format. Key inputs are emitted as

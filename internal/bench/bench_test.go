@@ -1,12 +1,16 @@
 package bench
 
 import (
+	"errors"
+	"io"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
+	"testing/iotest"
 
+	"repro/internal/lock"
 	"repro/internal/netlist"
+	"repro/internal/synth"
 )
 
 const c17 = `
@@ -120,6 +124,61 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
+// TestReadErrorPrecedence pins which error Read reports when an input has
+// several faults: parse errors in line order, then duplicate inputs, then
+// duplicate gates (first in file order), then errors adding a gate (in
+// placement order), then undefined signals (first stuck gate by name),
+// then cycles, then outputs. Lines received before a read error still
+// parse, and a malformed one among them wins.
+func TestReadErrorPrecedence(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"INPUT(a)\nINPUT(a)\nz = FROB(a)\n",
+			"bench: line 3: unknown gate type \"FROB\""},
+		{"INPUT(a)\nINPUT(a)\nz = NOT(a)\nz = NOT(a)\n",
+			"bench: netlist: duplicate gate name \"a\""},
+		{"INPUT(a)\nz = NOT(q)\nz = NOT(a)\n",
+			"bench: line 3: duplicate definition of \"z\""},
+		{"z = NOT(a)\nINPUT(a)\nINPUT(z)\n",
+			"bench: line 1: duplicate definition of \"z\""},
+		{"INPUT(a)\nOUTPUT(y)\ny = NOT(a, a)\nw = AND(a, ghost)\n",
+			"bench: line 3: netlist: gate \"y\": NOT cannot take 2 fanins"},
+		{"INPUT(a)\nzz = AND(a, ghost1)\nbb = AND(ghost2, a)\n",
+			"bench: line 3: gate \"bb\" references undefined signal \"ghost2\""},
+		{"INPUT(a)\np = AND(a, q)\nq = AND(a, p)\nr = NOT(ghost)\n",
+			"bench: line 4: gate \"r\" references undefined signal \"ghost\""},
+		{"INPUT(a)\np = AND(a, q)\nq = AND(a, p)\nOUTPUT(p)\n",
+			"bench: circuit contains a combinational cycle"},
+		{"INPUT(a)\nOUTPUT(ghost)\nOUTPUT(a)\nOUTPUT(a)\n",
+			"bench: OUTPUT(ghost) references undefined signal"},
+		{"INPUT(a)\nOUTPUT(a)\nOUTPUT(a)\n",
+			"bench: netlist: gate \"a\" already marked as output"},
+		{"INPUT(a)\nb = NOT(c, a)\nc = NOT(a, a)\n",
+			"bench: line 3: netlist: gate \"c\": NOT cannot take 2 fanins"},
+		{"INPUT(a)\n = NOT(a)\n",
+			"bench: line 2: netlist: empty gate name"},
+		{"INPUT(a\n",
+			"bench: line 1: malformed INPUT declaration \"INPUT(a\""},
+		{"INPUT(a)\nx = AND(a, x)\ny = AND(q, a)\n",
+			"bench: line 3: gate \"y\" references undefined signal \"q\""},
+	}
+	for _, tc := range cases {
+		_, err := ReadString("p", tc.src)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%q: got %v, want %s", tc.src, err, tc.want)
+		}
+	}
+	boom := errors.New("boom")
+	for src, want := range map[string]string{
+		"INPUT(a)\nOUTPUT(b": `bench: line 2: malformed OUTPUT declaration "OUTPUT(b"`,
+		"INPUT(a)\n":         "bench: read: boom",
+	} {
+		_, err := Read(io.MultiReader(strings.NewReader(src), iotest.ErrReader(boom)), ReadOptions{})
+		if err == nil || err.Error() != want {
+			t.Errorf("%q then a read error: got %v, want %s", src, err, want)
+		}
+	}
+}
+
 func TestCommentsAndCase(t *testing.T) {
 	src := `
 # full line comment
@@ -137,32 +196,47 @@ z = nand(a, a)   # lower-case mnemonic
 	}
 }
 
+// keywordNames has gates whose names start with a declaration keyword:
+// only the keyword followed by "(" declares a port, so they are gates.
+const keywordNames = `
+INPUT(a)
+INPUT(b)
+OUTPUT(Input_buf)
+output1 = NOT(a)
+Input_buf = BUFF(output1)
+inputs = AND(b, output1)
+OUTPUT (inputs)
+`
+
 func TestRoundTrip(t *testing.T) {
-	orig, err := ReadString("c17", c17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := WriteString(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadString("c17rt", text)
-	if err != nil {
-		t.Fatalf("re-parse failed: %v\n%s", err, text)
-	}
-	if back.NumInputs() != orig.NumInputs() || back.NumOutputs() != orig.NumOutputs() {
-		t.Fatal("round-trip changed I/O counts")
-	}
-	// Exhaustive functional equivalence over the 5-bit input space.
-	s1 := netlist.MustNewSimulator(orig)
-	s2 := netlist.MustNewSimulator(back)
-	for x := uint64(0); x < 32; x++ {
-		in := netlist.PatternFromUint(x, 5)
-		o1, _ := s1.Run(in, nil)
-		o2, _ := s2.Run(in, nil)
-		for i := range o1 {
-			if o1[i] != o2[i] {
-				t.Fatalf("pattern %d output %d differs", x, i)
+	for name, src := range map[string]string{"c17": c17, "keyword names": keywordNames} {
+		orig, err := ReadString(name, src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		text, err := WriteString(orig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadString(name+"rt", text)
+		if err != nil {
+			t.Fatalf("%s: re-parse failed: %v\n%s", name, err, text)
+		}
+		if back.NumInputs() != orig.NumInputs() || back.NumOutputs() != orig.NumOutputs() {
+			t.Fatalf("%s: round-trip changed I/O counts", name)
+		}
+		// Exhaustive functional equivalence over the input space.
+		n := orig.NumInputs()
+		s1 := netlist.MustNewSimulator(orig)
+		s2 := netlist.MustNewSimulator(back)
+		for x := uint64(0); x < 1<<n; x++ {
+			in := netlist.PatternFromUint(x, n)
+			o1, _ := s1.Run(in, nil)
+			o2, _ := s2.Run(in, nil)
+			for i := range o1 {
+				if o1[i] != o2[i] {
+					t.Fatalf("%s: pattern %d output %d differs", name, x, i)
+				}
 			}
 		}
 	}
@@ -287,88 +361,25 @@ func itoa(i int) string {
 	return string(buf[p:])
 }
 
-// readFixedPoint is the dependency ordering Read used before it sorted
-// once: every pass re-collects and re-sorts the pending gate names and
-// adds each gate whose fanins exist. It is kept as the reference that
-// pins Read's gate IDs.
-func readFixedPoint(t *testing.T, text string) *netlist.Circuit {
-	t.Helper()
-	c := netlist.New("ref")
-	pending := make(map[string]assign)
-	for i, line := range strings.Split(text, "\n") {
-		if j := strings.IndexByte(line, '#'); j >= 0 {
-			line = line[:j]
-		}
-		line = strings.TrimSpace(line)
-		switch {
-		case line == "":
-		case hasPrefixFold(line, "INPUT"):
-			name, err := parseDecl(line, "INPUT", i+1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if strings.HasPrefix(name, DefaultKeyPrefix) {
-				c.MustAddKey(name)
-			} else {
-				c.MustAddInput(name)
-			}
-		case hasPrefixFold(line, "OUTPUT"):
-		default:
-			g, err := parseAssign(line, i+1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pending[g.name] = g
-		}
-	}
-	for len(pending) > 0 {
-		names := make([]string, 0, len(pending))
-		for n := range pending {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		progress := false
-		for _, n := range names {
-			g := pending[n]
-			fanin := make([]netlist.ID, 0, len(g.fanin))
-			for _, f := range g.fanin {
-				if id := c.Lookup(f); id != netlist.InvalidID {
-					fanin = append(fanin, id)
-				}
-			}
-			if len(fanin) < len(g.fanin) {
-				continue
-			}
-			c.MustAddGate(g.typ, g.name, fanin...)
-			delete(pending, n)
-			progress = true
-		}
-		if !progress {
-			t.Fatal("reference reader: no progress")
-		}
-	}
-	for _, line := range strings.Split(text, "\n") {
-		if line = strings.TrimSpace(line); hasPrefixFold(line, "OUTPUT") {
-			name, err := parseDecl(line, "OUTPUT", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.MustMarkOutput(c.Lookup(name))
-		}
-	}
-	return c
-}
-
 // TestReadMatchesFixedPointReference parses random netlists whose lines
 // are shuffled (so dependency order and name order disagree and Read
-// needs several passes) with Read and with the reference ordering, and
-// requires identical serializations: same gate IDs, same structure.
+// needs several passes) with Read and with the reference reader, and
+// requires the same gate IDs and identical Canonical bytes.
 func TestReadMatchesFixedPointReference(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		text, err := WriteString(randomCircuit(seed, 4+rng.Intn(8), 20+rng.Intn(120)))
 		if err != nil {
 			t.Fatal(err)
+		}
+		switch seed % 3 {
+		case 1:
+			// Gate names longer than eight bytes with a shared prefix, so
+			// Read's name sort must break ties on whole names.
+			text = strings.ReplaceAll(text, "g", "long_shared_prefix_g")
+		case 2:
+			// Names of six to eight bytes differing in their last ones.
+			text = strings.ReplaceAll(text, "g", "gate_")
 		}
 		lines := strings.Split(strings.TrimSpace(text), "\n")
 		rng.Shuffle(len(lines), func(i, j int) { lines[i], lines[j] = lines[j], lines[i] })
@@ -378,25 +389,43 @@ func TestReadMatchesFixedPointReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		want := readFixedPoint(t, shuffled)
-		gotText, err := WriteString(got)
+		want, err := readReference(shuffled, DefaultKeyPrefix)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("seed %d: reference reader: %v", seed, err)
 		}
-		wantText, err := WriteString(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotText != wantText {
-			t.Fatalf("seed %d: Read and the fixed-point reference disagree:\n%s\n---\n%s", seed, gotText, wantText)
-		}
-		if got.NumGates() != want.NumGates() {
-			t.Fatalf("seed %d: %d gates, reference %d", seed, got.NumGates(), want.NumGates())
-		}
-		for id := 0; id < got.NumGates(); id++ {
-			if g, w := got.Gate(netlist.ID(id)), want.Gate(netlist.ID(id)); g.Name != w.Name {
-				t.Fatalf("seed %d: gate ID %d is %q, reference %q", seed, id, g.Name, w.Name)
-			}
+		if msg := sameCircuit(got, want); msg != "" {
+			t.Fatalf("seed %d: Read and the fixed-point reference disagree: %s", seed, msg)
 		}
 	}
 }
+
+// BenchmarkRead parses a CAS-locked c5315-profile netlist (|K| = 32,
+// chain 14A-O, about 2.7k lines): the size of one Table-I attack input.
+func BenchmarkRead(b *testing.B) {
+	p, err := synth.ProfileByName("c5315")
+	if err != nil {
+		b.Fatal(err)
+	}
+	host, err := synth.Generate(synth.FromProfile(p, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	locked, _, err := lock.ApplyCAS(host, lock.CASOptions{Chain: lock.MustParseChain("14A-O"), Seed: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	text, err := WriteString(locked.Circuit)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if readSink, err = ReadString("locked", text); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var readSink *netlist.Circuit

@@ -6,8 +6,10 @@ import (
 )
 
 // FuzzBenchRead throws arbitrary text at the bench parser. The parser
-// must never panic, and any netlist it does accept must satisfy the
-// round-trip property: Write serializes it to text that Read accepts
+// must never panic; it must accept exactly what the plain fixed-point
+// reference reader accepts, with identical gate names per ID and
+// identical Canonical bytes; and any netlist it does accept must satisfy
+// the round-trip property: Write serializes it to text that Read accepts
 // again with identical port and gate counts.
 func FuzzBenchRead(f *testing.F) {
 	f.Add("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n")
@@ -20,11 +22,21 @@ func FuzzBenchRead(f *testing.F) {
 	f.Add("INPUT(a)\n\n\nOUTPUT(a)\n")
 	f.Add("G3 = DFF(G1)\n")
 	f.Add(strings.Repeat("INPUT(x)\n", 40))
+	f.Add("INPUT(a)\nOUTPUT(y)\ny = AND(Input_buf, output1)\noutput1 = NOT(a)\nInput_buf = BUFF(output1)\n")
+	f.Add("INPUT (a)\nOutput\t(y)\ninputs = NOT(a)\ny = OR(inputs, a)\n")
+	f.Add("INPUT(a)\nOUTPUT(z)\nz = AND(b, a)\nc = NOT(a)\nb = OR(d, c)\nd = BUF(c)\n")
 
 	f.Fuzz(func(t *testing.T, data string) {
 		c, err := Read(strings.NewReader(data), ReadOptions{Name: "fuzz", KeyPrefix: DefaultKeyPrefix})
+		ref, refErr := readReference(data, DefaultKeyPrefix)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("Read error %v, reference error %v", err, refErr)
+		}
 		if err != nil {
 			return // rejecting malformed input is fine; panicking is not
+		}
+		if msg := sameCircuit(c, ref); msg != "" {
+			t.Fatalf("Read and the reference disagree: %s", msg)
 		}
 		text, err := WriteString(c)
 		if err != nil {

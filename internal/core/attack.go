@@ -454,10 +454,10 @@ func (a *attack) assign(active int, c uint64) PairAssign {
 // structured class), so no per-class copies are materialized.
 type structured struct {
 	chainH  lock.ChainConfig
-	wSet    map[uint64]struct{}
-	wList   []uint64
-	s       uint64 // shift: A = W ⊕ s
-	dipNC   uint64 // the non-repeating DIP (w_nc ⊕ s)
+	w       onePointSet // W, for membership tests
+	wList   []uint64    // W, enumerated
+	s       uint64      // shift: A = W ⊕ s
+	dipNC   uint64      // the non-repeating DIP (w_nc ⊕ s)
 	dips    *DIPSet
 	bigTop  bool // structured class lives in the top half of the universe
 	total   uint64
@@ -549,11 +549,8 @@ func (a *attack) decodeChain(parent *telemetry.Span, dips *DIPSet) (st *structur
 		return nil, fmt.Errorf("core: structured class has %d patterns, beyond MaxOnePoints", st.nBig)
 	}
 	st.chainH = chainH
+	st.w = newOnePointSet(chainH)
 	st.wList = OnePoints(chainH)
-	st.wSet = make(map[uint64]struct{}, len(st.wList))
-	for _, w := range st.wList {
-		st.wSet[w] = struct{}{}
-	}
 	sp.SetArg("chain", chainH.String())
 	sp.SetArg("aligned_dips", strconv.FormatUint(st.nBig, 10))
 	return st, nil
@@ -663,7 +660,7 @@ func (a *attack) deltaCandidates(st *structured) ([]uint64, error) {
 			return false
 		}
 		w := p ^ sSmall
-		if _, in := st.wSet[w]; !in {
+		if !st.w.has(w) {
 			mismatch = true
 			return false
 		}
@@ -718,13 +715,13 @@ func (a *attack) deltaCandidates(st *structured) ([]uint64, error) {
 		cand := v[0] ^ w
 		ok := true
 		for _, p := range inPivots {
-			if _, in := st.wSet[p^cand]; !in {
+			if !st.w.has(p ^ cand) {
 				ok = false
 				break
 			}
 		}
 		for i := 0; ok && i < len(outPivots); i++ {
-			if _, in := st.wSet[outPivots[i]^cand]; in {
+			if st.w.has(outPivots[i] ^ cand) {
 				ok = false
 			}
 		}
@@ -745,7 +742,7 @@ func (a *attack) deltaCandidates(st *structured) ([]uint64, error) {
 			if poll.hit() {
 				return nil, poll.err
 			}
-			_, in := st.wSet[x^cand]
+			in := st.w.has(x ^ cand)
 			if in {
 				count++
 			}

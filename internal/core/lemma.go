@@ -78,27 +78,50 @@ func NonControllingPattern(chain lock.ChainConfig) uint64 {
 // structure validation inside the attack; the count must stay below
 // 2^28 (the attack guards with MaxOnePoints before calling).
 func OnePoints(chain lock.ChainConfig) []uint64 {
-	n := len(chain) + 1
-	if MaxDIPs(chain) > 1<<28 {
+	total := MaxDIPs(chain)
+	if total > 1<<28 {
 		panic("core: OnePoints would materialize more than 2^28 patterns")
 	}
-	wnc := NonControllingPattern(chain)
-	out := []uint64{wnc}
-	// Non-controlling suffix pattern for positions > c.
-	for j, g := range chain {
-		if g != lock.ChainOr {
-			continue
-		}
-		c := uint(j + 1)
-		base := uint64(1) << c // controlling 1 at position c
-		for q := j + 1; q < n-1; q++ {
-			if chain[q] == lock.ChainAnd {
-				base |= 1 << uint(q+1)
-			}
-		}
+	w := newOnePointSet(chain)
+	out := make([]uint64, 1, total)
+	out[0] = w.wnc
+	for _, c := range w.ors {
+		base := (w.wnc>>c | 1) << c
 		for low := uint64(0); low < 1<<c; low++ {
 			out = append(out, base|low)
 		}
 	}
 	return out
+}
+
+// onePointSet is W, the set OnePoints enumerates, held in closed form.
+// The group of the OR gate whose input sits at chain position c is every
+// pattern that agrees with w_nc above c and has the controlling 1 at c;
+// W is w_nc plus those groups.
+type onePointSet struct {
+	wnc uint64
+	ors []uint // chain positions of the OR gates' inputs, ascending
+}
+
+func newOnePointSet(chain lock.ChainConfig) onePointSet {
+	w := onePointSet{wnc: NonControllingPattern(chain)}
+	for j, g := range chain {
+		if g == lock.ChainOr {
+			w.ors = append(w.ors, uint(j+1))
+		}
+	}
+	return w
+}
+
+// has reports x ∈ W in O(#ORs) without allocating.
+func (w onePointSet) has(x uint64) bool {
+	if x == w.wnc {
+		return true
+	}
+	for _, c := range w.ors {
+		if x>>c == w.wnc>>c|1 {
+			return true
+		}
+	}
+	return false
 }

@@ -151,3 +151,29 @@ func evalChain(chain lock.ChainConfig, v uint64) bool {
 	}
 	return acc
 }
+
+// TestOnePointSetMatchesEnumeration checks the closed-form membership
+// test against the enumerated set: for every AND-terminated chain with
+// n ≤ 12, has(x) must equal x ∈ OnePoints on all 2^n patterns.
+func TestOnePointSetMatchesEnumeration(t *testing.T) {
+	for n := 2; n <= 12; n++ {
+		for ors := uint64(0); ors < 1<<uint(n-2); ors++ {
+			chain := make(lock.ChainConfig, n-1)
+			for i := 0; i < n-2; i++ {
+				if ors&(1<<uint(i)) != 0 {
+					chain[i] = lock.ChainOr
+				}
+			}
+			in := make([]bool, 1<<uint(n))
+			for _, w := range OnePoints(chain) {
+				in[w] = true
+			}
+			w := newOnePointSet(chain)
+			for x := range in {
+				if w.has(uint64(x)) != in[x] {
+					t.Fatalf("%s: has(%0*b) = %v, enumeration says %v", chain, n, x, !in[x], in[x])
+				}
+			}
+		}
+	}
+}

@@ -294,12 +294,12 @@ func TestDeltaCandidatesPollsContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	half := uint64(1) << (n - 1)
-	st := &structured{dips: dips, bigTop: true, s: 0}
-	st.wSet = make(map[uint64]struct{}, half)
+	// W is the top half of the universe: one OR group at position n-1
+	// (every pattern with bit n-1 set), with w_nc inside it.
+	st := &structured{dips: dips, bigTop: true, s: 0, w: onePointSet{wnc: half, ors: []uint{n - 1}}}
 	for p := half; p < 2*half; p++ {
 		dips.Add(p)
 		st.wList = append(st.wList, p)
-		st.wSet[p] = struct{}{}
 	}
 	// One suppressed element: small = {w0 ⊕ ¬s} with w0 the first
 	// one-point, so V = W ∖ {w0} and the exact quadratic verification

@@ -22,11 +22,27 @@ type Circuit struct {
 
 	topo      []ID // cached topological order; nil when stale
 	topoValid bool
+
+	// slab holds the gates' fanin lists back to back; each gate's Fanin
+	// is a full slice expression over its own stretch, so an append to
+	// one gate's fanin reallocates instead of overwriting a neighbour.
+	slab []ID
 }
 
 // New returns an empty circuit with the given name.
 func New(name string) *Circuit {
 	return &Circuit{Name: name, names: make(map[string]ID)}
+}
+
+// NewSized returns an empty circuit with room for n gates (and about two
+// fanins each) before any table grows. n is only a capacity hint.
+func NewSized(name string, n int) *Circuit {
+	return &Circuit{
+		Name:  name,
+		gates: make([]Gate, 0, n),
+		names: make(map[string]ID, n),
+		slab:  make([]ID, 0, 2*n),
+	}
 }
 
 // NumGates returns the total number of gates (including inputs and keys).
@@ -95,13 +111,28 @@ func (c *Circuit) AddGate(t GateType, name string, fanin ...ID) (ID, error) {
 		}
 	}
 	id := ID(len(c.gates))
-	c.gates = append(c.gates, Gate{Type: t, Name: name, Fanin: append([]ID(nil), fanin...)})
+	c.gates = append(c.gates, Gate{Type: t, Name: name, Fanin: c.ownFanin(fanin)})
 	if c.names == nil {
 		c.names = make(map[string]ID)
 	}
 	c.names[name] = id
 	c.topoValid = false
 	return id, nil
+}
+
+// ownFanin copies a fanin list into the circuit's slab. When the slab is
+// full a fresh stretch is started (the old one stays referenced by the
+// gates already in it), sized to grow with the circuit.
+func (c *Circuit) ownFanin(fanin []ID) []ID {
+	if len(fanin) == 0 {
+		return nil
+	}
+	if cap(c.slab)-len(c.slab) < len(fanin) {
+		c.slab = make([]ID, 0, max(64, 2*len(c.gates), len(fanin)))
+	}
+	lo := len(c.slab)
+	c.slab = append(c.slab, fanin...)
+	return c.slab[lo:len(c.slab):len(c.slab)]
 }
 
 // MustAddGate is AddGate that panics on error; it is intended for

@@ -181,3 +181,40 @@ func TestConstantGates(t *testing.T) {
 		t.Error("a AND 1 with a=1 should be 1")
 	}
 }
+
+// TestFaninSlabIsolation checks that fanin lists sharing the circuit's
+// slab stay independent: AddGate copies the caller's slice, an in-place
+// rewire touches only its own gate, and growing one gate's list
+// reallocates rather than spilling into the next gate's.
+func TestFaninSlabIsolation(t *testing.T) {
+	for _, c := range []*Circuit{New("grow"), NewSized("sized", 4)} {
+		a := c.MustAddInput("a")
+		b := c.MustAddInput("b")
+		fan := []ID{a, b}
+		g1 := c.MustAddGate(And, "g1", fan...)
+		fan[0] = b
+		g2 := c.MustAddGate(Or, "g2", a, b)
+		c.Gate(g1).Fanin[1] = a
+		c.Gate(g1).Fanin = append(c.Gate(g1).Fanin, b)
+		if got := c.Gate(g1).Fanin; len(got) != 3 || got[0] != a || got[1] != a || got[2] != b {
+			t.Fatalf("%s: g1 fanin %v", c.Name, got)
+		}
+		if got := c.Gate(g2).Fanin; len(got) != 2 || got[0] != a || got[1] != b {
+			t.Fatalf("%s: neighbour g2 clobbered: %v", c.Name, got)
+		}
+		// Enough gates to cross several slab stretches.
+		prev := g2
+		for i := 0; i < 300; i++ {
+			prev = c.MustAddGate(Xor, "x"+itoa(i), prev, a, ID(i%2))
+		}
+		for i := 0; i < 300; i++ {
+			g := c.Gate(ID(4 + i))
+			if len(g.Fanin) != 3 || g.Fanin[0] != ID(3+i) || g.Fanin[1] != a || g.Fanin[2] != ID(i%2) {
+				t.Fatalf("%s: gate x%d fanin %v", c.Name, i, g.Fanin)
+			}
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

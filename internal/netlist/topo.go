@@ -10,29 +10,23 @@ func (c *Circuit) TopoOrder() ([]ID, error) {
 		return c.topo, nil
 	}
 	n := len(c.gates)
-	indeg := make([]int, n)
-	fanout := make([][]ID, n)
-	for id := range c.gates {
-		for _, f := range c.gates[id].Fanin {
-			indeg[id]++
-			fanout[f] = append(fanout[f], ID(id))
-		}
-	}
+	off, adj := c.fanouts()
+	indeg := make([]int32, n)
+	// Kahn's algorithm with a FIFO queue: gates leave the queue in the
+	// order they entered it, so order doubles as the queue.
 	order := make([]ID, 0, n)
-	queue := make([]ID, 0, n)
-	for id := 0; id < n; id++ {
+	for id := range c.gates {
+		indeg[id] = int32(len(c.gates[id].Fanin))
 		if indeg[id] == 0 {
-			queue = append(queue, ID(id))
+			order = append(order, ID(id))
 		}
 	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, out := range fanout[id] {
+	for head := 0; head < len(order); head++ {
+		id := order[head]
+		for _, out := range adj[off[id]:off[id+1]] {
 			indeg[out]--
 			if indeg[out] == 0 {
-				queue = append(queue, out)
+				order = append(order, out)
 			}
 		}
 	}
@@ -42,6 +36,34 @@ func (c *Circuit) TopoOrder() ([]ID, error) {
 	c.topo = order
 	c.topoValid = true
 	return order, nil
+}
+
+// fanouts returns every gate's fanout list in compressed sparse row form:
+// the gates reading gate g are adj[off[g]:off[g+1]], in ascending ID
+// order, a gate listed once per fanin slot it takes g in.
+func (c *Circuit) fanouts() (off []int32, adj []ID) {
+	n := len(c.gates)
+	off = make([]int32, n+1)
+	for id := range c.gates {
+		for _, f := range c.gates[id].Fanin {
+			off[f+1]++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	adj = make([]ID, off[n])
+	// Fill using off[f] as gate f's write cursor; afterwards off[f] has
+	// advanced to the old off[f+1], so shift the offsets back by one.
+	for id := range c.gates {
+		for _, f := range c.gates[id].Fanin {
+			adj[off[f]] = ID(id)
+			off[f]++
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return off, adj
 }
 
 // Levels returns, for each gate, its logic level: inputs and constants are
@@ -109,12 +131,7 @@ func (c *Circuit) TransitiveFanin(roots ...ID) []bool {
 // TransitiveFanout returns the set of gate IDs in the transitive fanout
 // cone of the given roots (inclusive), as a boolean mask indexed by ID.
 func (c *Circuit) TransitiveFanout(roots ...ID) []bool {
-	fanout := make([][]ID, len(c.gates))
-	for id := range c.gates {
-		for _, f := range c.gates[id].Fanin {
-			fanout[f] = append(fanout[f], ID(id))
-		}
-	}
+	off, adj := c.fanouts()
 	mask := make([]bool, len(c.gates))
 	stack := make([]ID, 0, len(roots))
 	for _, r := range roots {
@@ -126,7 +143,7 @@ func (c *Circuit) TransitiveFanout(roots ...ID) []bool {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, out := range fanout[id] {
+		for _, out := range adj[off[id]:off[id+1]] {
 			if !mask[out] {
 				mask[out] = true
 				stack = append(stack, out)

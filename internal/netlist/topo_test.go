@@ -128,3 +128,73 @@ func TestTransitiveFanout(t *testing.T) {
 		t.Error("fanout of a includes unrelated logic")
 	}
 }
+
+// topoOrderListRef is Kahn's algorithm over per-gate fanout lists, the
+// form TopoOrder took before its fanout went flat. It pins the order
+// TopoOrder returns (Canonical bytes and Tseitin numbering follow it).
+func topoOrderListRef(c *Circuit) []ID {
+	n := c.NumGates()
+	indeg := make([]int, n)
+	fanout := make([][]ID, n)
+	for id := 0; id < n; id++ {
+		for _, f := range c.Gate(ID(id)).Fanin {
+			indeg[id]++
+			fanout[f] = append(fanout[f], ID(id))
+		}
+	}
+	var order, queue []ID
+	for id := 0; id < n; id++ {
+		if indeg[id] == 0 {
+			queue = append(queue, ID(id))
+		}
+	}
+	for len(queue) > 0 {
+		id := queue[0]
+		queue = queue[1:]
+		order = append(order, id)
+		for _, out := range fanout[id] {
+			if indeg[out]--; indeg[out] == 0 {
+				queue = append(queue, out)
+			}
+		}
+	}
+	return order
+}
+
+func TestTopoOrderMatchesListReference(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		c := randomCircuit(seed, 2+int(seed%7), 5+int(seed)*17)
+		got, err := c.TopoOrder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := topoOrderListRef(c)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d gates ordered, reference %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: position %d is gate %d, reference %d", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestTransitiveFanoutIsFaninDual checks the flat fanout walk against the
+// fanin walk: y is in x's fanout cone exactly when x is in y's fanin cone.
+func TestTransitiveFanoutIsFaninDual(t *testing.T) {
+	c := randomCircuit(5, 6, 80)
+	n := c.NumGates()
+	fanin := make([][]bool, n)
+	for y := 0; y < n; y++ {
+		fanin[y] = c.TransitiveFanin(ID(y))
+	}
+	for x := 0; x < n; x++ {
+		fo := c.TransitiveFanout(ID(x))
+		for y := 0; y < n; y++ {
+			if fo[y] != fanin[y][x] {
+				t.Fatalf("gate %d in fanout of %d: %v, but fanin says %v", y, x, fo[y], fanin[y][x])
+			}
+		}
+	}
+}

@@ -42,11 +42,15 @@ type BatchOracle interface {
 // Sim is an Oracle backed by simulating the original (unlocked) netlist,
 // standing in for the activated chip of the paper's threat model. It
 // counts queries and is safe for concurrent use: each in-flight query
-// draws a private simulator from an internal pool (netlist simulators
-// are single-goroutine objects), and the query counters are atomics, so
-// concurrent callers never contend on a global lock.
+// takes a private simulator (netlist simulators are single-goroutine
+// objects), and the query counters are atomics, so concurrent callers
+// never contend on a global lock. A query takes the home simulator when
+// it is free; only queries that overlap it draw from a pool. The home
+// simulator is held by the Sim itself, so unlike pooled ones it is never
+// dropped at a garbage collection and never rebuilt inside a query.
 type Sim struct {
 	circuit *netlist.Circuit
+	home    atomic.Pointer[netlist.Simulator]
 	pool    sync.Pool
 	inputs  int
 	outputs int
@@ -78,8 +82,24 @@ func NewSim(original *netlist.Circuit) (*Sim, error) {
 		}
 		return s
 	}
-	o.pool.Put(first)
+	o.home.Store(first)
 	return o, nil
+}
+
+// get takes the home simulator, or a pooled one while the home
+// simulator is in use.
+func (o *Sim) get() *netlist.Simulator {
+	if s := o.home.Swap(nil); s != nil {
+		return s
+	}
+	return o.pool.Get().(*netlist.Simulator)
+}
+
+// put returns a simulator: home if home is empty, else to the pool.
+func (o *Sim) put(s *netlist.Simulator) {
+	if !o.home.CompareAndSwap(nil, s) {
+		o.pool.Put(s)
+	}
 }
 
 // MustNewSim is NewSim that panics on error.
@@ -101,16 +121,16 @@ func (o *Sim) NumOutputs() int { return o.outputs }
 func (o *Sim) Query(in []bool) ([]bool, error) {
 	o.queries.Add(1)
 	o.calls.Add(1)
-	sim := o.pool.Get().(*netlist.Simulator)
+	sim := o.get()
 	out, err := sim.Run(in, nil)
 	if err != nil {
-		o.pool.Put(sim)
+		o.put(sim)
 		return nil, err
 	}
-	// Copy: the simulator owns its output buffer, and it goes back into
-	// the pool where another goroutine may overwrite it.
+	// Copy: the simulator owns its output buffer, and once put back
+	// another goroutine may overwrite it.
 	res := append([]bool(nil), out...)
-	o.pool.Put(sim)
+	o.put(sim)
 	return res, nil
 }
 
@@ -118,21 +138,21 @@ func (o *Sim) Query(in []bool) ([]bool, error) {
 func (o *Sim) Query64(in []uint64) ([]uint64, error) {
 	o.queries.Add(64)
 	o.calls.Add(1)
-	sim := o.pool.Get().(*netlist.Simulator)
+	sim := o.get()
 	out, err := sim.Run64(in, nil)
 	if err != nil {
-		o.pool.Put(sim)
+		o.put(sim)
 		return nil, err
 	}
 	res := append([]uint64(nil), out...)
-	o.pool.Put(sim)
+	o.put(sim)
 	return res, nil
 }
 
 // EvalMany implements BatchOracle: every batch is evaluated on the
-// caller's goroutine with one pooled simulator, but because nothing here
-// locks, many goroutines can be inside EvalMany (or Query/Query64)
-// simultaneously — the pool hands each a distinct simulator. Batches are
+// caller's goroutine with one simulator, but because nothing here locks,
+// many goroutines can be inside EvalMany (or Query/Query64)
+// simultaneously — each gets a distinct simulator. Batches are
 // packed eight at a time through the simulator's 512-lane kernel; a
 // remainder of fewer than eight runs the 64-lane path.
 func (o *Sim) EvalMany(ins [][]uint64) ([][]uint64, error) {
@@ -143,8 +163,8 @@ func (o *Sim) EvalMany(ins [][]uint64) ([][]uint64, error) {
 			return nil, fmt.Errorf("oracle: EvalMany: got %d input words, want %d", len(in), o.inputs)
 		}
 	}
-	sim := o.pool.Get().(*netlist.Simulator)
-	defer o.pool.Put(sim)
+	sim := o.get()
+	defer o.put(sim)
 	outs := make([][]uint64, len(ins))
 	i := 0
 	if len(ins) >= 8 {

@@ -3,6 +3,7 @@ package oracle
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -65,6 +66,29 @@ func TestQuery64CopiesBuffer(t *testing.T) {
 	}
 }
 
+// TestHomeSimulatorSurvivesGC checks that sequential queries keep using
+// the simulator built in NewSim across garbage collections, which empty
+// a sync.Pool, and never build another one.
+func TestHomeSimulatorSurvivesGC(t *testing.T) {
+	o := MustNewSim(buildPlain())
+	built := 0
+	build := o.pool.New
+	o.pool.New = func() any { built++; return build() }
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		runtime.GC()
+		if _, err := o.Query64([]uint64{^uint64(0), 0}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.EvalMany([][]uint64{{0, 0}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if built != 0 {
+		t.Fatalf("sequential queries built %d simulators", built)
+	}
+}
+
 func TestEvalMany(t *testing.T) {
 	o := MustNewSim(buildPlain())
 	outs, err := o.EvalMany([][]uint64{
@@ -87,8 +111,9 @@ func TestEvalMany(t *testing.T) {
 }
 
 // TestConcurrentQueries hammers one Sim from many goroutines mixing all
-// three query paths; run under -race this certifies the pool keeps the
-// single-goroutine simulators private and the counters atomic.
+// three query paths; run under -race this certifies the home simulator
+// and the pool keep the single-goroutine simulators private and the
+// counters atomic.
 func TestConcurrentQueries(t *testing.T) {
 	o := MustNewSim(buildPlain())
 	var wg sync.WaitGroup
