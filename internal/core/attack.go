@@ -1335,19 +1335,34 @@ func (a *attack) probePatterns(st *structured) []uint64 {
 
 // packBlocks fills a packed input batch: lane l carries block pattern
 // blocks[l] on the chain inputs (lanes past len(blocks) carry 0), and
-// every other primary input gets random bits.
+// every other primary input gets random bits. Chain input i's word is
+// bit column i of the lane-by-bit matrix blocks, so one bit-matrix
+// transpose builds them all.
 func (a *attack) packBlocks(in []uint64, blocks []uint64) {
 	for i := range in {
 		in[i] = a.rng.Uint64()
 	}
-	pos := a.layout.InputPos
-	for _, p := range pos {
-		in[p] = 0
+	var m [64]uint64
+	copy(m[:], blocks)
+	transpose64(&m)
+	for i, p := range a.layout.InputPos {
+		in[p] = m[i]
 	}
-	for l, p := range blocks {
-		for ; p != 0; p &= p - 1 {
-			in[pos[trailingZeros(p)]] |= 1 << uint(l)
+}
+
+// transpose64 transposes a 64×64 bit matrix in place: bit k of m[i]
+// moves to bit i of m[k]. Each round swaps the off-diagonal blocks of
+// every diagonal block of side 2j (32×32 blocks first, then 16×16, …,
+// single bits), which transposes the whole matrix after six rounds.
+func transpose64(m *[64]uint64) {
+	mask := uint64(0x00000000ffffffff)
+	for j := 32; j != 0; j >>= 1 {
+		for k := 0; k < 64; k = (k + j + 1) &^ j {
+			t := (m[k]>>uint(j) ^ m[k+j]) & mask
+			m[k] ^= t << uint(j)
+			m[k+j] ^= t
 		}
+		mask ^= mask << uint(j/2)
 	}
 }
 
@@ -1398,14 +1413,15 @@ func diffLanes(want, got []uint64, lanes int) uint64 {
 }
 
 // verifyKeyOnDIPs replays every extracted DIP against the oracle under
-// the candidate key — the O(m) final check. Batches of 64 patterns are
-// buffered eight at a time: the oracle side drains a whole group through
-// BatchOracle.EvalMany when the oracle offers it, and the locked-netlist
-// side replays the group in one 512-lane simulator pass.
+// the candidate key — the O(m) final check. The set streams in
+// ascending order into batches of 64 patterns, with no m-word copy of
+// it, and the batches are buffered eight at a time: the oracle side
+// drains a whole group through BatchOracle.EvalMany when the oracle
+// offers it, and the locked-netlist side replays the group in one
+// 512-lane simulator pass.
 func (a *attack) verifyKeyOnDIPs(key []bool, st *structured) error {
 	nIn := a.opts.Locked.NumInputs()
 	kw, key8 := keyWords(key), keyBanks(key)
-	all := st.dips.Elements()
 
 	const group = 8
 	ins := make([][]uint64, group)
@@ -1490,21 +1506,38 @@ func (a *attack) verifyKeyOnDIPs(key []bool, st *structured) error {
 		return nil
 	}
 
+	// Stream the set in ascending order, 64 patterns per batch.
 	gN := 0
-	for base := 0; base < len(all); base += 64 {
+	var chunk [64]uint64
+	nc := 0
+	batch := func() error {
 		if err := a.ctxErr(); err != nil {
 			return err
 		}
-		chunk := all[base:min(base+64, len(all))]
-		a.packBlocks(ins[gN], chunk)
-		lens[gN] = len(chunk)
+		a.packBlocks(ins[gN], chunk[:nc])
+		lens[gN] = nc
+		nc = 0
 		gN++
 		if gN == group {
-			if err := flush(group); err != nil {
-				return err
-			}
 			gN = 0
+			return flush(group)
 		}
+		return nil
+	}
+	var err error
+	st.dips.ForEach(func(p uint64) bool {
+		chunk[nc] = p
+		nc++
+		if nc == len(chunk) {
+			err = batch()
+		}
+		return err == nil
+	})
+	if err == nil && nc > 0 {
+		err = batch()
+	}
+	if err != nil {
+		return err
 	}
 	return flush(gN)
 }

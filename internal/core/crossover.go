@@ -56,9 +56,10 @@ func lemma1Assign(locked *netlist.Circuit, layout *BlockLayout) PairAssign {
 	return a
 }
 
-// newCalibratedSim builds the simulation extractor configured per opts.
-func newCalibratedSim(opts *Options, layout *BlockLayout) (*SimExtractor, error) {
-	se, err := NewSimExtractor(opts.Locked, layout, opts.Seed)
+// newCalibratedSim builds the simulation extractor configured per opts,
+// self-checking it on the attack's compiled locked netlist.
+func newCalibratedSim(opts *Options, layout *BlockLayout, sim *netlist.Simulator) (*SimExtractor, error) {
+	se, err := newSimExtractor(opts.Locked, layout, opts.Seed, sim)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +102,7 @@ func (a *attack) chooseExtractor() (Extractor, error) {
 			return NewSATExtractor(opts.Locked, layout)
 		}
 		publish("sim", "pinned", 0, 0)
-		return newCalibratedSim(opts, layout)
+		return newCalibratedSim(opts, layout, a.sim)
 	}
 
 	tel.Counter("crossover_probes_total").Inc()
@@ -117,7 +118,7 @@ func (a *attack) chooseExtractor() (Extractor, error) {
 		return ext
 	}
 
-	se, simErr := newCalibratedSim(opts, layout)
+	se, simErr := newCalibratedSim(opts, layout, a.sim)
 	if simErr != nil {
 		if n > 30 {
 			// Neither engine can take the instance (the SAT extractor caps

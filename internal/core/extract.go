@@ -338,6 +338,12 @@ func (e *SimExtractor) SetProgress(fn func(set *DIPSet, complete bool)) { e.prog
 // NewSimExtractor compiles the key cone of the locked circuit and
 // self-checks it against full-netlist simulation on random patterns.
 func NewSimExtractor(locked *netlist.Circuit, layout *BlockLayout, seed int64) (*SimExtractor, error) {
+	return newSimExtractor(locked, layout, seed, nil)
+}
+
+// newSimExtractor is NewSimExtractor whose self-check runs on sim, a
+// simulator of locked the caller already compiled; nil compiles one.
+func newSimExtractor(locked *netlist.Circuit, layout *BlockLayout, seed int64, sim *netlist.Simulator) (*SimExtractor, error) {
 	if err := layout.Validate(locked); err != nil {
 		return nil, err
 	}
@@ -394,7 +400,12 @@ func NewSimExtractor(locked *netlist.Circuit, layout *BlockLayout, seed int64) (
 	if len(e.outRegs) == 0 {
 		return nil, fmt.Errorf("core: no output depends on the key inputs")
 	}
-	if err := e.selfCheck(locked, seed); err != nil {
+	if sim == nil {
+		if sim, err = netlist.NewSimulator(locked); err != nil {
+			return nil, err
+		}
+	}
+	if err := e.selfCheck(locked, sim, seed); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -491,8 +502,8 @@ func (e *SimExtractor) shardPlan(nBatches uint64) int {
 // constants of copy A (and, for keys whose two copies differ, a second
 // register with copy B's value); gates untouched by differing keys are
 // evaluated once and shared, the rest are duplicated. The instruction
-// stream is a netlist.Program, so the same compiled assignment executes
-// at 64, 256, or 512 lanes (see enumerateShard).
+// stream is a scheduled netlist.Program, so the same compiled assignment
+// executes at 64, 256, or 512 lanes (see enumerateShard).
 //
 // prog and outs are immutable after prepare; regs (and the lazily built
 // wide bank) are the mutable register files the hot loop writes, so a
@@ -597,6 +608,7 @@ func (e *SimExtractor) prepare(assign PairAssign) (*prepared, error) {
 			}
 		}
 	}
+	p.prog.Schedule()
 	p.regs = make([]uint64, next)
 	for _, k := range keyVals {
 		if k.val {
@@ -989,12 +1001,9 @@ func (e *SimExtractor) checkAssign(assign PairAssign) error {
 // selfCheck verifies cone disagreement equals full-netlist disagreement
 // on random patterns under a few representative key assignments, which
 // certifies that holding cone side inputs at 0 is sound for this netlist
-// (true whenever the flip is injected through XORs).
-func (e *SimExtractor) selfCheck(locked *netlist.Circuit, seed int64) error {
-	sim, err := netlist.NewSimulator(locked)
-	if err != nil {
-		return err
-	}
+// (true whenever the flip is injected through XORs). sim simulates the
+// full locked netlist.
+func (e *SimExtractor) selfCheck(locked *netlist.Circuit, sim *netlist.Simulator, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	nk := e.nKeys
 	assigns := make([]PairAssign, 0, 3)

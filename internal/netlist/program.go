@@ -8,7 +8,9 @@ import "fmt"
 // per-gate dynamic dispatch (fanin gather + Eval64 type switch) from the
 // simulation hot loop, and the same program executes unchanged at word
 // widths 1, 4, and 8 (64/256/512 bit-parallel lanes) — the wide kernels
-// just stride the register file.
+// just stride the register file. Schedule then groups the stream by
+// dependency level and opcode, so the kernels' opcode dispatch repeats
+// in long runs instead of changing on almost every op.
 
 // Program opcodes. Every op is at most two-input: n-ary gates are
 // decomposed at compile time into a chain of accumulating two-input ops
@@ -38,10 +40,10 @@ type progOp struct {
 }
 
 // Program is a compiled gate program. Build one with NewProgram + Emit
-// (in topological order), then execute it with Exec/Exec256/Exec512
-// over a caller-owned register file. Programs are immutable after
-// construction and safe for concurrent execution over distinct register
-// files.
+// (in topological order), optionally Schedule it, then execute it with
+// Exec/Exec256/Exec512 over a caller-owned register file. Programs are
+// immutable after construction and safe for concurrent execution over
+// distinct register files.
 type Program struct {
 	ops  []progOp
 	regs int // register-file size in words (width 1)
@@ -150,36 +152,119 @@ func (p *Program) Emit(t GateType, dst int32, args []int32) error {
 	return nil
 }
 
+// Schedule reorders the instruction stream by dependency level, then by
+// opcode, without changing what any execution computes. An op's level
+// is one more than the highest level among the last writers of its
+// operands and of its destination and the last reader of its
+// destination: the read-after-write terms order the data flow, and the
+// write-after-write and write-after-read terms keep accumulate chains
+// and raw Emit streams that reuse registers correct. No two ops of one
+// level write the same register or read a register another of them
+// writes, so any order within a level is equivalent; a stable counting
+// sort by (level, opcode) turns the stream into long runs of one
+// opcode, which Exec dispatches once per run. Registers keep their
+// numbering.
+func (p *Program) Schedule() {
+	n := len(p.ops)
+	if n < 2 {
+		return
+	}
+	const nCodes = int32(opXnor2) + 1
+	last := make([]int32, 2*p.regs)
+	lastW, lastR := last[:p.regs], last[p.regs:]
+	key := make([]int32, n) // (level-1)·nCodes + opcode
+	var top int32
+	for i := range p.ops {
+		op := &p.ops[i]
+		l := 1 + max(lastW[op.a], lastW[op.b], lastW[op.dst], lastR[op.dst])
+		key[i] = (l-1)*nCodes + int32(op.code)
+		lastR[op.a] = max(lastR[op.a], l)
+		lastR[op.b] = max(lastR[op.b], l)
+		lastW[op.dst] = l
+		top = max(top, l)
+	}
+	// Counting sort: next[k] becomes bucket k's first slot.
+	next := make([]int32, top*nCodes)
+	for _, k := range key {
+		next[k]++
+	}
+	var at int32
+	for k, c := range next {
+		next[k] = at
+		at += c
+	}
+	sorted := make([]progOp, n)
+	for i, op := range p.ops {
+		sorted[next[key[i]]] = op
+		next[key[i]]++
+	}
+	p.ops = sorted
+}
+
 // Exec runs the program over a width-1 register file (64 bit-parallel
-// lanes). len(regs) must be at least NumRegs().
+// lanes). len(regs) must be at least NumRegs(). Each case of the opcode
+// switch runs the whole run of consecutive ops sharing its opcode, so a
+// scheduled program pays one dispatch per run rather than one per op.
 func (p *Program) Exec(regs []uint64) {
 	if p.regs == 0 {
 		return
 	}
 	regs = regs[:p.regs]
-	for i := range p.ops {
-		op := &p.ops[i]
-		switch op.code {
+	ops := p.ops
+	for i := 0; i < len(ops); {
+		switch ops[i].code {
 		case opConst0:
-			regs[op.dst] = 0
+			for ; i < len(ops) && ops[i].code == opConst0; i++ {
+				op := &ops[i]
+				regs[op.dst] = 0
+			}
 		case opConst1:
-			regs[op.dst] = ^uint64(0)
+			for ; i < len(ops) && ops[i].code == opConst1; i++ {
+				op := &ops[i]
+				regs[op.dst] = ^uint64(0)
+			}
 		case opBuf:
-			regs[op.dst] = regs[op.a]
+			for ; i < len(ops) && ops[i].code == opBuf; i++ {
+				op := &ops[i]
+				regs[op.dst] = regs[op.a]
+			}
 		case opNot:
-			regs[op.dst] = ^regs[op.a]
+			for ; i < len(ops) && ops[i].code == opNot; i++ {
+				op := &ops[i]
+				regs[op.dst] = ^regs[op.a]
+			}
 		case opAnd2:
-			regs[op.dst] = regs[op.a] & regs[op.b]
+			for ; i < len(ops) && ops[i].code == opAnd2; i++ {
+				op := &ops[i]
+				regs[op.dst] = regs[op.a] & regs[op.b]
+			}
 		case opNand2:
-			regs[op.dst] = ^(regs[op.a] & regs[op.b])
+			for ; i < len(ops) && ops[i].code == opNand2; i++ {
+				op := &ops[i]
+				regs[op.dst] = ^(regs[op.a] & regs[op.b])
+			}
 		case opOr2:
-			regs[op.dst] = regs[op.a] | regs[op.b]
+			for ; i < len(ops) && ops[i].code == opOr2; i++ {
+				op := &ops[i]
+				regs[op.dst] = regs[op.a] | regs[op.b]
+			}
 		case opNor2:
-			regs[op.dst] = ^(regs[op.a] | regs[op.b])
+			for ; i < len(ops) && ops[i].code == opNor2; i++ {
+				op := &ops[i]
+				regs[op.dst] = ^(regs[op.a] | regs[op.b])
+			}
 		case opXor2:
-			regs[op.dst] = regs[op.a] ^ regs[op.b]
+			for ; i < len(ops) && ops[i].code == opXor2; i++ {
+				op := &ops[i]
+				regs[op.dst] = regs[op.a] ^ regs[op.b]
+			}
 		case opXnor2:
-			regs[op.dst] = ^(regs[op.a] ^ regs[op.b])
+			for ; i < len(ops) && ops[i].code == opXnor2; i++ {
+				op := &ops[i]
+				regs[op.dst] = ^(regs[op.a] ^ regs[op.b])
+			}
+		default:
+			panic(fmt.Sprintf("netlist: Exec: invalid opcode %d", ops[i].code))
 		}
 	}
 }
@@ -272,9 +357,9 @@ func (p *Program) Exec512(regs []uint64) {
 	}
 }
 
-// CompileCircuit compiles the circuit's gate logic into a Program whose
-// register file is indexed by gate ID (register i holds gate i's
-// value). Input-type gates (primary inputs and keys) emit no
+// CompileCircuit compiles the circuit's gate logic into a scheduled
+// Program whose register file is indexed by gate ID (register i holds
+// gate i's value). Input-type gates (primary inputs and keys) emit no
 // instructions — callers load their registers before executing.
 func CompileCircuit(c *Circuit) (*Program, error) {
 	order, err := c.TopoOrder()
@@ -282,6 +367,13 @@ func CompileCircuit(c *Circuit) (*Program, error) {
 		return nil, err
 	}
 	p := NewProgram(c.NumGates())
+	nOps := 0
+	for i := range c.gates {
+		if g := &c.gates[i]; g.Type != Input {
+			nOps += max(1, len(g.Fanin)-1)
+		}
+	}
+	p.ops = make([]progOp, 0, nOps)
 	var args []int32
 	for _, id := range order {
 		g := &c.gates[id]
@@ -296,5 +388,6 @@ func CompileCircuit(c *Circuit) (*Program, error) {
 			return nil, fmt.Errorf("netlist: compiling gate %q: %w", g.Name, err)
 		}
 	}
+	p.Schedule()
 	return p, nil
 }

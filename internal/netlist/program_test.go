@@ -203,6 +203,145 @@ func TestProgramEmitRejectsAliasing(t *testing.T) {
 	}
 }
 
+// emitOp is one raw Emit call of a hand-built program.
+type emitOp struct {
+	t    GateType
+	dst  int32
+	args []int32
+}
+
+// TestProgramScheduleHazards checks that Schedule never changes what a
+// program computes, on raw Emit streams that stress its hazard rule:
+// registers overwritten after being read (write-after-read) and written
+// twice (write-after-write), input registers overwritten, n-ary
+// accumulate chains whose destination is later reused, and constant ops
+// re-targeted at live registers. The reference interprets the Emit calls
+// in order with the per-gate Eval64; the scheduled program must leave
+// the same register file at 64, 256 and 512 lanes, and so must the
+// unscheduled one.
+func TestProgramScheduleHazards(t *testing.T) {
+	cases := map[string][]emitOp{
+		"reuse": {
+			{And, 4, []int32{0, 1}},
+			{Not, 5, []int32{4}},
+			{Or, 4, []int32{5, 2}}, // WAW on 4, WAR against the Not
+			{Xor, 6, []int32{4, 3}},
+			{Const1, 5, nil}, // WAR against the Or
+			{Nand, 7, []int32{5, 6, 0}},
+			{Not, 0, []int32{7}}, // an input register overwritten
+			{Xnor, 1, []int32{0, 4}},
+		},
+		"accumulate": {
+			{Nor, 8, []int32{0, 1, 2, 3}},
+			{Xnor, 9, []int32{8, 0, 1, 2, 3}},
+			{And, 8, []int32{9, 1, 2}}, // the chain's register reused as a chain
+			{Or, 10, []int32{8, 9, 3}},
+			{Xor, 9, []int32{10, 8, 0, 2}},
+			{Buf, 11, []int32{9}},
+		},
+		"constants": {
+			{Const0, 10, nil},
+			{Or, 11, []int32{10, 0}},
+			{Const1, 10, nil},
+			{And, 12, []int32{10, 1, 11}},
+			{Const0, 11, nil},
+			{Nor, 13, []int32{11, 12}},
+			{Const1, 0, nil},
+			{Xor, 14, []int32{0, 13}},
+		},
+	}
+	rng := rand.New(rand.NewSource(5))
+	types := []GateType{Const0, Const1, Buf, Not, And, Nand, Or, Nor, Xor, Xnor}
+	for trial := 0; trial < 200; trial++ {
+		nRegs := 3 + rng.Intn(10)
+		ops := make([]emitOp, 1+rng.Intn(40))
+		for i := range ops {
+			op := emitOp{t: types[rng.Intn(len(types))], dst: int32(rng.Intn(nRegs))}
+			k := 0
+			switch op.t.MinFanin() {
+			case 0:
+			case 1:
+				k = 1
+			default:
+				k = 2 + rng.Intn(3)
+			}
+			for len(op.args) < k {
+				if a := int32(rng.Intn(nRegs)); a != op.dst {
+					op.args = append(op.args, a)
+				}
+			}
+			ops[i] = op
+		}
+		cases[fmt.Sprintf("random%d", trial)] = ops
+	}
+
+	for name, ops := range cases {
+		inOrder, scheduled := NewProgram(0), NewProgram(0)
+		for _, op := range ops {
+			for _, p := range []*Program{inOrder, scheduled} {
+				if err := p.Emit(op.t, op.dst, op.args); err != nil {
+					t.Fatalf("%s: Emit: %v", name, err)
+				}
+			}
+		}
+		scheduled.Schedule()
+		if scheduled.Len() != inOrder.Len() {
+			t.Fatalf("%s: Schedule changed the op count %d → %d", name, inOrder.Len(), scheduled.Len())
+		}
+		nRegs := scheduled.NumRegs()
+
+		// Register r of word group g starts at init[r][g].
+		init := make([][8]uint64, nRegs)
+		for r := range init {
+			for g := range init[r] {
+				init[r][g] = rng.Uint64()
+			}
+		}
+		want := make([][8]uint64, nRegs)
+		copy(want, init)
+		var fan []uint64
+		for g := 0; g < 8; g++ {
+			for _, op := range ops {
+				fan = fan[:0]
+				for _, a := range op.args {
+					fan = append(fan, want[a][g])
+				}
+				want[op.dst][g] = op.t.Eval64(fan)
+			}
+		}
+
+		for _, width := range []int{1, 4, 8} {
+			for _, p := range []struct {
+				label string
+				prog  *Program
+			}{{"scheduled", scheduled}, {"in-order", inOrder}} {
+				for g0 := 0; g0 < 8; g0 += width {
+					regs := make([]uint64, nRegs*width)
+					for r := range init {
+						copy(regs[r*width:(r+1)*width], init[r][g0:g0+width])
+					}
+					switch width {
+					case 1:
+						p.prog.Exec(regs)
+					case 4:
+						p.prog.Exec256(regs)
+					case 8:
+						p.prog.Exec512(regs)
+					}
+					for r := range want {
+						for j := 0; j < width; j++ {
+							if got := regs[r*width+j]; got != want[r][g0+j] {
+								t.Fatalf("%s: %s program at %d lanes: register %d word %d = %#x, want %#x",
+									name, p.label, 64*width, r, g0+j, got, want[r][g0+j])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSimulatorRunsDoNotAllocate asserts the hot paths are
 // allocation-free once the lazily-created banks exist.
 func TestSimulatorRunsDoNotAllocate(t *testing.T) {
@@ -246,51 +385,52 @@ func TestSimulatorRunsDoNotAllocate(t *testing.T) {
 }
 
 // BenchmarkRunWidths measures the compiled kernel at each lane width on
-// a mid-size random circuit; see the root bench_test.go for the ISCAS85
-// profile variants. ns/pattern is the comparable figure across widths.
+// random circuits with an even gate-type mix: a mid-size one and one
+// the size of a paper Table-I locked circuit (|K| = 32, about 2.5k
+// gates). See the root bench_test.go for the ISCAS85 profile variants.
+// ns/pattern is the comparable figure across widths and sizes.
 func BenchmarkRunWidths(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	c := randomProgramCircuit(rng, 24, 8, 400)
-	sim := MustNewSimulator(c)
-	in1 := make([]uint64, 24)
-	key1 := make([]uint64, 8)
-	in4 := make([][4]uint64, 24)
-	key4 := make([][4]uint64, 8)
-	in8 := make([][8]uint64, 24)
-	key8 := make([][8]uint64, 8)
-	for i := range in1 {
-		in1[i] = rng.Uint64()
-		for j := 0; j < 8; j++ {
-			in8[i][j] = rng.Uint64()
+	for _, size := range []struct {
+		name              string
+		nIn, nKey, nGates int
+	}{
+		{"mid", 24, 8, 400},
+		{"tablei", 64, 32, 2500},
+	} {
+		rng := rand.New(rand.NewSource(3))
+		c := randomProgramCircuit(rng, size.nIn, size.nKey, size.nGates)
+		sim := MustNewSimulator(c)
+		in1 := make([]uint64, size.nIn)
+		key1 := make([]uint64, size.nKey)
+		in4 := make([][4]uint64, size.nIn)
+		key4 := make([][4]uint64, size.nKey)
+		in8 := make([][8]uint64, size.nIn)
+		key8 := make([][8]uint64, size.nKey)
+		for i := range in1 {
+			in1[i] = rng.Uint64()
+			for j := 0; j < 8; j++ {
+				in8[i][j] = rng.Uint64()
+			}
+			copy(in4[i][:], in8[i][:4])
 		}
-		copy(in4[i][:], in8[i][:4])
+		run := func(patterns int, fn func()) func(b *testing.B) {
+			return func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					fn()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(patterns), "ns/pattern")
+			}
+		}
+		b.Run(size.name+"/w64", run(64, func() { sim.Run64(in1, key1) }))
+		b.Run(size.name+"/w256", run(256, func() { sim.Run256(in4, key4) }))
+		b.Run(size.name+"/w512", run(512, func() { sim.Run512(in8, key8) }))
 	}
-	b.Run("w64", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sim.Run64(in1, key1)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/64, "ns/pattern")
-	})
-	b.Run("w256", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sim.Run256(in4, key4)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/256, "ns/pattern")
-	})
-	b.Run("w512", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sim.Run512(in8, key8)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/512, "ns/pattern")
-	})
 }
 
 // FuzzProgramVsEval64 decodes the fuzz input into a small DAG and checks
-// the compiled program against the interpreted per-gate Eval64 at every
-// lane width. The decoder is total: any byte string yields a valid
+// the compiled, scheduled program against the interpreted per-gate
+// Eval64 at every lane width. The decoder is total: any byte string yields a valid
 // circuit, so the fuzzer explores structure rather than parser errors.
 func FuzzProgramVsEval64(f *testing.F) {
 	f.Add([]byte{3, 1, 5, 0x11, 0x22, 0x33, 0x44})

@@ -119,6 +119,9 @@ func (o *Sim) NumOutputs() int { return o.outputs }
 
 // Query implements Oracle.
 func (o *Sim) Query(in []bool) ([]bool, error) {
+	if len(in) != o.inputs {
+		return nil, fmt.Errorf("oracle: Query: got %d inputs, want %d", len(in), o.inputs)
+	}
 	o.queries.Add(1)
 	o.calls.Add(1)
 	sim := o.get()
@@ -136,6 +139,9 @@ func (o *Sim) Query(in []bool) ([]bool, error) {
 
 // Query64 implements Oracle.
 func (o *Sim) Query64(in []uint64) ([]uint64, error) {
+	if len(in) != o.inputs {
+		return nil, fmt.Errorf("oracle: Query64: got %d input words, want %d", len(in), o.inputs)
+	}
 	o.queries.Add(64)
 	o.calls.Add(1)
 	sim := o.get()
@@ -156,13 +162,13 @@ func (o *Sim) Query64(in []uint64) ([]uint64, error) {
 // packed eight at a time through the simulator's 512-lane kernel; a
 // remainder of fewer than eight runs the 64-lane path.
 func (o *Sim) EvalMany(ins [][]uint64) ([][]uint64, error) {
-	o.queries.Add(64 * uint64(len(ins)))
-	o.calls.Add(uint64(len(ins)))
 	for _, in := range ins {
 		if len(in) != o.inputs {
 			return nil, fmt.Errorf("oracle: EvalMany: got %d input words, want %d", len(in), o.inputs)
 		}
 	}
+	o.queries.Add(64 * uint64(len(ins)))
+	o.calls.Add(uint64(len(ins)))
 	sim := o.get()
 	defer o.put(sim)
 	outs := make([][]uint64, len(ins))

@@ -57,6 +57,31 @@ func TestQueryAndCounting(t *testing.T) {
 	}
 }
 
+// TestRejectedQueriesAreNotCounted checks that a call rejected for a
+// wrong input length evaluates no pattern, so it leaves Queries
+// ("patterns evaluated") and Calls unchanged.
+func TestRejectedQueriesAreNotCounted(t *testing.T) {
+	o := MustNewSim(buildPlain())
+	if _, err := o.Query64([]uint64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]func() error{
+		"Query short":    func() error { _, err := o.Query([]bool{true}); return err },
+		"Query long":     func() error { _, err := o.Query([]bool{true, false, true}); return err },
+		"Query64 short":  func() error { _, err := o.Query64([]uint64{1}); return err },
+		"Query64 long":   func() error { _, err := o.Query64([]uint64{1, 2, 3}); return err },
+		"EvalMany first": func() error { _, err := o.EvalMany([][]uint64{{1}, {1, 2}}); return err },
+		"EvalMany last":  func() error { _, err := o.EvalMany([][]uint64{{1, 2}, {1, 2}, {1, 2, 3}}); return err },
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s: accepted a wrong-length input", name)
+		}
+		if o.Queries() != 64 || o.Calls() != 1 {
+			t.Errorf("%s: queries=%d calls=%d after a rejected call, want 64 and 1", name, o.Queries(), o.Calls())
+		}
+	}
+}
+
 func TestQuery64CopiesBuffer(t *testing.T) {
 	o := MustNewSim(buildPlain())
 	a, _ := o.Query64([]uint64{^uint64(0), ^uint64(0)})
