@@ -155,7 +155,7 @@ govulncheck:
 ci: build vet fmt-check test test-race fuzz-smoke trace-smoke serve-smoke signal-smoke crash-smoke matrix-smoke events-smoke perfbench-test govulncheck
 
 bench:
-	$(GO) test -run XXX -bench . -benchmem ./internal/core/ ./internal/bench/ ./internal/netlist/ .
+	$(GO) test -run XXX -bench . -benchmem ./internal/core/ ./internal/bench/ ./internal/netlist/ ./internal/sat/ ./internal/cnf/ ./internal/engine/ .
 
 benchjson:
 	$(GO) run ./cmd/benchjson -o BENCH_core.json -baseline BENCH_core.json

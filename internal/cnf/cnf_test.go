@@ -347,3 +347,18 @@ func itoa(i int) string {
 	}
 	return s
 }
+
+// TestFormulaAddDoesNotRetainLits pins the Sink contract on Formula:
+// Add copies the clause, so reusing the literal buffer afterwards does
+// not rewrite what was stored.
+func TestFormulaAddDoesNotRetainLits(t *testing.T) {
+	f := &cnf.Formula{}
+	buf := []cnf.Lit{1, -2, 3}
+	f.Add(buf...)
+	buf[0], buf[1], buf[2] = -4, 5, -6
+	f.Add(buf[:2]...)
+	want := "p cnf 5 2\n1 -2 3 0\n-4 5 0\n"
+	if got := f.DIMACSString(); got != want {
+		t.Fatalf("stored clauses changed with the buffer:\n%s\nwant\n%s", got, want)
+	}
+}

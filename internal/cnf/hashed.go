@@ -2,6 +2,7 @@ package cnf
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/netlist"
 )
@@ -22,10 +23,34 @@ import (
 // a caller whose clauses are retracted later (a scope-guarded sink)
 // drops the Hasher together with them.
 type Hasher struct {
-	sink Sink
-	sigs map[string]Lit
-	sig  []byte // signature scratch
-	zero Lit    // a literal fixed to false; zero.Neg() is true
+	emit  emitter
+	pairs map[pairKey]Lit // two-operand gates
+	sigs  map[string]Lit  // gates of three or more operands, by signature
+	sig   []byte          // signature scratch
+	zero  Lit             // a literal fixed to false; zero.Neg() is true
+	plan  encodePlan      // Encode's work list for the last circuit encoded
+	roots []netlist.ID    // scratch: the requested outputs' gate IDs
+	fanin []Lit           // scratch: one gate's operand literals
+}
+
+// pairKey identifies a two-operand gate: its base function and its
+// sorted operands.
+type pairKey struct {
+	t    netlist.GateType
+	a, b Lit
+}
+
+// encodePlan is Encode's work list for one circuit and output list: the
+// gates of the outputs' transitive fanin in topological order, and a
+// literal table indexed by gate ID that each call overwrites (every
+// gate on the list is written before any gate reads it). A caller that
+// encodes one circuit many times, as a SAT attack does once per DIP,
+// pays for the fanin walk and the table once.
+type encodePlan struct {
+	c     *netlist.Circuit
+	roots []netlist.ID // the output gates the plan covers
+	gates []netlist.ID // fanin of roots in topological order, inputs left out
+	lit   []Lit        // one entry per gate of c when the plan was cut
 }
 
 // NewHasher returns a hashing encoder over sink. zero is a literal the
@@ -38,7 +63,12 @@ func NewHasher(sink Sink, zero Lit) *Hasher {
 		zero = sink.NewVar()
 		sink.Add(zero.Neg())
 	}
-	return &Hasher{sink: sink, sigs: make(map[string]Lit), zero: zero}
+	return &Hasher{
+		emit:  emitter{sink: sink},
+		pairs: make(map[pairKey]Lit),
+		sigs:  make(map[string]Lit),
+		zero:  zero,
+	}
 }
 
 // Const returns the literal of a constant.
@@ -60,34 +90,20 @@ func (h *Hasher) Encode(c *netlist.Circuit, inputs, keys []Lit, outputs []int) (
 	if len(keys) != c.NumKeys() {
 		return nil, fmt.Errorf("cnf: %d key literals, circuit %q has %d key inputs", len(keys), c.Name, c.NumKeys())
 	}
-	order, err := c.TopoOrder()
+	p, err := h.planFor(c, outputs)
 	if err != nil {
 		return nil, err
 	}
-	roots := c.Outputs()
-	if outputs != nil {
-		roots = make([]netlist.ID, len(outputs))
-		for i, o := range outputs {
-			roots[i] = c.Outputs()[o]
-		}
-	}
-	need := c.TransitiveFanin(roots...)
-	lit := make([]Lit, c.NumGates())
+	lit := p.lit
 	for i, id := range c.Inputs() {
 		lit[id] = inputs[i]
 	}
 	for i, id := range c.Keys() {
 		lit[id] = keys[i]
 	}
-	var fanin []Lit
-	for _, id := range order {
-		if !need[id] {
-			continue
-		}
+	for _, id := range p.gates {
 		g := c.Gate(id)
 		switch g.Type {
-		case netlist.Input:
-			continue
 		case netlist.Const0, netlist.Const1:
 			lit[id] = h.Const(g.Type == netlist.Const1)
 			continue
@@ -101,7 +117,7 @@ func (h *Hasher) Encode(c *netlist.Circuit, inputs, keys []Lit, outputs []int) (
 		// OR and NOR go through De Morgan, so every AND-family gate over
 		// the same operands shares one variable whatever its polarity.
 		negIn := g.Type == netlist.Or || g.Type == netlist.Nor
-		fanin = fanin[:0]
+		fanin := h.fanin[:0]
 		for _, f := range g.Fanin {
 			if negIn {
 				fanin = append(fanin, lit[f].Neg())
@@ -109,6 +125,7 @@ func (h *Hasher) Encode(c *netlist.Circuit, inputs, keys []Lit, outputs []int) (
 				fanin = append(fanin, lit[f])
 			}
 		}
+		h.fanin = fanin
 		var v Lit
 		switch g.Type {
 		case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
@@ -123,11 +140,49 @@ func (h *Hasher) Encode(c *netlist.Circuit, inputs, keys []Lit, outputs []int) (
 		}
 		lit[id] = v
 	}
-	outs := make([]Lit, len(roots))
-	for i, o := range roots {
+	outs := make([]Lit, len(p.roots))
+	for i, o := range p.roots {
 		outs[i] = lit[o]
 	}
 	return outs, nil
+}
+
+// planFor returns the plan for encoding the listed outputs of c (all of
+// them when outputs is nil), reusing the last plan when it was cut for
+// the same circuit, the same output gates and the same gate count. The
+// gate count is the rule the circuit's own topological-order cache
+// follows: a circuit changes by adding gates (a lock scheme rewires
+// fanins in place only while building, right after adding the gates it
+// routes through), and a new gate or input invalidates both. Repointing
+// an output changes the output gates.
+func (h *Hasher) planFor(c *netlist.Circuit, outputs []int) (*encodePlan, error) {
+	roots := c.Outputs()
+	if outputs != nil {
+		roots = h.roots[:0]
+		for _, o := range outputs {
+			roots = append(roots, c.Outputs()[o])
+		}
+		h.roots = roots
+	}
+	p := &h.plan
+	if p.c == c && len(p.lit) == c.NumGates() && slices.Equal(p.roots, roots) {
+		return p, nil
+	}
+	order, err := c.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	need := c.TransitiveFanin(roots...)
+	p.c = c
+	p.roots = append(p.roots[:0], roots...)
+	p.gates = p.gates[:0]
+	for _, id := range order {
+		if need[id] && c.Gate(id).Type != netlist.Input {
+			p.gates = append(p.gates, id)
+		}
+	}
+	p.lit = make([]Lit, c.NumGates())
+	return p, nil
 }
 
 // Diff returns a literal that is true exactly when some pair a[i], b[i]
@@ -237,8 +292,19 @@ func sortByVar(ls []Lit) {
 }
 
 // gate returns the hashed variable of base function t (And or Xor) over
-// the sorted, folded operands, encoding it on first sight.
+// the sorted, folded operands, encoding it on first sight. Two-operand
+// gates, nearly all of them, are keyed by a struct; wider ones by a
+// byte signature of the operand list.
 func (h *Hasher) gate(t netlist.GateType, ops []Lit) Lit {
+	if len(ops) == 2 {
+		k := pairKey{t, ops[0], ops[1]}
+		if v, ok := h.pairs[k]; ok {
+			return v
+		}
+		v := h.encodeGate(t, ops)
+		h.pairs[k] = v
+		return v
+	}
 	sig := append(h.sig[:0], byte(t))
 	for _, l := range ops {
 		v := uint32(int32(l))
@@ -248,15 +314,22 @@ func (h *Hasher) gate(t netlist.GateType, ops []Lit) Lit {
 	if v, ok := h.sigs[string(sig)]; ok {
 		return v
 	}
-	v := h.sink.NewVar()
+	v := h.encodeGate(t, ops)
+	h.sigs[string(sig)] = v
+	return v
+}
+
+// encodeGate allocates the variable of a new hashed gate and emits its
+// clauses.
+func (h *Hasher) encodeGate(t netlist.GateType, ops []Lit) Lit {
+	v := h.emit.sink.NewVar()
 	switch t {
 	case netlist.And:
-		encodeAnd(h.sink, v, ops, false)
+		encodeAnd(&h.emit, v, ops, false)
 	case netlist.Xor:
-		encodeXor(h.sink, v, ops, false)
+		encodeXor(&h.emit, v, ops, false)
 	default:
 		panic("cnf: hashed gate of unexpected base type " + t.String())
 	}
-	h.sigs[string(sig)] = v
 	return v
 }

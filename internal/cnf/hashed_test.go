@@ -94,3 +94,64 @@ func TestHasherRejectsWidths(t *testing.T) {
 		t.Error("key literals accepted for a key-free circuit")
 	}
 }
+
+// TestHasherPlanFollowsCircuit interleaves encodings of two circuits and
+// of different output lists on one Hasher, then grows one circuit by a
+// gate, repoints one of its outputs and adds an input. Every encoding, with constant
+// inputs, must fold each requested output to its simulated value: the
+// cached work list is reused only while circuit, outputs and gate count
+// are unchanged.
+func TestHasherPlanFollowsCircuit(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	c := randomCircuit(rng, 5, 30)
+	other := randomCircuit(rng, 5, 30)
+	h := cnf.NewHasher(&cnf.Formula{}, 0)
+	check := func(step string, c *netlist.Circuit, outputs []int) {
+		t.Helper()
+		n := c.NumInputs()
+		for x := uint64(0); x < 1<<uint(n); x++ {
+			in := netlist.PatternFromUint(x, n)
+			want, err := c.Eval(in, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			consts := make([]cnf.Lit, n)
+			for i, b := range in {
+				consts[i] = h.Const(b)
+			}
+			got, err := h.Encode(c, consts, nil, outputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx := outputs
+			if idx == nil {
+				for o := range want {
+					idx = append(idx, o)
+				}
+			}
+			if len(got) != len(idx) {
+				t.Fatalf("%s: %d output literals, want %d", step, len(got), len(idx))
+			}
+			for i, o := range idx {
+				if got[i] != h.Const(want[o]) {
+					t.Fatalf("%s x=%d: output %d folds to literal %d, want the constant %v", step, x, o, got[i], want[o])
+				}
+			}
+		}
+	}
+	last := c.NumOutputs() - 1
+	check("all outputs", c, nil)
+	check("one output", c, []int{last})
+	check("other circuit", other, nil)
+	check("back to the first", c, []int{0, last})
+	g := c.MustAddGate(netlist.Xor, "grown", c.Outputs()[0], c.Inputs()[1])
+	c.MustMarkOutput(g)
+	check("after adding a gate", c, nil)
+	if err := c.ReplaceOutput(0, c.Inputs()[2]); err != nil {
+		t.Fatal(err)
+	}
+	check("after repointing an output", c, nil)
+	check("after repointing, subset", c, []int{0})
+	c.MustAddInput("late") // outputs unchanged, one more input to map
+	check("after adding an input", c, []int{0})
+}

@@ -13,8 +13,25 @@ import (
 type Sink interface {
 	// NewVar allocates a fresh variable, returned as its positive literal.
 	NewVar() Lit
-	// Add appends a clause.
+	// Add appends a clause. lits is only lent for the call: Add copies
+	// what it keeps and must not retain the slice after it returns,
+	// because the encoders pass one reused buffer for every clause.
 	Add(lits ...Lit)
+}
+
+// emitter adds clauses to a sink through one reused literal buffer. A
+// literal list passed straight to Sink.Add escapes through the interface
+// and costs an allocation per clause; the Sink contract (Add keeps no
+// reference to lits) lets every clause share the buffer instead.
+type emitter struct {
+	sink Sink
+	buf  []Lit
+}
+
+// add emits one clause.
+func (e *emitter) add(lits ...Lit) {
+	e.buf = append(e.buf[:0], lits...)
+	e.sink.Add(e.buf...)
 }
 
 // Encoding is the result of Tseitin-encoding a circuit: the variable
@@ -75,31 +92,37 @@ func EncodeInto(c *netlist.Circuit, f Sink) (*Encoding, error) {
 		return nil, err
 	}
 	enc := &Encoding{GateVar: make([]Lit, c.NumGates())}
+	e := &emitter{sink: f}
+	var fanin []Lit
 	for _, id := range order {
 		g := c.Gate(id)
 		v := f.NewVar()
 		enc.GateVar[id] = v
+		fanin = fanin[:0]
+		for _, in := range g.Fanin {
+			fanin = append(fanin, enc.GateVar[in])
+		}
 		switch g.Type {
 		case netlist.Input:
 			// Free variable.
 		case netlist.Const0:
-			f.Add(v.Neg())
+			e.add(v.Neg())
 		case netlist.Const1:
-			f.Add(v)
+			e.add(v)
 		case netlist.Buf:
-			a := enc.GateVar[g.Fanin[0]]
-			f.Add(v.Neg(), a)
-			f.Add(v, a.Neg())
+			a := fanin[0]
+			e.add(v.Neg(), a)
+			e.add(v, a.Neg())
 		case netlist.Not:
-			a := enc.GateVar[g.Fanin[0]]
-			f.Add(v.Neg(), a.Neg())
-			f.Add(v, a)
+			a := fanin[0]
+			e.add(v.Neg(), a.Neg())
+			e.add(v, a)
 		case netlist.And, netlist.Nand:
-			encodeAnd(f, v, faninLits(enc, g), g.Type == netlist.Nand)
+			encodeAnd(e, v, fanin, g.Type == netlist.Nand)
 		case netlist.Or, netlist.Nor:
-			encodeOr(f, v, faninLits(enc, g), g.Type == netlist.Nor)
+			encodeOr(e, v, fanin, g.Type == netlist.Nor)
 		case netlist.Xor, netlist.Xnor:
-			encodeXor(f, v, faninLits(enc, g), g.Type == netlist.Xnor)
+			encodeXor(e, v, fanin, g.Type == netlist.Xnor)
 		default:
 			return nil, fmt.Errorf("cnf: cannot encode gate type %s", g.Type)
 		}
@@ -107,73 +130,67 @@ func EncodeInto(c *netlist.Circuit, f Sink) (*Encoding, error) {
 	return enc, nil
 }
 
-func faninLits(enc *Encoding, g *netlist.Gate) []Lit {
-	lits := make([]Lit, len(g.Fanin))
-	for i, f := range g.Fanin {
-		lits[i] = enc.GateVar[f]
-	}
-	return lits
-}
-
 // encodeAnd emits v ↔ AND(in...) (or v ↔ NAND when inverted).
-func encodeAnd(f Sink, v Lit, in []Lit, inverted bool) {
+func encodeAnd(e *emitter, v Lit, in []Lit, inverted bool) {
 	out := v
 	if inverted {
 		out = v.Neg()
 	}
 	// out → a for each a ; (a ∧ b ∧ …) → out.
-	long := make(Clause, 0, len(in)+1)
 	for _, a := range in {
-		f.Add(out.Neg(), a)
+		e.add(out.Neg(), a)
+	}
+	long := e.buf[:0]
+	for _, a := range in {
 		long = append(long, a.Neg())
 	}
-	long = append(long, out)
-	f.Add(long...)
+	e.buf = append(long, out)
+	e.sink.Add(e.buf...)
 }
 
 // encodeOr emits v ↔ OR(in...) (or v ↔ NOR when inverted).
-func encodeOr(f Sink, v Lit, in []Lit, inverted bool) {
+func encodeOr(e *emitter, v Lit, in []Lit, inverted bool) {
 	out := v
 	if inverted {
 		out = v.Neg()
 	}
-	long := make(Clause, 0, len(in)+1)
 	for _, a := range in {
-		f.Add(out, a.Neg())
-		long = append(long, a)
+		e.add(out, a.Neg())
 	}
-	long = append(long, out.Neg())
-	f.Add(long...)
+	long := e.buf[:0]
+	long = append(long, in...)
+	e.buf = append(long, out.Neg())
+	e.sink.Add(e.buf...)
 }
 
 // encodeXorPair emits v ↔ a XOR b.
-func encodeXorPair(f Sink, v, a, b Lit) {
-	f.Add(v.Neg(), a, b)
-	f.Add(v.Neg(), a.Neg(), b.Neg())
-	f.Add(v, a.Neg(), b)
-	f.Add(v, a, b.Neg())
+func encodeXorPair(e *emitter, v, a, b Lit) {
+	e.add(v.Neg(), a, b)
+	e.add(v.Neg(), a.Neg(), b.Neg())
+	e.add(v, a.Neg(), b)
+	e.add(v, a, b.Neg())
 }
 
 // encodeXor emits v ↔ XOR(in...) (parity), or its complement for XNOR,
 // chaining binary XORs through auxiliary variables.
-func encodeXor(f Sink, v Lit, in []Lit, inverted bool) {
+func encodeXor(e *emitter, v Lit, in []Lit, inverted bool) {
 	acc := in[0]
 	for i := 1; i < len(in); i++ {
 		var next Lit
 		if i == len(in)-1 && !inverted {
 			next = v
 		} else {
-			next = f.NewVar()
+			next = e.sink.NewVar()
 		}
-		encodeXorPair(f, next, acc, in[i])
+		encodeXorPair(e, next, acc, in[i])
 		acc = next
 	}
 	if inverted {
 		// v ↔ ¬acc
-		f.Add(v.Neg(), acc.Neg())
-		f.Add(v, acc)
+		e.add(v.Neg(), acc.Neg())
+		e.add(v, acc)
 	} else if len(in) == 1 {
-		f.Add(v.Neg(), acc)
-		f.Add(v, acc.Neg())
+		e.add(v.Neg(), acc)
+		e.add(v, acc.Neg())
 	}
 }

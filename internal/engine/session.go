@@ -22,7 +22,8 @@ import (
 // guarded by the scope's activation literal, so the whole encoding is
 // retracted when the scope retires. This is what lets a session add
 // per-DIP IO constraints over the locked circuit without poisoning the
-// engine for the next attack.
+// engine for the next attack. Add keeps to the cnf.Sink contract:
+// PushBlocking copies the clause, so lits is not retained.
 type guardedSink struct{ s *sat.Solver }
 
 func (g guardedSink) NewVar() cnf.Lit     { return g.s.NewVar() }
@@ -38,6 +39,7 @@ type Session struct {
 	e      *Engine
 	act    cnf.Lit
 	hash   *cnf.Hasher // encodes Constrain's copies into the scope; dropped at Close
+	consts []cnf.Lit   // scratch: Constrain's input constants
 	flush  func()
 	budget uint64 // per-solve conflict cap; 0 = unbudgeted (or deadline-sliced)
 	closed bool
@@ -134,11 +136,12 @@ func (s *Session) Constrain(in, out []bool) error {
 	if n := e.locked.NumOutputs(); len(out) != n {
 		return &WidthError{Port: "output", Got: len(out), Want: n}
 	}
-	consts := make([]cnf.Lit, len(in))
-	for i, b := range in {
-		consts[i] = s.hash.Const(b)
+	consts := s.consts[:0]
+	for _, b := range in {
+		consts = append(consts, s.hash.Const(b))
 	}
-	for _, keys := range [][]cnf.Lit{e.keysA, e.keysB} {
+	s.consts = consts
+	for _, keys := range [2][]cnf.Lit{e.keysA, e.keysB} {
 		outs, err := s.hash.Encode(e.locked, consts, keys, nil)
 		if err != nil {
 			return err

@@ -502,3 +502,26 @@ func TestConstrainFoldedContradiction(t *testing.T) {
 		t.Fatalf("next session: %v, want FindDIP Unsat and key [true]", v)
 	}
 }
+
+// TestGuardedSinkDoesNotRetainLits pins the cnf.Sink contract on the
+// session's scope-guarded sink: Add copies the clause into the blocking
+// scope, so a hashing encoder may reuse its literal buffer. The clause
+// (1 ∨ 2 ∨ 3) is added, its buffer is then negated in place; under the
+// scope the stored clause must still forbid all-false and allow
+// all-true.
+func TestGuardedSinkDoesNotRetainLits(t *testing.T) {
+	s := sat.New()
+	s.EnsureVars(3)
+	act := s.BlockingLit()
+	buf := []cnf.Lit{1, 2, 3}
+	guardedSink{s}.Add(buf...)
+	for i := range buf {
+		buf[i] = -buf[i]
+	}
+	if st := s.Solve(act, -1, -2, -3); st != sat.Unsat {
+		t.Errorf("all-false under the scope: %v, want UNSAT", st)
+	}
+	if st := s.Solve(act, 1, 2, 3); st != sat.Sat {
+		t.Errorf("all-true under the scope: %v, want SAT", st)
+	}
+}

@@ -50,12 +50,20 @@ type BatchOracle interface {
 // dropped at a garbage collection and never rebuilt inside a query.
 type Sim struct {
 	circuit *netlist.Circuit
-	home    atomic.Pointer[netlist.Simulator]
+	home    atomic.Pointer[simulator]
 	pool    sync.Pool
 	inputs  int
 	outputs int
 	queries atomic.Uint64 // single patterns evaluated (64 per Query64 call)
 	calls   atomic.Uint64
+}
+
+// simulator is one query's private evaluation state: a netlist
+// simulator and the 512-lane input bank EvalMany packs eight batches
+// into, kept with it so a call does not allocate a fresh bank.
+type simulator struct {
+	*netlist.Simulator
+	in8 [][8]uint64
 }
 
 // NewSim wraps an original circuit as an oracle. The circuit must not
@@ -68,10 +76,11 @@ func NewSim(original *netlist.Circuit) (*Sim, error) {
 	// Build the first simulator eagerly: it surfaces construction errors
 	// (cycles, invalid gates) at wrap time and warms the circuit's
 	// topological-order cache before any concurrent use.
-	first, err := netlist.NewSimulator(original)
+	sim, err := netlist.NewSimulator(original)
 	if err != nil {
 		return nil, err
 	}
+	first := &simulator{Simulator: sim}
 	o := &Sim{circuit: original, inputs: original.NumInputs(), outputs: original.NumOutputs()}
 	o.pool.New = func() any {
 		s, err := netlist.NewSimulator(o.circuit)
@@ -80,7 +89,7 @@ func NewSim(original *netlist.Circuit) (*Sim, error) {
 			// not mutated afterwards, so this cannot fail.
 			panic(fmt.Sprintf("oracle: simulator construction failed after successful warm-up: %v", err))
 		}
-		return s
+		return &simulator{Simulator: s}
 	}
 	o.home.Store(first)
 	return o, nil
@@ -88,15 +97,15 @@ func NewSim(original *netlist.Circuit) (*Sim, error) {
 
 // get takes the home simulator, or a pooled one while the home
 // simulator is in use.
-func (o *Sim) get() *netlist.Simulator {
+func (o *Sim) get() *simulator {
 	if s := o.home.Swap(nil); s != nil {
 		return s
 	}
-	return o.pool.Get().(*netlist.Simulator)
+	return o.pool.Get().(*simulator)
 }
 
 // put returns a simulator: home if home is empty, else to the pool.
-func (o *Sim) put(s *netlist.Simulator) {
+func (o *Sim) put(s *simulator) {
 	if !o.home.CompareAndSwap(nil, s) {
 		o.pool.Put(s)
 	}
@@ -160,7 +169,9 @@ func (o *Sim) Query64(in []uint64) ([]uint64, error) {
 // many goroutines can be inside EvalMany (or Query/Query64)
 // simultaneously — each gets a distinct simulator. Batches are
 // packed eight at a time through the simulator's 512-lane kernel; a
-// remainder of fewer than eight runs the 64-lane path.
+// remainder of fewer than eight runs the 64-lane path. The output
+// slices share one backing array, each capped at its own batch, so an
+// append to one batch reallocates instead of overwriting the next.
 func (o *Sim) EvalMany(ins [][]uint64) ([][]uint64, error) {
 	for _, in := range ins {
 		if len(in) != o.inputs {
@@ -172,9 +183,17 @@ func (o *Sim) EvalMany(ins [][]uint64) ([][]uint64, error) {
 	sim := o.get()
 	defer o.put(sim)
 	outs := make([][]uint64, len(ins))
+	n := o.outputs
+	words := make([]uint64, len(ins)*n)
+	for i := range outs {
+		outs[i] = words[i*n : (i+1)*n : (i+1)*n]
+	}
 	i := 0
 	if len(ins) >= 8 {
-		in8 := make([][8]uint64, o.inputs)
+		if sim.in8 == nil {
+			sim.in8 = make([][8]uint64, o.inputs)
+		}
+		in8 := sim.in8
 		for ; i+8 <= len(ins); i += 8 {
 			for k := 0; k < o.inputs; k++ {
 				for j := 0; j < 8; j++ {
@@ -186,11 +205,10 @@ func (o *Sim) EvalMany(ins [][]uint64) ([][]uint64, error) {
 				return nil, err
 			}
 			for j := 0; j < 8; j++ {
-				out := make([]uint64, o.outputs)
-				for k := 0; k < o.outputs; k++ {
+				out := outs[i+j]
+				for k := range out {
 					out[k] = out8[k][j]
 				}
-				outs[i+j] = out
 			}
 		}
 	}
@@ -199,7 +217,7 @@ func (o *Sim) EvalMany(ins [][]uint64) ([][]uint64, error) {
 		if err != nil {
 			return nil, err
 		}
-		outs[i] = append([]uint64(nil), out...)
+		copy(outs[i], out)
 	}
 	return outs, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -272,6 +273,51 @@ func TestEvalManyMatchesQuery64(t *testing.T) {
 	bad := append(append([][]uint64(nil), ins[:3]...), []uint64{1})
 	if _, err := batch.EvalMany(bad); err == nil {
 		t.Error("EvalMany accepted a short input row")
+	}
+}
+
+// TestEvalManyBatchesDoNotAlias pins that the output batches, cut from
+// one backing array, stay independent: each is capped at its own
+// length, so appending to or writing through one batch leaves every
+// other batch, and a later call's results, untouched.
+func TestEvalManyBatchesDoNotAlias(t *testing.T) {
+	c := buildWide(t)
+	o := MustNewSim(c)
+	ins := make([][]uint64, 11) // a group of 8 and a 3-batch tail
+	for i := range ins {
+		ins[i] = make([]uint64, c.NumInputs())
+		for j := range ins[i] {
+			ins[i][j] = uint64(i*31 + j)
+		}
+	}
+	outs, err := o.EvalMany(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]uint64, len(outs))
+	for i, out := range outs {
+		if len(out) != c.NumOutputs() || cap(out) != len(out) {
+			t.Fatalf("batch %d: len %d cap %d, want both %d", i, len(out), cap(out), c.NumOutputs())
+		}
+		want[i] = append([]uint64(nil), out...)
+	}
+	for i := range outs {
+		outs[i] = append(outs[i], ^uint64(0))
+	}
+	for i := range outs {
+		if !slices.Equal(outs[i][:c.NumOutputs()], want[i]) {
+			t.Errorf("batch %d changed to %#x by appends to its neighbours, want %#x", i, outs[i], want[i])
+		}
+	}
+	again, err := o.EvalMany(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again[0][0] ^= 1
+	for i := range want {
+		if !slices.Equal(outs[i][:c.NumOutputs()], want[i]) {
+			t.Errorf("batch %d of the first call changed by the second call", i)
+		}
 	}
 }
 

@@ -40,12 +40,13 @@ func approxClauseBytes(nLits int) uint64 {
 
 // PushBlocking adds a clause to the open blocking scope (opening one if
 // needed): the clause is active only under the BlockingLit assumption.
-// It returns false if the solver is unsatisfiable at level 0.
+// It returns false if the solver is unsatisfiable at level 0. The clause
+// is copied; lits is free for reuse when PushBlocking returns.
 func (s *Solver) PushBlocking(lits ...cnf.Lit) bool {
 	act := s.BlockingLit()
-	guarded := make([]cnf.Lit, 0, len(lits)+1)
-	guarded = append(guarded, act.Neg())
+	guarded := append(s.guardBuf[:0], act.Neg())
 	guarded = append(guarded, lits...)
+	s.guardBuf = guarded
 	s.blockingCount++
 	s.blockingBytes += approxClauseBytes(len(guarded))
 	s.stats.BlockingPushed++

@@ -140,3 +140,47 @@ func TestStatsDiff(t *testing.T) {
 		t.Fatalf("interval diff lost work: %+v", d2)
 	}
 }
+
+// TestAddDoesNotRetainLits pins the cnf.Sink contract on the solver:
+// Add, AddClause and PushBlocking copy the clause, so a caller that
+// reuses its literal buffer (as every encoder does) cannot rewrite a
+// stored clause. Each clause below is stored, then its buffer is
+// overwritten with the all-negated literals; the stored clause must
+// still forbid the all-false assignment and allow the all-true one.
+func TestAddDoesNotRetainLits(t *testing.T) {
+	for _, width := range []int{2, 3, 4, 5, 8} { // inline and separate literal arrays
+		for _, how := range []string{"Add", "AddClause", "PushBlocking"} {
+			s := New()
+			s.EnsureVars(width)
+			var assume []cnf.Lit
+			if how == "PushBlocking" {
+				assume = append(assume, s.BlockingLit())
+			}
+			buf := make([]cnf.Lit, width)
+			for i := range buf {
+				buf[i] = cnf.Lit(i + 1)
+			}
+			switch how {
+			case "Add":
+				s.Add(buf...)
+			case "AddClause":
+				s.AddClause(buf...)
+			case "PushBlocking":
+				s.PushBlocking(buf...)
+			}
+			allFalse := append([]cnf.Lit(nil), assume...)
+			allTrue := append([]cnf.Lit(nil), assume...)
+			for i := range buf {
+				buf[i] = -buf[i]
+				allFalse = append(allFalse, cnf.Lit(-(i + 1)))
+				allTrue = append(allTrue, cnf.Lit(i+1))
+			}
+			if st := s.Solve(allFalse...); st != Unsat {
+				t.Errorf("%s width %d: all-false assignment %v after the buffer changed, want UNSAT", how, width, st)
+			}
+			if st := s.Solve(allTrue...); st != Sat {
+				t.Errorf("%s width %d: all-true assignment %v after the buffer changed, want SAT", how, width, st)
+			}
+		}
+	}
+}

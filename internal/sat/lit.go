@@ -56,13 +56,3 @@ func boolToLbool(b bool) lbool {
 	}
 	return lFalse
 }
-
-func (b lbool) flip() lbool {
-	switch b {
-	case lTrue:
-		return lFalse
-	case lFalse:
-		return lTrue
-	}
-	return lUndef
-}

@@ -70,6 +70,25 @@ type clause struct {
 	learnt   bool
 }
 
+// smallClause stores a clause of at most four literals and its literal
+// array in one allocation; the binary and ternary clauses of a Tseitin
+// encoding dominate every database this solver holds.
+type smallClause struct {
+	clause
+	buf [4]lit
+}
+
+// newClause copies lits into a fresh clause.
+func newClause(lits []lit, learnt bool) *clause {
+	if len(lits) <= len(smallClause{}.buf) {
+		sc := &smallClause{}
+		sc.lits = sc.buf[:copy(sc.buf[:], lits)]
+		sc.learnt = learnt
+		return &sc.clause
+	}
+	return &clause{lits: append([]lit(nil), lits...), learnt: learnt}
+}
+
 type watcher struct {
 	c       *clause
 	blocker lit
@@ -87,7 +106,7 @@ type Solver struct {
 	learnts []*clause
 
 	watches  [][]watcher // indexed by internal lit
-	assigns  []lbool     // per var
+	vals     []lbool     // indexed by internal lit: its value (lUndef while its var is unassigned)
 	polarity []bool      // saved phase per var (true = last assigned true)
 	activity []float64   // VSIDS activity per var
 	aux      []bool      // per var: excluded from the decision heap (see NewAuxVar)
@@ -102,9 +121,12 @@ type Solver struct {
 	qhead    int
 
 	seen      []byte
-	analyzeCl []lit // scratch for analyze
-	minStack  []lit // scratch for minimization
-	clearVars []int // vars whose seen mark must be wiped after analyze
+	addBuf    []lit     // scratch for AddClause
+	guardBuf  []cnf.Lit // scratch for PushBlocking
+	analyzeCl []lit     // scratch for analyze
+	minStack  []lit     // scratch for minimization
+	minMarked []int     // scratch: vars litRedundant marked seen
+	clearVars []int     // vars whose seen mark must be wiped after analyze
 
 	assumptions []lit
 	conflictSet []lit // failed assumptions from the last Unsat-under-assumptions
@@ -139,11 +161,11 @@ func NewFromFormula(f *cnf.Formula) *Solver {
 }
 
 // NumVars returns the number of variables known to the solver.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.vals) / 2 }
 
 // EnsureVars grows the variable space to cover DIMACS variables 1..n.
 func (s *Solver) EnsureVars(n int) {
-	for len(s.assigns) < n {
+	for s.NumVars() < n {
 		s.newVarInternal()
 	}
 }
@@ -167,8 +189,8 @@ func (s *Solver) NewAuxVar() cnf.Lit {
 }
 
 func (s *Solver) newVarInternal() int {
-	v := len(s.assigns)
-	s.assigns = append(s.assigns, lUndef)
+	v := s.NumVars()
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.polarity = append(s.polarity, false)
 	s.activity = append(s.activity, 0)
 	s.aux = append(s.aux, false)
@@ -185,7 +207,8 @@ func (s *Solver) newVarInternal() int {
 
 // Add appends a clause, discarding the satisfiability flag; together with
 // NewVar it lets the solver act as a cnf.Sink so circuits can be Tseitin
-// encoded directly into a live solver.
+// encoded directly into a live solver. Like AddClause it copies lits and
+// keeps no reference to them.
 func (s *Solver) Add(lits ...cnf.Lit) { s.AddClause(lits...) }
 
 // AddFormula adds every clause of a CNF formula.
@@ -199,7 +222,8 @@ func (s *Solver) AddFormula(f *cnf.Formula) {
 // AddClause adds a clause, simplifying out duplicate and tautological
 // literals. It returns false if the solver is now (or already was) in an
 // unsatisfiable state at level 0. Clauses may only be added between Solve
-// calls (the solver backtracks to level 0 after each call).
+// calls (the solver backtracks to level 0 after each call). The clause
+// is copied; lits is free for reuse when AddClause returns.
 func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 	if !s.ok {
 		return false
@@ -208,7 +232,7 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 		panic("sat: AddClause above decision level 0")
 	}
 	// Convert, sort-dedupe, drop false lits, detect tautology/satisfied.
-	tmp := make([]lit, 0, len(lits))
+	tmp := s.addBuf[:0]
 	for _, l := range lits {
 		v := l.Var()
 		if v <= 0 {
@@ -217,6 +241,7 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 		s.EnsureVars(v)
 		tmp = append(tmp, fromCNF(l))
 	}
+	s.addBuf = tmp
 	out := tmp[:0]
 	for _, l := range tmp {
 		switch s.value(l) {
@@ -255,7 +280,7 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 		}
 		return true
 	}
-	c := &clause{lits: append([]lit(nil), out...)}
+	c := newClause(out, false)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
@@ -282,16 +307,7 @@ func removeWatcher(ws *[]watcher, c *clause) {
 	}
 }
 
-func (s *Solver) value(l lit) lbool {
-	v := s.assigns[l.vari()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.signed() {
-		return v.flip()
-	}
-	return v
-}
+func (s *Solver) value(l lit) lbool { return s.vals[l] }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
@@ -301,11 +317,8 @@ func (s *Solver) newDecisionLevel() {
 
 func (s *Solver) uncheckedEnqueue(l lit, from *clause) {
 	v := l.vari()
-	if l.signed() {
-		s.assigns[v] = lFalse
-	} else {
-		s.assigns[v] = lTrue
-	}
+	s.vals[l] = lTrue
+	s.vals[l.neg()] = lFalse
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -314,37 +327,40 @@ func (s *Solver) uncheckedEnqueue(l lit, from *clause) {
 // propagate performs unit propagation over the two-watched-literal lists
 // and returns the conflicting clause, or nil.
 func (s *Solver) propagate() *clause {
+	// vals is only written through, never regrown, while propagating.
+	vals := s.vals
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.stats.Propagations++
+		falseLit := p.neg()
 		ws := s.watches[p]
 		j := 0
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.value(w.blocker) == lTrue {
+			if vals[w.blocker] == lTrue {
 				ws[j] = w
 				j++
 				continue
 			}
 			c := w.c
-			falseLit := p.neg()
-			if c.lits[0] == falseLit {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			lits := c.lits
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			// Invariant: c.lits[1] == falseLit.
-			first := c.lits[0]
+			// Invariant: lits[1] == falseLit.
+			first := lits[0]
 			nw := watcher{c, first}
-			if first != w.blocker && s.value(first) == lTrue {
+			if first != w.blocker && vals[first] == lTrue {
 				ws[j] = nw
 				j++
 				continue
 			}
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].neg()] = append(s.watches[c.lits[1].neg()], nw)
+			for k := 2; k < len(lits); k++ {
+				if vals[lits[k]] != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].neg()] = append(s.watches[lits[1].neg()], nw)
 					found = true
 					break
 				}
@@ -355,12 +371,9 @@ func (s *Solver) propagate() *clause {
 			// Unit or conflict.
 			ws[j] = nw
 			j++
-			if s.value(first) == lFalse {
+			if vals[first] == lFalse {
 				// Conflict: keep remaining watchers and halt.
-				for i++; i < len(ws); i++ {
-					ws[j] = ws[i]
-					j++
-				}
+				j += copy(ws[j:], ws[i+1:])
 				s.watches[p] = ws[:j]
 				s.qhead = len(s.trail)
 				return c
@@ -378,9 +391,11 @@ func (s *Solver) cancelUntil(level int) {
 	}
 	bound := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].vari()
-		s.polarity[v] = s.assigns[v] == lTrue
-		s.assigns[v] = lUndef
+		l := s.trail[i]
+		v := l.vari()
+		s.polarity[v] = !l.signed()
+		s.vals[l] = lUndef
+		s.vals[l.neg()] = lUndef
 		s.reason[v] = nil
 		if !s.aux[v] && !s.order.contains(v) {
 			s.order.push(v)
@@ -394,11 +409,14 @@ func (s *Solver) cancelUntil(level int) {
 func (s *Solver) bumpVar(v int) {
 	s.activity[v] += s.varInc
 	if s.activity[v] > 1e100 {
+		// Scaling every activity by one positive constant keeps each
+		// parent at least as active as its children (rounding is
+		// monotone), and the heap moves a variable only past a strictly
+		// more active one, so the heap needs no repair.
 		for i := range s.activity {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
-		s.order.rebuild()
 	}
 	s.order.update(v)
 }
@@ -504,7 +522,7 @@ func (s *Solver) analyze(confl *clause) ([]lit, int) {
 func (s *Solver) litRedundant(l lit) bool {
 	stack := s.minStack[:0]
 	stack = append(stack, l)
-	var toClear []int
+	toClear := s.minMarked[:0]
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -514,7 +532,7 @@ func (s *Solver) litRedundant(l lit) bool {
 			for _, v := range toClear {
 				s.seen[v] = 0
 			}
-			s.minStack = stack
+			s.minStack, s.minMarked = stack, toClear
 			return false
 		}
 		for _, q := range c.lits {
@@ -533,7 +551,7 @@ func (s *Solver) litRedundant(l lit) bool {
 	// Success: temp marks stand as a redundancy cache for the rest of
 	// this analyze call; register them for the final wipe.
 	s.clearVars = append(s.clearVars, toClear...)
-	s.minStack = stack
+	s.minStack, s.minMarked = stack, toClear
 	return true
 }
 
@@ -615,7 +633,7 @@ func sortClausesByActivity(cs []*clause) {
 func (s *Solver) pickBranchVar() int {
 	for !s.order.empty() {
 		v := s.order.pop()
-		if s.assigns[v] == lUndef {
+		if s.value(mkLit(v, false)) == lUndef {
 			return v
 		}
 	}
@@ -639,7 +657,7 @@ func (s *Solver) search(budget uint64) Status {
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], nil)
 			} else {
-				c := &clause{lits: append([]lit(nil), learnt...), learnt: true}
+				c := newClause(learnt, true)
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				s.bumpClause(c)
@@ -690,11 +708,14 @@ func (s *Solver) search(budget uint64) Status {
 }
 
 func (s *Solver) storeModel() {
-	if cap(s.model) < len(s.assigns) {
-		s.model = make([]lbool, len(s.assigns))
+	n := s.NumVars()
+	if cap(s.model) < n {
+		s.model = make([]lbool, n)
 	}
-	s.model = s.model[:len(s.assigns)]
-	copy(s.model, s.assigns)
+	s.model = s.model[:n]
+	for v := range s.model {
+		s.model[v] = s.value(mkLit(v, false))
+	}
 }
 
 // Solve decides satisfiability of the loaded clauses under the given
