@@ -639,8 +639,7 @@ const satAttackCap = 24
 // instance no longer measures the resistant regime. The sat_ prefix
 // joins the entry to the gated aggregate that bench-compare holds to
 // MAXREGRESS. Uninstrumented: its solver work would skew the telemetry
-// summary away from the DIP-learning attack shape the budgeter's
-// default smoothing weight is learned from.
+// summary away from the DIP-learning attack shape it describes.
 func satAttackWorkload() (Result, error) {
 	host, locked, err := satInstance()
 	if err != nil {

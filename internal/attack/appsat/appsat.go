@@ -44,8 +44,8 @@ type Options struct {
 	MaxIterations int
 	// Seed drives sampling.
 	Seed int64
-	// Context, when non-nil, bounds the run: solves are sliced
-	// against the deadline and cancellation is polled between slices.
+	// Context, when non-nil, bounds the run: the solver watches it, and
+	// a cancelled or expired run returns the context's error.
 	Context context.Context
 	// Telemetry instruments the run (attack_* span + engine families).
 	Telemetry *telemetry.Registry
@@ -171,8 +171,7 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 		if err != nil {
 			return nil, err
 		}
-		switch st {
-		case sat.Unsat:
+		if st == sat.Unsat {
 			key, err := extractKey()
 			if err != nil {
 				return nil, err
@@ -180,8 +179,6 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 			res.Key = key
 			res.Exact = true
 			return res, nil
-		case sat.Unknown:
-			return nil, fmt.Errorf("appsat: solver returned UNKNOWN")
 		}
 		res.Iterations++
 		out, err := orc.Query(dip)

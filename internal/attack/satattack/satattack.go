@@ -31,10 +31,8 @@ type Options struct {
 	// schemes like CAS-Lock need an exponential number of iterations, so
 	// benchmarks set a cap to measure "did not finish".
 	MaxIterations int
-	// ConflictBudget bounds each individual SAT call (0 = unlimited).
-	ConflictBudget uint64
-	// Context, when non-nil, bounds the run: solves are sliced
-	// against the deadline and cancellation is polled between slices.
+	// Context, when non-nil, bounds the run: the solver watches it, and
+	// a cancelled or expired run returns the context's error.
 	Context context.Context
 	// Telemetry instruments the run (attack_* span + engine families).
 	Telemetry *telemetry.Registry
@@ -75,7 +73,6 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 		return nil, err
 	}
 	defer ses.Close()
-	ses.SetConflictBudget(opts.ConflictBudget)
 
 	res := &Result{}
 	queriesBefore := countQueries(orc)
@@ -92,9 +89,6 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 		dip, st, err := ses.FindDIP()
 		if err != nil {
 			return nil, err
-		}
-		if st == sat.Unknown {
-			return finish(), nil
 		}
 		if st == sat.Unsat {
 			break // no more DIPs: constraints pin a correct key

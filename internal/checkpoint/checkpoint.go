@@ -2,12 +2,11 @@
 // length-prefixed binary snapshot of everything an interrupted DIP
 // attack cannot afford to lose — the accumulated DIP set, the oracle's
 // answers (the only irreplaceable state: SAT work can be re-derived,
-// silicon queries cannot), the hypothesis/phase position, and the
-// engine budgeter's learned conflict rate. Snapshots are written
-// atomically (temp + rename) with a SHA-256 self-checksum, so a crash
-// mid-write leaves either the previous snapshot or none, never a torn
-// one, and bit rot is detected on load instead of corrupting a resumed
-// run.
+// silicon queries cannot), and the hypothesis/phase position.
+// Snapshots are written atomically (temp + rename) with a SHA-256
+// self-checksum, so a crash mid-write leaves either the previous
+// snapshot or none, never a torn one, and bit rot is detected on load
+// instead of corrupting a resumed run.
 //
 // The codec is deliberately paranoid: every read is bounds-checked,
 // every count capped, and every failure is one of the typed errors
@@ -20,7 +19,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 )
@@ -33,14 +31,15 @@ var (
 	// ErrFormat: the input is not a checkpoint snapshot, or a field
 	// violates the format's invariants.
 	ErrFormat = errors.New("checkpoint: malformed snapshot")
-	// ErrVersion: the snapshot's version byte is newer than this decoder.
+	// ErrVersion: the snapshot's version byte is not the one this
+	// decoder reads (older snapshots are refused, not migrated).
 	ErrVersion = errors.New("checkpoint: unsupported snapshot version")
 	// ErrChecksum: the SHA-256 trailer does not match the payload.
 	ErrChecksum = errors.New("checkpoint: checksum mismatch")
 )
 
 // magic opens every snapshot; the final byte is the format version.
-var magic = [8]byte{'C', 'A', 'S', 'C', 'K', 'P', 'T', 1}
+var magic = [8]byte{'C', 'A', 'S', 'C', 'K', 'P', 'T', 2}
 
 // Decoder sanity caps: far above anything a real attack produces, low
 // enough that a hostile length prefix cannot balloon allocations.
@@ -105,9 +104,6 @@ type Snapshot struct {
 	// OracleQueries is the attack's logical query tally at snapshot time
 	// (informational; the resumed run re-derives its own tally).
 	OracleQueries uint64
-	// BudgetRate is the engine budgeter's persistent EWMA conflict rate
-	// (0 = none observed).
-	BudgetRate float64
 
 	// Responses and Scalar bank the oracle's answers so the resumed
 	// run's replay of the (deterministic) probe/verify query stream is
@@ -131,7 +127,6 @@ func (s *Snapshot) Encode() []byte {
 	b = putU64(b, uint64(s.DIPWidth))
 	b = putWords(b, s.DIPWords)
 	b = putU64(b, s.OracleQueries)
-	b = putU64(b, math.Float64bits(s.BudgetRate))
 	b = putU64(b, uint64(len(s.Responses)))
 	for _, r := range s.Responses {
 		b = putWords(b, r.In)
@@ -175,7 +170,6 @@ func Decode(data []byte) (*Snapshot, error) {
 	width := r.u64()
 	s.DIPWords = r.words(maxDIPWords)
 	s.OracleQueries = r.u64()
-	s.BudgetRate = math.Float64frombits(r.u64())
 	nResp := r.u64()
 	if r.err == nil && nResp > maxResponses {
 		r.fail("response count %d exceeds cap", nResp)
@@ -210,9 +204,6 @@ func Decode(data []byte) (*Snapshot, error) {
 	}
 	if len(s.DIPWords) != wantWords {
 		return nil, fmt.Errorf("%w: %d DIP words for width %d, want %d", ErrFormat, len(s.DIPWords), width, wantWords)
-	}
-	if s.BudgetRate < 0 || math.IsNaN(s.BudgetRate) || math.IsInf(s.BudgetRate, 0) {
-		return nil, fmt.Errorf("%w: budget rate %v", ErrFormat, s.BudgetRate)
 	}
 	return s, nil
 }

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -26,7 +27,6 @@ func fullSnapshot() *Snapshot {
 		DIPWidth:      8,
 		DIPWords:      []uint64{0xDEAD, 0xBEEF, 1, 0},
 		OracleQueries: 4242,
-		BudgetRate:    1234.5,
 		Responses: []Response{
 			{In: []uint64{1, 2, 3}, Out: []uint64{9}},
 			{In: []uint64{}, Out: []uint64{0xFFFFFFFFFFFFFFFF}},
@@ -58,8 +58,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			}
 			if got.LockedHash != s.LockedHash || got.Active != s.Active ||
 				got.DIPWidth != s.DIPWidth || got.EnumComplete != s.EnumComplete ||
-				got.BudgetRate != s.BudgetRate || len(got.Responses) != len(s.Responses) ||
-				len(got.Scalar) != len(s.Scalar) {
+				len(got.Responses) != len(s.Responses) || len(got.Scalar) != len(s.Scalar) {
 				t.Fatalf("decoded snapshot differs: %+v vs %+v", got, s)
 			}
 		})
@@ -115,7 +114,6 @@ func TestDecodeSemanticValidation(t *testing.T) {
 		"width-over-cap":   func(s *Snapshot) { s.DIPWidth = 35 },
 		"word-count-short": func(s *Snapshot) { s.DIPWords = s.DIPWords[:1] },
 		"word-count-long":  func(s *Snapshot) { s.DIPWords = append(s.DIPWords, 0) },
-		"negative-rate":    func(s *Snapshot) { s.BudgetRate = -1 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := fullSnapshot()
@@ -124,6 +122,34 @@ func TestDecodeSemanticValidation(t *testing.T) {
 				t.Fatalf("got %v, want ErrFormat", err)
 			}
 		})
+	}
+}
+
+// snapshotV1 is a version-1 snapshot (Active 1, one-bit DIP set, empty
+// banks) as the version-1 encoder wrote it, conflict-rate field
+// included. Its checksum is valid: only the version byte refuses it.
+const snapshotV1 = "434153434b505401" +
+	"0000000000000000" + "0000000000000000" + "0000000000000000" + // hashes, options
+	"0100000000000000" + "0000000000000000" + "0000000000000000" + "0000000000000000" + // active, calib, phase, complete
+	"0100000000000000" + "0100000000000000" + "0200000000000000" + // DIP width, word count, word
+	"0000000000000000" + "0000000000000000" + // query tally, conflict rate
+	"0000000000000000" + "0000000000000000" + // bank counts
+	"b882f6f61de261921da6782d0186c0ec64c2d7550cdf79e34a8e3f8b5c3cbe97"
+
+func mustHex(t testing.TB, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestDecodeRejectsVersion1 pins the format bump: a well-formed
+// version-1 snapshot is a typed ErrVersion, never a misparse.
+func TestDecodeRejectsVersion1(t *testing.T) {
+	if _, err := Decode(mustHex(t, snapshotV1)); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-1 snapshot: got %v, want ErrVersion", err)
 	}
 }
 

@@ -20,6 +20,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	}).Encode())
 	f.Add([]byte("CASCKPT"))
 	f.Add([]byte{})
+	f.Add(mustHex(f, snapshotV1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
 		if err != nil {

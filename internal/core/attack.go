@@ -49,7 +49,7 @@ type Options struct {
 	// the supplied extractor directly.
 	Workers int
 	// Context bounds the whole attack: cancellation and deadlines are
-	// honored inside extraction shards, sliced SAT runs, the
+	// honored inside extraction shards, the SAT solver's search, the
 	// calibration sweep and the oracle-verification loops. On
 	// expiration the attack returns a *PartialError carrying whatever
 	// structure it had recovered. Nil means context.Background().
@@ -76,16 +76,16 @@ type Options struct {
 	Telemetry *telemetry.Registry
 	// Events, when non-nil, receives the attack's lifecycle events:
 	// phase enter/exit, DIP progress with running counts, crossover
-	// decisions, oracle batches, budget slices, checkpoint writes and
-	// resume replays. Publishing never blocks — slow consumers lose
-	// their oldest events (see internal/events) — and the disabled
-	// path costs one nil check per hook. The attack does not publish
+	// decisions, oracle batches, budget-starved distinguish verdicts,
+	// checkpoint writes and resume replays. Publishing never blocks —
+	// slow consumers lose their oldest events (see internal/events) —
+	// and the disabled path costs one nil check per hook. The attack does not publish
 	// the terminal done event; the owner of the run (CLI, service)
 	// does, because only it knows the final disposition.
 	Events *events.Bus
 	// Checkpointer, when non-nil, makes attack progress durable: the
 	// attack hands it snapshots (accumulated DIPs, banked oracle
-	// answers, phase + budgeter state) on the writer's cadence, and the
+	// answers, hypothesis and phase) on the writer's cadence, and the
 	// writer persists them atomically off the hot path. See
 	// internal/checkpoint and DESIGN.md §11.
 	Checkpointer *checkpoint.Writer

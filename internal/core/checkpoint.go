@@ -57,8 +57,8 @@ type ckptState struct {
 // armDurability wires Options.Checkpointer and Options.ResumeFrom into
 // the attack: the resume snapshot is validated against this instance
 // (typed refusal on mismatch), the oracle is wrapped with the response
-// bank, the engine budgeter inherits the snapshot's EWMA rate, and the
-// extractor's progress hook starts feeding the checkpoint cadence.
+// bank, and the extractor's progress hook starts feeding the checkpoint
+// cadence.
 func (a *attack) armDurability() error {
 	opts := &a.opts
 	if opts.Checkpointer == nil && opts.ResumeFrom == nil {
@@ -107,18 +107,6 @@ func (a *attack) armDurability() error {
 
 	if w := opts.Checkpointer; w != nil {
 		a.ck = &ckptState{w: w, lockedHash: hash, sig: sig}
-	}
-	// Materialize the shared engine only when resuming: the snapshot's
-	// budgeter EWMA must be restored before the first enumeration sizes
-	// its solve slices. A checkpoint-only run reads BudgetRate lazily in
-	// buildSnapshot (guarded on engTried), so forcing the miter encoding
-	// here would tax pure-sim attacks that never touch the SAT path; a
-	// snapshot taken before the engine's first use carries rate 0, which
-	// SetBudgetRate ignores on the resuming side.
-	if a.resume != nil {
-		if eng := a.engine(); eng != nil {
-			eng.SetBudgetRate(a.resume.BudgetRate)
-		}
 	}
 	// The extractor's per-DIP progress hook (checkpoint cadence + event
 	// publishing) is installed by installProgress after this returns,
@@ -201,9 +189,6 @@ func (a *attack) buildSnapshot() *checkpoint.Snapshot {
 		if err == nil {
 			s.DIPWords = empty.CloneWords()
 		}
-	}
-	if a.engTried && a.eng != nil {
-		s.BudgetRate = a.eng.BudgetRate()
 	}
 	if a.bank != nil {
 		s.Responses, s.Scalar = a.bank.export()

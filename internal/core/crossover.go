@@ -17,9 +17,9 @@ import (
 // benefits from incremental solving. A fixed width cutoff (the old
 // SATWidthLimit = 12 rule) is mis-calibrated in both directions, so when
 // the caller does not pin a limit we measure: a few timed wide-kernel
-// simulation batches extrapolate to the exhaustive-walk cost, and a
-// conflict-budgeted engine probe (deadline-sliced via the engine's EWMA
-// budgeter) tries to beat that estimate on the real first-hypothesis
+// simulation batches extrapolate to the exhaustive-walk cost, and an
+// engine probe under a deadline of that estimate (the solver watches the
+// deadline itself) tries to beat it on the real first-hypothesis
 // assignment. Whichever side wins the probe runs the attack; the probe's
 // engine work is not wasted, since the winning SAT engine keeps its
 // learned clauses for the attack proper.
@@ -165,7 +165,7 @@ func (a *attack) chooseExtractor() (Extractor, error) {
 
 	// SAT probe: give the persistent engine a deadline equal to the sim
 	// estimate (capped) and let it race the same enumeration. The
-	// engine's budgeter slices its Solve calls against that deadline.
+	// solver abandons its search when that deadline passes.
 	satExt, err := NewSATExtractor(opts.Locked, layout)
 	if err != nil {
 		return pick("sim", "sat-unavailable", se), nil

@@ -106,9 +106,8 @@ func (e *SATExtractor) BlockWidth() int { return e.layout.N() }
 // Extractions implements Extractor.
 func (e *SATExtractor) Extractions() int { return e.count }
 
-// SetContext bounds subsequent enumerations: the model loop slices its
-// Solve calls with conflict budgets sized from the remaining deadline
-// and checks cancellation between slices.
+// SetContext bounds subsequent enumerations: the engine's solver
+// watches the context, and a cancelled enumeration returns its error.
 func (e *SATExtractor) SetContext(ctx context.Context) {
 	e.ctx = ctx
 	if e.eng != nil {
@@ -128,8 +127,8 @@ func (e *SATExtractor) SetTelemetry(r *telemetry.Registry) {
 }
 
 // SetEvents attaches a lifecycle event bus, forwarded to the persistent
-// engine (which publishes budget_slice events from its deadline-sliced
-// solve loop). Nil disables event publishing.
+// engine (which publishes budget-starved distinguish verdicts). Nil
+// disables event publishing.
 func (e *SATExtractor) SetEvents(b *events.Bus) {
 	e.bus = b
 	if e.eng != nil {
@@ -137,8 +136,7 @@ func (e *SATExtractor) SetEvents(b *events.Bus) {
 	}
 }
 
-// SetPhase labels subsequent engine work for per-phase stats attribution
-// and deadline budgeting.
+// SetPhase labels subsequent engine work for per-phase stats attribution.
 func (e *SATExtractor) SetPhase(name string) {
 	e.phase = name
 	if e.eng != nil {

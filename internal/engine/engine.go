@@ -59,7 +59,6 @@ type Engine struct {
 	bus   *events.Bus         // nil = no lifecycle events
 	phase string
 
-	bud        budgeter
 	phaseStats map[string]sat.Stats
 
 	sessions     uint64 // completed solve sessions, for encodings-avoided accounting
@@ -94,7 +93,6 @@ func New(locked *netlist.Circuit, blockPos []int) (*Engine, error) {
 		locked:       locked,
 		blockPos:     append([]int(nil), blockPos...),
 		nKeys:        locked.NumKeys(),
-		bud:          newBudgeter(),
 		compactBytes: defaultCompactBytes,
 	}, nil
 }
@@ -113,9 +111,8 @@ func Attach(locked *netlist.Circuit, ctx context.Context, tel *telemetry.Registr
 	return eng, nil
 }
 
-// SetContext bounds subsequent queries: enumeration slices its Solve
-// calls with conflict budgets sized from the remaining deadline and
-// checks cancellation between slices.
+// SetContext bounds subsequent queries: the solver watches ctx.Done()
+// itself, and a query it abandons returns the context's error.
 func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
 
 // SetTelemetry attaches a metrics registry: solver statistics fold into
@@ -123,23 +120,13 @@ func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
 // trace as spans on telemetry.EngineLane.
 func (e *Engine) SetTelemetry(r *telemetry.Registry) { e.tel = r }
 
-// SetEvents attaches a lifecycle event bus: each budgeted Solve slice
-// that expires without a verdict publishes a budget_slice event carrying
-// the expired grant and the budgeter's EWMA conflict rate — the signal
-// the progress estimator uses to tell "solving hard" from "deadline
-// crawling". Nil (the default) publishes nothing.
+// SetEvents attaches a lifecycle event bus: a distinguish query whose
+// conflict budget runs out publishes a distinguish event. Nil (the
+// default) publishes nothing.
 func (e *Engine) SetEvents(b *events.Bus) { e.bus = b }
 
-// SetPhase labels subsequent solver work for per-phase attribution and
-// resets the budgeter's per-phase spending cap, so a long phase cannot
-// starve its successors of the remaining deadline.
-func (e *Engine) SetPhase(name string) {
-	if name == e.phase {
-		return
-	}
-	e.phase = name
-	e.bud.enterPhase(e.ctx)
-}
+// SetPhase labels subsequent solver work for per-phase attribution.
+func (e *Engine) SetPhase(name string) { e.phase = name }
 
 // NumKeys returns the key width of one miter copy.
 func (e *Engine) NumKeys() int { return e.nKeys }
@@ -239,6 +226,47 @@ func (e *Engine) adopt(m keyMiter) {
 	}
 }
 
+// solve runs one assumption query under the engine's context. The
+// solver watches the context itself, so Unknown means the context fired
+// (returned as its error) or an explicit ConflictBudget ran out.
+func (e *Engine) solve(assume []cnf.Lit) (sat.Status, error) {
+	if e.ctx == nil {
+		e.solver.Done = nil
+		return e.solver.Solve(assume...), nil
+	}
+	e.solver.Done = e.ctx.Done()
+	st := e.solver.Solve(assume...)
+	if st == sat.Unknown {
+		return st, e.ctx.Err()
+	}
+	return st, nil
+}
+
+// enumerate is the solve → block → visit loop every enumeration shares:
+// each model's values on lits reach visit (in lits order, in a buffer
+// reused across calls), and are then excluded with a scope-guarded
+// blocking clause over lits. It ends on Unsat, when visit returns false,
+// or with the context's error.
+func (e *Engine) enumerate(assume, lits []cnf.Lit, visit func(vals []bool) bool) error {
+	vals := make([]bool, len(lits))
+	for {
+		st, err := e.solve(assume)
+		if err != nil || st != sat.Sat {
+			return err
+		}
+		blocking := e.blocking[:0]
+		for i, l := range lits {
+			vals[i] = e.solver.ModelValue(l)
+			blocking = append(blocking, signLit(l, !vals[i]))
+		}
+		e.blocking = blocking
+		if !visit(vals) {
+			return nil
+		}
+		e.solver.PushBlocking(blocking...)
+	}
+}
+
 // phaseName returns the attribution key for the current phase.
 func (e *Engine) phaseName() string {
 	if e.phase == "" {
@@ -333,10 +361,9 @@ func (e *Engine) checkKeys(a, b []bool) error {
 // formula beyond (retractable, eventually compacted) satisfied clauses
 // and the learned clauses that speed up the next session.
 //
-// With a context attached, Solve calls run in conflict-budgeted slices
-// sized by the engine's per-phase budgeter; on expiry the enumeration
-// stops and the context's error is returned (patterns already visited
-// remain valid — the set is simply incomplete).
+// With a context attached, a cancelled or expired context stops the
+// enumeration with the context's error (patterns already visited remain
+// valid — the set is simply incomplete).
 func (e *Engine) EnumerateDIPs(A, B []bool, visit func(pat uint64) bool) error {
 	return e.EnumerateDIPsSeeded(A, B, nil, visit)
 }
@@ -363,7 +390,6 @@ func (e *Engine) EnumerateDIPsSeeded(A, B []bool, seed func(yield func(pat uint6
 	flush := e.beginSession("engine_enumerate")
 	defer flush()
 	defer e.retireScope()
-	defer func() { e.solver.ConflictBudget = 0 }()
 
 	act := e.solver.BlockingLit()
 	assume := e.keyAssumptions(e.assume[:0], A, B)
@@ -375,11 +401,7 @@ func (e *Engine) EnumerateDIPsSeeded(A, B []bool, seed func(yield func(pat uint6
 		seed(func(pat uint64) bool {
 			blocking := e.blocking[:0]
 			for i, l := range e.block {
-				if pat&(1<<uint(i)) != 0 {
-					blocking = append(blocking, l.Neg())
-				} else {
-					blocking = append(blocking, l)
-				}
+				blocking = append(blocking, signLit(l, pat&(1<<uint(i)) == 0))
 			}
 			e.blocking = blocking
 			replayed++
@@ -388,50 +410,15 @@ func (e *Engine) EnumerateDIPsSeeded(A, B []bool, seed func(yield func(pat uint6
 		e.tel.Counter("engine_seeded_dips_total").Add(replayed)
 	}
 
-	for {
-		if e.ctx != nil {
-			if err := e.ctx.Err(); err != nil {
-				return err
-			}
-		}
-		e.solver.ConflictBudget = e.bud.slice(e.ctx, e.solver.Stats().Conflicts)
-		switch e.solver.Solve(assume...) {
-		case sat.Unknown:
-			// Budget slice exhausted: recheck the context. Slices expire
-			// at a bounded wall-clock rate (each one is sized to run for
-			// a meaningful fraction of the remaining deadline), so
-			// publishing per expiry cannot flood the bus.
-			if e.bus != nil {
-				e.bus.Publish(events.Event{
-					Type:  events.TypeBudgetSlice,
-					Phase: e.phase,
-					Fields: map[string]string{
-						"grant":     strconv.FormatUint(e.solver.ConflictBudget, 10),
-						"rate":      strconv.FormatFloat(e.bud.rate, 'g', 6, 64),
-						"exhausted": strconv.FormatBool(e.bud.capped && e.bud.phaseCap == 0),
-					},
-				})
-			}
-			continue
-		case sat.Unsat:
-			return nil
-		}
-		blocking := e.blocking[:0]
+	return e.enumerate(assume, e.block, func(vals []bool) bool {
 		var pat uint64
-		for i, l := range e.block {
-			if e.solver.ModelValue(l) {
+		for i, v := range vals {
+			if v {
 				pat |= 1 << uint(i)
-				blocking = append(blocking, l.Neg())
-			} else {
-				blocking = append(blocking, l)
 			}
 		}
-		e.blocking = blocking
-		if !visit(pat) {
-			return nil
-		}
-		e.solver.PushBlocking(blocking...)
-	}
+		return visit(pat)
+	})
 }
 
 // DistinguishReason types how a distinguish verdict was reached, so
@@ -447,14 +434,10 @@ const (
 	// ReasonUnknownBudget: the conflict budget ran out; the pair is
 	// reported equivalent without a proof.
 	ReasonUnknownBudget DistinguishReason = "unknown_budget"
-	// ReasonUnknownCanceled: the budget ran out after the attack's
-	// context was cancelled (deadline reached); the verdict carries no
-	// information.
-	ReasonUnknownCanceled DistinguishReason = "unknown_canceled"
 )
 
 // Definitive reports whether the reason carries a real verdict (witness
-// or proof) rather than a budget/cancellation artifact.
+// or proof) rather than a budget artifact.
 func (r DistinguishReason) Definitive() bool {
 	return r == ReasonWitness || r == ReasonProved
 }
@@ -492,7 +475,8 @@ func (e *Engine) Distinguish(keyA, keyB []bool, budget uint64) (witness []bool, 
 // DistinguishEx is Distinguish with a typed outcome: budget-starved
 // verdicts are marked ReasonUnknownBudget, counted in
 // engine_distinguish_unknown_total, and published as a distinguish
-// event, so they can no longer masquerade as proofs.
+// event, so they can no longer masquerade as proofs. A cancelled or
+// expired context returns the context's error, never a verdict.
 func (e *Engine) DistinguishEx(keyA, keyB []bool, budget uint64) (DistinguishOutcome, error) {
 	if err := e.ensure(); err != nil {
 		return DistinguishOutcome{}, err
@@ -509,13 +493,12 @@ func (e *Engine) DistinguishEx(keyA, keyB []bool, budget uint64) (DistinguishOut
 	e.assume = assume
 
 	e.solver.ConflictBudget = budget
-	switch e.solver.Solve(assume...) {
+	st, err := e.solve(assume)
+	if err != nil {
+		return DistinguishOutcome{}, err
+	}
+	switch st {
 	case sat.Unknown:
-		if e.ctx != nil && e.ctx.Err() != nil {
-			// Canceled by the deadline: not a budget starvation, don't
-			// alarm on it.
-			return DistinguishOutcome{Equivalent: true, Reason: ReasonUnknownCanceled}, nil
-		}
 		e.tel.Counter("engine_distinguish_unknown_total").Inc()
 		if e.bus != nil {
 			e.bus.Publish(events.Event{
@@ -570,19 +553,5 @@ func (e *Engine) retireScope() {
 func (e *Engine) SetCompactBytes(n uint64) {
 	if n > 0 {
 		e.compactBytes = n
-	}
-}
-
-// BudgetRate exposes the budgeter's persistent EWMA conflict rate so a
-// checkpoint can carry the deadline-slicing history across a restart.
-// Zero means no rate has been observed yet.
-func (e *Engine) BudgetRate() float64 { return e.bud.rate }
-
-// SetBudgetRate restores a previously observed conflict rate into the
-// budgeter, so a resumed attack sizes its first slices from real history
-// instead of a cold probe. Non-positive rates are ignored.
-func (e *Engine) SetBudgetRate(rate float64) {
-	if rate > 0 {
-		e.bud.rate = rate
 	}
 }

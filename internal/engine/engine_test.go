@@ -335,22 +335,57 @@ func TestPhaseAttribution(t *testing.T) {
 	}
 }
 
-// TestEnumerateCancelled checks an expired context surfaces immediately
-// with the context's error.
+// TestEnumerateCancelled checks every engine entry point against a
+// context cancelled before the call: each returns the context's error,
+// and the solver, which checks the context before its first search,
+// spends no conflicts.
 func TestEnumerateCancelled(t *testing.T) {
 	locked := lockedInstance(t, 6, "2A-O-A", 7)
-	eng, err := New(locked, allInputs(locked))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	eng.SetContext(ctx)
-	rng := rand.New(rand.NewSource(31))
 	nk := locked.NumKeys()
-	err = eng.EnumerateDIPs(randomKey(rng, nk), randomKey(rng, nk), func(uint64) bool { return true })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
+	rng := rand.New(rand.NewSource(31))
+	keyA, keyB := randomKey(rng, nk), randomKey(rng, nk)
+	for _, tc := range []struct {
+		name string
+		run  func(*Engine) error
+	}{
+		{"EnumerateDIPs", func(e *Engine) error {
+			return e.EnumerateDIPs(keyA, keyB, func(uint64) bool { return true })
+		}},
+		{"EnumerateWitnesses", func(e *Engine) error {
+			return e.EnumerateWitnesses(keyA, keyB, func([]bool) bool { return true })
+		}},
+		{"EnumerateSensitizations", func(e *Engine) error {
+			return e.EnumerateSensitizations(0, func([]bool) bool { return true })
+		}},
+		{"Session.FindDIP", func(e *Engine) error {
+			s, err := e.OpenSession()
+			if err != nil {
+				return err
+			}
+			defer s.Close()
+			_, _, err = s.FindDIP()
+			return err
+		}},
+		{"DistinguishEx", func(e *Engine) error {
+			_, err := e.DistinguishEx(keyA, keyB, 200000)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := New(locked, allInputs(locked))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			eng.SetContext(ctx)
+			if err := tc.run(eng); !errors.Is(err, context.Canceled) {
+				t.Fatalf("got %v, want context.Canceled", err)
+			}
+			if c := eng.Stats().Conflicts; c != 0 {
+				t.Fatalf("cancelled call spent %d conflicts, want 0", c)
+			}
+		})
 	}
 }
 

@@ -41,7 +41,6 @@ type Session struct {
 	hash   *cnf.Hasher // encodes Constrain's copies into the scope; dropped at Close
 	consts []cnf.Lit   // scratch: Constrain's input constants
 	flush  func()
-	budget uint64 // per-solve conflict cap; 0 = unbudgeted (or deadline-sliced)
 	closed bool
 }
 
@@ -73,30 +72,12 @@ func (e *Engine) OpenSession() (*Session, error) {
 	return &Session{e: e, act: e.solver.BlockingLit(), hash: hash, flush: flush}, nil
 }
 
-// SetConflictBudget caps each individual solve of this session (0 =
-// unlimited): the attacks' per-call ConflictBudget.
-func (s *Session) SetConflictBudget(n uint64) { s.budget = n }
-
-// solve runs one session query. With an explicit per-solve budget the
-// call is a single budgeted Solve whose Unknown is surfaced to the
-// caller; otherwise the budgeter slices the solve against the context
-// deadline and Unknown only escapes as a context error.
-func (s *Session) solve(assume []cnf.Lit) (sat.Status, error) {
-	e := s.e
-	if s.budget > 0 {
-		e.solver.ConflictBudget = s.budget
-		defer func() { e.solver.ConflictBudget = 0 }()
-		return e.solver.Solve(assume...), nil
-	}
-	return e.solveSliced(assume)
-}
-
 // FindDIP searches for a distinguishing input pattern: an assignment of
 // the primary inputs on which the two free-key copies can be made to
 // disagree. It returns the full input vector and sat.Sat, or (nil,
 // sat.Unsat) when no further DIP exists under the accumulated
-// constraints, or (nil, sat.Unknown) when the session's conflict budget
-// expired first.
+// constraints, or (nil, sat.Unknown) with the context's error when the
+// engine's context fired first.
 func (s *Session) FindDIP() ([]bool, sat.Status, error) {
 	if s.closed {
 		return nil, sat.Unknown, fmt.Errorf("engine: session is closed")
@@ -104,7 +85,7 @@ func (s *Session) FindDIP() ([]bool, sat.Status, error) {
 	e := s.e
 	assume := append(e.assume[:0], s.act, e.diff)
 	e.assume = assume
-	st, err := s.solve(assume)
+	st, err := e.solve(assume)
 	if err != nil || st != sat.Sat {
 		return nil, st, err
 	}
@@ -168,23 +149,23 @@ func (s *Session) Constrain(in, out []bool) error {
 // engines with different CDCL trajectories return bit-identical keys,
 // and what a brute-force enumeration of the correct keys can check
 // independently. Each bit costs one incremental solve on the
-// already-solved formula. Returns sat.Unknown when the budget expired
-// mid-extraction.
+// already-solved formula. Returns sat.Unknown with the context's error
+// when the engine's context fired mid-extraction.
 func (s *Session) ExtractKey() ([]bool, sat.Status, error) {
 	if s.closed {
 		return nil, sat.Unknown, fmt.Errorf("engine: session is closed")
 	}
 	e := s.e
 	assume := append(e.assume[:0], s.act)
-	st, err := s.solve(assume)
+	st, err := e.solve(assume)
 	if err != nil || st != sat.Sat {
 		e.assume = assume
 		return nil, st, err
 	}
 	key := make([]bool, e.nKeys)
 	for i, l := range e.keysA {
-		st, err := s.solve(append(assume, l.Neg()))
-		if err != nil || st == sat.Unknown {
+		st, err := e.solve(append(assume, l.Neg()))
+		if err != nil {
 			e.assume = assume
 			return nil, st, err
 		}
@@ -208,7 +189,6 @@ func (s *Session) Close() {
 	}
 	s.closed = true
 	s.hash = nil
-	s.e.solver.ConflictBudget = 0
 	s.e.retireScope()
 	s.e.releaseScope()
 	s.flush()
@@ -226,26 +206,6 @@ func (e *Engine) acquireScope() error {
 }
 
 func (e *Engine) releaseScope() { e.scopeHeld = false }
-
-// solveSliced runs one assumption query to a verdict under the
-// budgeter: with no context it is a single unbudgeted Solve; with one,
-// conflict-budgeted slices poll cancellation between expiries.
-func (e *Engine) solveSliced(assume []cnf.Lit) (sat.Status, error) {
-	defer func() { e.solver.ConflictBudget = 0 }()
-	for {
-		if e.ctx != nil {
-			if err := e.ctx.Err(); err != nil {
-				return sat.Unknown, err
-			}
-		}
-		e.solver.ConflictBudget = e.bud.slice(e.ctx, e.solver.Stats().Conflicts)
-		st := e.solver.Solve(assume...)
-		if st == sat.Unknown {
-			continue // slice expired; the context check above decides
-		}
-		return st, nil
-	}
-}
 
 // EnumerateWitnesses enumerates every full primary-input pattern on
 // which the locked circuit disagrees under keyA versus keyB — the
@@ -274,27 +234,10 @@ func (e *Engine) EnumerateWitnesses(keyA, keyB []bool, visit func(pattern []bool
 	assume = append(assume, act, e.diff)
 	e.assume = assume
 
-	pat := make([]bool, len(e.inputs))
-	for {
-		st, err := e.solveSliced(assume)
-		if err != nil {
-			return err
-		}
-		if st == sat.Unsat {
-			return nil
-		}
-		blocking := e.blocking[:0]
-		for i, l := range e.inputs {
-			pat[i] = e.solver.ModelValue(l)
-			blocking = append(blocking, signLit(l, !pat[i]))
-		}
-		e.blocking = blocking
+	return e.enumerate(assume, e.inputs, func(pat []bool) bool {
 		e.tel.Counter("engine_witnesses_total").Inc()
-		if !visit(pat) {
-			return nil
-		}
-		e.solver.PushBlocking(blocking...)
-	}
+		return visit(pat)
+	})
 }
 
 // ensureKeyEq lazily allocates one guard literal per key bit with the
@@ -348,25 +291,8 @@ func (e *Engine) EnumerateSensitizations(bit int, visit func(pattern []bool) boo
 	assume = append(assume, e.keysA[bit].Neg(), e.keysB[bit], act, e.diff)
 	e.assume = assume
 
-	pat := make([]bool, len(e.inputs))
-	for {
-		st, err := e.solveSliced(assume)
-		if err != nil {
-			return err
-		}
-		if st == sat.Unsat {
-			return nil
-		}
-		blocking := e.blocking[:0]
-		for i, l := range e.inputs {
-			pat[i] = e.solver.ModelValue(l)
-			blocking = append(blocking, signLit(l, !pat[i]))
-		}
-		e.blocking = blocking
+	return e.enumerate(assume, e.inputs, func(pat []bool) bool {
 		e.tel.Counter("engine_sensitize_candidates_total").Inc()
-		if !visit(pat) {
-			return nil
-		}
-		e.solver.PushBlocking(blocking...)
-	}
+		return visit(pat)
+	})
 }

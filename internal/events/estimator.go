@@ -35,17 +35,14 @@ var phaseSpans = map[string]phaseSpan{
 }
 
 // Estimator folds a stream of bus events into a Progress snapshot. It
-// combines three signals:
+// combines two signals:
 //
 //   - the enumerated-DIP-space fraction (dip_progress Done/Total — sim
 //     batches walked, or DIPs found against the block universe) drives
 //     intra-phase progress during enumeration;
 //   - the crossover probe's extrapolated walk cost (crossover
 //     sim_est_ns) anchors the enumerate phase's expected duration
-//     before any in-phase signal exists;
-//   - the budgeter's EWMA conflict rate (budget_slice rate/grant)
-//     marks deadline-bound crawling, which suppresses optimistic ETA
-//     extrapolation.
+//     before any in-phase signal exists.
 //
 // Observe and Snapshot are safe for concurrent use. A nil *Estimator
 // ignores Observe and reports a zero Progress.
@@ -58,7 +55,6 @@ type Estimator struct {
 	rate     float64 // EWMA of fraction per millisecond
 	enumEst  float64 // expected enumerate duration, ms (crossover probe)
 	enumFrom int64   // ms timestamp of the last enumerate phase_enter
-	crawling bool    // budgeter granting floor slices: share exhausted
 }
 
 // NewEstimator returns an empty estimator.
@@ -112,9 +108,6 @@ func (e *Estimator) Observe(ev Event) {
 		if ns, err := strconv.ParseFloat(ev.Fields["sim_est_ns"], 64); err == nil && ns > 0 {
 			e.enumEst = ns / 1e6
 		}
-	case TypeBudgetSlice:
-		grant, _ := strconv.ParseUint(ev.Fields["grant"], 10, 64)
-		e.crawling = ev.Fields["exhausted"] == "true" || (grant > 0 && grant <= 256)
 	case TypeDone:
 		e.done = true
 		e.advance(1, ev.TS)
@@ -146,9 +139,7 @@ func (e *Estimator) advance(f float64, ts int64) {
 }
 
 // Snapshot returns the current digest. ETA extrapolates the EWMA
-// fraction rate over the remaining fraction; while the budgeter is
-// crawling (phase share exhausted) the extrapolation is suppressed
-// rather than reported as false precision.
+// fraction rate over the remaining fraction.
 func (e *Estimator) Snapshot() Progress {
 	if e == nil {
 		return Progress{}
@@ -162,7 +153,7 @@ func (e *Estimator) Snapshot() Progress {
 	}
 	remaining := 1 - e.frac
 	switch {
-	case remaining <= 0 || e.crawling:
+	case remaining <= 0:
 	case e.rate > 0:
 		p.ETA = time.Duration(remaining/e.rate) * time.Millisecond
 	case e.enumEst > 0:

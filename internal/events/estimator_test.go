@@ -89,21 +89,6 @@ func TestEstimatorFallsBackToCrossoverWalkCost(t *testing.T) {
 	}
 }
 
-func TestEstimatorSuppressesETAWhileCrawling(t *testing.T) {
-	e := NewEstimator()
-	script(e,
-		Event{Type: TypePhaseEnter, Phase: "enumerate", TS: 1000},
-		Event{Type: TypeDIPProgress, Done: 10, Total: 100, TS: 2000},
-	)
-	if e.Snapshot().ETA <= 0 {
-		t.Fatal("precondition: ETA should extrapolate before crawling")
-	}
-	e.Observe(Event{Type: TypeBudgetSlice, Fields: map[string]string{"grant": "256", "exhausted": "true"}, TS: 2100})
-	if eta := e.Snapshot().ETA; eta != 0 {
-		t.Fatalf("crawling ETA %v, want suppressed (0)", eta)
-	}
-}
-
 func TestNilEstimator(t *testing.T) {
 	var e *Estimator
 	e.Observe(Event{Type: TypeDone})

@@ -3,11 +3,12 @@
 //
 // Producers in core, engine, and checkpoint publish typed lifecycle
 // events (phase enter/exit, DIP progress with running counts, crossover
-// decisions, checkpoint writes, oracle batches, budgeter slices, resume
-// replays). The bus fans each event out to bounded per-subscriber ring
-// buffers that drop their oldest entries — with an events_dropped_total
-// counter — rather than ever blocking the publisher: the enumeration
-// hot path must not stall because an SSE client stopped reading.
+// decisions, checkpoint writes, oracle batches, budget-starved
+// distinguish verdicts, resume replays). The bus fans each event out to
+// bounded per-subscriber ring buffers that drop their oldest entries —
+// with an events_dropped_total counter — rather than ever blocking the
+// publisher: the enumeration hot path must not stall because an SSE
+// client stopped reading.
 //
 // Every event carries a monotonically increasing sequence number, and
 // the bus retains a fixed-size history ring so a reconnecting consumer
@@ -48,9 +49,6 @@ const (
 	// TypeOracleBatch reports oracle consumption; Count is the
 	// cumulative query total.
 	TypeOracleBatch Type = "oracle_batch"
-	// TypeBudgetSlice fires when a budgeted Solve slice expires
-	// without a verdict; Fields carry the grant and the EWMA rate.
-	TypeBudgetSlice Type = "budget_slice"
 	// TypeResume records a checkpoint resume: banked oracle rows and
 	// replayed DIPs, before any fresh work.
 	TypeResume Type = "resume"

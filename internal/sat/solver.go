@@ -10,7 +10,7 @@ import (
 type Status int
 
 // Solve outcomes. Unknown is returned only when a conflict budget is set
-// and exhausted.
+// and exhausted, or when Done fires.
 const (
 	Unknown Status = iota
 	Sat
@@ -100,6 +100,10 @@ type Solver struct {
 	// ConflictBudget, when positive, bounds the number of conflicts a
 	// single Solve call may spend before returning Unknown.
 	ConflictBudget uint64
+	// Done, when non-nil, cancels Solve: it is read without blocking
+	// before every restart and every 256 conflicts within one, and once
+	// it is closed Solve returns Unknown. Nil is never cancelled.
+	Done <-chan struct{}
 
 	ok      bool // false once the formula is proven unsat at level 0
 	clauses []*clause
@@ -666,6 +670,10 @@ func (s *Solver) search(budget uint64) Status {
 			}
 			s.varInc *= varDecay
 			s.claInc *= clauseDecay
+			if conflicts%256 == 0 && s.interrupted() {
+				s.cancelUntil(0)
+				return Unknown
+			}
 			continue
 		}
 		if conflicts >= budget {
@@ -721,7 +729,9 @@ func (s *Solver) storeModel() {
 // Solve decides satisfiability of the loaded clauses under the given
 // assumptions. After Sat, Model/ModelValue expose a satisfying
 // assignment; after Unsat under assumptions, FailedAssumptions exposes a
-// (not necessarily minimal) subset of assumptions responsible.
+// (not necessarily minimal) subset of assumptions responsible. Unknown
+// means ConflictBudget ran out or Done fired; the solver is then back at
+// decision level 0 and ready for the next call.
 func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 	s.stats.SolveCalls++
 	if !s.ok {
@@ -742,7 +752,7 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 
 	var restarts uint64
 	for {
-		if s.ConflictBudget > 0 && s.stats.Conflicts >= s.solveBase+s.ConflictBudget {
+		if s.interrupted() || s.ConflictBudget > 0 && s.stats.Conflicts >= s.solveBase+s.ConflictBudget {
 			return Unknown
 		}
 		budget := luby(restarts+1) * 100
@@ -757,6 +767,19 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 		}
 		restarts++
 		s.stats.Restarts++
+	}
+}
+
+// interrupted reports, without blocking, whether Done has fired.
+func (s *Solver) interrupted() bool {
+	if s.Done == nil {
+		return false
+	}
+	select {
+	case <-s.Done:
+		return true
+	default:
+		return false
 	}
 }
 

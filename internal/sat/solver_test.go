@@ -3,6 +3,7 @@ package sat
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/cnf"
 )
@@ -284,6 +285,66 @@ func TestConflictBudget(t *testing.T) {
 	s.ConflictBudget = 0
 	if st := s.Solve(); st != Unsat {
 		t.Error("unbounded solve should finish UNSAT")
+	}
+}
+
+// TestDonePreClosed: a closed Done stops Solve before its first search,
+// so the call spends no conflicts.
+func TestDonePreClosed(t *testing.T) {
+	s := NewFromFormula(pigeonhole(7, 6))
+	done := make(chan struct{})
+	close(done)
+	s.Done = done
+	if st := s.Solve(); st != Unknown {
+		t.Fatalf("pre-closed Done: got %v, want UNKNOWN", st)
+	}
+	if c := s.Stats().Conflicts; c != 0 {
+		t.Fatalf("pre-closed Done spent %d conflicts, want 0", c)
+	}
+}
+
+// TestDoneClosedMidSearch closes Done from another goroutine while
+// Solve works on PHP(10,9) (about 144k conflicts, seconds of search):
+// Solve must return Unknown promptly, and the solver must stay usable —
+// a second Solve without Done still proves the formula UNSAT. Only the
+// channel crosses goroutines.
+func TestDoneClosedMidSearch(t *testing.T) {
+	s := NewFromFormula(pigeonhole(10, 9))
+	done := make(chan struct{})
+	s.Done = done
+	timer := time.AfterFunc(20*time.Millisecond, func() { close(done) })
+	defer timer.Stop()
+	start := time.Now()
+	st := s.Solve()
+	elapsed := time.Since(start)
+	if st != Unknown {
+		t.Fatalf("Solve with Done closed after 20ms: got %v, want UNKNOWN", st)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("Solve returned %v after Done closed at 20ms", elapsed)
+	}
+	s.Done = nil
+	if st := s.Solve(); st != Unsat {
+		t.Fatalf("second Solve without Done: got %v, want UNSAT", st)
+	}
+}
+
+// TestSearchChecksDoneWithinRestart pins the in-search check: Luby
+// restart intervals grow without bound, so a search with a huge
+// conflict budget must still notice a closed Done at its 256th conflict.
+func TestSearchChecksDoneWithinRestart(t *testing.T) {
+	s := NewFromFormula(pigeonhole(10, 9))
+	done := make(chan struct{})
+	close(done)
+	s.Done = done
+	if st := s.search(1 << 40); st != Unknown {
+		t.Fatalf("search with closed Done: got %v, want UNKNOWN", st)
+	}
+	if c := s.Stats().Conflicts; c != 256 {
+		t.Fatalf("search stopped after %d conflicts, want 256", c)
+	}
+	if s.decisionLevel() != 0 {
+		t.Fatalf("search left decision level %d, want 0", s.decisionLevel())
 	}
 }
 
