@@ -30,6 +30,7 @@ import (
 	"repro/internal/attack/casunlock"
 	"repro/internal/attack/satattack"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/events"
 	"repro/internal/experiments"
 	"repro/internal/lock"
@@ -161,7 +162,7 @@ func lemma1Assign(lockedKeys int, layout *core.BlockLayout) core.PairAssign {
 func BenchmarkDIPExtraction(b *testing.B) {
 	b.Run("sat_n8", func(b *testing.B) {
 		lockedC, layout := extractionInstance(b, 8)
-		ext, err := core.NewSATExtractor(lockedC, layout)
+		ext, err := core.NewSATExtractor(lockedC, layout, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -179,7 +180,7 @@ func BenchmarkDIPExtraction(b *testing.B) {
 	})
 	b.Run("sim_n16", func(b *testing.B) {
 		lockedC, layout := extractionInstance(b, 16)
-		ext, err := core.NewSimExtractor(lockedC, layout, 1)
+		ext, err := core.NewSimExtractor(lockedC, layout, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -197,7 +198,7 @@ func BenchmarkDIPExtraction(b *testing.B) {
 	})
 	b.Run("sim_n24", func(b *testing.B) {
 		lockedC, layout := extractionInstance(b, 24)
-		ext, err := core.NewSimExtractor(lockedC, layout, 1)
+		ext, err := core.NewSimExtractor(lockedC, layout, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -446,11 +447,10 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	} {
 		reg := tc.reg
 		b.Run(tc.name, func(b *testing.B) {
-			ext, err := core.NewSimExtractor(lockedC, layout, 1)
+			ext, err := core.NewSimExtractor(lockedC, layout, 1, &engine.Env{Tel: reg})
 			if err != nil {
 				b.Fatal(err)
 			}
-			ext.SetTelemetry(reg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				dips, err := ext.DIPs(assign)

@@ -33,6 +33,7 @@ import (
 	"repro/internal/attack/satattack"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/events"
 	"repro/internal/experiments"
 	"repro/internal/lock"
@@ -509,7 +510,7 @@ func extractionWorkload(n int) (*core.SimExtractor, core.PairAssign, error) {
 	if err != nil {
 		return nil, core.PairAssign{}, err
 	}
-	ext, err := core.NewSimExtractor(locked.Circuit, layout, 3)
+	ext, err := core.NewSimExtractor(locked.Circuit, layout, 3, nil)
 	if err != nil {
 		return nil, core.PairAssign{}, err
 	}
@@ -603,11 +604,10 @@ func satWorkload(tel *telemetry.Registry) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ext, err := core.NewSATExtractor(locked.Circuit, layout)
+	ext, err := core.NewSATExtractor(locked.Circuit, layout, &engine.Env{Tel: tel})
 	if err != nil {
 		return Result{}, err
 	}
-	ext.SetTelemetry(tel)
 	assign := core.PairAssign{A: make([]bool, locked.Circuit.NumKeys()), B: make([]bool, locked.Circuit.NumKeys())}
 	for _, pos := range layout.Key1Pos {
 		assign.A[pos] = true

@@ -83,7 +83,7 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 	}
 	sp := opts.Telemetry.StartSpan("attack_appsat")
 	defer sp.End()
-	be, err := engine.Attach(locked, opts.Context, opts.Telemetry, "appsat")
+	be, err := engine.New(locked, nil, &engine.Env{Ctx: opts.Context, Tel: opts.Telemetry, Phase: "appsat"})
 	if err != nil {
 		return nil, err
 	}

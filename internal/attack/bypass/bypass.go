@@ -73,9 +73,9 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 	var ext core.Extractor
 	var err error
 	if n <= 12 {
-		ext, err = core.NewSATExtractor(locked, layout)
+		ext, err = core.NewSATExtractor(locked, layout, nil)
 	} else {
-		ext, err = core.NewSimExtractor(locked, layout, 1)
+		ext, err = core.NewSimExtractor(locked, layout, 1, nil)
 	}
 	if err != nil {
 		return nil, err
@@ -238,7 +238,7 @@ func RunGenericOpts(locked *netlist.Circuit, orc oracle.Oracle, opts GenericOpti
 	if err != nil {
 		return nil, err
 	}
-	be, err := engine.Attach(locked, opts.Context, opts.Telemetry, "bypass")
+	be, err := engine.New(locked, nil, &engine.Env{Ctx: opts.Context, Tel: opts.Telemetry, Phase: "bypass"})
 	if err != nil {
 		return nil, err
 	}

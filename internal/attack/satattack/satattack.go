@@ -62,7 +62,7 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 	}
 	sp := opts.Telemetry.StartSpan("attack_satattack")
 	defer sp.End()
-	be, err := engine.Attach(locked, opts.Context, opts.Telemetry, "satattack")
+	be, err := engine.New(locked, nil, &engine.Env{Ctx: opts.Context, Tel: opts.Telemetry, Phase: "satattack"})
 	if err != nil {
 		return nil, err
 	}

@@ -77,7 +77,7 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 	}
 	res := &Result{Known: make([]bool, nk), Key: make([]bool, nk)}
 
-	be, err := engine.Attach(locked, opts.Context, opts.Telemetry, "sensitization")
+	be, err := engine.New(locked, nil, &engine.Env{Ctx: opts.Context, Tel: opts.Telemetry, Phase: "sensitization"})
 	if err != nil {
 		return nil, err
 	}

@@ -28,15 +28,12 @@ type Options struct {
 	Oracle oracle.Oracle
 	// Layout is the key-port layout; nil runs DiscoverLayout.
 	Layout *BlockLayout
-	// Extractor overrides the DIP-set engine; nil picks between the SAT
-	// engine and the exhaustive simulation engine per SATWidthLimit.
-	Extractor Extractor
-	// SATWidthLimit controls the SAT/sim regime boundary when Extractor
-	// is nil. 0 — the default — runs a per-instance calibration probe
-	// (timed simulation batches vs. a deadline-budgeted engine probe)
-	// and picks the cheaper engine empirically; a positive value pins
-	// the historical rule: SAT for blocks up to that many inputs,
-	// simulation above.
+	// SATWidthLimit controls the regime boundary between the SAT
+	// extractor and the exhaustive simulation extractor. 0 — the
+	// default — runs a per-instance calibration probe (timed simulation
+	// batches vs. a deadline-budgeted engine probe) and picks the
+	// cheaper engine empirically; a positive value pins the historical
+	// rule: SAT for blocks up to that many inputs, simulation above.
 	SATWidthLimit int
 	// MaxCalibrations caps the Algorithm-2 brute-force loop over the
 	// calibration block's upper key bits (default 1<<20).
@@ -45,8 +42,7 @@ type Options struct {
 	// materialize (default 1<<27).
 	MaxOnePoints uint64
 	// Workers is the shard worker count for the simulation extractor
-	// (0 = GOMAXPROCS). Ignored when Extractor is supplied: configure
-	// the supplied extractor directly.
+	// (0 = GOMAXPROCS).
 	Workers int
 	// Context bounds the whole attack: cancellation and deadlines are
 	// honored inside extraction shards, the SAT solver's search, the
@@ -69,10 +65,10 @@ type Options struct {
 	// Telemetry, when non-nil, receives the attack's metrics and phase
 	// spans: the attack/hypothesis/enumerate/decode/algo1/algo2/verify
 	// span tree, oracle-query and candidate counters, DIP-set sizes, and
-	// (through extractors that implement SetTelemetry) SAT-solver and
-	// per-shard enumeration statistics. Nil — the default — disables
-	// instrumentation at no measurable cost to the enumeration hot path;
-	// see internal/telemetry and DESIGN.md §7.
+	// (through the run environment the extractor and engine share)
+	// SAT-solver and per-shard enumeration statistics. Nil — the
+	// default — disables instrumentation at no measurable cost to the
+	// enumeration hot path; see internal/telemetry and DESIGN.md §7.
 	Telemetry *telemetry.Registry
 	// Events, when non-nil, receives the attack's lifecycle events:
 	// phase enter/exit, DIP progress with running counts, crossover
@@ -169,29 +165,11 @@ func Run(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &attack{opts: opts, layout: layout, ext: opts.Extractor, ctx: ctx, sim: sim,
-		tel: opts.Telemetry, root: root, bus: opts.Events,
+	a := &attack{opts: opts, layout: layout, sim: sim, root: root,
+		env: &engine.Env{Ctx: ctx, Tel: opts.Telemetry, Bus: opts.Events},
 		rng: rand.New(rand.NewSource(opts.Seed ^ 0x5eed))}
-	if a.ext == nil {
-		if a.ext, err = a.chooseExtractor(); err != nil {
-			return nil, err
-		}
-	}
-	ext := a.ext
-
-	// Extractors that understand cancellation get the attack's context;
-	// a caller-supplied extractor may opt in by implementing the same
-	// SetContext method. Telemetry is wired the same way. (For an
-	// extractor the calibration probe selected this also replaces the
-	// probe's deadline context with the attack's.)
-	if ca, ok := ext.(interface{ SetContext(context.Context) }); ok {
-		ca.SetContext(ctx)
-	}
-	if ta, ok := ext.(interface{ SetTelemetry(*telemetry.Registry) }); ok {
-		ta.SetTelemetry(opts.Telemetry)
-	}
-	if ea, ok := ext.(interface{ SetEvents(*events.Bus) }); ok {
-		ea.SetEvents(opts.Events)
+	if a.ext, err = a.chooseExtractor(); err != nil {
+		return nil, err
 	}
 	a.cQueries = opts.Telemetry.Counter("attack_oracle_queries_total")
 	a.cCandidates = opts.Telemetry.Counter("attack_candidates_total")
@@ -207,7 +185,7 @@ func Run(opts Options) (*Result, error) {
 		}
 		res, err := a.runWithActive(active)
 		if err == nil {
-			res.Extractions = ext.Extractions()
+			res.Extractions = a.ext.Extractions()
 			return res, nil
 		}
 		// An interrupted hypothesis ends the attack: the deadline or
@@ -226,24 +204,24 @@ func Run(opts Options) (*Result, error) {
 type attack struct {
 	opts   Options
 	layout *BlockLayout
-	ext    Extractor
-	ctx    context.Context
+	ext    Extractor // *SATExtractor or *SimExtractor
 	rng    *rand.Rand
+	// env is the run environment the extractor and the engine share:
+	// the attack's context (swapped for a deadline only while the
+	// crossover probe runs), registry, bus and current phase.
+	env *engine.Env
 	// sim is the locked netlist compiled once per attack; probing,
 	// distinguishing and the DIP replay all run on it. Its Run and Run64
 	// results share one output buffer, so a caller that holds one across
 	// another run copies it first.
 	sim *netlist.Simulator
 
-	tel           *telemetry.Registry
 	root          *telemetry.Span
 	cQueries      *telemetry.Counter
 	cCandidates   *telemetry.Counter
 	cCalibrations *telemetry.Counter
 
-	bus       *events.Bus      // nil = lifecycle events disabled
-	phaseAt   map[string]int64 // phase → enter timestamp (ms), event durations
-	evQueries uint64           // oracle queries since the last oracle_batch event
+	evQueries uint64 // oracle queries since the last oracle_batch event
 
 	eng      *engine.Engine // persistent engine for SAT distinguishing
 	engTried bool
@@ -257,25 +235,22 @@ type attack struct {
 	candidates   int
 }
 
-// engine returns the persistent incremental engine shared with the
-// extractor, when it offers one. In the simulation-extractor regime
-// (wide blocks) no engine exists and callers fall back to the
-// structural-hashing prover — deliberately: a distinguishing query
-// there is almost always an equivalence proof of the netlist under two
-// keys, which hashing with the keys folded in collapses to their
-// key-dependent cones in milliseconds, while a cold CDCL instance pays
-// an encoding plus a full UNSAT search (measured 20x slower on the
-// c880-profile Table-I row). The engine only wins where it is already
-// warm from SAT enumeration.
+// engine returns the SAT extractor's persistent incremental engine. In
+// the simulation-extractor regime (wide blocks) no engine exists and
+// callers fall back to the structural-hashing prover — deliberately: a
+// distinguishing query there is almost always an equivalence proof of
+// the netlist under two keys, which hashing with the keys folded in
+// collapses to their key-dependent cones in milliseconds, while a cold
+// CDCL instance pays an encoding plus a full UNSAT search (measured 20x
+// slower on the c880-profile Table-I row). The engine only wins where
+// it is already warm from SAT enumeration.
 func (a *attack) engine() *engine.Engine {
 	if a.engTried {
 		return a.eng
 	}
 	a.engTried = true
-	if ea, ok := a.ext.(interface {
-		Engine() (*engine.Engine, error)
-	}); ok {
-		eng, err := ea.Engine()
+	if se, ok := a.ext.(*SATExtractor); ok {
+		eng, err := se.Engine()
 		if err == nil {
 			a.eng = eng
 		} else {
@@ -283,20 +258,6 @@ func (a *attack) engine() *engine.Engine {
 		}
 	}
 	return a.eng
-}
-
-// setPhase labels the current pipeline phase on every engine-aware
-// component: the extractor (which forwards to its engine) and any
-// attack-owned engine. Per-phase budgeting and stats attribution key off
-// these labels.
-func (a *attack) setPhase(name string) {
-	if pa, ok := a.ext.(interface{ SetPhase(string) }); ok {
-		pa.SetPhase(name)
-	}
-	if a.eng != nil {
-		a.eng.SetPhase(name)
-	}
-	a.ckptPhase(name)
 }
 
 // oracleEventBatch and dipEventBatch throttle the hot-path event
@@ -318,25 +279,22 @@ func (a *attack) countQueries(n uint64) {
 	a.queries += n
 	a.cQueries.Add(n)
 	a.ckptPump(n)
-	if a.bus != nil {
+	if bus := a.env.Bus; bus != nil {
 		a.evQueries += n
 		if a.evQueries >= oracleEventBatch {
 			a.evQueries = 0
-			a.bus.Publish(events.Event{Type: events.TypeOracleBatch, Count: a.queries})
+			bus.Publish(events.Event{Type: events.TypeOracleBatch, Count: a.queries})
 		}
 	}
 }
 
-// nowMillis is the wall-clock read behind event phase durations.
-func nowMillis() int64 { return time.Now().UnixMilli() }
-
 // installProgress wires the extractor's per-DIP progress hook into
-// whichever consumers are armed: the checkpoint cadence (exactly the
-// hook armDurability used to install) and the event bus, which gets a
-// throttled dip_progress event — running count plus the enumerated
-// fraction of the block universe — every dipEventBatch DIPs and at
-// every enumeration completion. With neither armed, no hook is
-// installed and the extractor's per-DIP cost is a single nil check.
+// whichever consumers are armed: the checkpoint cadence, the
+// attack_dips_found gauge, and the event bus, which gets a throttled
+// dip_progress event — running count plus the enumerated fraction of
+// the block universe — every dipEventBatch DIPs and at every
+// enumeration completion. With none armed, no hook is installed and the
+// extractor's per-DIP cost is a single nil check.
 //
 // An attack can enumerate more than once: a hypothesis misalignment
 // makes algo2 restart extraction with a fresh (typically smaller)
@@ -345,20 +303,15 @@ func nowMillis() int64 { return time.Now().UnixMilli() }
 // marks a new round; the round number rides in the event's fields and
 // consumers reset their monotonicity baseline when it changes.
 func (a *attack) installProgress() {
-	if a.ck == nil && a.bus == nil {
-		return
-	}
-	pa, ok := a.ext.(interface {
-		SetProgress(func(set *DIPSet, complete bool))
-	})
-	if !ok {
+	bus := a.env.Bus
+	if a.ck == nil && bus == nil && a.env.Tel == nil {
 		return
 	}
 	var sinceEvent uint64
 	var curSet *DIPSet
 	var round uint64
-	gDIPs := a.tel.Gauge("attack_dips_found")
-	pa.SetProgress(func(set *DIPSet, complete bool) {
+	gDIPs := a.env.Tel.Gauge("attack_dips_found")
+	hook := func(set *DIPSet, complete bool) {
 		if set != curSet {
 			curSet = set
 			round++
@@ -369,8 +322,8 @@ func (a *attack) installProgress() {
 			sinceEvent = 0
 			count := set.Count()
 			gDIPs.Set(int64(count))
-			if a.bus != nil {
-				a.bus.Publish(events.Event{
+			if bus != nil {
+				bus.Publish(events.Event{
 					Type:   events.TypeDIPProgress,
 					Phase:  "enumerate",
 					Count:  count,
@@ -389,43 +342,60 @@ func (a *attack) installProgress() {
 			return
 		}
 		a.ckptPump(1)
-	})
+	}
+	switch x := a.ext.(type) {
+	case *SATExtractor:
+		x.progress = hook
+	case *SimExtractor:
+		x.progress = hook
+	}
 }
 
-// startPhase opens a pipeline phase: it announces the phase on the
-// event bus, remembers the enter time for the exit event's duration,
-// and returns the phase span (nil when telemetry is off — phase events
-// do not depend on spans).
-func (a *attack) startPhase(parent *telemetry.Span, name string) *telemetry.Span {
-	if a.bus != nil {
-		ev := events.Event{Type: events.TypePhaseEnter, Phase: name}
-		a.bus.Publish(ev)
-		if a.phaseAt == nil {
-			a.phaseAt = make(map[string]int64)
-		}
-		a.phaseAt[name] = nowMillis()
-	}
-	return parent.Child(name)
+// phase is one open pipeline phase: its span (nil when telemetry is
+// off), the enter time that times it when there is no span, and the
+// phase it interrupted.
+type phase struct {
+	name  string
+	sp    *telemetry.Span
+	start time.Time
+	prev  string
 }
 
-// endPhase closes a phase: the span's duration feeds the per-phase
-// latency histogram, and a phase_exit event mirrors it on the bus.
-// Nil-safe in both directions (telemetry or events disabled).
-func (a *attack) endPhase(sp *telemetry.Span, name string) {
-	if sp != nil {
-		d := sp.End()
-		a.tel.Histogram(telemetry.Label("attack_phase_seconds", "phase", name),
-			telemetry.DurationBuckets).Observe(d.Seconds())
+// enterPhase opens a pipeline phase under parent: it publishes
+// phase_enter, opens the phase span, labels the engine's work with the
+// phase through the shared environment, and gives the checkpoint timer
+// cadence a chance to fire at the boundary.
+func (a *attack) enterPhase(parent *telemetry.Span, name string) *phase {
+	if bus := a.env.Bus; bus != nil {
+		bus.Publish(events.Event{Type: events.TypePhaseEnter, Phase: name})
 	}
-	if a.bus != nil {
-		ev := events.Event{Type: events.TypePhaseExit, Phase: name}
-		if at, ok := a.phaseAt[name]; ok {
-			ev.Fields = map[string]string{
-				"seconds": strconv.FormatFloat(float64(nowMillis()-at)/1e3, 'g', 4, 64),
-			}
-		}
-		a.bus.Publish(ev)
+	p := &phase{name: name, sp: parent.Child(name), prev: a.env.Phase}
+	if p.sp == nil {
+		p.start = time.Now()
 	}
+	a.env.Phase = name
+	a.ckptPump(0)
+	return p
+}
+
+// exitPhase closes a phase with one duration — the span's, or the wall
+// clock since enter when telemetry is off — which feeds both the
+// attack_phase_seconds histogram and the phase_exit event, and restores
+// the interrupted phase's label.
+func (a *attack) exitPhase(p *phase) {
+	var d time.Duration
+	if p.sp != nil {
+		d = p.sp.End()
+	} else {
+		d = time.Since(p.start)
+	}
+	a.env.Tel.Histogram(telemetry.Label("attack_phase_seconds", "phase", p.name),
+		telemetry.DurationBuckets).Observe(d.Seconds())
+	if bus := a.env.Bus; bus != nil {
+		bus.Publish(events.Event{Type: events.TypePhaseExit, Phase: p.name,
+			Fields: map[string]string{"seconds": strconv.FormatFloat(d.Seconds(), 'g', 4, 64)}})
+	}
+	a.env.Phase = p.prev
 }
 
 // assign builds the miter key vectors: the active block's keys are all-1
@@ -520,8 +490,8 @@ func (a *attack) decode(parent *telemetry.Span, dips *DIPSet) (*structured, erro
 // top bit and invert the closed form |A| = 1 + Σ 2^{c_i} into the chain
 // configuration.
 func (a *attack) decodeChain(parent *telemetry.Span, dips *DIPSet) (st *structured, err error) {
-	sp := a.startPhase(parent, "decode")
-	defer a.endPhase(sp, "decode")
+	ph := a.enterPhase(parent, "decode")
+	defer a.exitPhase(ph)
 	total := dips.Count()
 	if total == 0 {
 		return nil, fmt.Errorf("core: miter produced no DIPs (keys behave identically)")
@@ -551,8 +521,8 @@ func (a *attack) decodeChain(parent *telemetry.Span, dips *DIPSet) (st *structur
 	st.chainH = chainH
 	st.w = newOnePointSet(chainH)
 	st.wList = OnePoints(chainH)
-	sp.SetArg("chain", chainH.String())
-	sp.SetArg("aligned_dips", strconv.FormatUint(st.nBig, 10))
+	ph.sp.SetArg("chain", chainH.String())
+	ph.sp.SetArg("aligned_dips", strconv.FormatUint(st.nBig, 10))
 	return st, nil
 }
 
@@ -563,8 +533,8 @@ func (a *attack) decodeChain(parent *telemetry.Span, dips *DIPSet) (st *structur
 // poll the context — a SIGINT must unwind in milliseconds even at
 // block widths where the scan would otherwise run for minutes.
 func (a *attack) recoverKeyGates(parent *telemetry.Span, st *structured) error {
-	sp := a.startPhase(parent, "algo1")
-	defer a.endPhase(sp, "algo1")
+	ph := a.enterPhase(parent, "algo1")
+	defer a.exitPhase(ph)
 	// DIP_nc: the unique member of the structured class that leaves it
 	// when bit 0 is flipped (Algorithm 1, line 9).
 	var dipNC uint64
@@ -607,7 +577,7 @@ func (a *attack) recoverKeyGates(parent *telemetry.Span, st *structured) error {
 		return err
 	}
 	st.deltas = deltas
-	sp.SetArg("deltas", strconv.Itoa(len(st.deltas)))
+	ph.sp.SetArg("deltas", strconv.Itoa(len(st.deltas)))
 	return nil
 }
 
@@ -805,12 +775,7 @@ func (a *attack) logf(format string, args ...any) {
 }
 
 // ctxErr reports the attack context's cancellation state.
-func (a *attack) ctxErr() error {
-	if a.ctx == nil {
-		return nil
-	}
-	return a.ctx.Err()
-}
+func (a *attack) ctxErr() error { return a.env.Ctx.Err() }
 
 // runWithActive executes the full pipeline under one block-role
 // hypothesis. Each stage runs under its own phase span (enumerate →
@@ -826,11 +791,10 @@ func (a *attack) runWithActive(active int) (*Result, error) {
 		return nil, a.partial("extract", active, nil, err)
 	}
 	a.logf("hypothesis active=%d: extracting DIP set (Lemma-1 assignment)", active)
-	a.setPhase("enumerate")
-	enum := a.startPhase(hyp, "enumerate")
+	enum := a.enterPhase(hyp, "enumerate")
 	dips, err := a.extractDIPs(active, 0)
 	if err != nil {
-		a.endPhase(enum, "enumerate")
+		a.exitPhase(enum)
 		if cerr := a.ctxErr(); cerr != nil {
 			pe := a.partial("extract", active, nil, cerr)
 			if dips != nil {
@@ -840,9 +804,9 @@ func (a *attack) runWithActive(active int) (*Result, error) {
 		}
 		return nil, err
 	}
-	enum.SetArg("dips", strconv.FormatUint(dips.Count(), 10))
-	a.endPhase(enum, "enumerate")
-	a.tel.Histogram("attack_dip_set_size", telemetry.SizeBuckets).
+	enum.sp.SetArg("dips", strconv.FormatUint(dips.Count(), 10))
+	a.exitPhase(enum)
+	a.env.Tel.Histogram("attack_dip_set_size", telemetry.SizeBuckets).
 		Observe(float64(dips.Count()))
 	a.logf("extracted |I_l| = %d", dips.Count())
 	st, err := a.decode(hyp, dips)
@@ -856,18 +820,17 @@ func (a *attack) runWithActive(active int) (*Result, error) {
 	}
 	a.logf("decoded: chain_h=%s |A|=%d deltas=%d", st.chainH, st.nBig, len(st.deltas))
 	calib := uint64(0)
-	algo2 := a.startPhase(hyp, "algo2")
+	algo2 := a.enterPhase(hyp, "algo2")
 	if len(st.deltas) == 0 {
-		a.setPhase("algo2")
 		a.logf("no misalignment witness: starting calibration sweep")
 		// Algorithm 2's brute force: sweep the calibration block's key
 		// bits from the last OR gate's input position upward until the
 		// small class shrinks (suppression appears), then re-extract and
 		// decode at that calibration.
 		prev := st
-		calib, st, err = a.calibrate(algo2, active, st)
+		calib, st, err = a.calibrate(algo2.sp, active, st)
 		if err != nil {
-			a.endPhase(algo2, "algo2")
+			a.exitPhase(algo2)
 			if cerr := a.ctxErr(); cerr != nil {
 				return nil, a.partial("calibrate", active, prev, cerr)
 			}
@@ -877,13 +840,12 @@ func (a *attack) runWithActive(active int) (*Result, error) {
 			return nil, err
 		}
 	} else {
-		algo2.SetArg("skipped", "true")
+		algo2.sp.SetArg("skipped", "true")
 	}
-	a.endPhase(algo2, "algo2")
-	a.setPhase("verify")
-	verify := a.startPhase(hyp, "verify")
+	a.exitPhase(algo2)
+	verify := a.enterPhase(hyp, "verify")
 	res, err := a.verifyCandidates(active, calib, st)
-	a.endPhase(verify, "verify")
+	a.exitPhase(verify)
 	return res, err
 }
 

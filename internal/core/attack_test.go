@@ -201,17 +201,17 @@ func TestExtractorsAgree(t *testing.T) {
 		}
 		var satEx *SATExtractor
 		if n <= satWidthMax {
-			satEx, err = NewSATExtractor(locked.Circuit, layout)
+			satEx, err = NewSATExtractor(locked.Circuit, layout, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
-		seqEx, err := NewSimExtractor(locked.Circuit, layout, 3)
+		seqEx, err := NewSimExtractor(locked.Circuit, layout, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seqEx.SetWorkers(1)
-		parEx, err := NewSimExtractor(locked.Circuit, layout, 3)
+		parEx, err := NewSimExtractor(locked.Circuit, layout, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,6 @@ type ckptState struct {
 
 	active   int
 	calib    uint64
-	phase    string
 	set      *DIPSet
 	complete bool
 }
@@ -70,7 +69,7 @@ func (a *attack) armDurability() error {
 	}
 	sig := optionsSig(opts)
 
-	bank := newBankedOracle(opts.Oracle, a.tel)
+	bank := newBankedOracle(opts.Oracle, a.env.Tel)
 	if rs := opts.ResumeFrom; rs != nil {
 		sp := a.root.Child("resume")
 		if err := validateResume(rs, hash, sig, a.layout.N()); err != nil {
@@ -80,8 +79,8 @@ func (a *attack) armDurability() error {
 		}
 		bank.load(rs.Responses, rs.Scalar)
 		a.resume = rs
-		a.tel.Counter("resume_loads_total").Inc()
-		a.tel.Counter("resume_responses_loaded_total").Add(uint64(len(rs.Responses) + len(rs.Scalar)))
+		a.env.Tel.Counter("resume_loads_total").Inc()
+		a.env.Tel.Counter("resume_responses_loaded_total").Add(uint64(len(rs.Responses) + len(rs.Scalar)))
 		sp.SetArg("active", strconv.Itoa(rs.Active))
 		sp.SetArg("phase", rs.Phase)
 		sp.SetArg("complete", strconv.FormatBool(rs.EnumComplete))
@@ -89,8 +88,8 @@ func (a *attack) armDurability() error {
 		sp.End()
 		a.logf("resuming from checkpoint: active=%d phase=%s complete=%t banked=%d",
 			rs.Active, rs.Phase, rs.EnumComplete, len(rs.Responses)+len(rs.Scalar))
-		if a.bus != nil {
-			a.bus.Publish(events.Event{
+		if bus := a.env.Bus; bus != nil {
+			bus.Publish(events.Event{
 				Type:  events.TypeResume,
 				Phase: rs.Phase,
 				Count: rs.OracleQueries,
@@ -138,16 +137,6 @@ func (a *attack) ckptMark(active int, calib uint64) {
 	a.ck.set, a.ck.complete = nil, false
 }
 
-// ckptPhase mirrors the pipeline phase into the checkpoint state and
-// gives the timer cadence a chance to fire at the boundary.
-func (a *attack) ckptPhase(name string) {
-	if a.ck == nil {
-		return
-	}
-	a.ck.phase = name
-	a.ckptPump(0)
-}
-
 // ckptPump advances the checkpoint cadence by n progress events (DIPs
 // enumerated or oracle patterns answered) and hands the writer a fresh
 // snapshot when one is due. Disabled-checkpoint cost: one nil check.
@@ -173,7 +162,7 @@ func (a *attack) buildSnapshot() *checkpoint.Snapshot {
 		OptionsSig:    ck.sig,
 		Active:        ck.active,
 		Calib:         ck.calib,
-		Phase:         ck.phase,
+		Phase:         a.env.Phase,
 		EnumComplete:  ck.complete,
 		OracleQueries: a.queries,
 	}
@@ -203,7 +192,7 @@ func (a *attack) resumeSkip(active int) bool {
 	if a.resume == nil || a.resume.Active <= active {
 		return false
 	}
-	a.tel.Counter("resume_hypotheses_skipped_total").Inc()
+	a.env.Tel.Counter("resume_hypotheses_skipped_total").Inc()
 	a.logf("resume: hypothesis active=%d already failed before the checkpoint; skipping", active)
 	return true
 }
@@ -225,18 +214,18 @@ func (a *attack) extractDIPs(active int, calib uint64) (*DIPSet, error) {
 		return nil, fmt.Errorf("%w: %v", ErrResumeMismatch, err)
 	}
 	restored := set.Count()
-	a.tel.Counter("resume_dips_restored_total").Add(restored)
+	a.env.Tel.Counter("resume_dips_restored_total").Add(restored)
 	if rs.EnumComplete {
-		a.tel.Counter("resume_enum_skipped_total").Inc()
+		a.env.Tel.Counter("resume_enum_skipped_total").Inc()
 		a.logf("resume: restored complete DIP set (%d DIPs), skipping re-enumeration", restored)
 		if a.ck != nil {
 			a.ck.set, a.ck.complete = set, true
 		}
 		return set, nil
 	}
-	if sa, ok := a.ext.(interface{ SeedDIPs(*DIPSet) }); ok {
-		sa.SeedDIPs(set)
-		a.tel.Counter("resume_dips_replayed_total").Add(restored)
+	if se, ok := a.ext.(*SATExtractor); ok {
+		se.seed = set
+		a.env.Tel.Counter("resume_dips_replayed_total").Add(restored)
 		a.logf("resume: replaying %d DIPs as blocking clauses, continuing enumeration", restored)
 	} else {
 		a.logf("resume: extractor cannot seed partial sets; re-enumerating %d DIPs", restored)

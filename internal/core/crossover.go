@@ -56,30 +56,31 @@ func lemma1Assign(locked *netlist.Circuit, layout *BlockLayout) PairAssign {
 	return a
 }
 
-// newCalibratedSim builds the simulation extractor configured per opts,
-// self-checking it on the attack's compiled locked netlist.
-func newCalibratedSim(opts *Options, layout *BlockLayout, sim *netlist.Simulator) (*SimExtractor, error) {
-	se, err := newSimExtractor(opts.Locked, layout, opts.Seed, sim)
+// newCalibratedSim builds the simulation extractor configured per
+// a.opts, self-checking it on the attack's compiled locked netlist.
+func (a *attack) newCalibratedSim() (*SimExtractor, error) {
+	se, err := newSimExtractor(a.opts.Locked, a.layout, a.opts.Seed, a.env, a.sim)
 	if err != nil {
 		return nil, err
 	}
-	se.SetWorkers(opts.Workers)
+	se.SetWorkers(a.opts.Workers)
 	return se, nil
 }
 
-// chooseExtractor resolves the DIP-set engine when Options.Extractor is
-// nil. A pinned SATWidthLimit (> 0) applies the fixed-width rule (SAT up
-// to that width, simulation above); otherwise a per-instance calibration
-// probe picks the cheaper engine empirically. The decision, both probe
-// costs, and the block width land in crossover_* metrics, and the
-// probe runs as the "calibrate" phase under the attack's root span.
+// chooseExtractor resolves the DIP-set engine. A pinned SATWidthLimit
+// (> 0) applies the fixed-width rule (SAT up to that width, simulation
+// above); otherwise a per-instance calibration probe picks the cheaper
+// engine empirically. The decision, both probe costs, and the block
+// width land in crossover_* metrics, and the probe runs as the
+// "calibrate" phase under the attack's root span. Both extractors share
+// the attack's environment.
 func (a *attack) chooseExtractor() (Extractor, error) {
-	opts, layout, tel := &a.opts, a.layout, a.tel
+	opts, layout, tel := &a.opts, a.layout, a.env.Tel
 	n := layout.N()
 	// publish mirrors every decision onto the event bus (one event per
 	// attack; the estimator reads sim_est_ns as the expected walk cost).
 	publish := func(engine, reason string, simEst, satNs time.Duration) {
-		if a.bus == nil {
+		if a.env.Bus == nil {
 			return
 		}
 		f := map[string]string{
@@ -93,22 +94,23 @@ func (a *attack) chooseExtractor() (Extractor, error) {
 		if satNs > 0 {
 			f["sat_probe_ns"] = strconv.FormatInt(int64(satNs), 10)
 		}
-		a.bus.Publish(events.Event{Type: events.TypeCrossover, Phase: "calibrate", Fields: f})
+		a.env.Bus.Publish(events.Event{Type: events.TypeCrossover, Phase: "calibrate", Fields: f})
 	}
 	if opts.SATWidthLimit > 0 {
 		tel.Counter("crossover_pinned_total").Inc()
 		if n <= opts.SATWidthLimit {
 			publish("sat", "pinned", 0, 0)
-			return NewSATExtractor(opts.Locked, layout)
+			return NewSATExtractor(opts.Locked, layout, a.env)
 		}
 		publish("sim", "pinned", 0, 0)
-		return newCalibratedSim(opts, layout, a.sim)
+		return a.newCalibratedSim()
 	}
 
 	tel.Counter("crossover_probes_total").Inc()
 	tel.Gauge("crossover_block_width").Set(int64(n))
-	sp := a.startPhase(a.root, "calibrate")
-	defer a.endPhase(sp, "calibrate")
+	ph := a.enterPhase(a.root, "calibrate")
+	defer a.exitPhase(ph)
+	sp := ph.sp
 	var simEst, satNs time.Duration
 	pick := func(engine, reason string, ext Extractor) Extractor {
 		sp.SetArg("engine", engine)
@@ -118,14 +120,14 @@ func (a *attack) chooseExtractor() (Extractor, error) {
 		return ext
 	}
 
-	se, simErr := newCalibratedSim(opts, layout, a.sim)
+	se, simErr := a.newCalibratedSim()
 	if simErr != nil {
 		if n > 30 {
 			// Neither engine can take the instance (the SAT extractor caps
 			// at 30 chain inputs).
 			return nil, simErr
 		}
-		satExt, err := NewSATExtractor(opts.Locked, layout)
+		satExt, err := NewSATExtractor(opts.Locked, layout, a.env)
 		if err != nil {
 			return nil, err
 		}
@@ -165,8 +167,10 @@ func (a *attack) chooseExtractor() (Extractor, error) {
 
 	// SAT probe: give the persistent engine a deadline equal to the sim
 	// estimate (capped) and let it race the same enumeration. The
-	// solver abandons its search when that deadline passes.
-	satExt, err := NewSATExtractor(opts.Locked, layout)
+	// solver abandons its search when that deadline passes. The
+	// deadline bounds the probe only: the attack's own context is back
+	// in the shared environment before the winner runs.
+	satExt, err := NewSATExtractor(opts.Locked, layout, a.env)
 	if err != nil {
 		return pick("sim", "sat-unavailable", se), nil
 	}
@@ -174,11 +178,11 @@ func (a *attack) chooseExtractor() (Extractor, error) {
 	if budget > crossoverProbeCap {
 		budget = crossoverProbeCap
 	}
-	probeCtx, cancel := context.WithTimeout(a.ctx, budget)
+	ctx := a.env.Ctx
+	probeCtx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
-	satExt.SetContext(probeCtx)
-	satExt.SetTelemetry(tel)
-	satExt.SetPhase("calibrate")
+	a.env.Ctx = probeCtx
+	defer func() { a.env.Ctx = ctx }()
 	eng, err := satExt.Engine()
 	if err != nil || eng == nil {
 		return pick("sim", "engine-unavailable", se), nil

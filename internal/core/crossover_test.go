@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/events"
 	"repro/internal/lock"
@@ -55,7 +58,7 @@ func TestSimExtractorLaneWidthsBitIdentical(t *testing.T) {
 			var want *DIPSet
 			for _, lanes := range []int{64, 256, 512, 0} {
 				for _, workers := range []int{1, 2, 3} {
-					ext, err := NewSimExtractor(lockedC, layout, 7)
+					ext, err := NewSimExtractor(lockedC, layout, 7, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -78,7 +81,7 @@ func TestSimExtractorLaneWidthsBitIdentical(t *testing.T) {
 				}
 			}
 
-			satExt, err := NewSATExtractor(lockedC, layout)
+			satExt, err := NewSATExtractor(lockedC, layout, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +99,7 @@ func TestSimExtractorLaneWidthsBitIdentical(t *testing.T) {
 
 func TestSetLaneWidthValidation(t *testing.T) {
 	lockedC, layout := widthInstance(t, 5, 1)
-	ext, err := NewSimExtractor(lockedC, layout, 1)
+	ext, err := NewSimExtractor(lockedC, layout, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,6 +178,40 @@ func TestCrossoverAutoCalibration(t *testing.T) {
 	}
 	if enters != 1 || exits != 1 {
 		t.Fatalf("calibrate phase events before enumerate: %d enter / %d exit, want 1/1", enters, exits)
+	}
+}
+
+// TestCrossoverProbeWonKeepsAttackContext pins the probe's deadline to
+// the probe: a SAT extractor that won the calibration probe runs the
+// attack proper under the attack's own context. The Log hook holds the
+// attack past the longest probe deadline before enumeration starts, so
+// an extraction still bound to the probe's deadline would be
+// interrupted in the extract stage. Under the attack's context the
+// enumeration completes, and the run stops only at the calibration
+// budget this early-OR chain exceeds.
+func TestCrossoverProbeWonKeepsAttackContext(t *testing.T) {
+	lockedC, _, h := lockedInstance(t, "O-19A", 1)
+	tel := telemetry.New()
+	slept := false
+	_, err := Run(Options{
+		Locked: lockedC, Oracle: oracle.MustNewSim(h), Seed: 1, Telemetry: tel,
+		Context: context.Background(), MaxCalibrations: 4,
+		Log: func(string, ...any) {
+			if !slept {
+				slept = true
+				time.Sleep(crossoverProbeCap + 50*time.Millisecond)
+			}
+		},
+	})
+	if tel.Counter(telemetry.Label("crossover_selected_total", "engine", "sat")).Value() != 1 {
+		t.Skip("the SAT probe lost to simulation on this host; no probe-won run to check")
+	}
+	var pe *PartialError
+	if !errors.As(err, &pe) || pe.Stage != "calibrate" || !errors.Is(err, errCalibrationBudget) {
+		t.Fatalf("probe-won attack ended with %v, want the calibration budget after a full enumeration", err)
+	}
+	if pe.DIPs == 0 {
+		t.Fatal("the enumeration after the probe found no DIPs")
 	}
 }
 

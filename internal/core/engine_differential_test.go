@@ -154,11 +154,11 @@ func TestEngineLegacyKeyDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				satExt, err := NewSATExtractor(locked.Circuit, layout)
+				satExt, err := NewSATExtractor(locked.Circuit, layout, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				simExt, err := NewSimExtractor(locked.Circuit, layout, seed)
+				simExt, err := NewSimExtractor(locked.Circuit, layout, seed, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -35,10 +35,10 @@ type ClassSizes struct {
 // a pattern = chain input i). Implementations must return each block
 // pattern at most once.
 //
-// Extractors honoring cancellation additionally implement
-// SetContext(context.Context); when the context expires mid-enumeration
-// DIPs returns the partially filled set alongside the context's error,
-// so callers can report progress.
+// Both implementations read their context, telemetry and event bus
+// from the *engine.Env they were built with; when its context expires
+// mid-enumeration DIPs returns the partially filled set alongside the
+// context's error, so callers can report progress.
 type Extractor interface {
 	// BlockWidth returns n, the chain width.
 	BlockWidth() int
@@ -78,26 +78,38 @@ type SATExtractor struct {
 	locked *netlist.Circuit
 	layout *BlockLayout
 	count  int
-	ctx    context.Context     // nil = never cancelled
-	tel    *telemetry.Registry // nil = uninstrumented
+	env    *engine.Env    // shared with the engine; never nil
+	eng    *engine.Engine // lazily built persistent engine
 
-	eng   *engine.Engine // lazily built persistent engine
-	phase string         // pending phase label, applied when eng is built
-	bus   *events.Bus    // nil = no lifecycle events
-
-	progress func(set *DIPSet, complete bool) // checkpoint hook; nil = disabled
-	seed     *DIPSet                          // resume seed, consumed by the next DIPs call
+	// progress is the attack's per-DIP hook: invoked on the enumerating
+	// goroutine after every accepted DIP with the (still mutating)
+	// output set and complete=false, and once more with complete=true
+	// when an enumeration finishes. Nil costs one check per DIP.
+	progress func(set *DIPSet, complete bool)
+	// seed is a checkpoint's partial set, replayed into the next DIPs
+	// call as scope-guarded blocking clauses so enumeration continues
+	// where the snapshot stopped. Consumed by exactly one extraction.
+	seed *DIPSet
 }
 
-// NewSATExtractor builds a SAT-based extractor.
-func NewSATExtractor(locked *netlist.Circuit, layout *BlockLayout) (*SATExtractor, error) {
+// NewSATExtractor builds a SAT-based extractor whose engine runs in env
+// (nil: never cancelled, uninstrumented, no events).
+func NewSATExtractor(locked *netlist.Circuit, layout *BlockLayout, env *engine.Env) (*SATExtractor, error) {
 	if err := layout.Validate(locked); err != nil {
 		return nil, err
 	}
 	if layout.N() > 30 {
 		return nil, fmt.Errorf("core: SAT extractor limited to 30 chain inputs (full enumeration); use the simulation extractor")
 	}
-	return &SATExtractor{locked: locked, layout: layout}, nil
+	return &SATExtractor{locked: locked, layout: layout, env: orEmpty(env)}, nil
+}
+
+// orEmpty substitutes the empty environment for nil.
+func orEmpty(env *engine.Env) *engine.Env {
+	if env == nil {
+		return &engine.Env{}
+	}
+	return env
 }
 
 // BlockWidth implements Extractor.
@@ -105,58 +117,6 @@ func (e *SATExtractor) BlockWidth() int { return e.layout.N() }
 
 // Extractions implements Extractor.
 func (e *SATExtractor) Extractions() int { return e.count }
-
-// SetContext bounds subsequent enumerations: the engine's solver
-// watches the context, and a cancelled enumeration returns its error.
-func (e *SATExtractor) SetContext(ctx context.Context) {
-	e.ctx = ctx
-	if e.eng != nil {
-		e.eng.SetContext(ctx)
-	}
-}
-
-// SetTelemetry attaches a metrics registry: extractions trace as
-// "extract" spans and the solver's conflict/decision/propagation
-// statistics fold into sat_* counters (plus the engine_* families on the
-// incremental path). Nil disables instrumentation.
-func (e *SATExtractor) SetTelemetry(r *telemetry.Registry) {
-	e.tel = r
-	if e.eng != nil {
-		e.eng.SetTelemetry(r)
-	}
-}
-
-// SetEvents attaches a lifecycle event bus, forwarded to the persistent
-// engine (which publishes budget-starved distinguish verdicts). Nil
-// disables event publishing.
-func (e *SATExtractor) SetEvents(b *events.Bus) {
-	e.bus = b
-	if e.eng != nil {
-		e.eng.SetEvents(b)
-	}
-}
-
-// SetPhase labels subsequent engine work for per-phase stats attribution.
-func (e *SATExtractor) SetPhase(name string) {
-	e.phase = name
-	if e.eng != nil {
-		e.eng.SetPhase(name)
-	}
-}
-
-// SetProgress installs a checkpoint hook: it is invoked on the
-// enumerating goroutine after every accepted DIP with the (still
-// mutating) output set and complete=false, and once more with
-// complete=true when an enumeration finishes. The per-DIP cost when no
-// hook is installed is a single nil check.
-func (e *SATExtractor) SetProgress(fn func(set *DIPSet, complete bool)) { e.progress = fn }
-
-// SeedDIPs arms the next DIPs call with a checkpoint's partial set: the
-// seeded patterns are replayed into the enumeration as scope-guarded
-// blocking clauses before solving, so enumeration continues where the
-// snapshot stopped instead of re-deriving every pattern. Consumed by
-// exactly one extraction.
-func (e *SATExtractor) SeedDIPs(set *DIPSet) { e.seed = set }
 
 // takeSeed consumes the pending resume seed if it matches the width.
 func (e *SATExtractor) takeSeed() *DIPSet {
@@ -174,14 +134,10 @@ func (e *SATExtractor) takeSeed() *DIPSet {
 // enumeration phases learned.
 func (e *SATExtractor) Engine() (*engine.Engine, error) {
 	if e.eng == nil {
-		eng, err := engine.New(e.locked, e.layout.InputPos)
+		eng, err := engine.New(e.locked, e.layout.InputPos, e.env)
 		if err != nil {
 			return nil, err
 		}
-		eng.SetContext(e.ctx)
-		eng.SetTelemetry(e.tel)
-		eng.SetEvents(e.bus)
-		eng.SetPhase(e.phase)
 		e.eng = eng
 	}
 	return e.eng, nil
@@ -199,12 +155,13 @@ func (e *SATExtractor) DIPs(assign PairAssign) (*DIPSet, error) {
 		return nil, err
 	}
 	e.count++
-	e.tel.Counter("enum_extractions_total").Inc()
+	tel := e.env.Tel
+	tel.Counter("enum_extractions_total").Inc()
 	out, err := NewDIPSet(e.layout.N())
 	if err != nil {
 		return nil, err
 	}
-	sp := e.tel.StartSpan("extract")
+	sp := tel.StartSpan("extract")
 	sp.SetArg("engine", "sat-incremental")
 	var seedFn func(yield func(pat uint64) bool)
 	if s := e.takeSeed(); s != nil {
@@ -227,7 +184,7 @@ func (e *SATExtractor) DIPs(assign PairAssign) (*DIPSet, error) {
 		}
 		return true
 	})
-	if e.tel != nil {
+	if tel != nil {
 		sp.SetArg("dips", strconv.FormatUint(out.Count(), 10))
 	}
 	sp.End()
@@ -235,7 +192,7 @@ func (e *SATExtractor) DIPs(assign PairAssign) (*DIPSet, error) {
 		return nil, dup
 	}
 	if enumErr != nil {
-		if e.ctx != nil && e.ctx.Err() != nil {
+		if ctx := e.env.Ctx; ctx != nil && ctx.Err() != nil {
 			return out, enumErr // partially enumerated: valid up to the cancel point
 		}
 		return nil, enumErr
@@ -309,39 +266,35 @@ type SimExtractor struct {
 	outRegs   []int
 	regs      int // register count of the compiled cone (excluding copies)
 	count     int
-	workers   int                 // 0 = GOMAXPROCS
-	laneWords int                 // words per batch group: 0 = auto (8), 1/4/8 = 64/256/512 lanes
-	ctx       context.Context     // nil = never cancelled
-	tel       *telemetry.Registry // nil = uninstrumented
-	bus       *events.Bus         // nil = no lifecycle events
+	workers   int         // 0 = GOMAXPROCS
+	laneWords int         // words per batch group: 0 = auto (8), 1/4/8 = 64/256/512 lanes
+	env       *engine.Env // never nil
 
-	progress func(set *DIPSet, complete bool) // checkpoint hook; nil = disabled
+	// progress is the attack's progress hook. The sharded walk deposits
+	// words concurrently, so it fires only at enumeration completion
+	// (with complete=true): a complete exhaustive set is the only state
+	// a snapshot can restore without racing the shard workers, and the
+	// walk itself is pure recomputation.
+	progress func(set *DIPSet, complete bool)
 }
-
-// SetEvents attaches a lifecycle event bus: the sharded walk publishes
-// throttled dip_progress events carrying batches-walked / total-batches
-// — the exact enumerated fraction of the block universe. Nil disables
-// publishing; the per-batch cost with a bus attached is one local
-// increment, flushed into a shared atomic every simEventStride batches.
-func (e *SimExtractor) SetEvents(b *events.Bus) { e.bus = b }
-
-// SetProgress installs a checkpoint hook. The sharded walk deposits
-// words concurrently, so the hook fires only at enumeration completion
-// (with complete=true): a complete exhaustive set is the only state a
-// snapshot can restore without racing the shard workers, and the walk
-// itself is pure recomputation — nothing irreplaceable is lost by not
-// checkpointing mid-walk.
-func (e *SimExtractor) SetProgress(fn func(set *DIPSet, complete bool)) { e.progress = fn }
 
 // NewSimExtractor compiles the key cone of the locked circuit and
 // self-checks it against full-netlist simulation on random patterns.
-func NewSimExtractor(locked *netlist.Circuit, layout *BlockLayout, seed int64) (*SimExtractor, error) {
-	return newSimExtractor(locked, layout, seed, nil)
+// Enumerations run in env (nil: never cancelled, uninstrumented, no
+// events): workers poll its context between batch blocks, each
+// enumeration traces as an "extract" span with one child span per
+// shard worker (on trace lanes 1..w) plus enum_shard_* metrics, and
+// the walk publishes throttled dip_progress events carrying
+// batches-walked / total-batches. None of it touches the 64-pattern
+// batch hot loop: shard accounting happens once per shard, and event
+// counting flushes into a shared atomic every simEventStride batches.
+func NewSimExtractor(locked *netlist.Circuit, layout *BlockLayout, seed int64, env *engine.Env) (*SimExtractor, error) {
+	return newSimExtractor(locked, layout, seed, env, nil)
 }
 
 // newSimExtractor is NewSimExtractor whose self-check runs on sim, a
 // simulator of locked the caller already compiled; nil compiles one.
-func newSimExtractor(locked *netlist.Circuit, layout *BlockLayout, seed int64, sim *netlist.Simulator) (*SimExtractor, error) {
+func newSimExtractor(locked *netlist.Circuit, layout *BlockLayout, seed int64, env *engine.Env, sim *netlist.Simulator) (*SimExtractor, error) {
 	if err := layout.Validate(locked); err != nil {
 		return nil, err
 	}
@@ -354,7 +307,7 @@ func newSimExtractor(locked *netlist.Circuit, layout *BlockLayout, seed int64, s
 	if err != nil {
 		return nil, err
 	}
-	e := &SimExtractor{layout: layout, n: n, nKeys: locked.NumKeys()}
+	e := &SimExtractor{layout: layout, n: n, nKeys: locked.NumKeys(), env: orEmpty(env)}
 	reg := make([]int, locked.NumGates())
 	for i := range reg {
 		reg[i] = -1
@@ -461,21 +414,6 @@ func (e *SimExtractor) resolveLaneWords() int {
 
 // Workers reports the configured worker count (0 = GOMAXPROCS).
 func (e *SimExtractor) Workers() int { return e.workers }
-
-// SetContext bounds subsequent enumerations: shard workers poll the
-// context between batch blocks and stop early when it expires, after
-// which DIPs/Classes return the context's error (DIPs alongside the
-// partially filled set).
-func (e *SimExtractor) SetContext(ctx context.Context) { e.ctx = ctx }
-
-// SetTelemetry attaches a metrics registry: each enumeration traces as
-// an "extract" span with one child span per shard worker (on trace
-// lanes 1..w, so Perfetto renders the parallelism), and per-shard batch
-// counts and wall times land in enum_shard_* metrics. Nil (the default)
-// disables instrumentation; the 64-pattern batch hot loop is never
-// touched either way — shard accounting happens once per shard, outside
-// it.
-func (e *SimExtractor) SetTelemetry(r *telemetry.Registry) { e.tel = r }
 
 // minBatchesPerWorker keeps tiny enumerations on one goroutine: below
 // this many 64-pattern batches per shard the spawn overhead dominates.
@@ -819,20 +757,21 @@ func (e *SimExtractor) DIPs(assign PairAssign) (*DIPSet, error) {
 	}
 	nBatches := p.numBatches()
 	w := e.shardPlan(nBatches)
+	// The shard workers read the environment through these locals only.
+	ctx, tel, bus := e.env.Ctx, e.env.Tel, e.env.Bus
 	var sp *telemetry.Span
-	if e.tel != nil {
-		e.tel.Counter("enum_extractions_total").Inc()
-		e.tel.Gauge("enum_workers").Set(int64(w))
-		sp = e.tel.StartSpan("extract")
+	if tel != nil {
+		tel.Counter("enum_extractions_total").Inc()
+		tel.Gauge("enum_workers").Set(int64(w))
+		sp = tel.StartSpan("extract")
 		sp.SetArg("engine", "sim")
 		sp.SetArg("workers", strconv.Itoa(w))
 	}
-	bus := e.bus
 	var batchesDone atomic.Uint64
 	runSharded(p, nBatches, w, func(shard int, startB, endB uint64, pr *prepared) {
 		ssp := sp.ChildLane("shard", shard+1)
 		var local uint64
-		pr.enumerateShard(e.ctx, startB, endB, func(b uint64, diffs []uint64) {
+		pr.enumerateShard(ctx, startB, endB, func(b uint64, diffs []uint64) {
 			out.setWords(b, diffs)
 			if bus != nil {
 				if local++; local >= simEventStride {
@@ -843,12 +782,12 @@ func (e *SimExtractor) DIPs(assign PairAssign) (*DIPSet, error) {
 				}
 			}
 		})
-		if e.tel != nil {
+		if tel != nil {
 			ssp.SetArg("shard", strconv.Itoa(shard))
 			ssp.SetArg("batches", strconv.FormatUint(endB-startB, 10))
-			e.tel.Counter(telemetry.Label("enum_shard_batches_total",
+			tel.Counter(telemetry.Label("enum_shard_batches_total",
 				"shard", strconv.Itoa(shard))).Add(endB - startB)
-			e.tel.Histogram("enum_shard_seconds", telemetry.DurationBuckets).
+			tel.Histogram("enum_shard_seconds", telemetry.DurationBuckets).
 				ObserveDuration(ssp.End())
 		}
 	})
@@ -856,8 +795,8 @@ func (e *SimExtractor) DIPs(assign PairAssign) (*DIPSet, error) {
 		sp.SetArg("dips", strconv.FormatUint(out.Count(), 10))
 		sp.End()
 	}
-	if e.ctx != nil {
-		if err := e.ctx.Err(); err != nil {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
 			return out, err // partially enumerated: words up to the cancel point
 		}
 	}
@@ -885,7 +824,7 @@ func (e *SimExtractor) Classes(assign PairAssign) (ClassSizes, error) {
 		return ClassSizes{}, err
 	}
 	e.count++
-	e.tel.Counter("enum_extractions_total").Inc()
+	e.env.Tel.Counter("enum_extractions_total").Inc()
 	if e.n <= exactClassBits {
 		return e.classesExact(p)
 	}
@@ -904,9 +843,10 @@ func (e *SimExtractor) classesExact(p *prepared) (ClassSizes, error) {
 	w := e.shardPlan(nBatches)
 	counts := make([][2]uint64, w) // per-shard accumulators: no sharing, no locks
 	topB := top >> 6               // batch-index form of the top bit for n > 6
+	ctx := e.env.Ctx
 	runSharded(p, nBatches, w, func(shard int, startB, endB uint64, pr *prepared) {
 		var c0, c1 uint64
-		pr.enumerateShard(e.ctx, startB, endB, func(b uint64, diffs []uint64) {
+		pr.enumerateShard(ctx, startB, endB, func(b uint64, diffs []uint64) {
 			if e.n <= 6 {
 				c1 += uint64(popcount64(diffs[0] & topMaskInWord))
 				c0 += uint64(popcount64(diffs[0] &^ topMaskInWord))
@@ -922,8 +862,8 @@ func (e *SimExtractor) classesExact(p *prepared) (ClassSizes, error) {
 		})
 		counts[shard] = [2]uint64{c0, c1}
 	})
-	if e.ctx != nil {
-		if err := e.ctx.Err(); err != nil {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
 			return ClassSizes{}, err
 		}
 	}
@@ -946,11 +886,12 @@ func (e *SimExtractor) classesSampled(p *prepared) (ClassSizes, error) {
 	seedBase := uint64(e.count) * 0x9e3779b97f4a7c15
 	w := e.shardPlan(sampleBatches)
 	counts := make([][2]uint64, w)
+	ctx := e.env.Ctx
 	runSharded(p, sampleBatches, w, func(shard int, startB, endB uint64, pr *prepared) {
 		var c0, c1 uint64
 		block := make([]uint64, e.n)
 		for b := startB; b < endB; b++ {
-			if e.ctx != nil && b&ctxPollMask == 0 && e.ctx.Err() != nil {
+			if ctx != nil && b&ctxPollMask == 0 && ctx.Err() != nil {
 				break
 			}
 			state := seedBase ^ (b+1)*0xbf58476d1ce4e5b9

@@ -25,7 +25,7 @@ func BenchmarkPreparedDiff(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ext, err := NewSimExtractor(locked.Circuit, layout, 3)
+	ext, err := NewSimExtractor(locked.Circuit, layout, 3, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func parallelBenchInstance(b *testing.B) (*SimExtractor, PairAssign) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ext, err := NewSimExtractor(locked.Circuit, layout, 3)
+	ext, err := NewSimExtractor(locked.Circuit, layout, 3, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

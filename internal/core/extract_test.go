@@ -31,7 +31,7 @@ func TestSATExtractorWidthLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSATExtractor(lockedC, layout); err != nil {
+	if _, err := NewSATExtractor(lockedC, layout, nil); err != nil {
 		t.Errorf("5-input block rejected: %v", err)
 	}
 	wide := &BlockLayout{
@@ -39,7 +39,7 @@ func TestSATExtractorWidthLimit(t *testing.T) {
 		Key1Pos:  make([]int, 31),
 		Key2Pos:  make([]int, 31),
 	}
-	if _, err := NewSATExtractor(lockedC, wide); err == nil {
+	if _, err := NewSATExtractor(lockedC, wide, nil); err == nil {
 		t.Error("31-input block accepted by the SAT extractor")
 	}
 }
@@ -50,7 +50,7 @@ func TestExtractorAssignValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimExtractor(lockedC, layout, 1)
+	sim, err := NewSimExtractor(lockedC, layout, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSimExtractorRejectsKeylessCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	layout := &BlockLayout{InputPos: []int{0, 1, 2}, Key1Pos: []int{0, 1, 2}, Key2Pos: []int{3, 4, 5}}
-	if _, err := NewSimExtractor(h, layout, 1); err == nil {
+	if _, err := NewSimExtractor(h, layout, 1, nil); err == nil {
 		t.Error("key-free circuit accepted")
 	}
 }
@@ -79,7 +79,7 @@ func TestExtractionCounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := NewSimExtractor(lockedC, layout, 1)
+	ext, err := NewSimExtractor(lockedC, layout, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestPreparedSharesStaticCone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := NewSimExtractor(lockedC, layout, 1)
+	ext, err := NewSimExtractor(lockedC, layout, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/lock"
 	"repro/internal/oracle"
@@ -311,7 +312,7 @@ func TestDeltaCandidatesPollsContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	a := &attack{ctx: ctx, layout: &BlockLayout{
+	a := &attack{env: &engine.Env{Ctx: ctx}, layout: &BlockLayout{
 		InputPos: make([]int, n), Key1Pos: make([]int, n), Key2Pos: make([]int, n),
 	}}
 	start := time.Now()

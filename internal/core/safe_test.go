@@ -4,19 +4,18 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/lock"
 	"repro/internal/oracle"
 	"repro/internal/telemetry"
 )
 
-// panicExtractor blows up inside the attack, standing in for an
-// internal invariant tripped by hostile input.
-type panicExtractor struct{ n int }
+// panicOracle blows up inside the attack, standing in for an internal
+// invariant tripped by hostile input.
+type panicOracle struct{ oracle.Oracle }
 
-func (p *panicExtractor) BlockWidth() int                        { return p.n }
-func (p *panicExtractor) DIPs(PairAssign) (*DIPSet, error)       { panic("extractor invariant violated") }
-func (p *panicExtractor) Classes(PairAssign) (ClassSizes, error) { panic("unreachable") }
-func (p *panicExtractor) Extractions() int                       { return 0 }
+func (panicOracle) Query([]bool) ([]bool, error)       { panic("oracle invariant violated") }
+func (panicOracle) Query64([]uint64) ([]uint64, error) { panic("oracle invariant violated") }
 
 func TestRunSafeRecoversPanic(t *testing.T) {
 	h := host(t, 10)
@@ -28,7 +27,7 @@ func TestRunSafeRecoversPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSafe(Options{Locked: locked.Circuit, Oracle: orc, Extractor: &panicExtractor{n: 5}})
+	res, err := RunSafe(Options{Locked: locked.Circuit, Oracle: panicOracle{orc}})
 	if res != nil {
 		t.Fatal("panicking attack returned a result")
 	}
@@ -36,7 +35,7 @@ func TestRunSafeRecoversPanic(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
 	}
-	if pe.Value != "extractor invariant violated" || len(pe.Stack) == 0 {
+	if pe.Value != "oracle invariant violated" || len(pe.Stack) == 0 {
 		t.Fatalf("PanicError carries %v / %d stack bytes", pe.Value, len(pe.Stack))
 	}
 }
@@ -52,59 +51,46 @@ func TestNewDIPSetWidthSentinel(t *testing.T) {
 	}
 }
 
-// TestSATEncodingCacheAcrossHypotheses runs a full attack through a
-// caller-supplied SAT extractor and checks the miter encoding is reused
-// across extractions: the attack extracts under both Lemma-1 hypothesis
-// assignments (and possibly a calibration sweep) on one persistent
-// engine encoding, and replaying a hypothesis afterwards neither
-// re-encodes nor changes the DIP set, which must match the exhaustive
-// simulation walk pattern for pattern.
+// TestSATEncodingCacheAcrossHypotheses checks the SAT extractor reuses
+// its miter encoding across extractions: both Lemma-1 hypothesis
+// assignments and a replay of the first run on one persistent engine
+// encoding, and every set matches the exhaustive simulation walk
+// pattern for pattern.
 func TestSATEncodingCacheAcrossHypotheses(t *testing.T) {
 	h := host(t, 10)
-	locked, inst, err := lock.ApplyCAS(h, lock.CASOptions{Chain: lock.MustParseChain("A-O-2A-O"), Seed: 7})
+	locked, _, err := lock.ApplyCAS(h, lock.CASOptions{Chain: lock.MustParseChain("A-O-2A-O"), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	orc, err := oracle.NewSim(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tel := telemetry.New()
 	layout, err := DiscoverLayout(locked.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := NewSATExtractor(locked.Circuit, layout)
+	tel := telemetry.New()
+	ext, err := NewSATExtractor(locked.Circuit, layout, &engine.Env{Tel: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Options{Locked: locked.Circuit, Oracle: orc, Extractor: ext, Telemetry: tel})
+	sim, err := NewSimExtractor(locked.Circuit, layout, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !inst.IsCorrectCASKey(res.Key) {
-		t.Fatal("recovered key incorrect")
-	}
-	if ext.Extractions() < 2 {
-		t.Fatalf("%d extractions, want both hypotheses", ext.Extractions())
-	}
-	assign := hypothesisAssign(locked.Circuit, layout, 1)
-	got, err := ext.DIPs(assign)
-	if err != nil {
-		t.Fatal(err)
+	for i, active := range []int{1, 2, 1} {
+		assign := hypothesisAssign(locked.Circuit, layout, active)
+		got, err := ext.DIPs(assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sim.DIPs(assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("extraction %d (hypothesis %d): SAT found %d DIPs, exhaustive simulation %d (sets differ)",
+				i, active, got.Count(), want.Count())
+		}
 	}
 	if n := tel.Counter("engine_encodings_total").Value(); n != 1 {
-		t.Fatalf("engine_encodings_total = %d after a replayed hypothesis, want 1", n)
-	}
-	sim, err := NewSimExtractor(locked.Circuit, layout, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sim.DIPs(assign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("replayed SAT extraction found %d DIPs, exhaustive simulation %d (sets differ)", got.Count(), want.Count())
+		t.Fatalf("engine_encodings_total = %d after both hypotheses and a replay, want 1", n)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/engine"
+	"repro/internal/events"
 	"repro/internal/lock"
 	"repro/internal/oracle"
 	"repro/internal/telemetry"
@@ -114,8 +116,59 @@ func TestAttackTelemetryCounters(t *testing.T) {
 			t.Fatalf("phase histogram %s missing or empty", name)
 		}
 	}
-	if len(telemetry.FindSpans(snap.Spans, "extract")) == 0 {
+	extracts := telemetry.FindSpans(snap.Spans, "extract")
+	if len(extracts) == 0 {
 		t.Fatal("no extract spans recorded")
+	}
+	// A telemetry-only run (no bus, no checkpointer) still feeds the
+	// DIP gauge: it holds the count of the last enumerated set.
+	last := extracts[len(extracts)-1].Args["dips"]
+	if got := strconv.FormatInt(snap.Gauges["attack_dips_found"], 10); got != last {
+		t.Fatalf("attack_dips_found = %s, last extraction enumerated %s DIPs", got, last)
+	}
+}
+
+// TestPhaseReportsAgree holds the three reports of each phase to one
+// measurement: every phase_exit event's seconds field is its phase
+// span's duration, and each attack_phase_seconds histogram sums exactly
+// that phase's span durations.
+func TestPhaseReportsAgree(t *testing.T) {
+	lockedC, _, h := lockedInstance(t, "2A-O-A", 21)
+	reg := telemetry.New()
+	bus := events.New(events.Options{History: 1 << 16})
+	if _, err := Run(Options{Locked: lockedC, Oracle: oracle.MustNewSim(h), Seed: 22,
+		Telemetry: reg, Events: bus}); err != nil {
+		t.Fatal(err)
+	}
+	spans := reg.SpanRecords()
+	exits := make(map[string][]string)
+	for _, ev := range bus.History(0) {
+		if ev.Type == events.TypePhaseExit {
+			exits[ev.Phase] = append(exits[ev.Phase], ev.Fields["seconds"])
+		}
+	}
+	if len(exits) < 5 {
+		t.Fatalf("phase_exit events for %d phases, want at least 5: %v", len(exits), exits)
+	}
+	snap := reg.Snapshot()
+	for name, secs := range exits {
+		// Spans of one phase never overlap, so start order is exit order.
+		recs := telemetry.FindSpans(spans, name)
+		if len(recs) != len(secs) {
+			t.Fatalf("phase %s: %d phase_exit events, %d spans", name, len(secs), len(recs))
+		}
+		var sum float64
+		for i, rec := range recs {
+			if want := strconv.FormatFloat(rec.Dur.Seconds(), 'g', 4, 64); secs[i] != want {
+				t.Errorf("phase %s #%d: phase_exit seconds %s, span %s", name, i, secs[i], want)
+			}
+			sum += rec.Dur.Seconds()
+		}
+		hist := snap.Histograms[telemetry.Label("attack_phase_seconds", "phase", name)]
+		if hist.Count != uint64(len(recs)) || hist.Sum != sum {
+			t.Errorf("phase %s: histogram count %d sum %g, spans %d summing to %g",
+				name, hist.Count, hist.Sum, len(recs), sum)
+		}
 	}
 }
 
@@ -137,13 +190,12 @@ func TestSimExtractorShardTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewSimExtractor(locked.Circuit, layout, 1)
+	reg := telemetry.New()
+	e, err := NewSimExtractor(locked.Circuit, layout, 1, &engine.Env{Tel: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.SetWorkers(4)
-	reg := telemetry.New()
-	e.SetTelemetry(reg)
 	dips, err := e.DIPs(PairAssign{
 		A: onesThenC(locked.Circuit.NumKeys(), layout),
 		B: make([]bool, locked.Circuit.NumKeys()),

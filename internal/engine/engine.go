@@ -54,12 +54,7 @@ type Engine struct {
 	diff   cnf.Lit   // the miter's disagreement output
 	nKeys  int
 
-	ctx   context.Context     // nil = never cancelled
-	tel   *telemetry.Registry // nil = uninstrumented
-	bus   *events.Bus         // nil = no lifecycle events
-	phase string
-
-	phaseStats map[string]sat.Stats
+	env *Env // never nil: New substitutes an empty environment
 
 	sessions     uint64 // completed solve sessions, for encodings-avoided accounting
 	compactBytes uint64 // retired-bytes threshold that triggers Simplify
@@ -72,12 +67,36 @@ type Engine struct {
 	blocking []cnf.Lit // scratch: per-model blocking clause
 }
 
+// Env is the per-run environment an engine shares with the rest of its
+// attack: one value, handed to every component at construction, so a
+// change of phase or context is seen by all of them at once. Every
+// field is optional.
+type Env struct {
+	// Ctx bounds queries: the solver watches Ctx.Done() itself, and a
+	// query it abandons returns the context's error. Nil is never
+	// cancelled.
+	Ctx context.Context
+	// Tel receives metrics and spans: solver statistics fold into the
+	// sat_* counters plus the engine_* families, and solve sessions
+	// trace as spans on telemetry.EngineLane. Nil is uninstrumented.
+	Tel *telemetry.Registry
+	// Bus receives lifecycle events: a distinguish query whose conflict
+	// budget runs out publishes a distinguish event. Nil publishes
+	// nothing.
+	Bus *events.Bus
+	// Phase labels solver work for per-phase attribution: the phase arg
+	// of engine-lane spans and the engine_phase_* counters ("unphased"
+	// when empty).
+	Phase string
+}
+
 // New prepares an engine for the locked circuit; blockPos gives the
 // primary-input positions of the n chain inputs, in chain order (bit i
-// of a reported pattern is chain input i). The miter is built and
-// encoded lazily on first use, so constructing an engine that is never
-// queried costs nothing.
-func New(locked *netlist.Circuit, blockPos []int) (*Engine, error) {
+// of a reported pattern is chain input i). env is read at every query,
+// never copied; nil means never cancelled, uninstrumented and unphased.
+// The miter is built and encoded lazily on first use, so constructing
+// an engine that is never queried costs nothing.
+func New(locked *netlist.Circuit, blockPos []int, env *Env) (*Engine, error) {
 	if locked == nil {
 		return nil, fmt.Errorf("engine: locked circuit is required")
 	}
@@ -89,44 +108,17 @@ func New(locked *netlist.Circuit, blockPos []int) (*Engine, error) {
 			return nil, fmt.Errorf("engine: block position %d outside %d inputs", pos, locked.NumInputs())
 		}
 	}
+	if env == nil {
+		env = &Env{}
+	}
 	return &Engine{
 		locked:       locked,
 		blockPos:     append([]int(nil), blockPos...),
 		nKeys:        locked.NumKeys(),
 		compactBytes: defaultCompactBytes,
+		env:          env,
 	}, nil
 }
-
-// Attach is the setup every classic attack shares: a fresh engine over
-// locked, bound to ctx and tel and labelled with the attack's phase
-// name.
-func Attach(locked *netlist.Circuit, ctx context.Context, tel *telemetry.Registry, phase string) (*Engine, error) {
-	eng, err := New(locked, nil)
-	if err != nil {
-		return nil, err
-	}
-	eng.SetContext(ctx)
-	eng.SetTelemetry(tel)
-	eng.SetPhase(phase)
-	return eng, nil
-}
-
-// SetContext bounds subsequent queries: the solver watches ctx.Done()
-// itself, and a query it abandons returns the context's error.
-func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
-
-// SetTelemetry attaches a metrics registry: solver statistics fold into
-// the sat_* counters plus the engine_* families, and solve sessions
-// trace as spans on telemetry.EngineLane.
-func (e *Engine) SetTelemetry(r *telemetry.Registry) { e.tel = r }
-
-// SetEvents attaches a lifecycle event bus: a distinguish query whose
-// conflict budget runs out publishes a distinguish event. Nil (the
-// default) publishes nothing.
-func (e *Engine) SetEvents(b *events.Bus) { e.bus = b }
-
-// SetPhase labels subsequent solver work for per-phase attribution.
-func (e *Engine) SetPhase(name string) { e.phase = name }
 
 // NumKeys returns the key width of one miter copy.
 func (e *Engine) NumKeys() int { return e.nKeys }
@@ -143,23 +135,14 @@ func (e *Engine) Stats() sat.Stats {
 	return e.solver.Stats()
 }
 
-// PhaseStats returns a copy of the per-phase work attribution. Work done
-// before any SetPhase call is keyed under "unphased".
-func (e *Engine) PhaseStats() map[string]sat.Stats {
-	out := make(map[string]sat.Stats, len(e.phaseStats))
-	for k, v := range e.phaseStats {
-		out[k] = v
-	}
-	return out
-}
-
 // ensure builds the key-differential miter and encodes it into a fresh
 // persistent solver on first use.
 func (e *Engine) ensure() error {
 	if e.solver != nil {
 		return nil
 	}
-	sp := e.tel.StartSpanLane("engine_encode", telemetry.EngineLane)
+	tel := e.env.Tel
+	sp := tel.StartSpanLane("engine_encode", telemetry.EngineLane)
 	defer sp.End()
 	solver := sat.New()
 	m, err := encodeKeyMiter(e.locked, solver)
@@ -170,7 +153,7 @@ func (e *Engine) ensure() error {
 	e.adopt(m)
 	sp.SetArg("vars", strconv.Itoa(solver.NumVars()))
 	sp.SetArg("clauses", strconv.Itoa(solver.NumClauses()))
-	e.tel.Counter("engine_encodings_total").Inc()
+	tel.Counter("engine_encodings_total").Inc()
 	return nil
 }
 
@@ -230,14 +213,15 @@ func (e *Engine) adopt(m keyMiter) {
 // solver watches the context itself, so Unknown means the context fired
 // (returned as its error) or an explicit ConflictBudget ran out.
 func (e *Engine) solve(assume []cnf.Lit) (sat.Status, error) {
-	if e.ctx == nil {
+	ctx := e.env.Ctx
+	if ctx == nil {
 		e.solver.Done = nil
 		return e.solver.Solve(assume...), nil
 	}
-	e.solver.Done = e.ctx.Done()
+	e.solver.Done = ctx.Done()
 	st := e.solver.Solve(assume...)
 	if st == sat.Unknown {
-		return st, e.ctx.Err()
+		return st, ctx.Err()
 	}
 	return st, nil
 }
@@ -269,57 +253,42 @@ func (e *Engine) enumerate(assume, lits []cnf.Lit, visit func(vals []bool) bool)
 
 // phaseName returns the attribution key for the current phase.
 func (e *Engine) phaseName() string {
-	if e.phase == "" {
+	if e.env.Phase == "" {
 		return "unphased"
 	}
-	return e.phase
+	return e.env.Phase
 }
 
 // beginSession opens a traced solve session and snapshots the solver
-// counters; the returned func folds the interval into the per-phase map
-// and the telemetry counter families.
+// counters; the returned func folds the interval into the telemetry
+// counter families under the phase the session began in.
 func (e *Engine) beginSession(kind string) func() {
+	tel := e.env.Tel
 	if e.sessions > 0 {
 		// Every session after the first reuses the encoding a throwaway
 		// solver would have rebuilt.
-		e.tel.Counter("engine_encodings_avoided_total").Inc()
+		tel.Counter("engine_encodings_avoided_total").Inc()
 	}
 	e.sessions++
-	sp := e.tel.StartSpanLane(kind, telemetry.EngineLane)
-	sp.SetArg("phase", e.phaseName())
+	name := e.phaseName()
+	sp := tel.StartSpanLane(kind, telemetry.EngineLane)
+	sp.SetArg("phase", name)
 	base := e.solver.Stats()
 	return func() {
-		d := e.solver.Stats().Diff(base)
-		name := e.phaseName()
-		if e.phaseStats == nil {
-			e.phaseStats = make(map[string]sat.Stats)
-		}
-		ps := e.phaseStats[name]
-		e.phaseStats[name] = sat.Stats{
-			Decisions:       ps.Decisions + d.Decisions,
-			Propagations:    ps.Propagations + d.Propagations,
-			Conflicts:       ps.Conflicts + d.Conflicts,
-			Restarts:        ps.Restarts + d.Restarts,
-			Learned:         ps.Learned + d.Learned,
-			Removed:         ps.Removed + d.Removed,
-			SolveCalls:      ps.SolveCalls + d.SolveCalls,
-			BlockingPushed:  ps.BlockingPushed + d.BlockingPushed,
-			BlockingRetired: ps.BlockingRetired + d.BlockingRetired,
-			Simplified:      ps.Simplified + d.Simplified,
-		}
-		if e.tel != nil {
-			e.tel.Counter("sat_conflicts_total").Add(d.Conflicts)
-			e.tel.Counter("sat_decisions_total").Add(d.Decisions)
-			e.tel.Counter("sat_propagations_total").Add(d.Propagations)
-			e.tel.Counter("sat_restarts_total").Add(d.Restarts)
-			e.tel.Counter("sat_solve_calls_total").Add(d.SolveCalls)
-			e.tel.Counter("engine_assumption_solves_total").Add(d.SolveCalls)
-			e.tel.Counter("engine_blocking_pushed_total").Add(d.BlockingPushed)
-			e.tel.Counter("engine_blocking_retired_total").Add(d.BlockingRetired)
-			e.tel.Counter(telemetry.Label("engine_phase_conflicts_total", "phase", name)).Add(d.Conflicts)
-			e.tel.Counter(telemetry.Label("engine_phase_solves_total", "phase", name)).Add(d.SolveCalls)
-			e.tel.Gauge("engine_clauses_retained").Set(int64(e.solver.NumClauses()))
-			e.tel.Gauge("engine_learnts_retained").Set(int64(e.solver.NumLearnts()))
+		if tel != nil {
+			d := e.solver.Stats().Diff(base)
+			tel.Counter("sat_conflicts_total").Add(d.Conflicts)
+			tel.Counter("sat_decisions_total").Add(d.Decisions)
+			tel.Counter("sat_propagations_total").Add(d.Propagations)
+			tel.Counter("sat_restarts_total").Add(d.Restarts)
+			tel.Counter("sat_solve_calls_total").Add(d.SolveCalls)
+			tel.Counter("engine_assumption_solves_total").Add(d.SolveCalls)
+			tel.Counter("engine_blocking_pushed_total").Add(d.BlockingPushed)
+			tel.Counter("engine_blocking_retired_total").Add(d.BlockingRetired)
+			tel.Counter(telemetry.Label("engine_phase_conflicts_total", "phase", name)).Add(d.Conflicts)
+			tel.Counter(telemetry.Label("engine_phase_solves_total", "phase", name)).Add(d.SolveCalls)
+			tel.Gauge("engine_clauses_retained").Set(int64(e.solver.NumClauses()))
+			tel.Gauge("engine_learnts_retained").Set(int64(e.solver.NumLearnts()))
 		}
 		sp.End()
 	}
@@ -407,7 +376,7 @@ func (e *Engine) EnumerateDIPsSeeded(A, B []bool, seed func(yield func(pat uint6
 			replayed++
 			return e.solver.PushBlocking(blocking...)
 		})
-		e.tel.Counter("engine_seeded_dips_total").Add(replayed)
+		e.env.Tel.Counter("engine_seeded_dips_total").Add(replayed)
 	}
 
 	return e.enumerate(assume, e.block, func(vals []bool) bool {
@@ -499,11 +468,11 @@ func (e *Engine) DistinguishEx(keyA, keyB []bool, budget uint64) (DistinguishOut
 	}
 	switch st {
 	case sat.Unknown:
-		e.tel.Counter("engine_distinguish_unknown_total").Inc()
-		if e.bus != nil {
-			e.bus.Publish(events.Event{
+		e.env.Tel.Counter("engine_distinguish_unknown_total").Inc()
+		if bus := e.env.Bus; bus != nil {
+			bus.Publish(events.Event{
 				Type:  events.TypeDistinguish,
-				Phase: e.phase,
+				Phase: e.env.Phase,
 				Fields: map[string]string{
 					"reason": string(ReasonUnknownBudget),
 					"budget": strconv.FormatUint(budget, 10),
@@ -528,22 +497,23 @@ func (e *Engine) DistinguishEx(keyA, keyB []bool, budget uint64) (DistinguishOut
 // the observed database size feeds a pair of gauges (current +
 // high-water mark) for capacity planning on big miters.
 func (e *Engine) retireScope() {
+	tel := e.env.Tel
 	e.solver.ResetBlocking()
 	db := e.solver.ClauseBytes()
-	e.tel.Gauge("sat_clause_db_bytes").Set(int64(db))
+	tel.Gauge("sat_clause_db_bytes").Set(int64(db))
 	if db > e.dbHighWater {
 		e.dbHighWater = db
-		e.tel.Gauge("sat_clause_db_bytes_hwm").Set(int64(db))
+		tel.Gauge("sat_clause_db_bytes_hwm").Set(int64(db))
 	}
 	if e.solver.RetiredBytes() < e.compactBytes {
 		return
 	}
-	sp := e.tel.StartSpanLane("engine_compact", telemetry.EngineLane)
+	sp := tel.StartSpanLane("engine_compact", telemetry.EngineLane)
 	removedBefore := e.solver.Stats().Simplified
 	e.solver.Simplify()
-	e.tel.Counter("engine_simplify_runs_total").Inc()
-	e.tel.Counter("engine_simplify_removed_total").Add(e.solver.Stats().Simplified - removedBefore)
-	e.tel.Gauge("sat_clause_db_bytes").Set(int64(e.solver.ClauseBytes()))
+	tel.Counter("engine_simplify_runs_total").Inc()
+	tel.Counter("engine_simplify_removed_total").Add(e.solver.Stats().Simplified - removedBefore)
+	tel.Gauge("sat_clause_db_bytes").Set(int64(e.solver.ClauseBytes()))
 	sp.End()
 }
 

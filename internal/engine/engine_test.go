@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/events"
@@ -98,7 +99,7 @@ func collect(t *testing.T, e *Engine, keyA, keyB []bool) map[uint64]bool {
 // prove harmless.
 func TestEnumerateMatchesBruteForce(t *testing.T) {
 	locked := lockedInstance(t, 6, "2A-O-A", 7)
-	eng, err := New(locked, allInputs(locked))
+	eng, err := New(locked, allInputs(locked), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestEnumerateMatchesBruteForce(t *testing.T) {
 // identical, proving retired scopes do not leak into later sessions.
 func TestScopesIndependent(t *testing.T) {
 	locked := lockedInstance(t, 6, "A-O-2A", 3)
-	eng, err := New(locked, allInputs(locked))
+	eng, err := New(locked, allInputs(locked), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestScopesIndependent(t *testing.T) {
 // learned clauses and retired scopes of the sessions before it.
 func TestEnumerateDIPsSeeded(t *testing.T) {
 	locked := lockedInstance(t, 6, "A-O-2A", 3)
-	eng, err := New(locked, allInputs(locked))
+	eng, err := New(locked, allInputs(locked), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestEnumerateDIPsSeeded(t *testing.T) {
 // pairs, and validates every witness by direct evaluation.
 func TestDistinguishAgreesWithProver(t *testing.T) {
 	locked := lockedInstance(t, 7, "2A-O-2A", 11)
-	eng, err := New(locked, allInputs(locked))
+	eng, err := New(locked, allInputs(locked), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,39 +279,47 @@ func TestDistinguishAgreesWithProver(t *testing.T) {
 	}
 }
 
-// TestPhaseAttribution checks per-phase stats sum to the solver totals
-// and the engine_* counter families land in an attached registry.
+// TestPhaseAttribution checks the engine_phase_solves_total counters:
+// work is labelled with the environment's phase as it changes, the
+// per-phase solve counts sum to the solver totals, and the engine_*
+// counter families land in the registry.
 func TestPhaseAttribution(t *testing.T) {
 	locked := lockedInstance(t, 6, "2A-O-A", 7)
-	eng, err := New(locked, allInputs(locked))
+	env := &Env{Tel: telemetry.New()}
+	eng, err := New(locked, allInputs(locked), env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.New()
-	eng.SetTelemetry(reg)
+	reg := env.Tel
 	rng := rand.New(rand.NewSource(23))
 	nk := locked.NumKeys()
-	eng.SetPhase("enumerate")
+	env.Phase = "enumerate"
 	collect(t, eng, randomKey(rng, nk), randomKey(rng, nk))
-	eng.SetPhase("verify")
+	env.Phase = "verify"
 	if _, _, err := eng.Distinguish(randomKey(rng, nk), randomKey(rng, nk), 0); err != nil {
 		t.Fatal(err)
 	}
-	ps := eng.PhaseStats()
-	if len(ps) != 2 {
-		t.Fatalf("phases recorded: %v", ps)
+	snap := reg.Snapshot()
+	solves := make(map[string]uint64)
+	for name, v := range snap.Counters {
+		if strings.HasPrefix(name, "engine_phase_solves_total{") {
+			solves[name] = v
+		}
+	}
+	if len(solves) != 2 {
+		t.Fatalf("phases recorded: %v", solves)
 	}
 	var solveSum uint64
-	for _, st := range ps {
-		if st.SolveCalls == 0 {
-			t.Fatalf("a phase recorded no solve calls: %+v", ps)
+	for _, phase := range []string{"enumerate", "verify"} {
+		n := solves[telemetry.Label("engine_phase_solves_total", "phase", phase)]
+		if n == 0 {
+			t.Fatalf("phase %s recorded no solve calls: %v", phase, solves)
 		}
-		solveSum += st.SolveCalls
+		solveSum += n
 	}
 	if total := eng.Stats().SolveCalls; solveSum != total {
 		t.Fatalf("phase solve calls sum to %d, solver says %d", solveSum, total)
 	}
-	snap := reg.Snapshot()
 	if snap.Counters["engine_assumption_solves_total"] != eng.Stats().SolveCalls {
 		t.Fatalf("engine_assumption_solves_total = %d, want %d",
 			snap.Counters["engine_assumption_solves_total"], eng.Stats().SolveCalls)
@@ -372,13 +381,12 @@ func TestEnumerateCancelled(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, err := New(locked, allInputs(locked))
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			eng, err := New(locked, allInputs(locked), &Env{Ctx: ctx})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			eng.SetContext(ctx)
 			if err := tc.run(eng); !errors.Is(err, context.Canceled) {
 				t.Fatalf("got %v, want context.Canceled", err)
 			}
@@ -395,12 +403,11 @@ func TestEnumerateCancelled(t *testing.T) {
 // the clause-DB gauges track the observed database size.
 func TestCompactBytesTrigger(t *testing.T) {
 	locked := lockedInstance(t, 6, "2A-O-A", 7)
-	eng, err := New(locked, allInputs(locked))
+	tel := telemetry.New()
+	eng, err := New(locked, allInputs(locked), &Env{Tel: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := telemetry.New()
-	eng.SetTelemetry(tel)
 	rng := rand.New(rand.NewSource(9))
 	nk := locked.NumKeys()
 	run := func() {
@@ -447,14 +454,12 @@ func TestCompactBytesTrigger(t *testing.T) {
 // distinguish event with the reason.
 func TestDistinguishUnknownObservable(t *testing.T) {
 	locked := lockedInstance(t, 7, "2A-O-2A", 11)
-	eng, err := New(locked, allInputs(locked))
+	reg := telemetry.New()
+	bus := events.New(events.Options{})
+	eng, err := New(locked, allInputs(locked), &Env{Tel: reg, Bus: bus})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.New()
-	bus := events.New(events.Options{})
-	eng.SetTelemetry(reg)
-	eng.SetEvents(bus)
 	rng := rand.New(rand.NewSource(53))
 	nk := locked.NumKeys()
 	var unknowns uint64

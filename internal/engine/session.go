@@ -65,7 +65,7 @@ func (e *Engine) OpenSession() (*Session, error) {
 		return nil, err
 	}
 	flush := e.beginSession("engine_session")
-	e.tel.Counter("engine_sessions_total").Inc()
+	e.env.Tel.Counter("engine_sessions_total").Inc()
 	// The session's gate table is its own: its variables are defined
 	// only by clauses of this scope, which Close retires.
 	hash := cnf.NewHasher(guardedSink{e.solver}, e.zero)
@@ -137,7 +137,7 @@ func (s *Session) Constrain(in, out []bool) error {
 			}
 		}
 	}
-	e.tel.Counter("engine_session_constraints_total").Inc()
+	e.env.Tel.Counter("engine_session_constraints_total").Inc()
 	return nil
 }
 
@@ -235,7 +235,7 @@ func (e *Engine) EnumerateWitnesses(keyA, keyB []bool, visit func(pattern []bool
 	e.assume = assume
 
 	return e.enumerate(assume, e.inputs, func(pat []bool) bool {
-		e.tel.Counter("engine_witnesses_total").Inc()
+		e.env.Tel.Counter("engine_witnesses_total").Inc()
 		return visit(pat)
 	})
 }
@@ -292,7 +292,7 @@ func (e *Engine) EnumerateSensitizations(bit int, visit func(pattern []bool) boo
 	e.assume = assume
 
 	return e.enumerate(assume, e.inputs, func(pat []bool) bool {
-		e.tel.Counter("engine_sensitize_candidates_total").Inc()
+		e.env.Tel.Counter("engine_sensitize_candidates_total").Inc()
 		return visit(pat)
 	})
 }

@@ -29,7 +29,7 @@ func BenchmarkSessionDIPLoop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, err := New(locked.Circuit, nil)
+		e, err := New(locked.Circuit, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

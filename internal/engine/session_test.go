@@ -136,7 +136,7 @@ func sessionVerdict(t *testing.T, s *Session) verdict {
 // freshVerdict constrains a session on a new engine with pairs.
 func freshVerdict(t *testing.T, c *netlist.Circuit, pairs []ioPair) verdict {
 	t.Helper()
-	e, err := New(c, nil)
+	e, err := New(c, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func freshVerdict(t *testing.T, c *netlist.Circuit, pairs []ioPair) verdict {
 // are typed errors, never a panic or a silent truncation.
 func TestConstrainWidthErrors(t *testing.T) {
 	l := smallInstance(t, lock.Schemes()[0], 3)
-	e, err := New(l.Circuit, nil)
+	e, err := New(l.Circuit, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestSessionMatchesBruteForce(t *testing.T) {
 			label := fmt.Sprintf("%s/seed%d", sch.Name, seed)
 			rng := rand.New(rand.NewSource(seed))
 			pairs := randomIO(t, l, rng, 2+rng.Intn(5))
-			e, err := New(c, nil)
+			e, err := New(c, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,7 +305,7 @@ func TestSessionScopeLifetime(t *testing.T) {
 	sch, _ := lock.SchemeByName("rll")
 	l := smallInstance(t, sch, 5)
 	c := l.Circuit
-	e, err := New(c, nil)
+	e, err := New(c, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestHashedMiterDifferential(t *testing.T) {
 	for _, sch := range lock.Schemes() {
 		l := smallInstance(t, sch, 29)
 		c := l.Circuit
-		e, err := New(c, nil)
+		e, err := New(c, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,7 +474,7 @@ func TestConstrainFoldedContradiction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e, err := New(c, nil)
+	e, err := New(c, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,10 @@
 # CLI side: runs caslock-attack with -events-out and -progress, then
 # validates the NDJSON event stream with tracecheck -events (seq
 # monotone, phases balanced, per-round DIP monotonicity, terminal
-# done). Daemon side: starts caslock-served, submits a job, consumes
+# done). A second CLI leg pins the SAT regime (-sat-width-limit 12 on
+# a 14-input instance), so the stream also carries what the SAT
+# extractor and its engine publish through the shared run environment.
+# Daemon side: starts caslock-served, submits a job, consumes
 # GET /v1/attacks/{id}/events live over SSE until the server closes
 # the stream, asserts the final frame is the terminal done event,
 # re-reads the stream with Last-Event-ID from a mid-stream frame and
@@ -31,6 +34,18 @@ $GO build -o "$DIR/bin/" ./cmd/caslock-served ./cmd/caslock-attack ./cmd/casgen 
 if ! grep -q 'eta' "$DIR/attack.err"; then
 	echo "events-smoke: -progress printed no estimator digests" >&2
 	cat "$DIR/attack.err" >&2
+	exit 1
+fi
+
+# --- CLI, SAT regime: the bus reaches the SAT extractor and engine -----
+"$DIR/bin/casgen" -inputs 14 -gates 70 -scheme cas -chain "5A-O-5A" \
+	-out "$DIR/sat_locked.bench" -orig "$DIR/sat_orig.bench"
+"$DIR/bin/caslock-attack" -locked "$DIR/sat_locked.bench" -oracle "$DIR/sat_orig.bench" \
+	-sat-width-limit 12 -events-out "$DIR/sat_events.ndjson" >"$DIR/sat_attack.out" 2>"$DIR/sat_attack.err"
+"$DIR/bin/tracecheck" -events "$DIR/sat_events.ndjson"
+if ! jq -e -s 'any(.type == "crossover" and .fields.engine == "sat") and
+	any(.type == "dip_progress")' "$DIR/sat_events.ndjson" >/dev/null; then
+	echo "events-smoke: SAT-regime stream lacks a sat crossover or dip_progress event" >&2
 	exit 1
 fi
 
