@@ -53,12 +53,18 @@
 #                    events-smoke + perfbench-test + govulncheck
 #                    (required automatically when installed)
 #   make bench       tier-1 benchmarks with allocation reporting
-#   make benchjson   refresh BENCH_core.json (the perf trajectory file);
-#                    diffs against the committed baseline into the
-#                    report's "delta" section
-#   make bench-compare  run the workloads to a scratch file and fail if
-#                    aggregate sat_* time regressed >20% vs the
-#                    committed BENCH_core.json
+#   make benchjson   rewrite BENCH_core.json, the performance record:
+#                    perfbench runs of every workload in fresh processes
+#                    (end-to-end medians and IQRs, the traced per-layer
+#                    split), the Run512 machine-speed reference timed in
+#                    the same session, the checkpoint and event-bus
+#                    overhead pairs, and a delta against the committed
+#                    record (raw and reference-normalized; deltas inside
+#                    the committed IQR marked within_noise). ~5 minutes
+#   make bench-compare  the same runs to a scratch file; fails if the
+#                    gated workloads' summed op_p50_ms medians, normalized
+#                    by the reference, regressed >20% vs the committed
+#                    BENCH_core.json, or an overhead pair exceeds 5%
 
 GO ?= go
 FUZZTIME ?= 5s

@@ -164,10 +164,11 @@ type busEvent struct {
 }
 
 // checkEvents validates an -events-out NDJSON stream's structural
-// invariants: parseable lines, strictly increasing seq, phase enters
-// before exits, monotone DIP counts within each enumeration round
-// (a hypothesis restart starts a fresh round with a fresh set, so the
-// baseline resets when the event's round field changes), and a
+// invariants: parseable lines, strictly increasing seq, properly nested
+// phase enters and exits, every dip_progress labelled with the
+// innermost open phase, monotone DIP counts within each enumeration
+// round (a hypothesis restart starts a fresh round with a fresh set, so
+// the baseline resets when the event's round field changes), and a
 // terminal done event.
 func checkEvents(path string) {
 	data, err := os.ReadFile(path)
@@ -177,7 +178,7 @@ func checkEvents(path string) {
 		lastSeq  uint64
 		lastDIPs uint64
 		dipRound string
-		entered  = make(map[string]int)
+		open     []string // phases entered and not yet exited, innermost last
 	)
 	for i, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
@@ -197,13 +198,16 @@ func checkEvents(path string) {
 		lastSeq = ev.Seq
 		switch ev.Type {
 		case "phase_enter":
-			entered[ev.Phase]++
+			open = append(open, ev.Phase)
 		case "phase_exit":
-			entered[ev.Phase]--
-			if entered[ev.Phase] < 0 {
-				fail(fmt.Errorf("%s:%d: phase %q exits before entering", path, i+1, ev.Phase))
+			if len(open) == 0 || open[len(open)-1] != ev.Phase {
+				fail(fmt.Errorf("%s:%d: phase %q exits but the innermost open phase is %q", path, i+1, ev.Phase, innermost(open)))
 			}
+			open = open[:len(open)-1]
 		case "dip_progress":
+			if in := innermost(open); ev.Phase != in {
+				fail(fmt.Errorf("%s:%d: dip_progress labelled %q inside phase %q", path, i+1, ev.Phase, in))
+			}
 			if round := ev.Fields["round"]; round != dipRound {
 				dipRound, lastDIPs = round, 0
 			}
@@ -226,7 +230,15 @@ func checkEvents(path string) {
 	if last.Fraction != 1 {
 		fail(fmt.Errorf("%s: done event fraction %v, want 1", path, last.Fraction))
 	}
-	fmt.Printf("tracecheck: OK — %d events, seq monotone, phases balanced, terminal done\n", len(evs))
+	fmt.Printf("tracecheck: OK — %d events, seq monotone, phases nested, DIP progress labelled, terminal done\n", len(evs))
+}
+
+// innermost returns the last entry of the open-phase stack, "" if none.
+func innermost(open []string) string {
+	if len(open) == 0 {
+		return ""
+	}
+	return open[len(open)-1]
 }
 
 func failIf(err error) {

@@ -21,14 +21,23 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Options configures the attack.
+// Options configures both forms of the attack.
 type Options struct {
-	// Layout is the CAS key-port layout (nil: discovered automatically).
+	// Layout is the CAS key-port layout Run enumerates over (nil:
+	// discovered automatically). RunGenericOpts ignores it.
 	Layout *core.BlockLayout
 	// MaxFixes aborts when the bypass would need more corrections than
-	// this (0 = 1<<16), modeling the practical area budget that makes
-	// the attack infeasible on high-corruptibility schemes.
+	// this (0 = 1<<16 for Run, 1<<12 for RunGenericOpts), modeling the
+	// practical area budget that makes the attack infeasible on
+	// high-corruptibility schemes.
 	MaxFixes int
+	// Seed draws RunGenericOpts' two wrong keys.
+	Seed int64
+	// Context, when non-nil, bounds the run's enumeration.
+	Context context.Context
+	// Telemetry instruments the run's enumeration (and RunGenericOpts'
+	// attack_bypass span).
+	Telemetry *telemetry.Registry
 }
 
 // Result is the corrected circuit and its cost.
@@ -70,12 +79,13 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 	for _, pos := range layout.Key1Pos {
 		assign.A[pos] = true
 	}
+	env := &engine.Env{Ctx: opts.Context, Tel: opts.Telemetry, Phase: "bypass"}
 	var ext core.Extractor
 	var err error
 	if n <= 12 {
-		ext, err = core.NewSATExtractor(locked, layout, nil)
+		ext, err = core.NewSATExtractor(locked, layout, env)
 	} else {
-		ext, err = core.NewSimExtractor(locked, layout, 1, nil)
+		ext, err = core.NewSimExtractor(locked, layout, 1, env)
 	}
 	if err != nil {
 		return nil, err
@@ -183,23 +193,10 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 	}, nil
 }
 
-// GenericOptions configures RunGenericOpts.
-type GenericOptions struct {
-	// MaxFixes aborts when the bypass would need more corrections than
-	// this (0 = 1<<12).
-	MaxFixes int
-	// Seed draws the two wrong keys.
-	Seed int64
-	// Context, when non-nil, bounds the run.
-	Context context.Context
-	// Telemetry instruments the run (attack_* span + engine families).
-	Telemetry *telemetry.Registry
-}
-
 // RunGeneric mounts the scheme-agnostic form of the bypass attack with
 // default options; see RunGenericOpts.
 func RunGeneric(locked *netlist.Circuit, orc oracle.Oracle, maxFixes int, seed int64) (*Result, error) {
-	return RunGenericOpts(locked, orc, GenericOptions{MaxFixes: maxFixes, Seed: seed})
+	return RunGenericOpts(locked, orc, Options{MaxFixes: maxFixes, Seed: seed})
 }
 
 // RunGenericOpts mounts the scheme-agnostic form of the bypass attack:
@@ -215,7 +212,7 @@ func RunGeneric(locked *netlist.Circuit, orc oracle.Oracle, maxFixes int, seed i
 // Witnesses come from the persistent engine (Engine.EnumerateWitnesses).
 // The witness *set* is determined by the circuit and the key pair, so the
 // bypass network depends on the engine only through enumeration order.
-func RunGenericOpts(locked *netlist.Circuit, orc oracle.Oracle, opts GenericOptions) (*Result, error) {
+func RunGenericOpts(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, error) {
 	maxFixes := opts.MaxFixes
 	if maxFixes <= 0 {
 		maxFixes = 1 << 12

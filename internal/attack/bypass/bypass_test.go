@@ -1,6 +1,8 @@
 package bypass
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -134,5 +136,27 @@ func TestGenericBypassBudget(t *testing.T) {
 	}
 	if _, err := RunGeneric(locked.Circuit, oracle.MustNewSim(h), 8, 5); err == nil {
 		t.Error("fix budget not enforced on a high-corruption instance")
+	}
+}
+
+// TestBypassHonoursContext runs the CAS-aware bypass under a cancelled
+// context on both enumeration paths (SAT for n ≤ 12, simulation above):
+// the enumeration must stop with the context's error rather than finish.
+func TestBypassHonoursContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		chain  string
+		inputs int
+	}{{"2A-O-2A", 10}, {"6A-O-6A", 18}} {
+		h := host(t, tc.inputs)
+		locked, _, err := lock.ApplyCAS(h, lock.CASOptions{Chain: lock.MustParseChain(tc.chain), Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(locked.Circuit, oracle.MustNewSim(h), Options{Context: ctx})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: Run under a cancelled context returned (%v, %v), want context.Canceled", tc.chain, res, err)
+		}
 	}
 }

@@ -59,7 +59,7 @@ func TestEngineLegacyDifferential(t *testing.T) {
 			}
 			tel := telemetry.New()
 			orc := &recordingOracle{Oracle: oracle.MustNewSim(h), queries: map[uint64]int{}}
-			res, err := RunGenericOpts(locked.Circuit, orc, GenericOptions{MaxFixes: 64, Seed: seed, Telemetry: tel})
+			res, err := RunGenericOpts(locked.Circuit, orc, Options{MaxFixes: 64, Seed: seed, Telemetry: tel})
 			if err != nil {
 				t.Fatal(err)
 			}

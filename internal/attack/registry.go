@@ -309,12 +309,10 @@ func init() {
 			// extractor is tried first; other schemes go through the
 			// generic SAT-miter form of the attack.
 			const fixBudget = 192
-			res, err := bypass.Run(c.Locked, c.NewOracle(), bypass.Options{MaxFixes: fixBudget})
+			opts := bypass.Options{MaxFixes: fixBudget, Seed: c.Seed, Context: c.Ctx, Telemetry: c.Telemetry}
+			res, err := bypass.Run(c.Locked, c.NewOracle(), opts)
 			if err != nil {
-				res, err = bypass.RunGenericOpts(c.Locked, c.NewOracle(), bypass.GenericOptions{
-					MaxFixes: fixBudget, Seed: c.Seed,
-					Context: c.Ctx, Telemetry: c.Telemetry,
-				})
+				res, err = bypass.RunGenericOpts(c.Locked, c.NewOracle(), opts)
 			}
 			if err != nil {
 				return Outcome{Detail: "infeasible: " + trimErr(err)}

@@ -325,7 +325,7 @@ func (a *attack) installProgress() {
 			if bus != nil {
 				bus.Publish(events.Event{
 					Type:   events.TypeDIPProgress,
-					Phase:  "enumerate",
+					Phase:  a.env.Phase,
 					Count:  count,
 					Done:   count,
 					Total:  set.Universe(),
@@ -677,7 +677,7 @@ func (a *attack) deltaCandidates(st *structured) ([]uint64, error) {
 		outPivots = pickPivots(rest, 6)
 	}
 	var out []uint64
-	verified, capped := 0, false
+	verified := 0
 	for _, w := range st.wList {
 		if poll.hit() {
 			return nil, poll.err
@@ -702,9 +702,9 @@ func (a *attack) deltaCandidates(st *structured) ([]uint64, error) {
 		verified++
 		if verified > 4096 {
 			// Degenerate symmetry: stop enumerating rather than go
-			// quadratic.
-			capped = true
-			break
+			// quadratic. The candidates found so far may miss the true
+			// δ, so fall back to the calibration sweep.
+			return nil, nil
 		}
 		match := true
 		count := 0
@@ -724,9 +724,6 @@ func (a *attack) deltaCandidates(st *structured) ([]uint64, error) {
 		if match && count == len(v) {
 			out = append(out, cand)
 		}
-	}
-	if capped && len(out) == 0 {
-		return nil, nil // fall back to the calibration sweep
 	}
 	return dedupeU64(out), nil
 }

@@ -26,7 +26,7 @@ import (
 
 const (
 	// crossoverSimProbeBatches is how many 64-pattern batches the sim
-	// probe times (a multiple of the widest lane group).
+	// probe times (a multiple of the wide kernel's bankStride).
 	crossoverSimProbeBatches = 64
 
 	// crossoverSimFloor short-circuits the SAT probe: when the full

@@ -43,11 +43,12 @@ func widthInstance(t *testing.T, n int, seed int64) (*netlist.Circuit, *BlockLay
 }
 
 // TestSimExtractorLaneWidthsBitIdentical is the wide-kernel acceptance
-// property at the extractor level: every lane width × worker count
-// produces the same DIP set, across widths that exercise the partial
-// single-batch space (n < 6), the scalar-only edge (too few batches for
-// a wide group), exactly one 512-lane group, and a long wide walk with
-// remainder tail. The SAT extractor must agree on the same assignments.
+// property at the extractor level: every worker count produces the same
+// DIP set, across widths that exercise the partial single-batch space
+// (n < 6), the scalar-only edge (too few batches for a 512-lane group),
+// exactly one 512-lane group, and a long wide walk whose shard tails
+// run through the scalar kernel. The SAT extractor must agree on the
+// same assignments.
 func TestSimExtractorLaneWidthsBitIdentical(t *testing.T) {
 	for _, n := range []int{3, 5, 6, 7, 9, 13} {
 		n := n
@@ -56,28 +57,23 @@ func TestSimExtractorLaneWidthsBitIdentical(t *testing.T) {
 			assign := lemma1Assign(lockedC, layout)
 
 			var want *DIPSet
-			for _, lanes := range []int{64, 256, 512, 0} {
-				for _, workers := range []int{1, 2, 3} {
-					ext, err := NewSimExtractor(lockedC, layout, 7, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := ext.SetLaneWidth(lanes); err != nil {
-						t.Fatal(err)
-					}
-					ext.SetWorkers(workers)
-					dips, err := ext.DIPs(assign)
-					if err != nil {
-						t.Fatalf("lanes=%d workers=%d: %v", lanes, workers, err)
-					}
-					if want == nil {
-						want = dips
-						continue
-					}
-					if !dips.Equal(want) {
-						t.Fatalf("lanes=%d workers=%d: DIP set differs (%d vs %d DIPs)",
-							lanes, workers, dips.Count(), want.Count())
-					}
+			for _, workers := range []int{1, 2, 3} {
+				ext, err := NewSimExtractor(lockedC, layout, 7, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ext.SetWorkers(workers)
+				dips, err := ext.DIPs(assign)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if want == nil {
+					want = dips
+					continue
+				}
+				if !dips.Equal(want) {
+					t.Fatalf("workers=%d: DIP set differs (%d vs %d DIPs)",
+						workers, dips.Count(), want.Count())
 				}
 			}
 
@@ -94,31 +90,6 @@ func TestSimExtractorLaneWidthsBitIdentical(t *testing.T) {
 					satDips.Count(), want.Count())
 			}
 		})
-	}
-}
-
-func TestSetLaneWidthValidation(t *testing.T) {
-	lockedC, layout := widthInstance(t, 5, 1)
-	ext, err := NewSimExtractor(lockedC, layout, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []int{-1, 1, 63, 128, 1024} {
-		if err := ext.SetLaneWidth(bad); err == nil {
-			t.Errorf("SetLaneWidth(%d) accepted", bad)
-		}
-	}
-	if err := ext.SetLaneWidth(256); err != nil {
-		t.Fatal(err)
-	}
-	if got := ext.LaneWidth(); got != 256 {
-		t.Errorf("LaneWidth = %d, want 256", got)
-	}
-	if err := ext.SetLaneWidth(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := ext.LaneWidth(); got != 0 {
-		t.Errorf("LaneWidth after reset = %d, want 0 (auto)", got)
 	}
 }
 

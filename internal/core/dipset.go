@@ -79,7 +79,7 @@ func (s *DIPSet) setWord(b uint64, w uint64) {
 }
 
 // setWords deposits a word-aligned run of 64-pattern membership masks
-// starting at word index b — the wide-lane (256/512) counterpart of
+// starting at word index b — the wide-lane (512) counterpart of
 // setWord, landing a whole simulation group in one copy. The same
 // disjoint-ownership rule applies per word.
 func (s *DIPSet) setWords(b uint64, ws []uint64) {

@@ -259,16 +259,15 @@ type simOp struct {
 // owns, so the merge is free and the result is bit-identical for every
 // worker count.
 type SimExtractor struct {
-	layout    *BlockLayout
-	n         int
-	nKeys     int
-	ops       []simOp
-	outRegs   []int
-	regs      int // register count of the compiled cone (excluding copies)
-	count     int
-	workers   int         // 0 = GOMAXPROCS
-	laneWords int         // words per batch group: 0 = auto (8), 1/4/8 = 64/256/512 lanes
-	env       *engine.Env // never nil
+	layout  *BlockLayout
+	n       int
+	nKeys   int
+	ops     []simOp
+	outRegs []int
+	regs    int // register count of the compiled cone (excluding copies)
+	count   int
+	workers int         // 0 = GOMAXPROCS
+	env     *engine.Env // never nil
 
 	// progress is the attack's progress hook. The sharded walk deposits
 	// words concurrently, so it fires only at enumeration completion
@@ -374,47 +373,6 @@ func (e *SimExtractor) Extractions() int { return e.count }
 // the worker count.
 func (e *SimExtractor) SetWorkers(k int) { e.workers = k }
 
-// SetLaneWidth pins the bit-parallel lane width of subsequent
-// enumerations: 64 (one word per batch), 256, or 512 (stride-4/8
-// register banks executing 4/8 batches per program pass). 0 — the
-// default — auto-selects the widest kernel (512). The result is
-// bit-identical for every width.
-func (e *SimExtractor) SetLaneWidth(lanes int) error {
-	switch lanes {
-	case 0:
-		e.laneWords = 0
-	case 64:
-		e.laneWords = 1
-	case 256:
-		e.laneWords = 4
-	case 512:
-		e.laneWords = 8
-	default:
-		return fmt.Errorf("core: lane width %d not one of 0 (auto), 64, 256, 512", lanes)
-	}
-	return nil
-}
-
-// LaneWidth reports the configured lane width in bit-parallel patterns
-// (0 = auto, currently 512).
-func (e *SimExtractor) LaneWidth() int {
-	if e.laneWords == 0 {
-		return 0
-	}
-	return e.laneWords * 64
-}
-
-// resolveLaneWords maps the configured lane width to words per group.
-func (e *SimExtractor) resolveLaneWords() int {
-	if e.laneWords == 0 {
-		return 8
-	}
-	return e.laneWords
-}
-
-// Workers reports the configured worker count (0 = GOMAXPROCS).
-func (e *SimExtractor) Workers() int { return e.workers }
-
 // minBatchesPerWorker keeps tiny enumerations on one goroutine: below
 // this many 64-pattern batches per shard the spawn overhead dominates.
 const minBatchesPerWorker = 256
@@ -439,20 +397,23 @@ func (e *SimExtractor) shardPlan(nBatches uint64) int {
 // register with copy B's value); gates untouched by differing keys are
 // evaluated once and shared, the rest are duplicated. The instruction
 // stream is a scheduled netlist.Program, so the same compiled assignment
-// executes at 64, 256, or 512 lanes (see enumerateShard).
+// executes at 64 lanes (diff) or 512 lanes (see enumerateShard).
 //
 // prog and outs are immutable after prepare; regs (and the lazily built
 // wide bank) are the mutable register files the hot loop writes, so a
 // prepared program serves ONE goroutine — shard workers run on clones
 // (see clone).
 type prepared struct {
-	n     int
-	width int // words per batch group (1, 4, or 8)
-	prog  *netlist.Program
-	regs  []uint64   // width-1 template: key constants baked in, inputs written per batch
-	outs  [][2]int32 // (A,B) register pairs whose XOR is the disagreement
-	wide  []uint64   // stride-`width` bank, materialized from regs on first wide use
+	n    int
+	prog *netlist.Program
+	regs []uint64   // width-1 template: key constants baked in, inputs written per batch
+	outs [][2]int32 // (A,B) register pairs whose XOR is the disagreement
+	wide []uint64   // stride-bankStride bank, materialized from regs on first wide use
 }
+
+// bankStride is the wide kernel's words per register: one Exec512 pass
+// evaluates 8 consecutive 64-pattern batches.
+const bankStride = 8
 
 // clone returns a copy with a private register bank; the compiled
 // program and output pairs are shared read-only.
@@ -463,20 +424,19 @@ func (p *prepared) clone() *prepared {
 	return &q
 }
 
-// bank returns the stride-`width` register bank, replicating the
+// bank returns the stride-bankStride register bank, replicating the
 // width-1 template (key constants, zero register) into every word slot
 // on first use. Chain-input registers are overwritten per group by the
 // enumeration loop.
 func (p *prepared) bank() []uint64 {
 	if p.wide == nil {
-		w := p.width
-		p.wide = make([]uint64, len(p.regs)*w)
+		p.wide = make([]uint64, len(p.regs)*bankStride)
 		for r, v := range p.regs {
 			if v == 0 {
 				continue
 			}
-			for j := 0; j < w; j++ {
-				p.wide[r*w+j] = v
+			for j := 0; j < bankStride; j++ {
+				p.wide[r*bankStride+j] = v
 			}
 		}
 	}
@@ -510,7 +470,7 @@ func (e *SimExtractor) prepare(assign PairAssign) (*prepared, error) {
 			keyVals = append(keyVals, kv{bReg[r], assign.B[i]})
 		}
 	}
-	p := &prepared{n: e.n, width: e.resolveLaneWords(), prog: netlist.NewProgram(0)}
+	p := &prepared{n: e.n, prog: netlist.NewProgram(0)}
 	for _, op := range e.ops {
 		isDyn := false
 		argsA := make([]int32, len(op.args))
@@ -600,20 +560,20 @@ const ctxPollMask = 255
 // enumerateShard walks batches [startB, endB) of the block space,
 // invoking visit with a starting batch index b and the (lane-masked)
 // disagreement masks of the batches b, b+1, …, b+len(diffs)-1 — batch b
-// covers patterns [b·64, b·64+64). With a wide lane width the main loop
-// executes the compiled program once per 4/8-batch group over a strided
+// covers patterns [b·64, b·64+64). For n > 6 the main loop executes the
+// compiled program once per bankStride-batch group over a strided
 // register bank, so visit receives word-aligned runs ready for direct
-// bitset deposit; the remainder (and every width-64 walk) runs the
-// scalar kernel one batch at a time. A non-nil ctx is polled every
+// bitset deposit; the remainder (and every n ≤ 6 walk) runs the scalar
+// kernel one batch at a time. A non-nil ctx is polled every
 // ctxPollMask+1 batches; on expiry the walk stops early and the
 // context's error is returned. Callers running shards concurrently must
 // give each shard its own prepared clone.
 func (p *prepared) enumerateShard(ctx context.Context, startB, endB uint64, visit func(b uint64, diffs []uint64)) error {
 	n := p.n
 	b := startB
-	if w := uint64(p.width); w > 1 && n > 6 && b+w <= endB {
+	const W = bankStride
+	if n > 6 && b+W <= endB {
 		bank := p.bank()
-		W := p.width
 		for i := 0; i < 6; i++ {
 			pat := lanePattern(i)
 			for j := 0; j < W; j++ {
@@ -621,8 +581,8 @@ func (p *prepared) enumerateShard(ctx context.Context, startB, endB uint64, visi
 			}
 		}
 		diffs := make([]uint64, W)
-		for ; b+w <= endB; b += w {
-			if ctx != nil && b&ctxPollMask < w {
+		for ; b+W <= endB; b += W {
+			if ctx != nil && b&ctxPollMask < W {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
@@ -638,11 +598,7 @@ func (p *prepared) enumerateShard(ctx context.Context, startB, endB uint64, visi
 					}
 				}
 			}
-			if W == 8 {
-				p.prog.Exec512(bank)
-			} else {
-				p.prog.Exec256(bank)
-			}
+			p.prog.Exec512(bank)
 			for j := range diffs {
 				diffs[j] = 0
 			}
@@ -656,8 +612,8 @@ func (p *prepared) enumerateShard(ctx context.Context, startB, endB uint64, visi
 			visit(b, diffs)
 		}
 	}
-	// Scalar kernel: width-64 walks, n ≤ 6 single-batch spaces, and the
-	// tail of a wide walk.
+	// Scalar kernel: n ≤ 6 single-batch spaces and the tail of a wide
+	// walk.
 	mask := p.laneMask()
 	block := make([]uint64, n)
 	for i := 0; i < n && i < 6; i++ {
@@ -758,7 +714,7 @@ func (e *SimExtractor) DIPs(assign PairAssign) (*DIPSet, error) {
 	nBatches := p.numBatches()
 	w := e.shardPlan(nBatches)
 	// The shard workers read the environment through these locals only.
-	ctx, tel, bus := e.env.Ctx, e.env.Tel, e.env.Bus
+	ctx, tel, bus, phase := e.env.Ctx, e.env.Tel, e.env.Bus, e.env.Phase
 	var sp *telemetry.Span
 	if tel != nil {
 		tel.Counter("enum_extractions_total").Inc()
@@ -778,7 +734,7 @@ func (e *SimExtractor) DIPs(assign PairAssign) (*DIPSet, error) {
 					done := batchesDone.Add(local)
 					local = 0
 					bus.Publish(events.Event{Type: events.TypeDIPProgress,
-						Phase: "enumerate", Done: done, Total: nBatches})
+						Phase: phase, Done: done, Total: nBatches})
 				}
 			}
 		})

@@ -5,7 +5,7 @@ import "fmt"
 // Simulator evaluates a circuit repeatedly while reusing internal buffers.
 // Construction compiles the circuit once into a flat instruction stream
 // (see Program); every run then executes the compiled program with no
-// per-gate dispatch or allocation, at 64, 256, or 512 bit-parallel lanes.
+// per-gate dispatch or allocation, at 64 or 512 bit-parallel lanes.
 // It is not safe for concurrent use; create one per goroutine.
 type Simulator struct {
 	c      *Circuit
@@ -13,10 +13,8 @@ type Simulator struct {
 	vals   []uint64 // width-1 register file, indexed by gate ID
 	outBuf []uint64 // Run64 output buffer (one word per primary output)
 
-	// Wide register banks, allocated on first use. Register i occupies
-	// words [i*stride, (i+1)*stride).
-	vals4 []uint64
-	out4  [][4]uint64
+	// Wide register bank, allocated on first use. Register i occupies
+	// words [i*8, (i+1)*8).
 	vals8 []uint64
 	out8  [][8]uint64
 
@@ -77,35 +75,6 @@ func (s *Simulator) Run64(in, key []uint64) ([]uint64, error) {
 		out[i] = s.vals[id]
 	}
 	return out, nil
-}
-
-// Run256 evaluates 256 packed patterns at once: element [j] of each
-// 4-word bank holds patterns 64j .. 64j+63. The returned slice holds one
-// bank per primary output and is owned by the simulator (valid until the
-// next Run256 call). NodeValue64 reflects only Run64/Run executions.
-func (s *Simulator) Run256(in, key [][4]uint64) ([][4]uint64, error) {
-	c := s.c
-	if len(in) != c.NumInputs() {
-		return nil, fmt.Errorf("netlist: Run256: got %d input banks, want %d", len(in), c.NumInputs())
-	}
-	if len(key) != c.NumKeys() {
-		return nil, fmt.Errorf("netlist: Run256: got %d key banks, want %d", len(key), c.NumKeys())
-	}
-	if s.vals4 == nil {
-		s.vals4 = make([]uint64, c.NumGates()*4)
-		s.out4 = make([][4]uint64, c.NumOutputs())
-	}
-	for i, id := range c.inputs {
-		copy(s.vals4[int(id)*4:], in[i][:])
-	}
-	for i, id := range c.keys {
-		copy(s.vals4[int(id)*4:], key[i][:])
-	}
-	s.prog.Exec256(s.vals4)
-	for i, id := range c.outputs {
-		copy(s.out4[i][:], s.vals4[int(id)*4:])
-	}
-	return s.out4, nil
 }
 
 // Run512 evaluates 512 packed patterns at once: element [j] of each

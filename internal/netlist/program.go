@@ -7,8 +7,8 @@ import "fmt"
 // operations over a dense register file. Compiling once removes the
 // per-gate dynamic dispatch (fanin gather + Eval64 type switch) from the
 // simulation hot loop, and the same program executes unchanged at word
-// widths 1, 4, and 8 (64/256/512 bit-parallel lanes) — the wide kernels
-// just stride the register file. Schedule then groups the stream by
+// widths 1 and 8 (64/512 bit-parallel lanes) — the wide kernel just
+// strides the register file. Schedule then groups the stream by
 // dependency level and opcode, so the kernels' opcode dispatch repeats
 // in long runs instead of changing on almost every op.
 
@@ -41,7 +41,7 @@ type progOp struct {
 
 // Program is a compiled gate program. Build one with NewProgram + Emit
 // (in topological order), optionally Schedule it, then execute it with
-// Exec/Exec256/Exec512 over a caller-owned register file. Programs are
+// Exec/Exec512 over a caller-owned register file. Programs are
 // immutable after construction and safe for concurrent execution over
 // distinct register files.
 type Program struct {
@@ -59,7 +59,7 @@ func NewProgram(numRegs int) *Program {
 }
 
 // NumRegs returns the register-file size in registers. Exec needs a
-// slice of NumRegs() words; Exec256 and Exec512 need 4× and 8× that.
+// slice of NumRegs() words; Exec512 needs 8× that.
 func (p *Program) NumRegs() int { return p.regs }
 
 // Len returns the number of compiled instructions.
@@ -265,46 +265,6 @@ func (p *Program) Exec(regs []uint64) {
 			}
 		default:
 			panic(fmt.Sprintf("netlist: Exec: invalid opcode %d", ops[i].code))
-		}
-	}
-}
-
-// Exec256 runs the program over a stride-4 register file (256 lanes):
-// register r occupies regs[4r : 4r+4]. len(regs) must be at least
-// 4 × NumRegs(). The per-op bodies are hand-unrolled over array
-// pointers so the compiler emits one bounds check per operand, not one
-// per word.
-func (p *Program) Exec256(regs []uint64) {
-	if p.regs == 0 {
-		return
-	}
-	regs = regs[:p.regs*4]
-	for i := range p.ops {
-		op := &p.ops[i]
-		a := (*[4]uint64)(regs[int(op.a)*4:])
-		b := (*[4]uint64)(regs[int(op.b)*4:])
-		d := (*[4]uint64)(regs[int(op.dst)*4:])
-		switch op.code {
-		case opConst0:
-			d[0], d[1], d[2], d[3] = 0, 0, 0, 0
-		case opConst1:
-			d[0], d[1], d[2], d[3] = ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
-		case opBuf:
-			d[0], d[1], d[2], d[3] = a[0], a[1], a[2], a[3]
-		case opNot:
-			d[0], d[1], d[2], d[3] = ^a[0], ^a[1], ^a[2], ^a[3]
-		case opAnd2:
-			d[0], d[1], d[2], d[3] = a[0]&b[0], a[1]&b[1], a[2]&b[2], a[3]&b[3]
-		case opNand2:
-			d[0], d[1], d[2], d[3] = ^(a[0] & b[0]), ^(a[1] & b[1]), ^(a[2] & b[2]), ^(a[3] & b[3])
-		case opOr2:
-			d[0], d[1], d[2], d[3] = a[0]|b[0], a[1]|b[1], a[2]|b[2], a[3]|b[3]
-		case opNor2:
-			d[0], d[1], d[2], d[3] = ^(a[0] | b[0]), ^(a[1] | b[1]), ^(a[2] | b[2]), ^(a[3] | b[3])
-		case opXor2:
-			d[0], d[1], d[2], d[3] = a[0]^b[0], a[1]^b[1], a[2]^b[2], a[3]^b[3]
-		case opXnor2:
-			d[0], d[1], d[2], d[3] = ^(a[0] ^ b[0]), ^(a[1] ^ b[1]), ^(a[2] ^ b[2]), ^(a[3] ^ b[3])
 		}
 	}
 }

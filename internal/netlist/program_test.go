@@ -80,8 +80,8 @@ func randomProgramCircuit(rng *rand.Rand, nIn, nKey, nGates int) *Circuit {
 }
 
 // TestProgramWidthsAgree is the lane-agreement property test: for random
-// circuits and random packed patterns, Run64, Run256, Run512, scalar
-// Run, and EvalBool all agree with the interpreted reference.
+// circuits and random packed patterns, Run64, Run512, scalar Run, and
+// EvalBool all agree with the interpreted reference.
 func TestProgramWidthsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
@@ -92,7 +92,7 @@ func TestProgramWidthsAgree(t *testing.T) {
 		sim := MustNewSimulator(c)
 
 		// 8 word groups of random patterns: group g is one Run64 batch,
-		// groups 0..3 a Run256 batch, groups 0..7 a Run512 batch.
+		// groups 0..7 a Run512 batch.
 		in8 := make([][8]uint64, nIn)
 		key8 := make([][8]uint64, nKey)
 		for i := range in8 {
@@ -148,26 +148,6 @@ func TestProgramWidthsAgree(t *testing.T) {
 			}
 		}
 
-		in4 := make([][4]uint64, nIn)
-		key4 := make([][4]uint64, nKey)
-		for i := range in4 {
-			copy(in4[i][:], in8[i][:4])
-		}
-		for i := range key4 {
-			copy(key4[i][:], key8[i][:4])
-		}
-		got4, err := sim.Run256(in4, key4)
-		if err != nil {
-			t.Fatalf("trial %d: Run256: %v", trial, err)
-		}
-		for o := range got4 {
-			for g := 0; g < 4; g++ {
-				if got4[o][g] != want[g][o] {
-					t.Fatalf("trial %d: Run256 out[%d] word %d = %#x, want %#x", trial, o, g, got4[o][g], want[g][o])
-				}
-			}
-		}
-
 		got8, err := sim.Run512(in8, key8)
 		if err != nil {
 			t.Fatalf("trial %d: Run512: %v", trial, err)
@@ -217,7 +197,7 @@ type emitOp struct {
 // accumulate chains whose destination is later reused, and constant ops
 // re-targeted at live registers. The reference interprets the Emit calls
 // in order with the per-gate Eval64; the scheduled program must leave
-// the same register file at 64, 256 and 512 lanes, and so must the
+// the same register file at 64 and 512 lanes, and so must the
 // unscheduled one.
 func TestProgramScheduleHazards(t *testing.T) {
 	cases := map[string][]emitOp{
@@ -310,7 +290,7 @@ func TestProgramScheduleHazards(t *testing.T) {
 			}
 		}
 
-		for _, width := range []int{1, 4, 8} {
+		for _, width := range []int{1, 8} {
 			for _, p := range []struct {
 				label string
 				prog  *Program
@@ -320,12 +300,9 @@ func TestProgramScheduleHazards(t *testing.T) {
 					for r := range init {
 						copy(regs[r*width:(r+1)*width], init[r][g0:g0+width])
 					}
-					switch width {
-					case 1:
+					if width == 1 {
 						p.prog.Exec(regs)
-					case 4:
-						p.prog.Exec256(regs)
-					case 8:
+					} else {
 						p.prog.Exec512(regs)
 					}
 					for r := range want {
@@ -350,17 +327,12 @@ func TestSimulatorRunsDoNotAllocate(t *testing.T) {
 	sim := MustNewSimulator(c)
 	in1 := make([]uint64, 8)
 	key1 := make([]uint64, 4)
-	in4 := make([][4]uint64, 8)
-	key4 := make([][4]uint64, 4)
 	in8 := make([][8]uint64, 8)
 	key8 := make([][8]uint64, 4)
 	inB := make([]bool, 8)
 	keyB := make([]bool, 4)
 	// Warm every lazily-allocated buffer.
 	if _, err := sim.Run64(in1, key1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run256(in4, key4); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run512(in8, key8); err != nil {
@@ -374,7 +346,6 @@ func TestSimulatorRunsDoNotAllocate(t *testing.T) {
 		fn   func()
 	}{
 		{"Run64", func() { sim.Run64(in1, key1) }},
-		{"Run256", func() { sim.Run256(in4, key4) }},
 		{"Run512", func() { sim.Run512(in8, key8) }},
 		{"Run", func() { sim.Run(inB, keyB) }},
 	} {
@@ -402,8 +373,6 @@ func BenchmarkRunWidths(b *testing.B) {
 		sim := MustNewSimulator(c)
 		in1 := make([]uint64, size.nIn)
 		key1 := make([]uint64, size.nKey)
-		in4 := make([][4]uint64, size.nIn)
-		key4 := make([][4]uint64, size.nKey)
 		in8 := make([][8]uint64, size.nIn)
 		key8 := make([][8]uint64, size.nKey)
 		for i := range in1 {
@@ -411,7 +380,6 @@ func BenchmarkRunWidths(b *testing.B) {
 			for j := 0; j < 8; j++ {
 				in8[i][j] = rng.Uint64()
 			}
-			copy(in4[i][:], in8[i][:4])
 		}
 		run := func(patterns int, fn func()) func(b *testing.B) {
 			return func(b *testing.B) {
@@ -423,7 +391,6 @@ func BenchmarkRunWidths(b *testing.B) {
 			}
 		}
 		b.Run(size.name+"/w64", run(64, func() { sim.Run64(in1, key1) }))
-		b.Run(size.name+"/w256", run(256, func() { sim.Run256(in4, key4) }))
 		b.Run(size.name+"/w512", run(512, func() { sim.Run512(in8, key8) }))
 	}
 }

@@ -13,8 +13,7 @@ import (
 )
 
 // Snapshot is a point-in-time copy of every metric in the registry,
-// JSON-serializable (the `-metrics-out x.json` form, and the telemetry
-// block embedded in BENCH_core.json).
+// JSON-serializable (the `-metrics-out x.json` form).
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`

@@ -3,8 +3,8 @@
 #
 # CLI side: runs caslock-attack with -events-out and -progress, then
 # validates the NDJSON event stream with tracecheck -events (seq
-# monotone, phases balanced, per-round DIP monotonicity, terminal
-# done). A second CLI leg pins the SAT regime (-sat-width-limit 12 on
+# monotone, phases nested, every dip_progress labelled with the
+# innermost open phase, per-round DIP monotonicity, terminal done). A second CLI leg pins the SAT regime (-sat-width-limit 12 on
 # a 14-input instance), so the stream also carries what the SAT
 # extractor and its engine publish through the shared run environment.
 # Daemon side: starts caslock-served, submits a job, consumes
