@@ -501,13 +501,18 @@ func overheads() ([]Overhead, error) {
 	return out, nil
 }
 
-// pairedRatio measures run(false) and run(true) in paired adjacent
-// fixed-budget blocks (plain then armed, repeated) and returns the
-// best-ratio pair's ns/op plus the armed-over-plain fraction.
-// Adjacent blocks share the machine's contention state, so the ratio
-// survives load drift that would swamp independently-measured
-// minimums on a busy host. Both paths are warmed once first (kernel
-// compilation, page faults, first snapshot).
+// overheadPairs is the number of adjacent plain/armed block pairs an
+// overhead measurement takes; the side that runs first alternates.
+const overheadPairs = 8
+
+// pairedRatio measures run(false) and run(true) in overheadPairs pairs
+// of adjacent fixed-budget blocks, alternating which side runs first,
+// and reduces them with medianPairRatio. Adjacent blocks share the
+// machine's contention state, so each ratio survives load drift that
+// would swamp independently-measured minimums on a busy host, and the
+// alternation cancels any advantage of running first or second. Both
+// paths are warmed once first (kernel compilation, page faults, first
+// snapshot).
 func pairedRatio(run func(arm bool) error) (plainNs, armedNs int64, change float64, err error) {
 	if err := run(false); err != nil {
 		return 0, 0, 0, err
@@ -528,21 +533,38 @@ func pairedRatio(run func(arm bool) error) (plainNs, armedNs int64, change float
 		}
 		return int64(time.Since(start)) / int64(iters)
 	}
-	bestRatio := math.Inf(1)
-	for i := 0; i < 4 && runErr == nil; i++ {
-		u := block(false)
-		a := block(true)
-		if runErr != nil {
-			break
-		}
-		if r := float64(a) / float64(u); r < bestRatio {
-			bestRatio, plainNs, armedNs = r, u, a
+	plain := make([]int64, overheadPairs)
+	armed := make([]int64, overheadPairs)
+	for i := 0; i < overheadPairs && runErr == nil; i++ {
+		if i%2 == 0 {
+			plain[i] = block(false)
+			armed[i] = block(true)
+		} else {
+			armed[i] = block(true)
+			plain[i] = block(false)
 		}
 	}
 	if runErr != nil {
 		return 0, 0, 0, runErr
 	}
-	return plainNs, armedNs, bestRatio - 1, nil
+	plainNs, armedNs, change = medianPairRatio(plain, armed)
+	return plainNs, armedNs, change, nil
+}
+
+// medianPairRatio reduces paired plain/armed ns/op samples to the
+// median plain and armed ns/op and the armed-over-plain fraction of the
+// median pair: the median of the per-pair ratios, minus one. Unlike the
+// best ratio, the median does not favour whichever side noise happened
+// to help.
+func medianPairRatio(plain, armed []int64) (plainNs, armedNs int64, change float64) {
+	ratios := make([]float64, len(plain))
+	ps := make([]float64, len(plain))
+	as := make([]float64, len(plain))
+	for i := range plain {
+		ratios[i] = float64(armed[i]) / float64(plain[i])
+		ps[i], as[i] = float64(plain[i]), float64(armed[i])
+	}
+	return int64(quantile(ps, 0.5)), int64(quantile(as, 0.5)), quantile(ratios, 0.5) - 1
 }
 
 // loadBaseline reads a previous report; a missing file is not an error

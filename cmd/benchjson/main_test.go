@@ -87,3 +87,20 @@ func TestQuartilesMatchPerfbench(t *testing.T) {
 		t.Errorf("quartiles = %v %v %v, want 1.5 3 4.5", q1, med, q3)
 	}
 }
+
+func TestMedianPairRatio(t *testing.T) {
+	// Ratios 0.80, 1.00, 1.02, 1.04, 1.06, 1.10, 1.20, 1.30: the best
+	// ratio would read -20%; the median of the eight is 1.05.
+	plain := []int64{100, 100, 100, 100, 100, 100, 100, 100}
+	armed := []int64{80, 120, 104, 130, 100, 106, 110, 102}
+	p, a, change := medianPairRatio(plain, armed)
+	if p != 100 || a != 105 || math.Abs(change-0.05) > 1e-12 {
+		t.Errorf("medianPairRatio = %d, %d, %+.4f; want 100, 105, +0.0500", p, a, change)
+	}
+	// Pairs are reduced as pairs: a slow plain block is judged against
+	// its own armed block, not against the other pairs.
+	p, a, change = medianPairRatio([]int64{100, 200, 100}, []int64{101, 202, 103})
+	if p != 100 || a != 103 || math.Abs(change-0.01) > 1e-12 {
+		t.Errorf("medianPairRatio = %d, %d, %+.4f; want 100, 103, +0.0100", p, a, change)
+	}
+}

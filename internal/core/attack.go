@@ -16,6 +16,7 @@ import (
 	"repro/internal/miter"
 	"repro/internal/netlist"
 	"repro/internal/oracle"
+	"repro/internal/sat"
 	"repro/internal/telemetry"
 )
 
@@ -26,8 +27,6 @@ type Options struct {
 	Locked *netlist.Circuit
 	// Oracle is the activated chip.
 	Oracle oracle.Oracle
-	// Layout is the key-port layout; nil runs DiscoverLayout.
-	Layout *BlockLayout
 	// SATWidthLimit controls the regime boundary between the SAT
 	// extractor and the exhaustive simulation extractor. 0 — the
 	// default — runs a per-instance calibration probe (timed simulation
@@ -38,9 +37,6 @@ type Options struct {
 	// MaxCalibrations caps the Algorithm-2 brute-force loop over the
 	// calibration block's upper key bits (default 1<<20).
 	MaxCalibrations uint64
-	// MaxOnePoints caps the aligned DIP-set size the attack will
-	// materialize (default 1<<27).
-	MaxOnePoints uint64
 	// Workers is the shard worker count for the simulation extractor
 	// (0 = GOMAXPROCS).
 	Workers int
@@ -137,16 +133,9 @@ func Run(opts Options) (*Result, error) {
 	if opts.MaxCalibrations == 0 {
 		opts.MaxCalibrations = 1 << 20
 	}
-	if opts.MaxOnePoints == 0 {
-		opts.MaxOnePoints = 1 << 27
-	}
-	layout := opts.Layout
-	if layout == nil {
-		var err error
-		layout, err = DiscoverLayout(opts.Locked)
-		if err != nil {
-			return nil, err
-		}
+	layout, err := DiscoverLayout(opts.Locked)
+	if err != nil {
+		return nil, err
 	}
 	if err := layout.Validate(opts.Locked); err != nil {
 		return nil, err
@@ -211,9 +200,9 @@ type attack struct {
 	// crossover probe runs), registry, bus and current phase.
 	env *engine.Env
 	// sim is the locked netlist compiled once per attack; probing,
-	// distinguishing and the DIP replay all run on it. Its Run and Run64
-	// results share one output buffer, so a caller that holds one across
-	// another run copies it first.
+	// oracle adjudication and the DIP replay all run on it. Its Run and
+	// Run64 results share one output buffer, so a caller that holds one
+	// across another run copies it first.
 	sim *netlist.Simulator
 
 	root          *telemetry.Span
@@ -223,9 +212,6 @@ type attack struct {
 
 	evQueries uint64 // oracle queries since the last oracle_batch event
 
-	eng      *engine.Engine // persistent engine for SAT distinguishing
-	engTried bool
-
 	ck     *ckptState           // non-nil when a Checkpointer is armed
 	resume *checkpoint.Snapshot // pending resume state, consumed one-shot
 	bank   *bankedOracle        // response bank, non-nil when durability is armed
@@ -233,31 +219,6 @@ type attack struct {
 	queries      uint64
 	calibrations int
 	candidates   int
-}
-
-// engine returns the SAT extractor's persistent incremental engine. In
-// the simulation-extractor regime (wide blocks) no engine exists and
-// callers fall back to the structural-hashing prover — deliberately: a
-// distinguishing query there is almost always an equivalence proof of
-// the netlist under two keys, which hashing with the keys folded in
-// collapses to their key-dependent cones in milliseconds, while a cold
-// CDCL instance pays an encoding plus a full UNSAT search (measured 20x
-// slower on the c880-profile Table-I row). The engine only wins where
-// it is already warm from SAT enumeration.
-func (a *attack) engine() *engine.Engine {
-	if a.engTried {
-		return a.eng
-	}
-	a.engTried = true
-	if se, ok := a.ext.(*SATExtractor); ok {
-		eng, err := se.Engine()
-		if err == nil {
-			a.eng = eng
-		} else {
-			a.logf("incremental engine unavailable (%v): falling back to throwaway miters", err)
-		}
-	}
-	return a.eng
 }
 
 // oracleEventBatch and dipEventBatch throttle the hot-path event
@@ -486,6 +447,10 @@ func (a *attack) decode(parent *telemetry.Span, dips *DIPSet) (*structured, erro
 	return st, nil
 }
 
+// maxOnePoints caps the aligned DIP-set size the attack will
+// materialize.
+const maxOnePoints = 1 << 27
+
 // decodeChain is the Lemma-2 half of decode: split the DIP set by its
 // top bit and invert the closed form |A| = 1 + Σ 2^{c_i} into the chain
 // configuration.
@@ -515,8 +480,8 @@ func (a *attack) decodeChain(parent *telemetry.Span, dips *DIPSet) (st *structur
 	if chainH.Terminator() != lock.ChainAnd {
 		return nil, fmt.Errorf("core: structured class implies an OR-terminated chain in reduced space; wrong hypothesis")
 	}
-	if st.nBig > a.opts.MaxOnePoints {
-		return nil, fmt.Errorf("core: structured class has %d patterns, beyond MaxOnePoints", st.nBig)
+	if st.nBig > maxOnePoints {
+		return nil, fmt.Errorf("core: structured class has %d patterns, beyond %d", st.nBig, maxOnePoints)
 	}
 	st.chainH = chainH
 	st.w = newOnePointSet(chainH)
@@ -904,7 +869,7 @@ func (a *attack) verifyCandidates(active int, calib uint64, st *structured) (*Re
 			if err := a.ctxErr(); err != nil {
 				return nil, a.partial("verify", active, st, err)
 			}
-			witness, equivalent, err := a.distinguish(survivors[i].key, survivors[j].key, st)
+			witness, equivalent, err := a.distinguish(survivors[i].key, survivors[j].key, distinguishConflictBudget)
 			if err != nil {
 				return nil, a.verifyErr(active, st, err)
 			}
@@ -964,104 +929,34 @@ func (a *attack) verifyErr(active int, st *structured, err error) error {
 const distinguishConflictBudget = 200000
 
 // distinguish finds an input on which the locked circuit behaves
-// differently under the two keys, or reports that none was found. It
-// first sweeps the extracted block space by bit-parallel simulation
-// (wrong candidate pairs differ on block patterns, and this finds the
-// witness in milliseconds); only if the sweep is clean does it fall to
-// SAT — normally an assumption query against the persistent engine,
-// whose learned clauses from the enumeration phases make repeated
-// pairwise probes cheap, or, in the simulation regime where no engine
-// exists, a throwaway structurally-hashed miter with both keys folded
-// in as constants (miter.ProveKeysEquivalentBudget). Both run under
-// distinguishConflictBudget with the same Unknown-means-equivalent
-// contract.
-func (a *attack) distinguish(keyA, keyB []bool, st *structured) (witness []bool, equivalent bool, err error) {
-	if w, found, err := a.simDistinguish(keyA, keyB, st); err != nil {
-		return nil, false, err
-	} else if found {
-		return w, false, nil
-	}
-	if eng := a.engine(); eng != nil {
-		out, err := eng.DistinguishEx(keyA, keyB, distinguishConflictBudget)
-		if err != nil {
-			return nil, false, err
-		}
-		if !out.Reason.Definitive() {
-			// The Unknown-means-equivalent contract stands (candidates die
-			// only on oracle disagreement), but a starved verdict is worth
-			// a trace: the engine already counted and published it, the log
-			// line ties it to this candidate pair.
-			a.logf("distinguish verdict %s (budget %d): treating candidates as equivalent", out.Reason, uint64(distinguishConflictBudget))
-		}
-		return out.Witness, out.Equivalent, nil
-	}
-	eq, w, err := miter.ProveKeysEquivalentBudget(a.opts.Locked, keyA, keyB, distinguishConflictBudget)
+// differently under the two keys with one query to the keyed,
+// structurally hashed miter (miter.DistinguishKeys): both keys are
+// folded in as constants, so only their key-dependent cones face the
+// solver. It returns a witness, or equivalent=true when the keys are
+// proved equivalent or the conflict budget (0 = unlimited) runs out
+// first. A starved verdict is counted in
+// engine_distinguish_unknown_total, published as a distinguish event
+// and logged, so it never passes for a proof unseen.
+func (a *attack) distinguish(keyA, keyB []bool, budget uint64) (witness []bool, equivalent bool, err error) {
+	st, w, err := miter.DistinguishKeys(a.opts.Locked, keyA, keyB, budget)
 	if err != nil {
 		return nil, false, err
 	}
-	return w, eq, nil
-}
-
-// simDistinguish searches for a distinguishing input by simulating both
-// keys over the block space: the extracted DIP patterns, the candidate
-// corruption anchors, and a random sweep, 512 patterns per simulator
-// pass.
-func (a *attack) simDistinguish(keyA, keyB []bool, st *structured) ([]bool, bool, error) {
-	banksA, banksB := keyBanks(keyA), keyBanks(keyB)
-	mask := blockMask(a.layout.N())
-	wnc := NonControllingPattern(st.chainH)
-	patterns := []uint64{wnc, ^wnc & mask, st.dipNC, ^st.dipNC & mask}
-	const budget = 8 * 512
-	st.forEachBig(func(p uint64) bool {
-		if len(patterns) >= budget/2 {
-			return false
+	if st == sat.Unknown {
+		a.env.Tel.Counter("engine_distinguish_unknown_total").Inc()
+		if bus := a.env.Bus; bus != nil {
+			bus.Publish(events.Event{
+				Type:  events.TypeDistinguish,
+				Phase: a.env.Phase,
+				Fields: map[string]string{
+					"reason": "unknown_budget",
+					"budget": strconv.FormatUint(budget, 10),
+				},
+			})
 		}
-		patterns = append(patterns, p)
-		return true
-	})
-	st.forEachSmall(func(p uint64) bool {
-		if len(patterns) >= 3*budget/4 {
-			return false
-		}
-		patterns = append(patterns, p)
-		return true
-	})
-	for len(patterns) < budget {
-		patterns = append(patterns, a.rng.Uint64()&mask)
+		a.logf("distinguish verdict unknown_budget (budget %d): treating candidates as equivalent", budget)
 	}
-	in := make([]uint64, a.opts.Locked.NumInputs())
-	in8 := make([][8]uint64, len(in))
-	outA := make([][8]uint64, a.opts.Locked.NumOutputs())
-	for base := 0; base < budget; base += 512 {
-		for g := 0; g < 8; g++ {
-			a.packBlocks(in, patterns[base+64*g:base+64*(g+1)])
-			for i, w := range in {
-				in8[i][g] = w
-			}
-		}
-		got, err := a.sim.Run512(in8, banksA)
-		if err != nil {
-			return nil, false, err
-		}
-		copy(outA, got)
-		got, err = a.sim.Run512(in8, banksB)
-		if err != nil {
-			return nil, false, err
-		}
-		for g := 0; g < 8; g++ {
-			var diff uint64
-			for o := range got {
-				diff |= outA[o][g] ^ got[o][g]
-			}
-			if diff != 0 {
-				for i := range in {
-					in[i] = in8[i][g]
-				}
-				return laneInput(in, trailingZeros(diff)), true, nil
-			}
-		}
-	}
-	return nil, false, nil
+	return w, st != sat.Sat, nil
 }
 
 // agreesWithOracle checks the locked circuit under key against the

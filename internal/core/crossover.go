@@ -183,7 +183,7 @@ func (a *attack) chooseExtractor() (Extractor, error) {
 	defer cancel()
 	a.env.Ctx = probeCtx
 	defer func() { a.env.Ctx = ctx }()
-	eng, err := satExt.Engine()
+	eng, err := satExt.engine()
 	if err != nil || eng == nil {
 		return pick("sim", "engine-unavailable", se), nil
 	}

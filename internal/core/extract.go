@@ -128,11 +128,10 @@ func (e *SATExtractor) takeSeed() *DIPSet {
 	return s
 }
 
-// Engine returns the persistent incremental engine, building it on
-// first use. The attack shares this engine for its SAT-based candidate
-// distinguishing, so verifier queries profit from the clauses the
-// enumeration phases learned.
-func (e *SATExtractor) Engine() (*engine.Engine, error) {
+// engine returns the persistent incremental engine, building it on
+// first use. The crossover probe enumerates on it too, so the clauses
+// the probe learned serve the attack's own extraction.
+func (e *SATExtractor) engine() (*engine.Engine, error) {
 	if e.eng == nil {
 		eng, err := engine.New(e.locked, e.layout.InputPos, e.env)
 		if err != nil {
@@ -150,7 +149,7 @@ func (e *SATExtractor) Engine() (*engine.Engine, error) {
 // is re-encoded. It honors a context: on expiry the partially enumerated
 // set is returned with the context's error.
 func (e *SATExtractor) DIPs(assign PairAssign) (*DIPSet, error) {
-	eng, err := e.Engine()
+	eng, err := e.engine()
 	if err != nil {
 		return nil, err
 	}

@@ -76,7 +76,7 @@ func NonControllingPattern(chain lock.ChainConfig) uint64 {
 // input, non-controlling values above, free bits below) plus w_nc. The
 // result has exactly MaxDIPs(chain) elements. Used by tests and by the
 // structure validation inside the attack; the count must stay below
-// 2^28 (the attack guards with MaxOnePoints before calling).
+// 2^28 (the attack guards with maxOnePoints before calling).
 func OnePoints(chain lock.ChainConfig) []uint64 {
 	total := MaxDIPs(chain)
 	if total > 1<<28 {

@@ -44,7 +44,6 @@ func RunMCAS(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*MCASRes
 	}
 	inner := opts
 	inner.Locked = stripped
-	inner.Layout = nil
 	inner.Oracle = orc
 	res, err := Run(inner)
 	if err != nil {

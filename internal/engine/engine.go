@@ -4,9 +4,8 @@
 // into one long-lived CDCL instance, with the key bits of both copies
 // left as free variables. Every SAT phase of the
 // attack — the Lemma-1 hypothesis extractions, each blocking-clause
-// enumeration step, the calibration sweep's re-extractions, and the
-// pairwise candidate distinguishing of the verifier — is then an
-// assumption-driven query against that single solver, so learned clauses
+// enumeration step and the calibration sweep's re-extractions — is then
+// an assumption-driven query against that single solver, so learned clauses
 // and variable activity accumulated in one phase keep paying off in the
 // next instead of dying with a per-assignment re-encode.
 //
@@ -80,8 +79,8 @@ type Env struct {
 	// sat_* counters plus the engine_* families, and solve sessions
 	// trace as spans on telemetry.EngineLane. Nil is uninstrumented.
 	Tel *telemetry.Registry
-	// Bus receives lifecycle events: a distinguish query whose conflict
-	// budget runs out publishes a distinguish event. Nil publishes
+	// Bus receives the lifecycle events of the components sharing the
+	// environment (the engine itself publishes none). Nil publishes
 	// nothing.
 	Bus *events.Bus
 	// Phase labels solver work for per-phase attribution: the phase arg
@@ -388,106 +387,6 @@ func (e *Engine) EnumerateDIPsSeeded(A, B []bool, seed func(yield func(pat uint6
 		}
 		return visit(pat)
 	})
-}
-
-// DistinguishReason types how a distinguish verdict was reached, so
-// budget-starved "equivalent" answers are observable instead of silently
-// identical to proofs.
-type DistinguishReason string
-
-const (
-	// ReasonWitness: a concrete disagreement input was found.
-	ReasonWitness DistinguishReason = "witness"
-	// ReasonProved: the solver proved the keys equivalent (Unsat).
-	ReasonProved DistinguishReason = "proved"
-	// ReasonUnknownBudget: the conflict budget ran out; the pair is
-	// reported equivalent without a proof.
-	ReasonUnknownBudget DistinguishReason = "unknown_budget"
-)
-
-// Definitive reports whether the reason carries a real verdict (witness
-// or proof) rather than a budget artifact.
-func (r DistinguishReason) Definitive() bool {
-	return r == ReasonWitness || r == ReasonProved
-}
-
-// DistinguishOutcome is the full result of a distinguish query.
-type DistinguishOutcome struct {
-	// Witness is the full primary-input vector of a disagreement, nil
-	// when none was found.
-	Witness []bool
-	// Equivalent is true when no disagreement was found — by proof
-	// (ReasonProved) or by running out of budget (see Reason).
-	Equivalent bool
-	// Reason types the verdict.
-	Reason DistinguishReason
-}
-
-// Distinguish searches for a primary-input pattern on which the locked
-// circuit behaves differently under keyA and keyB: the same persistent
-// miter answers with KA/KB fixed by assumptions and the disagreement
-// output assumed true. It returns (witness, false, nil) with the full
-// input vector of a disagreement, or (nil, true, nil) when the keys are
-// proved equivalent — or when the conflict budget runs out first, which
-// callers must treat as "no difference found" exactly as with
-// miter.ProveKeysEquivalentBudget (safe when candidates are only ever
-// eliminated on concrete oracle disagreements). budget 0 is unbounded.
-// Use DistinguishEx to tell those two "equivalent" answers apart.
-func (e *Engine) Distinguish(keyA, keyB []bool, budget uint64) (witness []bool, equivalent bool, err error) {
-	out, err := e.DistinguishEx(keyA, keyB, budget)
-	if err != nil {
-		return nil, false, err
-	}
-	return out.Witness, out.Equivalent, nil
-}
-
-// DistinguishEx is Distinguish with a typed outcome: budget-starved
-// verdicts are marked ReasonUnknownBudget, counted in
-// engine_distinguish_unknown_total, and published as a distinguish
-// event, so they can no longer masquerade as proofs. A cancelled or
-// expired context returns the context's error, never a verdict.
-func (e *Engine) DistinguishEx(keyA, keyB []bool, budget uint64) (DistinguishOutcome, error) {
-	if err := e.ensure(); err != nil {
-		return DistinguishOutcome{}, err
-	}
-	if err := e.checkKeys(keyA, keyB); err != nil {
-		return DistinguishOutcome{}, err
-	}
-	flush := e.beginSession("engine_distinguish")
-	defer flush()
-	defer func() { e.solver.ConflictBudget = 0 }()
-
-	assume := e.keyAssumptions(e.assume[:0], keyA, keyB)
-	assume = append(assume, e.diff)
-	e.assume = assume
-
-	e.solver.ConflictBudget = budget
-	st, err := e.solve(assume)
-	if err != nil {
-		return DistinguishOutcome{}, err
-	}
-	switch st {
-	case sat.Unknown:
-		e.env.Tel.Counter("engine_distinguish_unknown_total").Inc()
-		if bus := e.env.Bus; bus != nil {
-			bus.Publish(events.Event{
-				Type:  events.TypeDistinguish,
-				Phase: e.env.Phase,
-				Fields: map[string]string{
-					"reason": string(ReasonUnknownBudget),
-					"budget": strconv.FormatUint(budget, 10),
-				},
-			})
-		}
-		return DistinguishOutcome{Equivalent: true, Reason: ReasonUnknownBudget}, nil
-	case sat.Unsat:
-		return DistinguishOutcome{Equivalent: true, Reason: ReasonProved}, nil
-	}
-	w := make([]bool, len(e.inputs))
-	for i, l := range e.inputs {
-		w[i] = e.solver.ModelValue(l)
-	}
-	return DistinguishOutcome{Witness: w, Reason: ReasonWitness}, nil
 }
 
 // retireScope closes the enumeration's blocking scope and compacts the

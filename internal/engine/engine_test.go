@@ -7,11 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/events"
 	"repro/internal/lock"
-	"repro/internal/miter"
 	"repro/internal/netlist"
-	"repro/internal/oracle"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
 )
@@ -213,72 +210,6 @@ func TestEnumerateDIPsSeeded(t *testing.T) {
 	}
 }
 
-// TestDistinguishAgreesWithProver compares the persistent-miter
-// distinguisher with the standalone SAT equivalence prover on random key
-// pairs, and validates every witness by direct evaluation.
-func TestDistinguishAgreesWithProver(t *testing.T) {
-	locked := lockedInstance(t, 7, "2A-O-2A", 11)
-	eng, err := New(locked, allInputs(locked), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
-	nk := locked.NumKeys()
-	sawEquivalent, sawWitness := false, false
-	check := func(keyA, keyB []bool) {
-		t.Helper()
-		w, eq, err := eng.Distinguish(keyA, keyB, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		actA, err := oracle.Activate(locked, keyA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		actB, err := oracle.Activate(locked, keyB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantEq, _, err := miter.ProveEquivalent(actA, actB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if eq != wantEq {
-			t.Fatalf("Distinguish says equivalent=%v, prover says %v", eq, wantEq)
-		}
-		if eq {
-			sawEquivalent = true
-			return
-		}
-		sawWitness = true
-		a, err := locked.Eval(w, keyA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := locked.Eval(w, keyB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		differs := false
-		for i := range a {
-			if a[i] != b[i] {
-				differs = true
-			}
-		}
-		if !differs {
-			t.Fatal("witness does not distinguish the keys")
-		}
-	}
-	for trial := 0; trial < 10; trial++ {
-		keyA := randomKey(rng, nk)
-		check(keyA, keyA) // identical keys: always equivalent
-		check(keyA, randomKey(rng, nk))
-	}
-	if !sawEquivalent || !sawWitness {
-		t.Fatalf("coverage hole: equivalent=%v witness=%v", sawEquivalent, sawWitness)
-	}
-}
-
 // TestPhaseAttribution checks the engine_phase_solves_total counters:
 // work is labelled with the environment's phase as it changes, the
 // per-phase solve counts sum to the solver totals, and the engine_*
@@ -296,9 +227,7 @@ func TestPhaseAttribution(t *testing.T) {
 	env.Phase = "enumerate"
 	collect(t, eng, randomKey(rng, nk), randomKey(rng, nk))
 	env.Phase = "verify"
-	if _, _, err := eng.Distinguish(randomKey(rng, nk), randomKey(rng, nk), 0); err != nil {
-		t.Fatal(err)
-	}
+	collect(t, eng, randomKey(rng, nk), randomKey(rng, nk))
 	snap := reg.Snapshot()
 	solves := make(map[string]uint64)
 	for name, v := range snap.Counters {
@@ -375,10 +304,6 @@ func TestEnumerateCancelled(t *testing.T) {
 			_, _, err = s.FindDIP()
 			return err
 		}},
-		{"DistinguishEx", func(e *Engine) error {
-			_, err := e.DistinguishEx(keyA, keyB, 200000)
-			return err
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -445,54 +370,5 @@ func TestCompactBytesTrigger(t *testing.T) {
 	eng.SetCompactBytes(0) // ignored
 	if eng.compactBytes != 1 {
 		t.Fatal("SetCompactBytes(0) was not ignored")
-	}
-}
-
-// TestDistinguishUnknownObservable pins the budget-starvation path: a
-// one-conflict budget must produce ReasonUnknownBudget (never a silent
-// "proved"), increment engine_distinguish_unknown_total, and publish a
-// distinguish event with the reason.
-func TestDistinguishUnknownObservable(t *testing.T) {
-	locked := lockedInstance(t, 7, "2A-O-2A", 11)
-	reg := telemetry.New()
-	bus := events.New(events.Options{})
-	eng, err := New(locked, allInputs(locked), &Env{Tel: reg, Bus: bus})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(53))
-	nk := locked.NumKeys()
-	var unknowns uint64
-	for trial := 0; trial < 6; trial++ {
-		keyA := randomKey(rng, nk)
-		out, err := eng.DistinguishEx(keyA, keyA, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch out.Reason {
-		case ReasonUnknownBudget:
-			unknowns++
-			if !out.Equivalent {
-				t.Fatal("unknown_budget must still report equivalent (Unknown-means-equivalent contract)")
-			}
-		case ReasonProved:
-		default:
-			t.Fatalf("trial %d: unexpected reason %q", trial, out.Reason)
-		}
-	}
-	if unknowns == 0 {
-		t.Skip("every 1-conflict solve completed; nothing to observe on this host")
-	}
-	if got := reg.Snapshot().Counters["engine_distinguish_unknown_total"]; got != unknowns {
-		t.Fatalf("engine_distinguish_unknown_total = %d, want %d", got, unknowns)
-	}
-	found := false
-	for _, ev := range bus.History(0) {
-		if ev.Type == events.TypeDistinguish && ev.Fields["reason"] == string(ReasonUnknownBudget) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no distinguish event with reason=unknown_budget on the bus")
 	}
 }

@@ -365,9 +365,10 @@ func TestSessionScopeLifetime(t *testing.T) {
 // TestHashedMiterDifferential checks the engine's hashed free-key
 // miter against the plain-encoder miter (miter.NewKeyDiff through
 // cnf.EncodeInto) and exhaustive simulation on every registry scheme:
-// on random key pairs, Distinguish must reach the same verdict with a
-// genuine witness, and EnumerateWitnesses must yield exactly the
-// disagreement set, which the plain miter's enumeration matches too.
+// on random key pairs, EnumerateWitnesses must yield exactly the
+// disagreement set, which the plain miter's enumeration matches too, and
+// the verifier's keyed miter (miter.DistinguishKeys) must reach the same
+// verdict with a genuine witness.
 func TestHashedMiterDifferential(t *testing.T) {
 	var equivalent, differing int
 	for _, sch := range lock.Schemes() {
@@ -386,12 +387,13 @@ func TestHashedMiterDifferential(t *testing.T) {
 		for i, p := range pairs {
 			label := fmt.Sprintf("%s/pair%d", sch.Name, i)
 			want := bruteDIPs(t, c, p[0], p[1])
-			w, eq, err := e.Distinguish(p[0], p[1], 0)
+			st, w, err := miter.DistinguishKeys(c, p[0], p[1], 0)
 			if err != nil {
 				t.Fatal(err)
 			}
+			eq := st == sat.Unsat
 			if eq != (len(want) == 0) {
-				t.Fatalf("%s: Distinguish equivalent=%v, simulation finds %d witnesses", label, eq, len(want))
+				t.Fatalf("%s: DistinguishKeys says %v, simulation finds %d witnesses", label, st, len(want))
 			}
 			if !eq && !want[netlist.UintFromPattern(w)] {
 				t.Fatalf("%s: witness %v does not distinguish the keys", label, w)

@@ -143,14 +143,16 @@ func distinguishes(t testing.TB, c *netlist.Circuit, in, keyA, keyB []bool) bool
 	return false
 }
 
-// checkKeyedPair decides one key pair four ways — the keyed miter, the
-// hashed miter over two activated copies, the plain Tseitin miter over
-// the same copies, and exhaustive simulation — and requires agreement,
-// plus a distinguishing witness whenever the keyed miter finds one. It
-// returns the agreed verdict.
-func checkKeyedPair(t testing.TB, label string, c *netlist.Circuit, keyA, keyB []bool) bool {
+// checkKeyedPair decides one key pair with the keyed miter under
+// budget (0 = unlimited) and checks the typed verdict against three
+// independent deciders — the hashed miter over two activated copies, the
+// plain Tseitin miter over the same copies, and exhaustive simulation:
+// Unknown occurs only under a positive budget, Unsat only for keys no
+// input separates, and a Sat witness always distinguishes the keys. It
+// returns the verdict.
+func checkKeyedPair(t testing.TB, label string, c *netlist.Circuit, keyA, keyB []bool, budget uint64) sat.Status {
 	t.Helper()
-	eq, w, err := ProveKeysEquivalentBudget(c, keyA, keyB, 0)
+	st, w, err := DistinguishKeys(c, keyA, keyB, budget)
 	if err != nil {
 		t.Fatalf("%s: keyed miter: %v", label, err)
 	}
@@ -171,17 +173,30 @@ func checkKeyedPair(t testing.TB, label string, c *netlist.Circuit, keyA, keyB [
 		t.Fatalf("%s: plain miter: %v", label, err)
 	}
 	exhaustive := exhaustiveDiff(t, c, keyA, keyB) == nil
-	if eq != hashed || eq != plain || eq != exhaustive {
-		t.Fatalf("%s: verdicts disagree: keyed=%v activated-hashed=%v plain=%v exhaustive=%v",
-			label, eq, hashed, plain, exhaustive)
+	if hashed != plain || hashed != exhaustive {
+		t.Fatalf("%s: verdicts disagree: activated-hashed=%v plain=%v exhaustive=%v", label, hashed, plain, exhaustive)
 	}
-	if eq && w != nil {
-		t.Fatalf("%s: equivalent verdict carries a witness", label)
+	switch st {
+	case sat.Unknown:
+		if budget == 0 {
+			t.Fatalf("%s: unlimited search returned Unknown", label)
+		}
+		if w != nil {
+			t.Fatalf("%s: Unknown verdict carries a witness", label)
+		}
+	case sat.Unsat:
+		if !exhaustive {
+			t.Fatalf("%s: keys that simulation separates were proved equivalent", label)
+		}
+		if w != nil {
+			t.Fatalf("%s: Unsat verdict carries a witness", label)
+		}
+	case sat.Sat:
+		if !distinguishes(t, c, w, keyA, keyB) {
+			t.Fatalf("%s: SAT witness %v does not distinguish the keys", label, w)
+		}
 	}
-	if !eq && !distinguishes(t, c, w, keyA, keyB) {
-		t.Fatalf("%s: SAT witness %v does not distinguish the keys", label, w)
-	}
-	return eq
+	return st
 }
 
 // checkInputFolding checks the hashed encoder with primary inputs as
@@ -270,10 +285,10 @@ func TestKeyedMiterDifferential(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i, p := range keyPairs(l.Key, rng) {
 				label := fmt.Sprintf("%s/seed%d/pair%d", s.Name, seed, i)
-				eq := checkKeyedPair(t, label, l.Circuit, p[0], p[1])
+				st := checkKeyedPair(t, label, l.Circuit, p[0], p[1], 0)
 				checkInputFolding(t, label, l.Circuit, p[0], p[1], rng.Uint64(), rng.Uint64())
 				switch {
-				case !eq:
+				case st == sat.Sat:
 					differing++
 				case i > 0:
 					equivalent++
@@ -287,33 +302,20 @@ func TestKeyedMiterDifferential(t *testing.T) {
 	t.Logf("%d equivalent and %d differing pairs of distinct keys", equivalent, differing)
 }
 
-// TestKeyedMiterBudgetContract pins the Unknown-means-equivalent
-// contract under a starved budget: every verdict is either a
-// distinguishing witness or "equivalent" with a nil witness, and at
-// least one differing pair comes back equivalent, so the Unknown path
-// really ran.
+// TestKeyedMiterBudgetContract pins the typed verdict under a starved
+// budget: checkKeyedPair holds every Unsat to exhaustive simulation and
+// every witness to the keys, and at least one pair comes back Unknown,
+// so the starved path really ran.
 func TestKeyedMiterBudgetContract(t *testing.T) {
 	unknowns := 0
 	for _, s := range lock.Schemes() {
 		for seed := int64(1); seed <= 4; seed++ {
 			l := mustKeyedInstance(t, s, seed*31)
 			rng := rand.New(rand.NewSource(seed))
-			for _, p := range keyPairs(l.Key, rng) {
-				eq, w, err := ProveKeysEquivalentBudget(l.Circuit, p[0], p[1], 1)
-				if err != nil {
-					t.Fatalf("%s: %v", s.Name, err)
-				}
-				if eq {
-					if w != nil {
-						t.Fatalf("%s: budgeted equivalent verdict carries a witness", s.Name)
-					}
-					if exhaustiveDiff(t, l.Circuit, p[0], p[1]) != nil {
-						unknowns++
-					}
-					continue
-				}
-				if !distinguishes(t, l.Circuit, w, p[0], p[1]) {
-					t.Fatalf("%s: budgeted witness does not distinguish the keys", s.Name)
+			for i, p := range keyPairs(l.Key, rng) {
+				label := fmt.Sprintf("%s/seed%d/pair%d", s.Name, seed, i)
+				if checkKeyedPair(t, label, l.Circuit, p[0], p[1], 1) == sat.Unknown {
+					unknowns++
 				}
 			}
 		}
@@ -321,27 +323,28 @@ func TestKeyedMiterBudgetContract(t *testing.T) {
 	if unknowns == 0 {
 		t.Fatal("a one-conflict budget never ran out: the Unknown path went untested")
 	}
-	t.Logf("%d differing pairs reported equivalent under a one-conflict budget", unknowns)
+	t.Logf("%d pairs came back Unknown under a one-conflict budget", unknowns)
 }
 
 // TestKeyedMiterRejectsBadKeys: keys of the wrong length are errors.
 func TestKeyedMiterRejectsBadKeys(t *testing.T) {
 	l := mustKeyedInstance(t, lock.Schemes()[0], 3)
-	if _, _, err := ProveKeysEquivalentBudget(l.Circuit, l.Key[1:], l.Key, 0); err == nil {
+	if _, _, err := DistinguishKeys(l.Circuit, l.Key[1:], l.Key, 0); err == nil {
 		t.Error("short key accepted")
 	}
 }
 
-// FuzzKeyedMiter draws a registry scheme, a small random host and a key
-// pair, and requires the keyed miter to agree with the activated-copy
-// miters and exhaustive simulation. Its folding leg fixes the inputs in
+// FuzzKeyedMiter draws a registry scheme, a small random host, a key
+// pair and a conflict budget of 0–3, and requires the keyed miter's
+// verdict to agree with the activated-copy miters and exhaustive
+// simulation (Unknown only under a positive budget). Its folding leg fixes the inputs in
 // fix to the bits of vals and checks the hashed encoding of that
 // subcube against simulation.
 func FuzzKeyedMiter(f *testing.F) {
 	for i := range lock.Schemes() {
-		f.Add(uint8(i), int64(i+1), int64(7*i), uint8(i), uint16(0x155*i), uint16(0x2a3*i))
+		f.Add(uint8(i), int64(i+1), int64(7*i), uint8(i), uint8(i), uint16(0x155*i), uint16(0x2a3*i))
 	}
-	f.Fuzz(func(t *testing.T, scheme uint8, seed, keySeed int64, pair uint8, fix, vals uint16) {
+	f.Fuzz(func(t *testing.T, scheme uint8, seed, keySeed int64, pair, budget uint8, fix, vals uint16) {
 		schemes := lock.Schemes()
 		s := schemes[int(scheme)%len(schemes)]
 		l, err := keyedInstance(s, seed)
@@ -350,7 +353,7 @@ func FuzzKeyedMiter(f *testing.F) {
 		}
 		pairs := keyPairs(l.Key, rand.New(rand.NewSource(keySeed)))
 		p := pairs[int(pair)%len(pairs)]
-		_ = checkKeyedPair(t, s.Name, l.Circuit, p[0], p[1])
+		_ = checkKeyedPair(t, s.Name, l.Circuit, p[0], p[1], uint64(budget%4))
 		checkInputFolding(t, s.Name, l.Circuit, p[0], p[1], uint64(fix), uint64(vals))
 	})
 }
