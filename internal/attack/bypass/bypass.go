@@ -23,9 +23,6 @@ import (
 
 // Options configures both forms of the attack.
 type Options struct {
-	// Layout is the CAS key-port layout Run enumerates over (nil:
-	// discovered automatically). RunGenericOpts ignores it.
-	Layout *core.BlockLayout
 	// MaxFixes aborts when the bypass would need more corrections than
 	// this (0 = 1<<16 for Run, 1<<12 for RunGenericOpts), modeling the
 	// practical area budget that makes the attack infeasible on
@@ -58,13 +55,9 @@ type Result struct {
 // chosen key is caught), queries the oracle on each DIP to learn the
 // correct outputs, and synthesizes a comparator-plus-XOR bypass.
 func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, error) {
-	layout := opts.Layout
-	if layout == nil {
-		var err error
-		layout, err = core.DiscoverLayout(locked)
-		if err != nil {
-			return nil, err
-		}
+	layout, err := core.DiscoverLayout(locked)
+	if err != nil {
+		return nil, err
 	}
 	maxFixes := opts.MaxFixes
 	if maxFixes == 0 {
@@ -81,7 +74,6 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 	}
 	env := &engine.Env{Ctx: opts.Context, Tel: opts.Telemetry, Phase: "bypass"}
 	var ext core.Extractor
-	var err error
 	if n <= 12 {
 		ext, err = core.NewSATExtractor(locked, layout, env)
 	} else {

@@ -94,7 +94,8 @@ type Options struct {
 // Result reports a successful key recovery.
 type Result struct {
 	// Key is a correct key for the locked circuit, in its key-input
-	// order.
+	// order. It stands for its joint-complement class: the key with
+	// every bit complemented is equally correct.
 	Key []bool
 	// Chain is the recovered cascade configuration (under the convention
 	// that block 1 of the layout is g_cas).
@@ -114,7 +115,8 @@ type Result struct {
 	TotalDIPs uint64
 	// Extractions counts DIP-set extractions (including the calibration
 	// sweep); Calibrations counts brute-forced calibration candidates;
-	// CandidatesTried counts key candidates submitted to oracle probes.
+	// CandidatesTried counts key candidates submitted to oracle probes,
+	// one per joint-complement class (two per δ).
 	Extractions, Calibrations, CandidatesTried int
 	// OracleQueries counts the patterns the chip evaluated for the
 	// attack: 64 per packed batch (the shared probe and every DIP-replay
@@ -608,20 +610,19 @@ func (a *attack) deltaCandidates(st *structured) ([]uint64, error) {
 	if mismatch {
 		return nil, nil
 	}
+	// inV marks V by position in wList (which holds no duplicates).
 	var v []uint64
-	for _, w := range st.wList {
+	inV := make([]bool, len(st.wList))
+	for i, w := range st.wList {
 		if _, in := present[w]; !in {
 			v = append(v, w)
+			inV[i] = true
 		}
 	}
 	if len(v) == 0 {
 		return nil, nil // OVL = 0: calibration sweep needed
 	}
 	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-	vSet := make(map[uint64]struct{}, len(v))
-	for _, w := range v {
-		vSet[w] = struct{}{}
-	}
 	// δ satisfies: w ∈ V ⇒ w⊕δ ∈ W and w ∉ V ⇒ w⊕δ ∉ W. Candidates are
 	// translates of a pivot from V; a two-sided pivot prefilter (pivots
 	// drawn from both V and its complement) discriminates sharply, so
@@ -672,25 +673,22 @@ func (a *attack) deltaCandidates(st *structured) ([]uint64, error) {
 			return nil, nil
 		}
 		match := true
-		count := 0
-		for _, x := range st.wList {
+		for i, x := range st.wList {
 			if poll.hit() {
 				return nil, poll.err
 			}
-			in := st.w.has(x ^ cand)
-			if in {
-				count++
-			}
-			if in != containsU64(vSet, x) {
+			if st.w.has(x^cand) != inV[i] {
 				match = false
 				break
 			}
 		}
-		if match && count == len(v) {
+		if match {
 			out = append(out, cand)
 		}
 	}
-	return dedupeU64(out), nil
+	// cand = v[0]⊕w over distinct w, so out holds no duplicates.
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out, nil
 }
 
 // pickPivots selects up to k elements spread across a sorted slice.
@@ -702,24 +700,6 @@ func pickPivots(xs []uint64, k int) []uint64 {
 	for i := 0; i < k; i++ {
 		out = append(out, xs[i*(len(xs)-1)/(k-1)])
 	}
-	return out
-}
-
-func containsU64(m map[uint64]struct{}, x uint64) bool {
-	_, in := m[x]
-	return in
-}
-
-func dedupeU64(xs []uint64) []uint64 {
-	seen := make(map[uint64]struct{}, len(xs))
-	var out []uint64
-	for _, x := range xs {
-		if _, in := seen[x]; !in {
-			seen[x] = struct{}{}
-			out = append(out, x)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -811,101 +791,140 @@ func (a *attack) runWithActive(active int) (*Result, error) {
 	return res, err
 }
 
-// verifyCandidates builds the candidate key family from a decoded
-// structure and adjudicates it against the oracle: cheap probes, then
-// pairwise SAT distinguishing inputs, then the O(m) DIP replay.
+// candidate is one key candidate: the active and calibration blocks'
+// polarities, the key they build, and its build-order position (its id).
+type candidate struct {
+	id              int
+	aActive, aCalib uint64
+	key             []bool
+}
+
+// verifyCandidates confirms a key by elimination (the paper's "SAT-based
+// key verification", in the FALL form): every answered oracle batch, the
+// shared probe first and then eliminate's witnesses, removes each live
+// candidate that disagrees with it.
 func (a *attack) verifyCandidates(active int, calib uint64, st *structured) (*Result, error) {
-	n := a.layout.N()
-	// Key candidates: the active block's polarity is s or its complement
-	// (inherent ambiguity), the inter-block offset is δ⊕c or its
-	// complement (branch ambiguity of the class split).
-	mask := blockMask(n)
-	type cand struct{ aActive, aCalib uint64 }
-	var cands []cand
-	for _, delta := range st.deltas {
-		for _, d := range []uint64{delta ^ calib, (^delta & mask) ^ calib} {
-			for _, aAct := range []uint64{st.s & mask, ^st.s & mask} {
-				cands = append(cands, cand{aAct, aAct ^ d})
-			}
-		}
-	}
-	// Cheap oracle probes weed out grossly wrong candidates; the
-	// survivors then face the sound discriminator: pairwise SAT
-	// distinguishing inputs adjudicated by the oracle (the paper's
-	// "SAT-based key verification" from [6]). A candidate is only ever
-	// eliminated on a concrete disagreement with the oracle, so the true
-	// key always survives.
-	type scored struct {
-		cd  cand
-		key []bool
-	}
+	cands := a.buildCandidates(active, calib, st)
+	a.candidates += len(cands)
+	a.cCandidates.Add(uint64(len(cands)))
 	probe, err := a.newProbeSet(st)
 	if err != nil {
 		return nil, a.verifyErr(active, st, err)
 	}
-	var survivors []scored
-	for _, cd := range cands {
-		if err := a.ctxErr(); err != nil {
-			return nil, a.partial("verify", active, st, err)
+	live, err := a.keepAgreeing(probe, cands)
+	if err != nil {
+		return nil, a.verifyErr(active, st, err)
+	}
+	a.logf("%d candidates, %d survived probing", len(cands), len(live))
+	win, err := a.eliminate(live, st, distinguishConflictBudget)
+	if err != nil {
+		return nil, a.verifyErr(active, st, err)
+	}
+	if win == nil {
+		// Every candidate of a decode that passed the Lemma-2 structural
+		// checks was killed by a concrete oracle disagreement. On a correct
+		// oracle that is impossible (the true key's class is a candidate
+		// and never disagrees), so diagnose the oracle instead of guessing.
+		return nil, fmt.Errorf("%w: %d candidates eliminated", ErrOracleInconsistent, len(cands))
+	}
+	return a.report(active, st, win), nil
+}
+
+// buildCandidates emits one candidate per joint-complement class, two
+// per δ: the active block's polarity is s, and the inter-block offset is
+// δ⊕c or its complement (branch ambiguity of the class split). Key gates
+// are XOR/XNOR, so complementing every key bit of both blocks equals
+// complementing the block input: buildKey(active, ¬s, ¬c) unlocks
+// exactly when buildKey(active, s, c) does.
+func (a *attack) buildCandidates(active int, calib uint64, st *structured) []candidate {
+	mask := blockMask(a.layout.N())
+	s := st.s & mask
+	var cands []candidate
+	for _, delta := range st.deltas {
+		for _, d := range []uint64{delta ^ calib, (^delta & mask) ^ calib} {
+			cands = append(cands, candidate{id: len(cands), aActive: s, aCalib: s ^ d,
+				key: a.buildKey(active, s, s^d)})
 		}
-		a.candidates++
-		a.cCandidates.Inc()
-		key := a.buildKey(active, cd.aActive, cd.aCalib)
-		ok, err := a.passesProbes(probe, key)
+	}
+	return cands
+}
+
+// eliminate confirms one of the live candidates by elimination. live[0]
+// is distinguished from the others in order; the first witness is put
+// to the oracle once and every live candidate that disagrees with the
+// answer is removed. When no candidate yields a witness (proved
+// equivalent, or the budget ran out), live[0] is replayed on every DIP:
+// it wins, or it is removed. A candidate dies only on a confirmed oracle
+// disagreement, so an Unknown never removes the true key's class. A head
+// meets each candidate at most once, so the loop ends even when noise
+// voids both sides of a disagreement. nil means none is left.
+func (a *attack) eliminate(live []candidate, st *structured, budget uint64) (*candidate, error) {
+	head := -1
+	var tried map[int]bool // ids already distinguished from head
+	for len(live) > 0 {
+		if live[0].id != head {
+			head, tried = live[0].id, map[int]bool{}
+		}
+		var witness []bool
+		for _, c := range live[1:] {
+			if tried[c.id] {
+				continue
+			}
+			tried[c.id] = true
+			if err := a.ctxErr(); err != nil {
+				return nil, err
+			}
+			w, err := a.distinguish(live[0].key, c.key, budget)
+			if err != nil {
+				return nil, err
+			}
+			if witness = w; witness != nil {
+				break
+			}
+		}
+		if witness != nil {
+			want, err := a.opts.Oracle.Query(witness)
+			if err != nil {
+				return nil, err
+			}
+			a.countQueries(1)
+			answer := &probeSet{in: keyWords(witness), want: keyWords(want), lanes: 1}
+			if live, err = a.keepAgreeing(answer, live); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		a.logf("candidate %d: replaying all %d DIPs against the oracle", head, st.total)
+		err := a.verifyKeyOnDIPs(live[0].key, st)
+		if err == nil {
+			a.logf("candidate %d verified on every DIP", head)
+			return &live[0], nil
+		}
+		if !errors.Is(err, errDisagree) {
+			return nil, err
+		}
+		live = live[1:]
+	}
+	return nil, nil
+}
+
+// keepAgreeing filters cands in place down to the candidates that pass
+// the answered batch p.
+func (a *attack) keepAgreeing(p *probeSet, cands []candidate) ([]candidate, error) {
+	out := cands[:0]
+	for _, c := range cands {
+		if err := a.ctxErr(); err != nil {
+			return nil, err
+		}
+		ok, err := a.passesProbes(p, c.key)
 		if err != nil {
-			return nil, a.verifyErr(active, st, err)
+			return nil, err
 		}
 		if ok {
-			survivors = append(survivors, scored{cd, key})
+			out = append(out, c)
 		}
 	}
-	a.logf("%d candidates, %d survived probing", len(cands), len(survivors))
-	for i := 0; i < len(survivors); i++ {
-		alive := true
-		for j := 0; j < len(survivors) && alive; j++ {
-			if i == j {
-				continue
-			}
-			if err := a.ctxErr(); err != nil {
-				return nil, a.partial("verify", active, st, err)
-			}
-			witness, equivalent, err := a.distinguish(survivors[i].key, survivors[j].key, distinguishConflictBudget)
-			if err != nil {
-				return nil, a.verifyErr(active, st, err)
-			}
-			if equivalent {
-				continue
-			}
-			iOK, err := a.agreesWithOracle(witness, survivors[i].key)
-			if err != nil {
-				return nil, a.verifyErr(active, st, err)
-			}
-			if !iOK {
-				alive = false
-			}
-		}
-		if !alive {
-			continue
-		}
-		key := survivors[i].key
-		a.logf("candidate %d: replaying all %d DIPs against the oracle", i, st.total)
-		if err := a.verifyKeyOnDIPs(key, st); err != nil {
-			if cerr := a.ctxErr(); cerr != nil {
-				return nil, a.partial("verify", active, st, cerr)
-			}
-			if errors.Is(err, oracle.ErrPermanent) {
-				return nil, a.verifyErr(active, st, err)
-			}
-			continue
-		}
-		a.logf("candidate %d verified on every DIP", i)
-		return a.report(active, calib, st, survivors[i].cd.aActive, survivors[i].cd.aCalib, key), nil
-	}
-	// Every candidate of a decode that passed the Lemma-2 structural
-	// checks was killed by a concrete oracle disagreement. On a correct
-	// oracle that is impossible (the true key is always a candidate and
-	// never disagrees), so diagnose the oracle instead of guessing.
-	return nil, fmt.Errorf("%w: %d candidates eliminated", ErrOracleInconsistent, len(cands))
+	return out, nil
 }
 
 // verifyErr classifies an error raised while consulting the oracle
@@ -923,24 +942,24 @@ func (a *attack) verifyErr(active int, st *structured, err error) error {
 }
 
 // distinguishConflictBudget bounds one SAT distinguishing query; an
-// exhausted budget is treated as "no difference found", which is safe
-// because candidates are only ever eliminated on a concrete oracle
-// disagreement and the winner is still replayed against every DIP.
+// exhausted budget is treated as "no difference found", which never
+// removes a candidate: candidates die only on a confirmed oracle
+// disagreement.
 const distinguishConflictBudget = 200000
 
 // distinguish finds an input on which the locked circuit behaves
 // differently under the two keys with one query to the keyed,
 // structurally hashed miter (miter.DistinguishKeys): both keys are
 // folded in as constants, so only their key-dependent cones face the
-// solver. It returns a witness, or equivalent=true when the keys are
-// proved equivalent or the conflict budget (0 = unlimited) runs out
-// first. A starved verdict is counted in
+// solver. It returns a witness, or nil when the keys are proved
+// equivalent or the conflict budget (0 = unlimited) runs out first. A
+// starved verdict is counted in
 // engine_distinguish_unknown_total, published as a distinguish event
 // and logged, so it never passes for a proof unseen.
-func (a *attack) distinguish(keyA, keyB []bool, budget uint64) (witness []bool, equivalent bool, err error) {
+func (a *attack) distinguish(keyA, keyB []bool, budget uint64) ([]bool, error) {
 	st, w, err := miter.DistinguishKeys(a.opts.Locked, keyA, keyB, budget)
-	if err != nil {
-		return nil, false, err
+	if err != nil || st == sat.Sat {
+		return w, err
 	}
 	if st == sat.Unknown {
 		a.env.Tel.Counter("engine_distinguish_unknown_total").Inc()
@@ -956,31 +975,7 @@ func (a *attack) distinguish(keyA, keyB []bool, budget uint64) (witness []bool, 
 		}
 		a.logf("distinguish verdict unknown_budget (budget %d): treating candidates as equivalent", budget)
 	}
-	return w, st != sat.Sat, nil
-}
-
-// agreesWithOracle checks the locked circuit under key against the
-// oracle on one input.
-func (a *attack) agreesWithOracle(in []bool, key []bool) (bool, error) {
-	want, err := a.opts.Oracle.Query(in)
-	if err != nil {
-		return false, err
-	}
-	a.countQueries(1)
-	got, err := a.sim.Run(in, key)
-	if err != nil {
-		return false, err
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			confirmed, err := a.confirmDisagreement(in, key)
-			if err != nil {
-				return false, err
-			}
-			return !confirmed, nil
-		}
-	}
-	return true, nil
+	return nil, nil
 }
 
 // confirmDisagreement re-adjudicates one oracle/candidate disagreement
@@ -1117,9 +1112,9 @@ func (a *attack) buildKey(active int, aActive, aCalib uint64) []bool {
 	return key
 }
 
-// probeSet is the oracle probe shared by every candidate of one decoded
-// structure: up to 64 block patterns packed into the lanes of one input
-// batch, answered by a single Query64.
+// probeSet is an oracle-answered packed batch: the probe shared by every
+// candidate of one decoded structure (up to 64 block patterns, one
+// Query64), or one distinguishing witness in lane 0.
 type probeSet struct {
 	in, want []uint64
 	lanes    int
@@ -1164,8 +1159,10 @@ func (a *attack) probePatterns(st *structured) []uint64 {
 	// A candidate whose only error is a residual inter-block offset m
 	// corrupts exactly the patterns X with X ∈ W, X⊕m ∉ W (its canonical
 	// key cancels the key-gate masks), and w_nc is such a pattern for
-	// every low-bit offset; the joint-complement candidate family
-	// corrupts ¬w_nc instead.
+	// every low-bit offset; a candidate's joint complement corrupts ¬w_nc
+	// instead. The complemented anchors stay although only one candidate
+	// per class is built: they fix the random fill, and with it the rng
+	// stream every later batch draws from.
 	wnc := NonControllingPattern(st.chainH)
 	out := []uint64{wnc, ^wnc & mask, st.dipNC, ^st.dipNC & mask}
 	take := func(walk func(func(uint64) bool), k int) {
@@ -1220,7 +1217,8 @@ func transpose64(m *[64]uint64) {
 	}
 }
 
-// keyWords broadcasts a key to every lane of a 64-lane batch.
+// keyWords broadcasts a key, or one input pattern, to every lane of a
+// 64-lane batch.
 func keyWords(key []bool) []uint64 {
 	w := make([]uint64, len(key))
 	for i, b := range key {
@@ -1266,6 +1264,9 @@ func diffLanes(want, got []uint64, lanes int) uint64 {
 	return d
 }
 
+// errDisagree is verifyKeyOnDIPs' confirmed-disagreement verdict.
+var errDisagree = errors.New("core: candidate key disagrees with the oracle on an extracted DIP")
+
 // verifyKeyOnDIPs replays every extracted DIP against the oracle under
 // the candidate key — the O(m) final check. The set streams in
 // ascending order into batches of 64 patterns, with no m-word copy of
@@ -1286,7 +1287,6 @@ func (a *attack) verifyKeyOnDIPs(key []bool, st *structured) error {
 	bad := make([]uint64, group)
 	in8 := make([][8]uint64, nIn)
 	batchOrc, _ := a.opts.Oracle.(oracle.BatchOracle)
-	errDisagree := errors.New("core: candidate key disagrees with the oracle on an extracted DIP")
 
 	flush := func(gN int) error {
 		if gN == 0 {
@@ -1396,22 +1396,22 @@ func (a *attack) verifyKeyOnDIPs(key []bool, st *structured) error {
 	return flush(gN)
 }
 
-func (a *attack) report(active int, calib uint64, st *structured, aActive, aCalib uint64, key []bool) *Result {
+func (a *attack) report(active int, st *structured, c *candidate) *Result {
 	n := a.layout.N()
 	mask := blockMask(n)
 	var a1, a2 uint64
 	chain := st.chainH
 	cas := 1
 	if active == 1 {
-		a1, a2 = aActive, aCalib
+		a1, a2 = c.aActive, c.aCalib
 	} else {
 		cas = 2
 		chain = dualChain(st.chainH)
-		a2 = aActive
-		a1 = ^aCalib & mask
+		a2 = c.aActive
+		a1 = ^c.aCalib & mask
 	}
 	return &Result{
-		Key:             key,
+		Key:             c.key,
 		Chain:           chain,
 		KeyGates1:       kgFromMask(a1, n),
 		KeyGates2:       kgFromMask(a2, n),

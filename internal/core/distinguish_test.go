@@ -60,10 +60,11 @@ func TestDistinguishUnknownObservable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, eq, err := a.distinguish(p[0], p[1], 1)
+		w, err := a.distinguish(p[0], p[1], 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		eq := w == nil
 		switch want {
 		case sat.Unknown:
 			unknowns++
@@ -98,11 +99,12 @@ func TestDistinguishUnknownObservable(t *testing.T) {
 	}
 }
 
-// TestJointComplementPairUnlocks pins the premise of the pair the
-// verifier's prover decides on every op: for a correct key split into
-// the active block's polarity s and the calibration block's c, both
-// buildKey(active, s, c) and its joint complement buildKey(active, ¬s,
-// ¬c) unlock the circuit, while complementing only one block does not.
+// TestJointComplementPairUnlocks pins the premise that lets the
+// verifier build one candidate per joint-complement class: for a
+// correct key split into the active block's polarity s and the
+// calibration block's c, both buildKey(active, s, c) and its joint
+// complement buildKey(active, ¬s, ¬c) unlock the circuit, while
+// complementing only one block does not.
 // Correctness is exhaustive simulation against the host, on registry
 // CAS and M-CAS instances (M-CAS after SPS removal of the outer
 // instance, as RunMCAS attacks it) under both Lemma-1 hypotheses.

@@ -1,13 +1,18 @@
 package core
 
 import (
+	"context"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/lock"
 	"repro/internal/netlist"
 	"repro/internal/oracle"
 	"repro/internal/synth"
+	"repro/internal/telemetry"
 )
 
 // callLog wraps an oracle and counts its calls by kind. It deliberately
@@ -158,5 +163,85 @@ func TestVerifyNoisyProbeAndTailGroup(t *testing.T) {
 	}
 	if want := 3 * flipped; noisy.replayScalar != want {
 		t.Errorf("replay made %d scalar re-queries, want %d (3 per flipped lane)", noisy.replayScalar, want)
+	}
+}
+
+// TestUnknownNeverRemovesTrueKey is the soundness claim behind reading
+// a budget-starved distinguish as "equivalent": an Unknown verdict never
+// removes the true key. On the Table-I c432 row the probe leaves dozens
+// of candidates standing, exactly one of them in the true key's class.
+// The elimination loop runs at conflict budgets 1–4, where the keyed
+// miter gives up on some pairs, over the whole survivor list and, for
+// each wrong survivor w, over the lists (true, w, the other wrong ones)
+// and (w, true, the other wrong ones); every run must confirm a key the
+// instance accepts. A loop that removed either side of a pair on Unknown
+// fails one of the two orders.
+func TestUnknownNeverRemovesTrueKey(t *testing.T) {
+	locked, inst, h := tableIRowInstance(t)
+	reg := telemetry.New()
+	opts := Options{Locked: locked.Circuit, Oracle: oracle.MustNewSim(h), Seed: 11, SATWidthLimit: 1}
+	layout, err := DiscoverLayout(opts.Locked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := netlist.NewSimulator(opts.Locked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &attack{opts: opts, layout: layout, sim: sim,
+		env: &engine.Env{Ctx: context.Background(), Tel: reg},
+		rng: rand.New(rand.NewSource(opts.Seed ^ 0x5eed))}
+	if a.ext, err = a.chooseExtractor(); err != nil {
+		t.Fatal(err)
+	}
+	dips, err := a.extractDIPs(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := a.decode(nil, dips)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.deltas) == 0 {
+		t.Fatal("the row needs a calibration sweep; the test assumes a δ witness")
+	}
+	probe, err := a.newProbeSet(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := a.keepAgreeing(probe, a.buildCandidates(1, 0, st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var right []candidate
+	var wrong []candidate
+	for _, c := range live {
+		if inst.IsCorrectCASKey(c.key) {
+			right = append(right, c)
+		} else {
+			wrong = append(wrong, c)
+		}
+	}
+	if len(right) != 1 || len(wrong) == 0 {
+		t.Fatalf("%d right and %d wrong candidates survive the probe; the row no longer exercises elimination", len(right), len(wrong))
+	}
+	lists := [][]candidate{live}
+	for i, w := range wrong {
+		rest := slices.Delete(slices.Clone(wrong), i, i+1)
+		lists = append(lists, append([]candidate{right[0], w}, rest...), append([]candidate{w, right[0]}, rest...))
+	}
+	for budget := uint64(1); budget <= 4; budget++ {
+		for i, l := range lists {
+			win, err := a.eliminate(slices.Clone(l), st, budget)
+			if err != nil {
+				t.Fatalf("budget %d, list %d: %v", budget, i, err)
+			}
+			if win == nil || !inst.IsCorrectCASKey(win.key) {
+				t.Fatalf("budget %d, list %d: elimination lost the true key", budget, i)
+			}
+		}
+	}
+	if reg.Snapshot().Counters["engine_distinguish_unknown_total"] == 0 {
+		t.Fatal("no distinguish ran out of budget; the test exercised no Unknown verdict")
 	}
 }
