@@ -161,7 +161,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "attack sampling seed")
 		prove      = flag.Bool("prove", true, "SAT-prove the recovered key against the oracle netlist")
 		timeout    = flag.Duration("timeout", 0, "attack deadline (0 = none); on expiry the partial structure is printed and the exit code is 3")
-		satWidth   = flag.Int("sat-width-limit", 0, "largest block width attacked with the SAT engine (0 = auto-calibrate per instance; a positive value pins the fixed rule)")
+		satWidth   = flag.Int("sat-width-limit", 0, "largest block width attacked with the SAT engine (0 = simulation, SAT only where simulation refuses the instance; a positive value pins the fixed rule)")
 		retries    = flag.Int("retries", 0, "transient-failure retry budget and per-mismatch re-query count (0 = defaults)")
 		noise      = flag.Float64("noise", 0, "inject this per-output-bit flip rate into the oracle (demo; arms majority voting)")
 		votes      = flag.Int("votes", 0, "majority-vote repeats per oracle query (0 = auto: 5 when -noise > 0, else 1)")

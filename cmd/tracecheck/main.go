@@ -52,7 +52,7 @@ func main() {
 		in        = flag.String("in", "", "Chrome-trace JSON file to validate")
 		eventsIn  = flag.String("events", "", "caslock-attack -events-out NDJSON file to validate (usable alone or together with -in)")
 		require   = flag.String("require", "attack,enumerate,decode,algo1,algo2,verify", "comma-separated span names that must appear")
-		extra     = flag.String("coverage-extra", "calibrate", "comma-separated span names that count toward attack coverage when present but are not required (conditional phases like the crossover calibration probe)")
+		extra     = flag.String("coverage-extra", "calibrate", "comma-separated span names that count toward attack coverage when present but are not required (conditional phases like calibrate, which builds the DIP-set extractor on unpinned runs)")
 		tolerance = flag.Float64("tolerance", 0.05, "allowed uncovered fraction of each attack span")
 		slack     = flag.Duration("slack", 25*time.Millisecond, "absolute floor of the coverage allowance (dominates on fast attacks)")
 	)
@@ -94,9 +94,10 @@ func main() {
 	// Coverage: only meaningful when the root "attack" span is among the
 	// required names; the remaining required names are its phases.
 	// Coverage-extra names join the phase set without being required —
-	// they only run on some configurations (e.g. "calibrate" appears only
-	// when the SAT/sim crossover auto-calibrates), but when present their
-	// time is attack time and must count.
+	// they only run on some configurations (e.g. "calibrate", which
+	// builds and self-checks the DIP-set extractor, appears only when
+	// SATWidthLimit leaves the SAT/sim rule unpinned), but when present
+	// their time is attack time and must count.
 	phases := make(map[string]bool)
 	var wantAttack bool
 	requiredPhases := 0

@@ -192,10 +192,3 @@ func (f *Flight[V]) Result() (V, error) {
 	defer f.mu.Unlock()
 	return f.val, f.err
 }
-
-// Refs returns the current reference count (diagnostic).
-func (f *Flight[V]) Refs() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.refs
-}

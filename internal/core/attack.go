@@ -29,14 +29,11 @@ type Options struct {
 	Oracle oracle.Oracle
 	// SATWidthLimit controls the regime boundary between the SAT
 	// extractor and the exhaustive simulation extractor. 0 — the
-	// default — runs a per-instance calibration probe (timed simulation
-	// batches vs. a deadline-budgeted engine probe) and picks the
-	// cheaper engine empirically; a positive value pins the historical
-	// rule: SAT for blocks up to that many inputs, simulation above.
+	// default — runs the simulation extractor, and SAT only on blocks
+	// of at most 30 inputs that simulation refuses; a positive value
+	// pins the fixed rule: SAT for blocks up to that many inputs,
+	// simulation above.
 	SATWidthLimit int
-	// MaxCalibrations caps the Algorithm-2 brute-force loop over the
-	// calibration block's upper key bits (default 1<<20).
-	MaxCalibrations uint64
 	// Workers is the shard worker count for the simulation extractor
 	// (0 = GOMAXPROCS).
 	Workers int
@@ -132,9 +129,6 @@ func Run(opts Options) (*Result, error) {
 	if opts.Locked == nil || opts.Oracle == nil {
 		return nil, fmt.Errorf("core: Locked and Oracle are required")
 	}
-	if opts.MaxCalibrations == 0 {
-		opts.MaxCalibrations = 1 << 20
-	}
 	layout, err := DiscoverLayout(opts.Locked)
 	if err != nil {
 		return nil, err
@@ -198,8 +192,7 @@ type attack struct {
 	ext    Extractor // *SATExtractor or *SimExtractor
 	rng    *rand.Rand
 	// env is the run environment the extractor and the engine share:
-	// the attack's context (swapped for a deadline only while the
-	// crossover probe runs), registry, bus and current phase.
+	// the attack's context, registry, bus and current phase.
 	env *engine.Env
 	// sim is the locked netlist compiled once per attack; probing,
 	// oracle adjudication and the DIP replay all run on it. Its Run and
@@ -1037,6 +1030,10 @@ func (a *attack) confirmLanes(in []uint64, bad uint64, key []bool) (bool, error)
 // the inter-block offset is missing).
 var errCalibrationBudget = errors.New("core: calibration budget exhausted")
 
+// maxCalibrations caps the Algorithm-2 brute-force loop over the
+// calibration block's upper key bits.
+const maxCalibrations = 1 << 20
+
 // calibrate is the paper's Algorithm-2 loop: brute force the calibration
 // block's key bits at positions OR_last .. n-2 (bit n-1 is redundant up
 // to complement) until the DIP set shows suppression. span is the open
@@ -1050,8 +1047,8 @@ func (a *attack) calibrate(span *telemetry.Span, active int, st0 *structured) (u
 		width = 0
 	}
 	limit := uint64(1) << uint(width)
-	if limit > a.opts.MaxCalibrations {
-		return 0, nil, fmt.Errorf("%w: calibration space 2^%d exceeds MaxCalibrations", errCalibrationBudget, width)
+	if limit > maxCalibrations {
+		return 0, nil, fmt.Errorf("%w: calibration space 2^%d exceeds %d candidates", errCalibrationBudget, width, maxCalibrations)
 	}
 	bigN := float64(st0.nBig)
 	for cand := uint64(1); cand < limit; cand++ {

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/lock"
@@ -74,6 +75,47 @@ func TestDiscoverLayoutRejectsNonCAS(t *testing.T) {
 	}
 	if _, err := DiscoverLayout(rll.Circuit); err == nil {
 		t.Error("RLL circuit accepted as CAS layout")
+	}
+}
+
+// TestDiscoverLayoutRefusesExtraKeyFanout pins the premise of one
+// candidate per joint-complement class: a key bit that drives anything
+// besides its one XOR/XNOR key gate — another gate, or a primary output
+// — is refused with an error naming the key.
+func TestDiscoverLayoutRefusesExtraKeyFanout(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		taint func(c *netlist.Circuit, key netlist.ID)
+	}{
+		{"extra-gate", func(c *netlist.Circuit, key netlist.ID) {
+			c.MustAddGate(netlist.And, "tap", key, c.Inputs()[0])
+		}},
+		{"primary-output", func(c *netlist.Circuit, key netlist.ID) {
+			c.MustMarkOutput(key)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			locked, _, err := lock.ApplyCAS(host(t, 10), lock.CASOptions{
+				Chain: lock.MustParseChain("A-O-2A"),
+				Seed:  1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := locked.Circuit
+			if _, err := DiscoverLayout(c); err != nil {
+				t.Fatalf("untainted netlist refused: %v", err)
+			}
+			key := c.Keys()[3]
+			tc.taint(c, key)
+			_, err = DiscoverLayout(c)
+			if err == nil {
+				t.Fatal("key with extra fanout accepted")
+			}
+			if name := c.Gate(key).Name; !strings.Contains(err.Error(), name) {
+				t.Fatalf("error %q does not name key %q", err, name)
+			}
+		})
 	}
 }
 

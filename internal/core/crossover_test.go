@@ -2,11 +2,10 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
-	"time"
 
+	"repro/internal/engine"
 	"repro/internal/events"
 	"repro/internal/lock"
 	"repro/internal/netlist"
@@ -40,6 +39,17 @@ func widthInstance(t *testing.T, n int, seed int64) (*netlist.Circuit, *BlockLay
 		t.Fatal(err)
 	}
 	return locked.Circuit, layout
+}
+
+// lemma1Assign is the attack's first-hypothesis pair assignment (copy A
+// carries key 1 on block 1, copy B all zeros), the workload the
+// enumerate phase runs first.
+func lemma1Assign(locked *netlist.Circuit, layout *BlockLayout) PairAssign {
+	a := PairAssign{A: make([]bool, locked.NumKeys()), B: make([]bool, locked.NumKeys())}
+	for _, pos := range layout.Key1Pos {
+		a.A[pos] = true
+	}
+	return a
 }
 
 // TestSimExtractorLaneWidthsBitIdentical is the wide-kernel acceptance
@@ -95,7 +105,7 @@ func TestSimExtractorLaneWidthsBitIdentical(t *testing.T) {
 
 // TestCrossoverAutoCalibration runs the full attack with SATWidthLimit
 // left at 0 and asserts that the recovered key is correct, that the
-// calibration probe is visible in the crossover_* telemetry family, and
+// extractor choice is visible in the crossover_* telemetry family, and
 // that calibrate is a phase like the others: one balanced
 // phase_enter/phase_exit pair on the bus, before enumerate enters.
 func TestCrossoverAutoCalibration(t *testing.T) {
@@ -110,9 +120,6 @@ func TestCrossoverAutoCalibration(t *testing.T) {
 	}
 	if !inst.IsCorrectCASKey(res.Key) {
 		t.Fatal("auto-calibrated attack recovered a wrong key")
-	}
-	if got := tel.Counter("crossover_probes_total").Value(); got != 1 {
-		t.Errorf("crossover_probes_total = %d, want 1", got)
 	}
 	if got := tel.Counter("crossover_pinned_total").Value(); got != 0 {
 		t.Errorf("crossover_pinned_total = %d, want 0", got)
@@ -152,37 +159,73 @@ func TestCrossoverAutoCalibration(t *testing.T) {
 	}
 }
 
-// TestCrossoverProbeWonKeepsAttackContext pins the probe's deadline to
-// the probe: a SAT extractor that won the calibration probe runs the
-// attack proper under the attack's own context. The Log hook holds the
-// attack past the longest probe deadline before enumeration starts, so
-// an extraction still bound to the probe's deadline would be
-// interrupted in the extract stage. Under the attack's context the
-// enumeration completes, and the run stops only at the calibration
-// budget this early-OR chain exceeds.
-func TestCrossoverProbeWonKeepsAttackContext(t *testing.T) {
-	lockedC, _, h := lockedInstance(t, "O-19A", 1)
-	tel := telemetry.New()
-	slept := false
-	_, err := Run(Options{
-		Locked: lockedC, Oracle: oracle.MustNewSim(h), Seed: 1, Telemetry: tel,
-		Context: context.Background(), MaxCalibrations: 4,
-		Log: func(string, ...any) {
-			if !slept {
-				slept = true
-				time.Sleep(crossoverProbeCap + 50*time.Millisecond)
+// TestCrossoverRuleIsFixed pins the regime rule on O-19A, the OR-first
+// instance where a timed race used to pick SAT: unpinned, every call
+// selects the simulation extractor with reason "default"; with
+// SATWidthLimit = n it selects SAT; and both return the same DIP set on
+// the Lemma-1 assignment.
+func TestCrossoverRuleIsFixed(t *testing.T) {
+	lockedC, _, _ := lockedInstance(t, "O-19A", 1)
+	layout, err := DiscoverLayout(lockedC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := layout.N()
+	sim, err := netlist.NewSimulator(lockedC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	choose := func(widthLimit int) (Extractor, map[string]string) {
+		t.Helper()
+		bus := events.New(events.Options{History: 64})
+		a := &attack{opts: Options{Locked: lockedC, Seed: 1, SATWidthLimit: widthLimit}, layout: layout, sim: sim,
+			env: &engine.Env{Ctx: context.Background(), Bus: bus}}
+		ext, err := a.chooseExtractor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]string
+		for _, ev := range bus.History(0) {
+			if ev.Type == events.TypeCrossover {
+				if fields != nil {
+					t.Fatal("more than one crossover event per choice")
+				}
+				fields = ev.Fields
 			}
-		},
-	})
-	if tel.Counter(telemetry.Label("crossover_selected_total", "engine", "sat")).Value() != 1 {
-		t.Skip("the SAT probe lost to simulation on this host; no probe-won run to check")
+		}
+		return ext, fields
 	}
-	var pe *PartialError
-	if !errors.As(err, &pe) || pe.Stage != "calibrate" || !errors.Is(err, errCalibrationBudget) {
-		t.Fatalf("probe-won attack ended with %v, want the calibration budget after a full enumeration", err)
+
+	var simExt Extractor
+	for call := 0; call < 3; call++ {
+		ext, f := choose(0)
+		if _, ok := ext.(*SimExtractor); !ok {
+			t.Fatalf("call %d: unpinned rule chose %T, want *SimExtractor", call, ext)
+		}
+		if f["engine"] != "sim" || f["reason"] != "default" || f["width"] != fmt.Sprint(n) {
+			t.Fatalf("call %d: crossover event %v, want engine sim, reason default, width %d", call, f, n)
+		}
+		simExt = ext
 	}
-	if pe.DIPs == 0 {
-		t.Fatal("the enumeration after the probe found no DIPs")
+	satExt, f := choose(n)
+	if _, ok := satExt.(*SATExtractor); !ok {
+		t.Fatalf("SATWidthLimit = %d chose %T, want *SATExtractor", n, satExt)
+	}
+	if f["engine"] != "sat" || f["reason"] != "pinned" {
+		t.Fatalf("pinned crossover event %v, want engine sat, reason pinned", f)
+	}
+
+	assign := lemma1Assign(lockedC, layout)
+	simDips, err := simExt.DIPs(assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	satDips, err := satExt.DIPs(assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !simDips.Equal(satDips) {
+		t.Fatalf("extractors disagree on the Lemma-1 DIP set (sim %d vs SAT %d DIPs)", simDips.Count(), satDips.Count())
 	}
 }
 

@@ -26,8 +26,8 @@ const MaxBlockWidth = maxDenseBits
 // therefore deterministic), and merging shard results is a word-wise OR.
 //
 // The word layout is the same as the extractor's 64-lane batches: word
-// b holds patterns b·64 … b·64+63, so a shard worker deposits a whole
-// disagreement mask with one setWord call.
+// b holds patterns b·64 … b·64+63, so a shard worker deposits a run of
+// whole disagreement masks with one setWords call.
 type DIPSet struct {
 	n     int
 	words []uint64
@@ -71,17 +71,11 @@ func (s *DIPSet) Contains(p uint64) bool {
 	return s.words[p>>6]&(1<<(p&63)) != 0
 }
 
-// setWord deposits a whole 64-pattern membership mask at word index b
-// (patterns b·64 … b·64+63). Shard workers own disjoint word ranges, so
-// concurrent setWord calls on distinct indices need no synchronization.
-func (s *DIPSet) setWord(b uint64, w uint64) {
-	s.words[b] = w
-}
-
 // setWords deposits a word-aligned run of 64-pattern membership masks
-// starting at word index b — the wide-lane (512) counterpart of
-// setWord, landing a whole simulation group in one copy. The same
-// disjoint-ownership rule applies per word.
+// starting at word index b (patterns b·64 onward), landing a whole
+// simulation group in one copy. Shard workers own disjoint word ranges,
+// so concurrent setWords calls on distinct ranges need no
+// synchronization.
 func (s *DIPSet) setWords(b uint64, ws []uint64) {
 	copy(s.words[b:], ws)
 }

@@ -128,20 +128,6 @@ func (e *SATExtractor) takeSeed() *DIPSet {
 	return s
 }
 
-// engine returns the persistent incremental engine, building it on
-// first use. The crossover probe enumerates on it too, so the clauses
-// the probe learned serve the attack's own extraction.
-func (e *SATExtractor) engine() (*engine.Engine, error) {
-	if e.eng == nil {
-		eng, err := engine.New(e.locked, e.layout.InputPos, e.env)
-		if err != nil {
-			return nil, err
-		}
-		e.eng = eng
-	}
-	return e.eng, nil
-}
-
 // DIPs implements Extractor. It runs an assumption-driven enumeration
 // session against the persistent engine: the key assignment becomes
 // assumption literals, found patterns are excluded with scope-guarded
@@ -149,9 +135,12 @@ func (e *SATExtractor) engine() (*engine.Engine, error) {
 // is re-encoded. It honors a context: on expiry the partially enumerated
 // set is returned with the context's error.
 func (e *SATExtractor) DIPs(assign PairAssign) (*DIPSet, error) {
-	eng, err := e.engine()
-	if err != nil {
-		return nil, err
+	if e.eng == nil {
+		eng, err := engine.New(e.locked, e.layout.InputPos, e.env)
+		if err != nil {
+			return nil, err
+		}
+		e.eng = eng
 	}
 	e.count++
 	tel := e.env.Tel
@@ -172,7 +161,7 @@ func (e *SATExtractor) DIPs(assign PairAssign) (*DIPSet, error) {
 		sp.SetArg("seeded", strconv.FormatUint(s.Count(), 10))
 	}
 	var dup error
-	enumErr := eng.EnumerateDIPsSeeded(assign.A, assign.B, seedFn, func(pat uint64) bool {
+	enumErr := e.eng.EnumerateDIPsSeeded(assign.A, assign.B, seedFn, func(pat uint64) bool {
 		if out.Contains(pat) {
 			dup = fmt.Errorf("core: SAT enumeration returned duplicate pattern %b", pat)
 			return false

@@ -183,3 +183,58 @@ func TestAttackLogHook(t *testing.T) {
 		t.Error("log hook never invoked")
 	}
 }
+
+// TestSimExtractorClassesSampled checks Algorithm 2's class-size
+// estimate above exactClassBits: on 27-wide blocks, the sampled
+// Big/Small sizes of the Lemma-1 DIP set fall within the calibration
+// sweep's 0.8/1.2 shrink tolerances of the exact class counts. One
+// instance has two equal classes, the other an empty one, so both the
+// scale and the top-bit split are checked.
+func TestSimExtractorClassesSampled(t *testing.T) {
+	if testing.Short() {
+		t.Skip("walks two 2^27 block spaces")
+	}
+	const n = exactClassBits + 1
+	equalC, equalL := widthInstance(t, n, 27)
+	oneC, _, _ := lockedInstance(t, "25A-O", 27)
+	oneL, err := DiscoverLayout(oneC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	within := func(sampled, exact float64) bool {
+		return sampled >= 0.8*exact && sampled <= 1.2*exact
+	}
+	for _, inst := range []struct {
+		name   string
+		locked *netlist.Circuit
+		layout *BlockLayout
+	}{{"equal-classes", equalC, equalL}, {"one-class", oneC, oneL}} {
+		if got := inst.layout.N(); got != n {
+			t.Fatalf("%s: block width %d, want %d", inst.name, got, n)
+		}
+		ext, err := NewSimExtractor(inst.locked, inst.layout, 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assign := lemma1Assign(inst.locked, inst.layout)
+		dips, err := ext.DIPs(assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := classSizesOf(dips)
+		if exact.Big == 0 {
+			t.Fatalf("%s: empty Lemma-1 DIP set", inst.name)
+		}
+		got, err := ext.Classes(assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Exact {
+			t.Fatalf("%s: Classes is exact at n = %d, want sampled", inst.name, n)
+		}
+		if !within(got.Big, exact.Big) || !within(got.Small, exact.Small) {
+			t.Errorf("%s: sampled Big/Small %.0f/%.0f outside 0.8–1.2× the exact %.0f/%.0f",
+				inst.name, got.Big, got.Small, exact.Big, exact.Small)
+		}
+	}
+}

@@ -74,8 +74,9 @@ func (l *BlockLayout) Validate(c *netlist.Circuit) error {
 }
 
 // DiscoverLayout recovers the BlockLayout of a CAS-locked netlist by
-// tracing the key port: each key input feeds exactly one XOR/XNOR key
-// gate whose other fanin is a primary input; the key gates of a block
+// tracing the key port: each key input feeds exactly one gate, an
+// XOR/XNOR key gate whose other fanin is a primary input, and nothing
+// else (a key with any other fanout is refused); the key gates of a block
 // feed a cascade of 2-input gates whose order gives the chain positions.
 // Gate types observed during the walk are used solely to follow the
 // wiring — they are not reported, and the attack never reads them.
@@ -106,8 +107,18 @@ func DiscoverLayout(locked *netlist.Circuit) (*BlockLayout, error) {
 		}
 	}
 
-	// Key gate per key input: the unique XOR/XNOR fanout pairing the key
-	// with a primary input.
+	isOutput := make(map[netlist.ID]bool, locked.NumOutputs())
+	for _, id := range locked.Outputs() {
+		isOutput[id] = true
+	}
+
+	// Key gate per key input: its one XOR/XNOR fanout, pairing the key
+	// with a primary input. The key must drive nothing else — no other
+	// gate and no primary output — because the attack's
+	// one-candidate-per-class rule rests on it: when every key bit
+	// reaches the circuit only through x⊕k, complementing all key bits
+	// of both blocks turns each block's function Y(x) into Y(¬x), so both
+	// keys unlock the circuit or neither does (DESIGN §9).
 	type keyGate struct {
 		gate   netlist.ID
 		input  int // primary-input position
@@ -115,30 +126,24 @@ func DiscoverLayout(locked *netlist.Circuit) (*BlockLayout, error) {
 	}
 	keyGateOf := make(map[netlist.ID]keyGate) // key gate ID → info
 	for _, kid := range locked.Keys() {
-		var found *keyGate
-		for _, out := range fanouts[kid] {
-			g := locked.Gate(out)
-			if (g.Type != netlist.Xor && g.Type != netlist.Xnor) || len(g.Fanin) != 2 {
-				continue
-			}
+		name := locked.Gate(kid).Name
+		if len(fanouts[kid]) != 1 || isOutput[kid] {
+			return nil, fmt.Errorf("core: key %q drives logic besides its one XOR/XNOR key gate", name)
+		}
+		out := fanouts[kid][0]
+		g := locked.Gate(out)
+		pos, ok := -1, false
+		if (g.Type == netlist.Xor || g.Type == netlist.Xnor) && len(g.Fanin) == 2 {
 			other := g.Fanin[0]
 			if other == kid {
 				other = g.Fanin[1]
 			}
-			pos, ok := inputIndex[other]
-			if !ok {
-				continue
-			}
-			if found != nil {
-				return nil, fmt.Errorf("core: key %q feeds multiple key gates", locked.Gate(kid).Name)
-			}
-			found = &keyGate{gate: out, input: pos, keyPos: keyIndex[kid]}
+			pos, ok = inputIndex[other]
 		}
-		if found == nil {
-			return nil, fmt.Errorf("core: key %q has no XOR/XNOR key gate pairing it with a primary input",
-				locked.Gate(kid).Name)
+		if !ok {
+			return nil, fmt.Errorf("core: key %q has no XOR/XNOR key gate pairing it with a primary input", name)
 		}
-		keyGateOf[found.gate] = *found
+		keyGateOf[out] = keyGate{gate: out, input: pos, keyPos: keyIndex[kid]}
 	}
 
 	isChainGate := func(id netlist.ID) bool {
@@ -254,10 +259,4 @@ func sameIntSlice(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// Swapped returns the layout with the two blocks' roles exchanged; the
-// attack uses it to retry with the opposite block-role hypothesis.
-func (l *BlockLayout) Swapped() *BlockLayout {
-	return &BlockLayout{InputPos: l.InputPos, Key1Pos: l.Key2Pos, Key2Pos: l.Key1Pos}
 }

@@ -30,9 +30,9 @@ func runInstrumented(t *testing.T, chain string, seed int64) (*Result, *telemetr
 		Oracle:    oracle.MustNewSim(h),
 		Seed:      seed,
 		Telemetry: reg,
-		// Pin the historic regime rule: these tests assert SAT-extractor
-		// telemetry on a width-5 block, which the calibration probe would
-		// otherwise route to the (cheaper) simulation engine.
+		// Pin the fixed regime rule: these tests assert SAT-extractor
+		// telemetry on a width-5 block, which the unpinned rule routes
+		// to the simulation engine.
 		SATWidthLimit: 12,
 	})
 	if err != nil {

@@ -1,7 +1,6 @@
 package events
 
 import (
-	"strconv"
 	"sync"
 	"time"
 )
@@ -34,27 +33,21 @@ var phaseSpans = map[string]phaseSpan{
 	"verify":    {0.80, 0.20},
 }
 
-// Estimator folds a stream of bus events into a Progress snapshot. It
-// combines two signals:
-//
-//   - the enumerated-DIP-space fraction (dip_progress Done/Total — sim
-//     batches walked, or DIPs found against the block universe) drives
-//     intra-phase progress during enumeration;
-//   - the crossover probe's extrapolated walk cost (crossover
-//     sim_est_ns) anchors the enumerate phase's expected duration
-//     before any in-phase signal exists.
+// Estimator folds a stream of bus events into a Progress snapshot:
+// phase boundaries move it along the phase-width prior, and the
+// enumerated-DIP-space fraction (dip_progress Done/Total — sim batches
+// walked, or DIPs found against the block universe) drives intra-phase
+// progress during enumeration. ETA extrapolates the observed rate.
 //
 // Observe and Snapshot are safe for concurrent use. A nil *Estimator
 // ignores Observe and reports a zero Progress.
 type Estimator struct {
-	mu       sync.Mutex
-	phase    string
-	frac     float64
-	done     bool
-	lastTS   int64   // ms timestamp of the last fraction advance
-	rate     float64 // EWMA of fraction per millisecond
-	enumEst  float64 // expected enumerate duration, ms (crossover probe)
-	enumFrom int64   // ms timestamp of the last enumerate phase_enter
+	mu     sync.Mutex
+	phase  string
+	frac   float64
+	done   bool
+	lastTS int64   // ms timestamp of the last fraction advance
+	rate   float64 // EWMA of fraction per millisecond
 }
 
 // NewEstimator returns an empty estimator.
@@ -75,9 +68,6 @@ func (e *Estimator) Observe(ev Event) {
 		}
 		if sp, ok := phaseSpans[ev.Phase]; ok {
 			e.advance(sp.base, ev.TS)
-			if ev.Phase == "enumerate" {
-				e.enumFrom = ev.TS
-			}
 		}
 	case TypePhaseExit:
 		if sp, ok := phaseSpans[ev.Phase]; ok {
@@ -94,19 +84,6 @@ func (e *Estimator) Observe(ev Event) {
 				intra = 1
 			}
 			e.advance(sp.base+sp.width*intra, ev.TS)
-		} else if e.enumEst > 0 && e.enumFrom > 0 && ev.TS > e.enumFrom {
-			// No universe fraction: lean on the crossover probe's
-			// extrapolated walk cost, capped short of phase end so the
-			// real exit event still owns the boundary.
-			intra := float64(ev.TS-e.enumFrom) / e.enumEst
-			if intra > 0.95 {
-				intra = 0.95
-			}
-			e.advance(sp.base+sp.width*intra, ev.TS)
-		}
-	case TypeCrossover:
-		if ns, err := strconv.ParseFloat(ev.Fields["sim_est_ns"], 64); err == nil && ns > 0 {
-			e.enumEst = ns / 1e6
 		}
 	case TypeDone:
 		e.done = true
@@ -151,17 +128,8 @@ func (e *Estimator) Snapshot() Progress {
 		p.Fraction = 1
 		return p
 	}
-	remaining := 1 - e.frac
-	switch {
-	case remaining <= 0:
-	case e.rate > 0:
+	if remaining := 1 - e.frac; remaining > 0 && e.rate > 0 {
 		p.ETA = time.Duration(remaining/e.rate) * time.Millisecond
-	case e.enumEst > 0:
-		// Pre-signal fallback: scale the probe's enumerate estimate to
-		// the whole run through the phase-width prior.
-		if sp, ok := phaseSpans["enumerate"]; ok && sp.width > 0 {
-			p.ETA = time.Duration(e.enumEst/sp.width) * time.Millisecond
-		}
 	}
 	p.ETAMS = p.ETA.Milliseconds()
 	return p

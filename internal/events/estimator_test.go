@@ -70,25 +70,6 @@ func TestEstimatorUsesDIPSpaceFraction(t *testing.T) {
 	}
 }
 
-func TestEstimatorFallsBackToCrossoverWalkCost(t *testing.T) {
-	e := NewEstimator()
-	script(e,
-		Event{Type: TypeCrossover, Fields: map[string]string{"sim_est_ns": "4000000000"}, TS: 900},
-		Event{Type: TypePhaseEnter, Phase: "enumerate", TS: 1000},
-	)
-	// No DIP-space fraction yet: ETA must come from the probe's
-	// extrapolated walk cost (4s enumerate scaled by the phase prior).
-	p := e.Snapshot()
-	if p.ETA <= 0 {
-		t.Fatalf("ETA %v, want probe-derived estimate", p.ETA)
-	}
-	// Count-only progress then leans on the probe for intra-phase fraction.
-	e.Observe(Event{Type: TypeDIPProgress, Count: 10, TS: 3000})
-	if got := e.Snapshot().Fraction; got <= phaseSpans["enumerate"].base {
-		t.Fatalf("count-only progress did not advance fraction: %.4f", got)
-	}
-}
-
 func TestNilEstimator(t *testing.T) {
 	var e *Estimator
 	e.Observe(Event{Type: TypeDone})

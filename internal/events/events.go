@@ -40,8 +40,8 @@ const (
 	// running DIP total; Done/Total, when nonzero, are enumerated
 	// units of the DIP space (patterns or sim batches).
 	TypeDIPProgress Type = "dip_progress"
-	// TypeCrossover records a SAT/sim crossover decision with the
-	// probe evidence in Fields.
+	// TypeCrossover records the SAT/sim extractor decision:
+	// Fields["engine"], ["reason"] and the block ["width"].
 	TypeCrossover Type = "crossover"
 	// TypeCheckpoint marks a durable checkpoint write; Count is the
 	// writer's cumulative write total.

@@ -64,8 +64,8 @@ type MatrixOptions struct {
 	// aggregates the whole grid.
 	Telemetry *telemetry.Registry
 	// SATWidthLimit pins the SAT/sim regime boundary in the DIP-learning
-	// cells; 0 auto-calibrates per instance (see
-	// core.Options.SATWidthLimit).
+	// cells; 0 runs the simulation extractor unless it refuses the
+	// instance (see core.Options.SATWidthLimit).
 	SATWidthLimit int
 	// Schemes restricts the rows to the named schemes (registry names or
 	// labels); empty means the full scheme registry.

@@ -99,17 +99,6 @@ func Schemes() []Scheme {
 	return out
 }
 
-// SchemeLabels returns the display labels in registration order — the
-// matrix row order.
-func SchemeLabels() []string {
-	ss := Schemes()
-	out := make([]string, len(ss))
-	for i, s := range ss {
-		out[i] = s.Label
-	}
-	return out
-}
-
 // SchemeNames returns the stable flag names in registration order.
 func SchemeNames() []string {
 	ss := Schemes()

@@ -87,16 +87,6 @@ func (t GateType) MaxFanin() int {
 	}
 }
 
-// Inverted reports whether the type is the complemented form of a base
-// function (NAND, NOR, XNOR, NOT).
-func (t GateType) Inverted() bool {
-	switch t {
-	case Nand, Nor, Xnor, Not:
-		return true
-	}
-	return false
-}
-
 // Complement returns the gate type computing the negation of t's function
 // (AND↔NAND, OR↔NOR, XOR↔XNOR, BUF↔NOT, CONST0↔CONST1). It panics for
 // Input, which has no functional complement.

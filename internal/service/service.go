@@ -92,7 +92,9 @@ type AttackRequest struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Retries arms targeted re-querying for noisy oracles.
 	Retries int `json:"retries,omitempty"`
-	// SATWidthLimit overrides the SAT/simulation engine crossover.
+	// SATWidthLimit pins the SAT/simulation extractor boundary; 0 runs
+	// the simulation extractor unless it refuses the instance (see
+	// core.Options.SATWidthLimit).
 	SATWidthLimit int `json:"sat_width_limit,omitempty"`
 	// TimeoutMS bounds the attack; expiry yields a partial outcome.
 	// Not part of the cache key (a budget, not a problem statement).

@@ -456,10 +456,10 @@ func TestHashExcludesBudgetKnobs(t *testing.T) {
 }
 
 // TestAutoCalibrationCacheKey pins the content-address contract of the
-// self-tuning crossover: an auto-calibrated request (SATWidthLimit = 0)
-// is keyed on the requested value, never on which engine the calibration
-// probe happened to pick — so a resubmission is a pure cache hit with no
-// second attack run, while pinning a width is a different address.
+// SAT/sim regime rule: an unpinned request (SATWidthLimit = 0) is keyed
+// on the requested value, never on which engine the rule picked — so a
+// resubmission is a pure cache hit with no second attack run, while
+// pinning a width is a different address.
 func TestAutoCalibrationCacheKey(t *testing.T) {
 	f := makeFixture(t, 8, 4, 17)
 	s, reg := newTestService(t, Config{Workers: 1})

@@ -4,7 +4,9 @@
 # CLI side: runs caslock-attack with -events-out and -progress, then
 # validates the NDJSON event stream with tracecheck -events (seq
 # monotone, phases nested, every dip_progress labelled with the
-# innermost open phase, per-round DIP monotonicity, terminal done). A second CLI leg pins the SAT regime (-sat-width-limit 12 on
+# innermost open phase, per-round DIP monotonicity, terminal done) and
+# checks that the unpinned regime rule chose the simulation extractor
+# (one crossover event, engine sim, reason default). A second CLI leg pins the SAT regime (-sat-width-limit 12 on
 # a 14-input instance), so the stream also carries what the SAT
 # extractor and its engine publish through the shared run environment.
 # Daemon side: starts caslock-served, submits a job, consumes
@@ -34,6 +36,14 @@ $GO build -o "$DIR/bin/" ./cmd/caslock-served ./cmd/caslock-attack ./cmd/casgen 
 if ! grep -q 'eta' "$DIR/attack.err"; then
 	echo "events-smoke: -progress printed no estimator digests" >&2
 	cat "$DIR/attack.err" >&2
+	exit 1
+fi
+# Unpinned, the regime rule runs the simulation extractor: exactly one
+# crossover event, engine sim, reason default.
+if ! jq -e -s '[.[] | select(.type == "crossover")] |
+	length == 1 and .[0].fields.engine == "sim" and .[0].fields.reason == "default"' \
+	"$DIR/events.ndjson" >/dev/null; then
+	echo "events-smoke: default stream lacks exactly one sim/default crossover event" >&2
 	exit 1
 fi
 
