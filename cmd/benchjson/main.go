@@ -406,8 +406,8 @@ func newReference() (func() float64, error) {
 
 // overheads measures both armed-vs-unarmed pairs on one width-12
 // end-to-end attack. The checkpoint gate is about the hot-path cost of
-// arming — Tick per progress event, the banked oracle on every query,
-// milestone snapshot builds on the attack goroutine — so the disk stays
+// arming — Tick per enumerated DIP, milestone snapshot builds and the
+// locked-netlist hash on the attack goroutine — so the disk stays
 // off the measured path as in production: one writer shared across
 // iterations (writes drain asynchronously; Close sits outside the
 // timing), a cadence above the per-run event count so only milestone

@@ -1,8 +1,8 @@
 // Package checkpoint makes attack progress durable: a versioned,
 // length-prefixed binary snapshot of everything an interrupted DIP
-// attack cannot afford to lose — the accumulated DIP set, the oracle's
-// answers (the only irreplaceable state: SAT work can be re-derived,
-// silicon queries cannot), and the hypothesis/phase position.
+// attack cannot afford to lose — the accumulated DIP set (the
+// enumeration it would otherwise redo) and the hypothesis/phase
+// position.
 // Snapshots are written atomically (temp + rename) with a SHA-256
 // self-checksum, so a crash mid-write leaves either the previous
 // snapshot or none, never a torn one, and bit rot is detected on load
@@ -39,33 +39,17 @@ var (
 )
 
 // magic opens every snapshot; the final byte is the format version.
-var magic = [8]byte{'C', 'A', 'S', 'C', 'K', 'P', 'T', 2}
+var magic = [8]byte{'C', 'A', 'S', 'C', 'K', 'P', 'T', 3}
 
 // Decoder sanity caps: far above anything a real attack produces, low
 // enough that a hostile length prefix cannot balloon allocations.
 const (
 	maxStringLen   = 1 << 12
 	maxDIPWords    = 1 << 28 // 2 GiB of DIP words = the core DIPSet cap (n = 34)
-	maxResponses   = 1 << 22
-	maxPatternLen  = 1 << 16
 	maxDIPWidth    = 34
 	checksumLen    = sha256.Size
 	minSnapshotLen = len(magic) + checksumLen
 )
-
-// Response is one banked 64-lane oracle answer: the packed input words
-// passed to Query64 and the packed output words it returned.
-type Response struct {
-	In  []uint64
-	Out []uint64
-}
-
-// ScalarResponse is one banked single-pattern oracle answer, with the
-// input and output bool vectors packed 8 per byte.
-type ScalarResponse struct {
-	In  []byte
-	Out []byte
-}
 
 // Snapshot is the durable state of one attack in flight. Identity
 // fields pin the snapshot to a specific (netlist, oracle, options)
@@ -104,12 +88,6 @@ type Snapshot struct {
 	// OracleQueries is the attack's logical query tally at snapshot time
 	// (informational; the resumed run re-derives its own tally).
 	OracleQueries uint64
-
-	// Responses and Scalar bank the oracle's answers so the resumed
-	// run's replay of the (deterministic) probe/verify query stream is
-	// served locally instead of re-querying the chip.
-	Responses []Response
-	Scalar    []ScalarResponse
 }
 
 // Encode serializes the snapshot: magic+version, length-prefixed
@@ -127,16 +105,6 @@ func (s *Snapshot) Encode() []byte {
 	b = putU64(b, uint64(s.DIPWidth))
 	b = putWords(b, s.DIPWords)
 	b = putU64(b, s.OracleQueries)
-	b = putU64(b, uint64(len(s.Responses)))
-	for _, r := range s.Responses {
-		b = putWords(b, r.In)
-		b = putWords(b, r.Out)
-	}
-	b = putU64(b, uint64(len(s.Scalar)))
-	for _, r := range s.Scalar {
-		b = putBytes(b, r.In)
-		b = putBytes(b, r.Out)
-	}
 	sum := sha256.Sum256(b)
 	return append(b, sum[:]...)
 }
@@ -170,20 +138,6 @@ func Decode(data []byte) (*Snapshot, error) {
 	width := r.u64()
 	s.DIPWords = r.words(maxDIPWords)
 	s.OracleQueries = r.u64()
-	nResp := r.u64()
-	if r.err == nil && nResp > maxResponses {
-		r.fail("response count %d exceeds cap", nResp)
-	}
-	for i := uint64(0); i < nResp && r.err == nil; i++ {
-		s.Responses = append(s.Responses, Response{In: r.words(maxPatternLen), Out: r.words(maxPatternLen)})
-	}
-	nScalar := r.u64()
-	if r.err == nil && nScalar > maxResponses {
-		r.fail("scalar response count %d exceeds cap", nScalar)
-	}
-	for i := uint64(0); i < nScalar && r.err == nil; i++ {
-		s.Scalar = append(s.Scalar, ScalarResponse{In: r.bytes(maxPatternLen), Out: r.bytes(maxPatternLen)})
-	}
 	if r.err == nil && len(r.buf) != 0 {
 		r.fail("%d trailing bytes", len(r.buf))
 	}
@@ -287,26 +241,22 @@ func (r *reader) boolean() bool {
 	}
 }
 
-func (r *reader) bytes(max uint64) []byte {
+func (r *reader) str() string {
 	n := r.u64()
 	if r.err != nil {
-		return nil
+		return ""
 	}
-	if n > max {
-		r.fail("length %d exceeds cap %d", n, max)
-		return nil
+	if n > maxStringLen {
+		r.fail("length %d exceeds cap %d", n, maxStringLen)
+		return ""
 	}
 	if uint64(len(r.buf)) < n {
 		r.err = fmt.Errorf("%w: %d declared bytes, %d remain", ErrTruncated, n, len(r.buf))
-		return nil
+		return ""
 	}
-	out := append([]byte(nil), r.buf[:n]...)
+	out := string(r.buf[:n])
 	r.buf = r.buf[n:]
 	return out
-}
-
-func (r *reader) str() string {
-	return string(r.bytes(maxStringLen))
 }
 
 func (r *reader) words(max uint64) []uint64 {
@@ -339,11 +289,6 @@ func putBool(b []byte, v bool) []byte {
 		return putU64(b, 1)
 	}
 	return putU64(b, 0)
-}
-
-func putBytes(b, v []byte) []byte {
-	b = putU64(b, uint64(len(v)))
-	return append(b, v...)
 }
 
 func putString(b []byte, v string) []byte {

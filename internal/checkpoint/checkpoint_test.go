@@ -13,8 +13,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// fullSnapshot builds a snapshot exercising every field, including both
-// response banks.
+// fullSnapshot builds a snapshot exercising every field.
 func fullSnapshot() *Snapshot {
 	return &Snapshot{
 		LockedHash:    "sha256:locked",
@@ -27,13 +26,6 @@ func fullSnapshot() *Snapshot {
 		DIPWidth:      8,
 		DIPWords:      []uint64{0xDEAD, 0xBEEF, 1, 0},
 		OracleQueries: 4242,
-		Responses: []Response{
-			{In: []uint64{1, 2, 3}, Out: []uint64{9}},
-			{In: []uint64{}, Out: []uint64{0xFFFFFFFFFFFFFFFF}},
-		},
-		Scalar: []ScalarResponse{
-			{In: []byte{0xAA, 0x01}, Out: []byte{0x80}},
-		},
 	}
 }
 
@@ -57,8 +49,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				t.Fatal("decoded snapshot re-encodes differently")
 			}
 			if got.LockedHash != s.LockedHash || got.Active != s.Active ||
-				got.DIPWidth != s.DIPWidth || got.EnumComplete != s.EnumComplete ||
-				len(got.Responses) != len(s.Responses) || len(got.Scalar) != len(s.Scalar) {
+				got.DIPWidth != s.DIPWidth || got.EnumComplete != s.EnumComplete {
 				t.Fatalf("decoded snapshot differs: %+v vs %+v", got, s)
 			}
 		})
@@ -136,6 +127,19 @@ const snapshotV1 = "434153434b505401" +
 	"0000000000000000" + "0000000000000000" + // bank counts
 	"b882f6f61de261921da6782d0186c0ec64c2d7550cdf79e34a8e3f8b5c3cbe97"
 
+// snapshotV2 is a version-2 snapshot (Active 1, one-bit DIP set, one
+// banked 64-lane and one banked scalar oracle answer) as the version-2
+// encoder wrote it. Its checksum is valid: only the version byte
+// refuses it.
+const snapshotV2 = "434153434b505402" +
+	"0000000000000000" + "0000000000000000" + "0000000000000000" + // hashes, options
+	"0100000000000000" + "0000000000000000" + "0000000000000000" + "0000000000000000" + // active, calib, phase, complete
+	"0100000000000000" + "0100000000000000" + "0200000000000000" + // DIP width, word count, word
+	"0000000000000000" + // query tally
+	"0100000000000000" + "0100000000000000" + "0300000000000000" + "0100000000000000" + "0400000000000000" + // one word response
+	"0100000000000000" + "0100000000000000" + "01" + "0100000000000000" + "00" + // one scalar response
+	"94e340e9a0fe76d206b3bd2707b4d8da35e39011ef2663fc2f1fce3f897b6f47"
+
 func mustHex(t testing.TB, s string) []byte {
 	t.Helper()
 	b, err := hex.DecodeString(s)
@@ -145,11 +149,14 @@ func mustHex(t testing.TB, s string) []byte {
 	return b
 }
 
-// TestDecodeRejectsVersion1 pins the format bump: a well-formed
-// version-1 snapshot is a typed ErrVersion, never a misparse.
+// TestDecodeRejectsVersion1 pins the format bumps: a well-formed
+// version-1 or version-2 snapshot is a typed ErrVersion, never a
+// misparse.
 func TestDecodeRejectsVersion1(t *testing.T) {
-	if _, err := Decode(mustHex(t, snapshotV1)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version-1 snapshot: got %v, want ErrVersion", err)
+	for version, snap := range map[int]string{1: snapshotV1, 2: snapshotV2} {
+		if _, err := Decode(mustHex(t, snap)); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version-%d snapshot: got %v, want ErrVersion", version, err)
+		}
 	}
 }
 

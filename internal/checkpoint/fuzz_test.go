@@ -13,14 +13,11 @@ import (
 func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(fullSnapshot().Encode())
 	f.Add((&Snapshot{Active: 1, DIPWidth: 1, DIPWords: []uint64{2}}).Encode())
-	f.Add((&Snapshot{
-		Active: 2, DIPWidth: 7, DIPWords: []uint64{1, 0},
-		Responses: []Response{{In: []uint64{3}, Out: []uint64{4}}},
-		Scalar:    []ScalarResponse{{In: []byte{1}, Out: []byte{0}}},
-	}).Encode())
+	f.Add((&Snapshot{Active: 2, DIPWidth: 7, DIPWords: []uint64{1, 0}}).Encode())
 	f.Add([]byte("CASCKPT"))
 	f.Add([]byte{})
 	f.Add(mustHex(f, snapshotV1))
+	f.Add(mustHex(f, snapshotV2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
 		if err != nil {

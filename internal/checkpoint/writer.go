@@ -13,8 +13,8 @@ import (
 )
 
 // Cadence defaults: a snapshot becomes due after this many progress
-// events (DIPs enumerated or oracle-query batches answered) or this
-// much wall time, whichever comes first.
+// events (DIPs enumerated) or this much wall time, whichever comes
+// first.
 const (
 	DefaultEveryEvents = 4096
 	DefaultInterval    = 2 * time.Second

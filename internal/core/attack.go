@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -73,18 +74,16 @@ type Options struct {
 	// does, because only it knows the final disposition.
 	Events *events.Bus
 	// Checkpointer, when non-nil, makes attack progress durable: the
-	// attack hands it snapshots (accumulated DIPs, banked oracle
-	// answers, hypothesis and phase) on the writer's cadence, and the
-	// writer persists them atomically off the hot path. See
-	// internal/checkpoint and DESIGN.md §11.
+	// attack hands it snapshots (accumulated DIPs, hypothesis and phase)
+	// on the writer's cadence, and the writer persists them atomically
+	// off the hot path. See internal/checkpoint and DESIGN.md §11.
 	Checkpointer *checkpoint.Writer
 	// ResumeFrom, when non-nil, continues an interrupted attack from a
 	// snapshot: it is validated against this instance's canonical netlist
 	// hash and options signature (refused with ErrResumeMismatch on any
-	// mismatch), its banked oracle answers are replayed locally, its
-	// complete DIP sets are restored outright and partial ones are
-	// re-seeded into the SAT engine as blocking clauses. The final key is
-	// bit-identical to an uninterrupted run's.
+	// mismatch), its complete DIP sets are restored outright and partial
+	// ones are re-seeded into the SAT engine as blocking clauses. The
+	// final key is bit-identical to an uninterrupted run's.
 	ResumeFrom *checkpoint.Snapshot
 }
 
@@ -116,9 +115,8 @@ type Result struct {
 	// one per joint-complement class (two per δ).
 	Extractions, Calibrations, CandidatesTried int
 	// OracleQueries counts the patterns the chip evaluated for the
-	// attack: 64 per packed batch (the shared probe and every DIP-replay
-	// batch, unused lanes included) plus one per scalar query
-	// (distinguishing inputs and noise re-queries).
+	// attack: 64 per shared probe (unused lanes included) plus one per
+	// scalar query (distinguishing inputs and noise re-queries).
 	OracleQueries uint64
 }
 
@@ -194,10 +192,10 @@ type attack struct {
 	// env is the run environment the extractor and the engine share:
 	// the attack's context, registry, bus and current phase.
 	env *engine.Env
-	// sim is the locked netlist compiled once per attack; probing,
-	// oracle adjudication and the DIP replay all run on it. Its Run and
-	// Run64 results share one output buffer, so a caller that holds one
-	// across another run copies it first.
+	// sim is the locked netlist compiled once per attack; probing and
+	// oracle adjudication run on it. Its Run and Run64 results share one
+	// output buffer, so a caller that holds one across another run
+	// copies it first.
 	sim *netlist.Simulator
 
 	root          *telemetry.Span
@@ -209,7 +207,6 @@ type attack struct {
 
 	ck     *ckptState           // non-nil when a Checkpointer is armed
 	resume *checkpoint.Snapshot // pending resume state, consumed one-shot
-	bank   *bankedOracle        // response bank, non-nil when durability is armed
 
 	queries      uint64
 	calibrations int
@@ -227,14 +224,11 @@ const (
 )
 
 // countQueries accounts oracle pattern evaluations in both the local
-// tally and the registry, and advances the checkpoint cadence — query
-// batches are progress worth persisting just like enumerated DIPs.
-// Every oracleEventBatch queries it also publishes an oracle_batch
-// event with the cumulative total.
+// tally and the registry. Every oracleEventBatch queries it also
+// publishes an oracle_batch event with the cumulative total.
 func (a *attack) countQueries(n uint64) {
 	a.queries += n
 	a.cQueries.Add(n)
-	a.ckptPump(n)
 	if bus := a.env.Bus; bus != nil {
 		a.evQueries += n
 		if a.evQueries >= oracleEventBatch {
@@ -845,60 +839,78 @@ func (a *attack) buildCandidates(active int, calib uint64, st *structured) []can
 // eliminate confirms one of the live candidates by elimination. live[0]
 // is distinguished from the others in order; the first witness is put
 // to the oracle once and every live candidate that disagrees with the
-// answer is removed. When no candidate yields a witness (proved
-// equivalent, or the budget ran out), live[0] is replayed on every DIP:
-// it wins, or it is removed. A candidate dies only on a confirmed oracle
-// disagreement, so an Unknown never removes the true key's class. A head
-// meets each candidate at most once, so the loop ends even when noise
-// voids both sides of a disagreement. nil means none is left.
+// answer is removed. live[0] wins once every other live candidate is
+// proved equivalent to it. A candidate dies only on a confirmed oracle
+// disagreement, and no verdict rests on an Unknown: decide re-asks a
+// starved pair, and a pair it cannot settle, or a witness whose answer
+// removes neither side, fails with errUndecided instead of naming a
+// key. nil means none is left.
 func (a *attack) eliminate(live []candidate, st *structured, budget uint64) (*candidate, error) {
 	head := -1
-	var tried map[int]bool // ids already distinguished from head
+	var proved map[int]bool // ids proved equivalent to head
 	for len(live) > 0 {
 		if live[0].id != head {
-			head, tried = live[0].id, map[int]bool{}
+			head, proved = live[0].id, map[int]bool{}
 		}
 		var witness []bool
+		rival := -1
 		for _, c := range live[1:] {
-			if tried[c.id] {
+			if proved[c.id] {
 				continue
 			}
-			tried[c.id] = true
 			if err := a.ctxErr(); err != nil {
 				return nil, err
 			}
-			w, err := a.distinguish(live[0].key, c.key, budget)
+			w, err := a.decide(&live[0], &c, budget)
 			if err != nil {
 				return nil, err
 			}
-			if witness = w; witness != nil {
+			if w != nil {
+				witness, rival = w, c.id
 				break
 			}
+			proved[c.id] = true
 		}
-		if witness != nil {
-			want, err := a.opts.Oracle.Query(witness)
-			if err != nil {
-				return nil, err
-			}
-			a.countQueries(1)
-			answer := &probeSet{in: keyWords(witness), want: keyWords(want), lanes: 1}
-			if live, err = a.keepAgreeing(answer, live); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		a.logf("candidate %d: replaying all %d DIPs against the oracle", head, st.total)
-		err := a.verifyKeyOnDIPs(live[0].key, st)
-		if err == nil {
-			a.logf("candidate %d verified on every DIP", head)
+		if witness == nil {
+			a.logf("candidate %d confirmed: proved equivalent to the %d other survivors (chain %s)", head, len(live)-1, st.chainH)
 			return &live[0], nil
 		}
-		if !errors.Is(err, errDisagree) {
+		want, err := a.opts.Oracle.Query(witness)
+		if err != nil {
 			return nil, err
 		}
-		live = live[1:]
+		a.countQueries(1)
+		answer := &probeSet{in: keyWords(witness), want: keyWords(want), lanes: 1}
+		if live, err = a.keepAgreeing(answer, live); err != nil {
+			return nil, err
+		}
+		if len(live) > 0 && live[0].id == head && slices.ContainsFunc(live, func(c candidate) bool { return c.id == rival }) {
+			return nil, fmt.Errorf("%w: candidates %d and %d both survive the oracle's answer to their witness", errUndecided, head, rival)
+		}
 	}
 	return nil, nil
+}
+
+// decide settles one candidate pair without resting on an Unknown: a
+// starved distinguish is re-asked at distinguishBudgetGrowth times the
+// budget, checking the context between rounds, until the prover answers
+// or the budget has reached distinguishBudgetCeiling. It returns a
+// witness, nil when the pair is proved equivalent, or errUndecided
+// naming both candidates.
+func (a *attack) decide(x, y *candidate, budget uint64) ([]bool, error) {
+	for {
+		status, w, err := a.distinguish(x.key, y.key, budget)
+		if err != nil || status != sat.Unknown {
+			return w, err
+		}
+		if budget >= distinguishBudgetCeiling {
+			return nil, fmt.Errorf("%w: candidates %d and %d still unknown at %d conflicts", errUndecided, x.id, y.id, budget)
+		}
+		budget = min(budget*distinguishBudgetGrowth, distinguishBudgetCeiling)
+		if err := a.ctxErr(); err != nil {
+			return nil, err
+		}
+	}
 }
 
 // keepAgreeing filters cands in place down to the candidates that pass
@@ -920,41 +932,48 @@ func (a *attack) keepAgreeing(p *probeSet, cands []candidate) ([]candidate, erro
 	return out, nil
 }
 
-// verifyErr classifies an error raised while consulting the oracle
-// during candidate verification: cancellation and permanent oracle
-// failures become PartialError (the structure is already decoded; only
-// the adjudication is missing), anything else passes through.
+// verifyErr classifies an error raised during candidate verification:
+// cancellation, permanent oracle failures and undecided candidate pairs
+// become PartialError (the structure is already decoded; only the
+// adjudication is missing), anything else passes through.
 func (a *attack) verifyErr(active int, st *structured, err error) error {
 	if cerr := a.ctxErr(); cerr != nil {
 		return a.partial("verify", active, st, cerr)
 	}
-	if errors.Is(err, oracle.ErrPermanent) {
+	if errors.Is(err, oracle.ErrPermanent) || errors.Is(err, errUndecided) {
 		return a.partial("verify", active, st, err)
 	}
 	return err
 }
 
-// distinguishConflictBudget bounds one SAT distinguishing query; an
-// exhausted budget is treated as "no difference found", which never
-// removes a candidate: candidates die only on a confirmed oracle
-// disagreement.
-const distinguishConflictBudget = 200000
+// distinguishConflictBudget bounds the first SAT distinguishing query
+// of a candidate pair. A pair that exhausts it is re-asked at
+// distinguishBudgetGrowth times the budget, up to
+// distinguishBudgetCeiling conflicts, and left undecided past that.
+const (
+	distinguishConflictBudget = 200000
+	distinguishBudgetGrowth   = 4
+	distinguishBudgetCeiling  = 1 << 22
+)
 
-// distinguish finds an input on which the locked circuit behaves
+// errUndecided ends a hypothesis whose elimination cannot single out a
+// key: a candidate pair the prover leaves Unknown at the budget ceiling,
+// or a witness whose oracle answer removes neither side (possible only
+// under noise). Either candidate could be the wrong one.
+var errUndecided = errors.New("core: candidate pair left undecided")
+
+// distinguish looks for an input on which the locked circuit behaves
 // differently under the two keys with one query to the keyed,
 // structurally hashed miter (miter.DistinguishKeys): both keys are
 // folded in as constants, so only their key-dependent cones face the
-// solver. It returns a witness, or nil when the keys are proved
-// equivalent or the conflict budget (0 = unlimited) runs out first. A
-// starved verdict is counted in
+// solver. The verdict is typed: Sat comes with a witness, Unsat proves
+// the keys equivalent, and Unknown means the conflict budget (0 =
+// unlimited) ran out first. A starved verdict is counted in
 // engine_distinguish_unknown_total, published as a distinguish event
 // and logged, so it never passes for a proof unseen.
-func (a *attack) distinguish(keyA, keyB []bool, budget uint64) ([]bool, error) {
+func (a *attack) distinguish(keyA, keyB []bool, budget uint64) (sat.Status, []bool, error) {
 	st, w, err := miter.DistinguishKeys(a.opts.Locked, keyA, keyB, budget)
-	if err != nil || st == sat.Sat {
-		return w, err
-	}
-	if st == sat.Unknown {
+	if err == nil && st == sat.Unknown {
 		a.env.Tel.Counter("engine_distinguish_unknown_total").Inc()
 		if bus := a.env.Bus; bus != nil {
 			bus.Publish(events.Event{
@@ -966,9 +985,9 @@ func (a *attack) distinguish(keyA, keyB []bool, budget uint64) ([]bool, error) {
 				},
 			})
 		}
-		a.logf("distinguish verdict unknown_budget (budget %d): treating candidates as equivalent", budget)
+		a.logf("distinguish verdict unknown_budget (budget %d)", budget)
 	}
-	return nil, nil
+	return st, w, err
 }
 
 // confirmDisagreement re-adjudicates one oracle/candidate disagreement
@@ -1226,19 +1245,6 @@ func keyWords(key []bool) []uint64 {
 	return w
 }
 
-// keyBanks broadcasts a key to every lane of a 512-lane batch.
-func keyBanks(key []bool) [][8]uint64 {
-	w := make([][8]uint64, len(key))
-	for i, b := range key {
-		if b {
-			for j := range w[i] {
-				w[i][j] = ^uint64(0)
-			}
-		}
-	}
-	return w
-}
-
 // laneInput unpacks one lane of a packed input batch.
 func laneInput(in []uint64, lane int) []bool {
 	out := make([]bool, len(in))
@@ -1259,138 +1265,6 @@ func diffLanes(want, got []uint64, lanes int) uint64 {
 		d &= (uint64(1) << uint(lanes)) - 1
 	}
 	return d
-}
-
-// errDisagree is verifyKeyOnDIPs' confirmed-disagreement verdict.
-var errDisagree = errors.New("core: candidate key disagrees with the oracle on an extracted DIP")
-
-// verifyKeyOnDIPs replays every extracted DIP against the oracle under
-// the candidate key — the O(m) final check. The set streams in
-// ascending order into batches of 64 patterns, with no m-word copy of
-// it, and the batches are buffered eight at a time: the oracle side
-// drains a whole group through BatchOracle.EvalMany when the oracle
-// offers it, and the locked-netlist side replays the group in one
-// 512-lane simulator pass.
-func (a *attack) verifyKeyOnDIPs(key []bool, st *structured) error {
-	nIn := a.opts.Locked.NumInputs()
-	kw, key8 := keyWords(key), keyBanks(key)
-
-	const group = 8
-	ins := make([][]uint64, group)
-	for g := range ins {
-		ins[g] = make([]uint64, nIn)
-	}
-	lens := make([]int, group)
-	bad := make([]uint64, group)
-	in8 := make([][8]uint64, nIn)
-	batchOrc, _ := a.opts.Oracle.(oracle.BatchOracle)
-
-	flush := func(gN int) error {
-		if gN == 0 {
-			return nil
-		}
-		// Oracle side: one EvalMany for the whole group when available.
-		var wants [][]uint64
-		if batchOrc != nil && gN > 1 {
-			var err error
-			wants, err = batchOrc.EvalMany(ins[:gN])
-			if err != nil {
-				return err
-			}
-		} else {
-			wants = make([][]uint64, gN)
-			for g := 0; g < gN; g++ {
-				w, err := a.opts.Oracle.Query64(ins[g])
-				if err != nil {
-					return err
-				}
-				wants[g] = append([]uint64(nil), w...)
-			}
-		}
-		// The chip answers every lane of every batch.
-		a.countQueries(64 * uint64(gN))
-		// Candidate side: a full group replays through the 512-lane
-		// kernel; a short tail group runs batch by batch. Either way each
-		// batch is reduced to its disagreeing lanes before any of them is
-		// adjudicated, since adjudication reruns the simulator.
-		if gN == group {
-			for i := 0; i < nIn; i++ {
-				for g := 0; g < group; g++ {
-					in8[i][g] = ins[g][i]
-				}
-			}
-			got8, err := a.sim.Run512(in8, key8)
-			if err != nil {
-				return err
-			}
-			for g := 0; g < group; g++ {
-				var d uint64
-				for o := range wants[g] {
-					d |= wants[g][o] ^ got8[o][g]
-				}
-				bad[g] = d
-				if lens[g] < 64 {
-					bad[g] &= (uint64(1) << uint(lens[g])) - 1
-				}
-			}
-		} else {
-			for g := 0; g < gN; g++ {
-				got, err := a.sim.Run64(ins[g], kw)
-				if err != nil {
-					return err
-				}
-				bad[g] = diffLanes(wants[g], got, lens[g])
-			}
-		}
-		for g := 0; g < gN; g++ {
-			if bad[g] == 0 {
-				continue
-			}
-			confirmed, err := a.confirmLanes(ins[g], bad[g], key)
-			if err != nil {
-				return err
-			}
-			if confirmed {
-				return errDisagree
-			}
-		}
-		return nil
-	}
-
-	// Stream the set in ascending order, 64 patterns per batch.
-	gN := 0
-	var chunk [64]uint64
-	nc := 0
-	batch := func() error {
-		if err := a.ctxErr(); err != nil {
-			return err
-		}
-		a.packBlocks(ins[gN], chunk[:nc])
-		lens[gN] = nc
-		nc = 0
-		gN++
-		if gN == group {
-			gN = 0
-			return flush(group)
-		}
-		return nil
-	}
-	var err error
-	st.dips.ForEach(func(p uint64) bool {
-		chunk[nc] = p
-		nc++
-		if nc == len(chunk) {
-			err = batch()
-		}
-		return err == nil
-	})
-	if err == nil && nc > 0 {
-		err = batch()
-	}
-	if err != nil {
-		return err
-	}
-	return flush(gN)
 }
 
 func (a *attack) report(active int, st *structured, c *candidate) *Result {

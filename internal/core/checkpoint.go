@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strconv"
 
@@ -9,16 +8,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/events"
-	"repro/internal/oracle"
-	"repro/internal/telemetry"
 )
-
-// bankCap bounds the banked oracle-response entries a single attack will
-// hold (and therefore serialize into every snapshot). Entries are a few
-// hundred bytes each, so the cap keeps the bank around tens of MiB even
-// on query-heavy instances; once full, new answers simply stop being
-// banked — correctness never depends on a hit.
-const bankCap = 1 << 15
 
 // optionsSig fingerprints the options that change the attack's query
 // stream or decisions; a snapshot is only resumable under identical
@@ -55,9 +45,8 @@ type ckptState struct {
 
 // armDurability wires Options.Checkpointer and Options.ResumeFrom into
 // the attack: the resume snapshot is validated against this instance
-// (typed refusal on mismatch), the oracle is wrapped with the response
-// bank, and the extractor's progress hook starts feeding the checkpoint
-// cadence.
+// (typed refusal on mismatch) and held for the extraction it names, and
+// the extractor's progress hook starts feeding the checkpoint cadence.
 func (a *attack) armDurability() error {
 	opts := &a.opts
 	if opts.Checkpointer == nil && opts.ResumeFrom == nil {
@@ -69,7 +58,6 @@ func (a *attack) armDurability() error {
 	}
 	sig := optionsSig(opts)
 
-	bank := newBankedOracle(opts.Oracle, a.env.Tel)
 	if rs := opts.ResumeFrom; rs != nil {
 		sp := a.root.Child("resume")
 		if err := validateResume(rs, hash, sig, a.layout.N()); err != nil {
@@ -77,17 +65,14 @@ func (a *attack) armDurability() error {
 			sp.End()
 			return err
 		}
-		bank.load(rs.Responses, rs.Scalar)
 		a.resume = rs
 		a.env.Tel.Counter("resume_loads_total").Inc()
-		a.env.Tel.Counter("resume_responses_loaded_total").Add(uint64(len(rs.Responses) + len(rs.Scalar)))
 		sp.SetArg("active", strconv.Itoa(rs.Active))
 		sp.SetArg("phase", rs.Phase)
 		sp.SetArg("complete", strconv.FormatBool(rs.EnumComplete))
-		sp.SetArg("banked", strconv.Itoa(len(rs.Responses)+len(rs.Scalar)))
 		sp.End()
-		a.logf("resuming from checkpoint: active=%d phase=%s complete=%t banked=%d",
-			rs.Active, rs.Phase, rs.EnumComplete, len(rs.Responses)+len(rs.Scalar))
+		a.logf("resuming from checkpoint: active=%d phase=%s complete=%t",
+			rs.Active, rs.Phase, rs.EnumComplete)
 		if bus := a.env.Bus; bus != nil {
 			bus.Publish(events.Event{
 				Type:  events.TypeResume,
@@ -96,14 +81,10 @@ func (a *attack) armDurability() error {
 				Fields: map[string]string{
 					"active":   strconv.Itoa(rs.Active),
 					"complete": strconv.FormatBool(rs.EnumComplete),
-					"banked":   strconv.Itoa(len(rs.Responses) + len(rs.Scalar)),
 				},
 			})
 		}
 	}
-	a.bank = bank
-	opts.Oracle = bank
-
 	if w := opts.Checkpointer; w != nil {
 		a.ck = &ckptState{w: w, lockedHash: hash, sig: sig}
 	}
@@ -138,8 +119,8 @@ func (a *attack) ckptMark(active int, calib uint64) {
 }
 
 // ckptPump advances the checkpoint cadence by n progress events (DIPs
-// enumerated or oracle patterns answered) and hands the writer a fresh
-// snapshot when one is due. Disabled-checkpoint cost: one nil check.
+// enumerated) and hands the writer a fresh snapshot when one is due.
+// Disabled-checkpoint cost: one nil check.
 func (a *attack) ckptPump(n uint64) {
 	if a.ck == nil {
 		return
@@ -152,8 +133,7 @@ func (a *attack) ckptPump(n uint64) {
 
 // buildSnapshot assembles a Snapshot from the attack's current state.
 // It runs on the attack goroutine (the only mutator of that state); the
-// DIP words and response bank are copied so the writer goroutine owns
-// its data outright.
+// DIP words are copied so the writer goroutine owns its data outright.
 func (a *attack) buildSnapshot() *checkpoint.Snapshot {
 	ck := a.ck
 	s := &checkpoint.Snapshot{
@@ -178,9 +158,6 @@ func (a *attack) buildSnapshot() *checkpoint.Snapshot {
 		if err == nil {
 			s.DIPWords = empty.CloneWords()
 		}
-	}
-	if a.bank != nil {
-		s.Responses, s.Scalar = a.bank.export()
 	}
 	return s
 }
@@ -231,187 +208,4 @@ func (a *attack) extractDIPs(active int, calib uint64) (*DIPSet, error) {
 		a.logf("resume: extractor cannot seed partial sets; re-enumerating %d DIPs", restored)
 	}
 	return a.ext.DIPs(a.assign(active, calib))
-}
-
-// bankedOracle decorates the oracle with a response bank: answers are
-// recorded as they arrive and replayed from memory when the identical
-// pattern is asked again. Snapshots persist the bank, so a resumed
-// attack's deterministic re-walk of the probe/verify query stream is
-// served locally up to the crash point — the chip only sees queries the
-// crashed run never got answered. Implements BatchOracle so the wide
-// verify path keeps its shape (batches fall back to per-batch Query64
-// when the inner oracle is not batched, exactly like oracle.Resilient).
-//
-// With a noisy oracle the bank intentionally freezes the first answer
-// per pattern — deterministic replay is the point; denoising belongs to
-// oracle.Resilient underneath the bank.
-type bankedOracle struct {
-	inner oracle.Oracle
-	batch oracle.BatchOracle // nil when inner is not batched
-	words map[string][]uint64
-	bits  map[string][]byte
-	hits  uint64
-	cHits *telemetry.Counter
-}
-
-func newBankedOracle(inner oracle.Oracle, tel *telemetry.Registry) *bankedOracle {
-	b := &bankedOracle{
-		inner: inner,
-		words: make(map[string][]uint64),
-		bits:  make(map[string][]byte),
-		cHits: tel.Counter("resume_oracle_hits_total"),
-	}
-	b.batch, _ = inner.(oracle.BatchOracle)
-	return b
-}
-
-// load seeds the bank from snapshot responses.
-func (b *bankedOracle) load(resp []checkpoint.Response, scalar []checkpoint.ScalarResponse) {
-	for _, r := range resp {
-		b.words[wordKey(r.In)] = r.Out
-	}
-	for _, r := range scalar {
-		b.bits[string(r.In)] = r.Out
-	}
-}
-
-// export copies the bank for a snapshot. Entry order is map-random,
-// which is fine: the resumed run looks entries up by key, and snapshots
-// are not required to be byte-canonical.
-func (b *bankedOracle) export() ([]checkpoint.Response, []checkpoint.ScalarResponse) {
-	resp := make([]checkpoint.Response, 0, len(b.words))
-	for k, out := range b.words {
-		resp = append(resp, checkpoint.Response{In: wordsFromKey(k), Out: append([]uint64(nil), out...)})
-	}
-	scalar := make([]checkpoint.ScalarResponse, 0, len(b.bits))
-	for k, out := range b.bits {
-		scalar = append(scalar, checkpoint.ScalarResponse{In: []byte(k), Out: append([]byte(nil), out...)})
-	}
-	return resp, scalar
-}
-
-func (b *bankedOracle) full() bool { return len(b.words)+len(b.bits) >= bankCap }
-
-// Hits returns the number of oracle calls served from the bank.
-func (b *bankedOracle) Hits() uint64 { return b.hits }
-
-func (b *bankedOracle) NumInputs() int  { return b.inner.NumInputs() }
-func (b *bankedOracle) NumOutputs() int { return b.inner.NumOutputs() }
-
-// Query implements oracle.Oracle.
-func (b *bankedOracle) Query(in []bool) ([]bool, error) {
-	key := string(packBits(in))
-	if out, ok := b.bits[key]; ok {
-		b.hits++
-		b.cHits.Inc()
-		return unpackBits(out, b.inner.NumOutputs()), nil
-	}
-	out, err := b.inner.Query(in)
-	if err != nil {
-		return nil, err
-	}
-	if !b.full() {
-		b.bits[key] = packBits(out)
-	}
-	return out, nil
-}
-
-// Query64 implements oracle.Oracle.
-func (b *bankedOracle) Query64(in []uint64) ([]uint64, error) {
-	key := wordKey(in)
-	if out, ok := b.words[key]; ok {
-		b.hits++
-		b.cHits.Inc()
-		return append([]uint64(nil), out...), nil
-	}
-	out, err := b.inner.Query64(in)
-	if err != nil {
-		return nil, err
-	}
-	if !b.full() {
-		b.words[key] = append([]uint64(nil), out...)
-	}
-	return out, nil
-}
-
-// EvalMany implements oracle.BatchOracle: banked batches are answered
-// locally, the misses forwarded in one (order-preserving) inner call.
-func (b *bankedOracle) EvalMany(ins [][]uint64) ([][]uint64, error) {
-	outs := make([][]uint64, len(ins))
-	var missIdx []int
-	var miss [][]uint64
-	for i, in := range ins {
-		if out, ok := b.words[wordKey(in)]; ok {
-			b.hits++
-			b.cHits.Inc()
-			outs[i] = append([]uint64(nil), out...)
-			continue
-		}
-		missIdx = append(missIdx, i)
-		miss = append(miss, in)
-	}
-	if len(miss) == 0 {
-		return outs, nil
-	}
-	var got [][]uint64
-	var err error
-	if b.batch != nil {
-		got, err = b.batch.EvalMany(miss)
-	} else {
-		got = make([][]uint64, len(miss))
-		for i, in := range miss {
-			got[i], err = b.inner.Query64(in)
-			if err != nil {
-				break
-			}
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	for i, idx := range missIdx {
-		outs[idx] = got[i]
-		if !b.full() {
-			b.words[wordKey(ins[idx])] = append([]uint64(nil), got[i]...)
-		}
-	}
-	return outs, nil
-}
-
-// wordKey packs a word vector into a map key.
-func wordKey(ws []uint64) string {
-	buf := make([]byte, 8*len(ws))
-	for i, w := range ws {
-		binary.LittleEndian.PutUint64(buf[8*i:], w)
-	}
-	return string(buf)
-}
-
-func wordsFromKey(k string) []uint64 {
-	out := make([]uint64, len(k)/8)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64([]byte(k[8*i : 8*i+8]))
-	}
-	return out
-}
-
-// packBits packs a bool vector 8 per byte (LSB first).
-func packBits(v []bool) []byte {
-	out := make([]byte, (len(v)+7)/8)
-	for i, b := range v {
-		if b {
-			out[i/8] |= 1 << uint(i%8)
-		}
-	}
-	return out
-}
-
-func unpackBits(p []byte, n int) []bool {
-	out := make([]bool, n)
-	for i := range out {
-		if i/8 < len(p) && p[i/8]&(1<<uint(i%8)) != 0 {
-			out[i] = true
-		}
-	}
-	return out
 }

@@ -43,25 +43,23 @@ func (o *cancelOracle) Query64(in []uint64) ([]uint64, error) {
 	return o.inner.Query64(in)
 }
 
-// TestCheckpointResumeBitIdentical is the tentpole acceptance property:
-// an attack interrupted mid-run and resumed from its last snapshot
-// recovers the exact key of an uninterrupted run, and the resumed run
-// asks the chip strictly fewer questions because the snapshot's
-// response bank replays the answers the crashed run already paid for.
+// TestCheckpointResumeBitIdentical is the durability acceptance
+// property: an attack interrupted mid-run and resumed from its last
+// snapshot recovers the exact key of an uninterrupted run, and the
+// resumed run restores the crashed run's complete DIP set instead of
+// enumerating it again.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	lockedC, inst, h := lockedInstance(t, "2A-O-A", 41)
 	const seed = 42
 
 	// Reference: uninterrupted run.
-	simRef := oracle.MustNewSim(h)
-	ref, err := Run(Options{Locked: lockedC, Oracle: simRef, Seed: seed, Telemetry: telemetry.New()})
+	ref, err := Run(Options{Locked: lockedC, Oracle: oracle.MustNewSim(h), Seed: seed, Telemetry: telemetry.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !inst.IsCorrectCASKey(ref.Key) {
 		t.Fatal("reference attack recovered a wrong key")
 	}
-	refQueries := simRef.Queries()
 
 	// Crashed run: checkpoint on every progress event, die at the first
 	// oracle call — the shared candidate probe, after the DIP set is
@@ -96,15 +94,14 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Responses)+len(snap.Scalar) == 0 {
-		t.Fatal("snapshot banked no oracle responses")
+	if !snap.EnumComplete {
+		t.Fatal("the snapshot taken at the probe holds a partial DIP set")
 	}
 
 	// Resumed run: fresh process, fresh oracle, snapshot in hand.
-	simRes := oracle.MustNewSim(h)
 	telRes := telemetry.New()
 	res, err := Run(Options{
-		Locked: lockedC, Oracle: simRes, Seed: seed, Telemetry: telRes,
+		Locked: lockedC, Oracle: oracle.MustNewSim(h), Seed: seed, Telemetry: telRes,
 		ResumeFrom: snap,
 	})
 	if err != nil {
@@ -113,17 +110,17 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(res.Key, ref.Key) {
 		t.Fatalf("resumed key differs from uninterrupted key:\n resumed %v\n scratch %v", res.Key, ref.Key)
 	}
-	if got := simRes.Queries(); got >= refQueries {
-		t.Fatalf("resumed run asked the chip %d patterns, scratch asked %d — resume saved nothing", got, refQueries)
+	if res.Extractions >= ref.Extractions {
+		t.Fatalf("resumed run made %d DIP-set extractions, scratch made %d — resume saved nothing", res.Extractions, ref.Extractions)
 	}
 	if got := telRes.Counter("resume_loads_total").Value(); got != 1 {
 		t.Errorf("resume_loads_total = %d, want 1", got)
 	}
-	if got := telRes.Counter("resume_oracle_hits_total").Value(); got == 0 {
-		t.Error("resume_oracle_hits_total = 0, want banked replay hits")
+	if got := telRes.Counter("resume_enum_skipped_total").Value(); got != 1 {
+		t.Errorf("resume_enum_skipped_total = %d, want 1", got)
 	}
-	if got := telRes.Counter("resume_dips_restored_total").Value(); got == 0 {
-		t.Error("resume_dips_restored_total = 0, want restored DIPs")
+	if got := telRes.Counter("resume_dips_restored_total").Value(); got != ref.TotalDIPs {
+		t.Errorf("resume_dips_restored_total = %d, want the %d DIPs of the scratch run", got, ref.TotalDIPs)
 	}
 }
 
@@ -197,91 +194,6 @@ func TestResumeRefusesV1Snapshot(t *testing.T) {
 		Telemetry: telemetry.New(), ResumeFrom: snap,
 	}); !errors.Is(err, ErrResumeMismatch) {
 		t.Fatalf("v1 snapshot: got %v, want ErrResumeMismatch", err)
-	}
-}
-
-func TestBankedOracle(t *testing.T) {
-	_, _, h := lockedInstance(t, "2A-O-A", 61)
-	sim := oracle.MustNewSim(h)
-	tel := telemetry.New()
-	b := newBankedOracle(sim, tel)
-
-	in := make([]uint64, b.NumInputs())
-	in[0] = 0xAAAA
-	out1, err := b.Query64(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chip := sim.Queries()
-	out2, err := b.Query64(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.Queries() != chip {
-		t.Fatal("banked repeat query reached the chip")
-	}
-	if !reflect.DeepEqual(out1, out2) {
-		t.Fatal("banked answer differs from the original")
-	}
-	if b.Hits() != 1 || tel.Counter("resume_oracle_hits_total").Value() != 1 {
-		t.Fatalf("hits = %d, counter = %d, want 1/1", b.Hits(), tel.Counter("resume_oracle_hits_total").Value())
-	}
-
-	// Scalar path.
-	sIn := make([]bool, b.NumInputs())
-	sIn[1] = true
-	sOut1, err := b.Query(sIn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chip = sim.Queries()
-	sOut2, err := b.Query(sIn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.Queries() != chip || !reflect.DeepEqual(sOut1, sOut2) {
-		t.Fatal("scalar bank miss or answer drift")
-	}
-
-	// Export → load into a fresh bank: the replayed bank serves the same
-	// answers with zero chip traffic.
-	resp, scalar := b.export()
-	b2 := newBankedOracle(sim, tel)
-	b2.load(resp, scalar)
-	chip = sim.Queries()
-	out3, err := b2.Query64(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sOut3, err := b2.Query(sIn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.Queries() != chip {
-		t.Fatal("loaded bank reached the chip")
-	}
-	if !reflect.DeepEqual(out3, out1) || !reflect.DeepEqual(sOut3, sOut1) {
-		t.Fatal("loaded bank serves different answers")
-	}
-
-	// EvalMany with a partial hit: the banked batch is served locally,
-	// only the miss reaches the chip, order preserved.
-	miss := make([]uint64, b.NumInputs())
-	miss[0] = 0x5555
-	wantMiss, err := sim.Query64(append([]uint64(nil), miss...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	chip = sim.Queries()
-	outs, err := b.EvalMany([][]uint64{in, miss})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sim.Queries() - chip; got != 64 {
-		t.Fatalf("partial-hit batch cost %d chip patterns, want 64", got)
-	}
-	if !reflect.DeepEqual(outs[0], out1) || !reflect.DeepEqual(outs[1], wantMiss) {
-		t.Fatal("EvalMany scrambled banked/missed answers")
 	}
 }
 

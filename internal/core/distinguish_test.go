@@ -27,10 +27,10 @@ func complementKey(key []bool) []bool {
 
 // TestDistinguishUnknownObservable pins the starved-verdict report on a
 // simulation-regime instance (the Table-I c432 row): with a one-conflict
-// budget, every Unknown from the keyed miter still reads "equivalent",
-// is counted once in engine_distinguish_unknown_total, publishes one
-// distinguish event in the open phase and logs one line; definitive
-// verdicts report nothing.
+// budget, distinguish passes the keyed miter's verdict through, and
+// every Unknown comes without a witness, is counted once in
+// engine_distinguish_unknown_total, publishes one distinguish event in
+// the open phase and logs one line; definitive verdicts report nothing.
 func TestDistinguishUnknownObservable(t *testing.T) {
 	locked, _, _ := tableIRowInstance(t)
 	c := locked.Circuit
@@ -60,22 +60,20 @@ func TestDistinguishUnknownObservable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := a.distinguish(p[0], p[1], 1)
+		got, w, err := a.distinguish(p[0], p[1], 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eq := w == nil
-		switch want {
-		case sat.Unknown:
+		if got != want {
+			t.Fatalf("pair %d: distinguish says %v, the prover %v", i, got, want)
+		}
+		if (w != nil) != (want == sat.Sat) {
+			t.Fatalf("pair %d: verdict %v with witness=%v", i, got, w != nil)
+		}
+		if want == sat.Unknown {
 			unknowns++
-			if !eq || w != nil {
-				t.Fatalf("pair %d: a starved verdict must read equivalent without a witness", i)
-			}
-		default:
+		} else {
 			definitive++
-			if eq != (want == sat.Unsat) {
-				t.Fatalf("pair %d: distinguish says equivalent=%v, the prover %v", i, eq, want)
-			}
 		}
 	}
 	if unknowns == 0 || definitive == 0 {

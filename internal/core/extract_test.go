@@ -154,9 +154,8 @@ func (e *errOracle) Query64(in []uint64) ([]uint64, error) {
 
 func TestAttackPropagatesOracleErrors(t *testing.T) {
 	lockedC, _, h := lockedInstance(t, "2A-O-A", 7)
-	// One call answers the shared candidate probe; the DIP replay's
-	// batch is the first to fail.
-	orc := &errOracle{inner: oracle.MustNewSim(h), budget: 1}
+	// The shared candidate probe, the attack's first oracle call, fails.
+	orc := &errOracle{inner: oracle.MustNewSim(h), budget: 0}
 	_, err := Run(Options{Locked: lockedC, Oracle: orc, Seed: 8})
 	if orc.queries <= orc.budget {
 		t.Fatalf("the attack finished in %d oracle calls, before the injected failure", orc.queries)

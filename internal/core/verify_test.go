@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -15,9 +18,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// callLog wraps an oracle and counts its calls by kind. It deliberately
-// implements only oracle.Oracle, so the DIP replay sends every 64-lane
-// batch through Query64.
+// callLog wraps an oracle and counts its calls by kind.
 type callLog struct {
 	inner          oracle.Oracle
 	scalar, wide64 int
@@ -58,9 +59,9 @@ func tableIRowInstance(t *testing.T) (*lock.Locked, *lock.CASInstance, *netlist.
 // TestVerifyOracleAccounting pins what verification costs the chip on a
 // Table-I row whose decode leaves hundreds of candidates: the attack
 // reports exactly the patterns the chip evaluated, all candidates share
-// one 64-lane probe (one Query64 for the hypothesis), distinguishing
-// inputs are asked one pattern at a time, and the replay asks one batch
-// per 64 DIPs.
+// one 64-lane probe (one Query64 for the hypothesis), and every other
+// question is one distinguishing witness, asked as one scalar query
+// that removes at least one candidate. No DIP is replayed.
 func TestVerifyOracleAccounting(t *testing.T) {
 	locked, inst, h := tableIRowInstance(t)
 	sim := oracle.MustNewSim(h)
@@ -81,9 +82,11 @@ func TestVerifyOracleAccounting(t *testing.T) {
 	if res.CandidatesTried < 100 {
 		t.Fatalf("%d candidates tried; the row no longer exercises a crowded probe", res.CandidatesTried)
 	}
-	batches := int((res.TotalDIPs + 63) / 64)
-	if orc.wide64 != 1+batches {
-		t.Errorf("%d Query64 calls, want 1 probe + %d replay batches", orc.wide64, batches)
+	if orc.wide64 != 1 {
+		t.Errorf("%d Query64 calls, want the 1 shared probe", orc.wide64)
+	}
+	if orc.scalar == 0 || orc.scalar >= res.CandidatesTried {
+		t.Errorf("%d witness queries for %d candidates, want at least 1 and fewer than one per candidate", orc.scalar, res.CandidatesTried)
 	}
 	if got := uint64(orc.scalar + 64*orc.wide64); got != res.OracleQueries {
 		t.Errorf("%d scalar + %d 64-lane calls make %d patterns, Result reports %d", orc.scalar, orc.wide64, got, res.OracleQueries)
@@ -92,25 +95,18 @@ func TestVerifyOracleAccounting(t *testing.T) {
 
 // laneFlipper flips output bit 0 in lanes 0 and 1 of every 64-lane
 // answer and answers scalar queries truthfully: noise that lands in the
-// shared probe and in every replay batch, and that the targeted
-// re-query of MismatchRetries always voids. Two flipped lanes per batch
-// mean every batch adjudicates more than one lane, each adjudication
-// rerunning the shared simulator.
+// shared probe, and that the targeted re-query of MismatchRetries always
+// voids. Two flipped lanes mean the true key adjudicates more than one
+// lane, each adjudication rerunning the shared simulator.
 type laneFlipper struct {
-	inner oracle.Oracle
-	calls int
-	// replayScalar counts scalar queries after the second Query64 call:
-	// with one replay (the probe is the first call), these are exactly
-	// the replay's re-queries.
-	replayScalar int
+	inner         oracle.Oracle
+	calls, scalar int
 }
 
 func (o *laneFlipper) NumInputs() int  { return o.inner.NumInputs() }
 func (o *laneFlipper) NumOutputs() int { return o.inner.NumOutputs() }
 func (o *laneFlipper) Query(in []bool) ([]bool, error) {
-	if o.calls >= 2 {
-		o.replayScalar++
-	}
+	o.scalar++
 	return o.inner.Query(in)
 }
 func (o *laneFlipper) Query64(in []uint64) ([]uint64, error) {
@@ -124,20 +120,14 @@ func (o *laneFlipper) Query64(in []uint64) ([]uint64, error) {
 	return out, nil
 }
 
-// TestVerifyNoisyProbeAndTailGroup runs the attack against noise in the
-// probe and in a DIP-replay tail group of fewer than eight batches (the
-// 64-lane path, where the simulator's output buffer is shared with the
-// scalar re-checks): with MismatchRetries the attack must still recover
-// the clean run's key.
-func TestVerifyNoisyProbeAndTailGroup(t *testing.T) {
+// TestVerifyNoisyProbe runs the attack against noise in the shared
+// probe: with MismatchRetries the attack must still recover the clean
+// run's key, after re-querying both flipped lanes against it.
+func TestVerifyNoisyProbe(t *testing.T) {
 	locked, inst, h := tableIRowInstance(t)
 	clean, err := Run(Options{Locked: locked.Circuit, Oracle: oracle.MustNewSim(h), Seed: 11})
 	if err != nil {
 		t.Fatal(err)
-	}
-	batches := int((clean.TotalDIPs + 63) / 64)
-	if tail := batches % 8; tail == 0 || batches < 8 {
-		t.Fatalf("%d replay batches: want a full group and a tail group of fewer than 8", batches)
 	}
 	noisy := &laneFlipper{inner: oracle.MustNewSim(h)}
 	res, err := Run(Options{Locked: locked.Circuit, Oracle: noisy, Seed: 11, MismatchRetries: 1})
@@ -150,19 +140,13 @@ func TestVerifyNoisyProbeAndTailGroup(t *testing.T) {
 	if !reflect.DeepEqual(res.Key, clean.Key) {
 		t.Fatal("noisy attack recovered a different key than the clean run")
 	}
-	// Every Query64 was flipped: the probe and all replay batches.
-	if noisy.calls != 1+batches {
-		t.Fatalf("%d flipped Query64 answers, want 1 probe + %d replay batches", noisy.calls, batches)
+	if noisy.calls != 1 {
+		t.Fatalf("%d flipped Query64 answers, want the 1 shared probe", noisy.calls)
 	}
-	// The replay re-queries each flipped lane 2·MismatchRetries+1 = 3
-	// times and nothing else: a batch whose simulator output were read
-	// after a re-check had overwritten it would adjudicate extra lanes.
-	flipped := 2 * batches
-	if clean.TotalDIPs%64 == 1 {
-		flipped-- // the last batch has no lane 1
-	}
-	if want := 3 * flipped; noisy.replayScalar != want {
-		t.Errorf("replay made %d scalar re-queries, want %d (3 per flipped lane)", noisy.replayScalar, want)
+	// The true key disagrees with both flipped lanes, and each is
+	// re-queried 2·MismatchRetries+1 = 3 times before it is voided.
+	if noisy.scalar < 6 {
+		t.Errorf("%d scalar queries, want at least 6 re-queries of the flipped lanes", noisy.scalar)
 	}
 }
 
@@ -243,5 +227,128 @@ func TestUnknownNeverRemovesTrueKey(t *testing.T) {
 	}
 	if reg.Snapshot().Counters["engine_distinguish_unknown_total"] == 0 {
 		t.Fatal("no distinguish ran out of budget; the test exercised no Unknown verdict")
+	}
+}
+
+// rowSurvivors decodes the Table-I c432 row under Case 1 and returns an
+// attack ready to eliminate, the decoded structure, and the probe
+// survivors split into the true key's class and the wrong ones.
+func rowSurvivors(t *testing.T, opts Options, reg *telemetry.Registry) (a *attack, st *structured, right, wrong []candidate) {
+	t.Helper()
+	_, inst, _ := tableIRowInstance(t)
+	layout, err := DiscoverLayout(opts.Locked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := netlist.NewSimulator(opts.Locked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a = &attack{opts: opts, layout: layout, sim: sim,
+		env: &engine.Env{Ctx: context.Background(), Tel: reg},
+		rng: rand.New(rand.NewSource(opts.Seed ^ 0x5eed))}
+	if a.ext, err = a.chooseExtractor(); err != nil {
+		t.Fatal(err)
+	}
+	dips, err := a.extractDIPs(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = a.decode(nil, dips); err != nil {
+		t.Fatal(err)
+	}
+	probe, err := a.newProbeSet(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := a.keepAgreeing(probe, a.buildCandidates(1, 0, st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range live {
+		if inst.IsCorrectCASKey(c.key) {
+			right = append(right, c)
+		} else {
+			wrong = append(wrong, c)
+		}
+	}
+	if len(right) != 1 || len(wrong) == 0 {
+		t.Fatalf("%d right and %d wrong candidates survive the probe; the row no longer exercises elimination", len(right), len(wrong))
+	}
+	return a, st, right, wrong
+}
+
+// TestUnknownNeverReturnsWrongSurvivor is the other half of
+// TestUnknownNeverRemovesTrueKey: a wrong probe survivor w at the head of
+// the list, facing only the true key, is never returned, whatever the
+// starting conflict budget. At budgets 1–4 the first distinguish of
+// some pairs is Unknown; reading that as "equivalent" would confirm w.
+func TestUnknownNeverReturnsWrongSurvivor(t *testing.T) {
+	locked, inst, h := tableIRowInstance(t)
+	reg := telemetry.New()
+	a, st, right, wrong := rowSurvivors(t, Options{Locked: locked.Circuit, Oracle: oracle.MustNewSim(h), Seed: 11}, reg)
+	for budget := uint64(1); budget <= 4; budget++ {
+		for _, w := range wrong {
+			win, err := a.eliminate([]candidate{w, right[0]}, st, budget)
+			if err != nil {
+				t.Fatalf("budget %d, candidate %d: %v", budget, w.id, err)
+			}
+			if win == nil || win.id == w.id || !inst.IsCorrectCASKey(win.key) {
+				t.Fatalf("budget %d: elimination of [%d, %d] did not confirm the true key", budget, w.id, right[0].id)
+			}
+		}
+	}
+	if reg.Snapshot().Counters["engine_distinguish_unknown_total"] == 0 {
+		t.Fatal("no distinguish ran out of budget; the test exercised no Unknown verdict")
+	}
+}
+
+// scriptedOracle answers scalar queries as the locked circuit does
+// under keys[i] on its i-th call (the last key thereafter): an oracle
+// whose noise agrees with whichever candidate is being adjudicated.
+type scriptedOracle struct {
+	locked *netlist.Circuit
+	sim    *netlist.Simulator
+	keys   [][]bool
+	calls  int
+}
+
+func (o *scriptedOracle) NumInputs() int  { return o.locked.NumInputs() }
+func (o *scriptedOracle) NumOutputs() int { return o.locked.NumOutputs() }
+func (o *scriptedOracle) Query(in []bool) ([]bool, error) {
+	key := o.keys[min(o.calls, len(o.keys)-1)]
+	o.calls++
+	out, err := o.sim.Run(in, key)
+	return append([]bool(nil), out...), err
+}
+func (o *scriptedOracle) Query64([]uint64) ([]uint64, error) {
+	return nil, errors.New("scriptedOracle: no batches")
+}
+
+// TestEliminateRefusesUnresolvedWitness pins the noise branch of
+// elimination: when the oracle's answer to a witness removes neither
+// candidate (here it first agrees with the head, then out-votes itself
+// in the rival's favour during the re-query), elimination names no key,
+// and verification ends in a PartialError naming both candidates.
+func TestEliminateRefusesUnresolvedWitness(t *testing.T) {
+	locked, _, h := tableIRowInstance(t)
+	a, st, right, wrong := rowSurvivors(t, Options{Locked: locked.Circuit, Oracle: oracle.MustNewSim(h), Seed: 11}, nil)
+	head, rival := wrong[0], right[0]
+	sim, err := netlist.NewSimulator(locked.Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.opts.Oracle = &scriptedOracle{locked: locked.Circuit, sim: sim, keys: [][]bool{head.key, rival.key}}
+	a.opts.MismatchRetries = 1
+	win, err := a.eliminate([]candidate{head, rival}, st, distinguishConflictBudget)
+	if win != nil || !errors.Is(err, errUndecided) {
+		t.Fatalf("eliminate = (%v, %v), want no key and errUndecided", win, err)
+	}
+	if names := fmt.Sprintf("candidates %d and %d", head.id, rival.id); !strings.Contains(err.Error(), names) {
+		t.Errorf("%q does not name %s", err, names)
+	}
+	var pe *PartialError
+	if perr := a.verifyErr(1, st, err); !errors.As(perr, &pe) || pe.Stage != "verify" {
+		t.Fatalf("verifyErr(%v) = %v, want a PartialError at stage verify", err, perr)
 	}
 }

@@ -49,13 +49,14 @@ const (
 	// TypeOracleBatch reports oracle consumption; Count is the
 	// cumulative query total.
 	TypeOracleBatch Type = "oracle_batch"
-	// TypeResume records a checkpoint resume: banked oracle rows and
-	// replayed DIPs, before any fresh work.
+	// TypeResume records a checkpoint resume, before any fresh work:
+	// Fields["active"] is the hypothesis in flight and
+	// Fields["complete"] whether its DIP set was complete.
 	TypeResume Type = "resume"
 	// TypeDistinguish reports a distinguish verdict that is not a
 	// proof: Fields["reason"] is "unknown_budget" when the conflict
-	// budget ran out (the caller will treat the pair as equivalent
-	// without one).
+	// budget ran out (the caller asks the pair again at a larger
+	// budget, and gives up on the hypothesis past a ceiling).
 	TypeDistinguish Type = "distinguish"
 	// TypeProgress is the estimator's digest: Fraction, Phase, and
 	// ETAMillis are authoritative on this event type.

@@ -37,7 +37,7 @@ type Config struct {
 	FlipRate float64
 	// TransientRate is the per-call probability that the query fails
 	// with a transient error instead of answering. 0 disables.
-	// Query64 and each EvalMany batch count as one call.
+	// Query64 counts as one call.
 	TransientRate float64
 	// Latency is added to every call (after the transient decision), to
 	// model a slow scan interface. 0 disables.
@@ -50,9 +50,7 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-// Injector wraps an Oracle with seeded faults. It implements both
-// oracle.Oracle and oracle.BatchOracle (batches are forwarded per-batch
-// when the inner oracle is not batched).
+// Injector wraps an Oracle with seeded faults.
 type Injector struct {
 	inner oracle.Oracle
 	cfg   Config
@@ -180,20 +178,6 @@ func (f *Injector) Query64(in []uint64) ([]uint64, error) {
 	}
 	f.flipWords(out, &state)
 	return out, nil
-}
-
-// EvalMany implements oracle.BatchOracle. Each batch draws its own
-// fault stream and transient decision, mirroring per-batch Query64.
-func (f *Injector) EvalMany(ins [][]uint64) ([][]uint64, error) {
-	outs := make([][]uint64, len(ins))
-	for i, in := range ins {
-		out, err := f.Query64(in)
-		if err != nil {
-			return nil, err
-		}
-		outs[i] = out
-	}
-	return outs, nil
 }
 
 func (f *Injector) flipWords(out []uint64, state *uint64) {

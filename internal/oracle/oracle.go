@@ -27,18 +27,6 @@ type Oracle interface {
 	Query64(in []uint64) ([]uint64, error)
 }
 
-// BatchOracle is the optional batched extension of Oracle. Callers with
-// many independent Query64 batches in hand (parallel attack loops, DIP
-// replay) should type-assert for it and submit the batches in one call:
-// implementations evaluate them without taking a per-call lock, so the
-// batches proceed concurrently instead of serializing on the oracle.
-type BatchOracle interface {
-	Oracle
-	// EvalMany evaluates many packed 64-pattern batches. The result has
-	// one output slice per input batch, in input order.
-	EvalMany(ins [][]uint64) ([][]uint64, error)
-}
-
 // Sim is an Oracle backed by simulating the original (unlocked) netlist,
 // standing in for the activated chip of the paper's threat model. It
 // counts queries and is safe for concurrent use: each in-flight query
@@ -164,12 +152,13 @@ func (o *Sim) Query64(in []uint64) ([]uint64, error) {
 	return res, nil
 }
 
-// EvalMany implements BatchOracle: every batch is evaluated on the
-// caller's goroutine with one simulator, but because nothing here locks,
-// many goroutines can be inside EvalMany (or Query/Query64)
-// simultaneously — each gets a distinct simulator. Batches are
-// packed eight at a time through the simulator's 512-lane kernel; a
-// remainder of fewer than eight runs the 64-lane path. The output
+// EvalMany evaluates many packed 64-pattern batches and returns one
+// output slice per input batch, in input order. Every batch is
+// evaluated on the caller's goroutine with one simulator, but because
+// nothing here locks, many goroutines can be inside EvalMany (or
+// Query/Query64) simultaneously — each gets a distinct simulator.
+// Batches are packed eight at a time through the simulator's 512-lane
+// kernel; a remainder of fewer than eight runs the 64-lane path. The output
 // slices share one backing array, each capped at its own batch, so an
 // append to one batch reallocates instead of overwriting the next.
 func (o *Sim) EvalMany(ins [][]uint64) ([][]uint64, error) {

@@ -266,29 +266,3 @@ func (r *Resilient) majority64(samples [][]uint64) []uint64 {
 	}
 	return res
 }
-
-// EvalMany implements BatchOracle: every batch is voted and retried
-// independently. When the inner oracle implements BatchOracle and no
-// voting is configured, whole vote-rounds go through EvalMany.
-func (r *Resilient) EvalMany(ins [][]uint64) ([][]uint64, error) {
-	r.queries.Add(uint64(len(ins)))
-	r.cQueries.Add(uint64(len(ins)))
-	if bo, ok := r.inner.(BatchOracle); ok && r.opts.Votes == 1 {
-		var outs [][]uint64
-		err := r.withRetry(func() error {
-			var e error
-			outs, e = bo.EvalMany(ins)
-			return e
-		})
-		return outs, err
-	}
-	outs := make([][]uint64, len(ins))
-	for i, in := range ins {
-		out, err := r.query64Voted(in)
-		if err != nil {
-			return nil, err
-		}
-		outs[i] = out
-	}
-	return outs, nil
-}

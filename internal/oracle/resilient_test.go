@@ -164,15 +164,4 @@ func TestResilientAgainstSim(t *testing.T) {
 			t.Fatalf("resilient wrapper altered a clean oracle's answer at %d", i)
 		}
 	}
-	outs, err := r.EvalMany([][]uint64{in, in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, out := range outs {
-		for i := range want {
-			if out[i] != want[i] {
-				t.Fatal("EvalMany answer differs")
-			}
-		}
-	}
 }

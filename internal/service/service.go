@@ -1095,8 +1095,8 @@ func (s *Service) armDurability(exec *execution, opts *core.Options) *checkpoint
 		if snap.OracleHash == "" || snap.OracleHash == oracleHash {
 			opts.ResumeFrom = snap
 			s.tel.Counter("journal_resumed_from_checkpoint_total").Inc()
-			s.logf("job %s: resuming from checkpoint (phase=%s, %d banked responses)",
-				shortHash(exec.hash), snap.Phase, len(snap.Responses)+len(snap.Scalar))
+			s.logf("job %s: resuming from checkpoint (phase=%s, enumeration complete=%t)",
+				shortHash(exec.hash), snap.Phase, snap.EnumComplete)
 		} else {
 			s.logf("job %s: checkpoint oracle hash mismatch, starting fresh", shortHash(exec.hash))
 		}
