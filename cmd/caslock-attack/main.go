@@ -37,7 +37,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/bench"
-	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/events"
@@ -271,11 +270,12 @@ func main() {
 		opts.Events = evBus
 	}
 
-	// Durability: the oracle netlist's canonical hash pins snapshots to
-	// this oracle (core validates the locked netlist and options itself,
-	// but only this boundary can see through the Oracle interface).
+	// Durability: the oracle netlist's bench.Hash pins snapshots to this
+	// oracle (core validates the locked netlist and options itself, but
+	// only this boundary can see through the Oracle interface).
 	if *ckptPath != "" || *resumePath != "" {
-		oracleHash := canonicalHash(original)
+		oracleHash, err := bench.Hash(original)
+		fatalIf(err)
 		if *resumePath != "" {
 			snap, err := checkpoint.Load(*resumePath)
 			fatalIf(err)
@@ -454,12 +454,6 @@ func keyString(key []bool) string {
 		}
 	}
 	return sb.String()
-}
-
-func canonicalHash(c *netlist.Circuit) string {
-	canon, err := bench.Canonical(c)
-	fatalIf(err)
-	return cache.SumParts(canon)
 }
 
 func readBench(path string) *netlist.Circuit {

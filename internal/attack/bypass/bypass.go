@@ -63,7 +63,6 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 	if maxFixes == 0 {
 		maxFixes = 1 << 16
 	}
-	n := layout.N()
 	nk := locked.NumKeys()
 
 	// Lemma-1 pair: copy A (the key we will bypass) has the active block
@@ -73,12 +72,11 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 		assign.A[pos] = true
 	}
 	env := &engine.Env{Ctx: opts.Context, Tel: opts.Telemetry, Phase: "bypass"}
-	var ext core.Extractor
-	if n <= 12 {
-		ext, err = core.NewSATExtractor(locked, layout, env)
-	} else {
-		ext, err = core.NewSimExtractor(locked, layout, 1, env)
+	sim, err := netlist.NewSimulator(locked)
+	if err != nil {
+		return nil, err
 	}
+	ext, err := core.SelectExtractor(locked, layout, 1, env, sim)
 	if err != nil {
 		return nil, err
 	}
@@ -91,10 +89,6 @@ func Run(locked *netlist.Circuit, orc oracle.Oracle, opts Options) (*Result, err
 			dips.Count(), maxFixes)
 	}
 
-	sim, err := netlist.NewSimulator(locked)
-	if err != nil {
-		return nil, err
-	}
 	// For each DIP (a block pattern), decide whether copy A is the wrong
 	// one there and on which outputs, then wire a comparator.
 	out := locked.Clone()

@@ -140,7 +140,7 @@ func TestGenericBypassBudget(t *testing.T) {
 }
 
 // TestBypassHonoursContext runs the CAS-aware bypass under a cancelled
-// context on both enumeration paths (SAT for n ≤ 12, simulation above):
+// context at two block widths (both through the simulation extractor):
 // the enumeration must stop with the context's error rather than finish.
 func TestBypassHonoursContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

@@ -14,9 +14,12 @@ package bench
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 	"strings"
 	"unicode"
 
@@ -358,29 +361,69 @@ func (p *parsed) sortByName() []int32 {
 	return idx
 }
 
-// Write serializes a circuit in bench format. Key inputs are emitted as
-// ordinary INPUT declarations (their names carry the key prefix by
-// convention); constants are lowered to gates over a synthesized
-// tautology, since the format has no constant literal.
+// Write serializes a circuit in bench format: a "# <name>" line, then
+// the body writeBody emits. Key inputs are emitted as ordinary INPUT
+// declarations (their names carry the key prefix by convention);
+// constants are lowered to gates over a synthesized tautology, since the
+// format has no constant literal.
 func Write(w io.Writer, c *netlist.Circuit) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# %s\n", c.Name)
-	fmt.Fprintf(bw, "# %d inputs, %d key inputs, %d outputs\n", c.NumInputs(), c.NumKeys(), c.NumOutputs())
-	for _, id := range c.Inputs() {
-		fmt.Fprintf(bw, "INPUT(%s)\n", c.Gate(id).Name)
+	bw.WriteString("# ")
+	bw.WriteString(c.Name)
+	bw.WriteByte('\n')
+	if err := writeBody(bw, c); err != nil {
+		return err
 	}
-	for _, id := range c.Keys() {
-		fmt.Fprintf(bw, "INPUT(%s)\n", c.Gate(id).Name)
+	return bw.Flush()
+}
+
+// Hash returns the hex SHA-256 digest of the circuit's content form: the
+// body Write emits after its name line. The circuit name is
+// presentation, not content, so it is left out; signal names are
+// content (key-input naming carries the key-port convention). Gates
+// follow TopoOrder, which for a circuit Read builds depends on its gate
+// statements, not on their order in the file.
+func Hash(c *netlist.Circuit) (string, error) {
+	h := sha256.New()
+	bw := bufio.NewWriter(h)
+	if err := writeBody(bw, c); err != nil {
+		return "", err
 	}
-	for _, id := range c.Outputs() {
-		fmt.Fprintf(bw, "OUTPUT(%s)\n", c.Gate(id).Name)
+	if err := bw.Flush(); err != nil {
+		return "", err
 	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// writeBody writes the port-count comment, the INPUT lines (inputs,
+// then keys), the OUTPUT lines and the gates in TopoOrder.
+func writeBody(bw *bufio.Writer, c *netlist.Circuit) error {
+	bw.WriteString("# ")
+	bw.WriteString(strconv.Itoa(c.NumInputs()))
+	bw.WriteString(" inputs, ")
+	bw.WriteString(strconv.Itoa(c.NumKeys()))
+	bw.WriteString(" key inputs, ")
+	bw.WriteString(strconv.Itoa(c.NumOutputs()))
+	bw.WriteString(" outputs\n")
+	decl := func(kw string, ids []netlist.ID) {
+		for _, id := range ids {
+			bw.WriteString(kw)
+			bw.WriteByte('(')
+			bw.WriteString(c.Gate(id).Name)
+			bw.WriteString(")\n")
+		}
+	}
+	decl("INPUT", c.Inputs())
+	decl("INPUT", c.Keys())
+	decl("OUTPUT", c.Outputs())
 	order, err := c.TopoOrder()
 	if err != nil {
 		return err
 	}
 	for _, id := range order {
 		g := c.Gate(id)
+		op := mnemonicFor(g.Type)
+		fanin := g.Fanin
 		switch g.Type {
 		case netlist.Input:
 			continue
@@ -389,26 +432,29 @@ func Write(w io.Writer, c *netlist.Circuit) error {
 			if c.NumInputs()+c.NumKeys() == 0 {
 				return fmt.Errorf("bench: cannot serialize constant %q in a circuit with no inputs", g.Name)
 			}
-			var ref string
-			if c.NumInputs() > 0 {
-				ref = c.Gate(c.Inputs()[0]).Name
-			} else {
-				ref = c.Gate(c.Keys()[0]).Name
+			ref := c.Inputs()
+			if len(ref) == 0 {
+				ref = c.Keys()
 			}
-			op := "XOR"
+			pair := [2]netlist.ID{ref[0], ref[0]}
+			op, fanin = "XOR", pair[:]
 			if g.Type == netlist.Const1 {
 				op = "XNOR"
 			}
-			fmt.Fprintf(bw, "%s = %s(%s, %s)\n", g.Name, op, ref, ref)
-			continue
 		}
-		names := make([]string, len(g.Fanin))
-		for i, f := range g.Fanin {
-			names[i] = c.Gate(f).Name
+		bw.WriteString(g.Name)
+		bw.WriteString(" = ")
+		bw.WriteString(op)
+		bw.WriteByte('(')
+		for i, f := range fanin {
+			if i > 0 {
+				bw.WriteString(", ")
+			}
+			bw.WriteString(c.Gate(f).Name)
 		}
-		fmt.Fprintf(bw, "%s = %s(%s)\n", g.Name, mnemonicFor(g.Type), strings.Join(names, ", "))
+		bw.WriteString(")\n")
 	}
-	return bw.Flush()
+	return nil
 }
 
 func mnemonicFor(t netlist.GateType) string {

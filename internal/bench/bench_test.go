@@ -364,7 +364,7 @@ func itoa(i int) string {
 // TestReadMatchesFixedPointReference parses random netlists whose lines
 // are shuffled (so dependency order and name order disagree and Read
 // needs several passes) with Read and with the reference reader, and
-// requires the same gate IDs and identical Canonical bytes.
+// requires the same gate IDs and identical Hash.
 func TestReadMatchesFixedPointReference(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))

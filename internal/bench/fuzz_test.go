@@ -8,9 +8,9 @@ import (
 // FuzzBenchRead throws arbitrary text at the bench parser. The parser
 // must never panic; it must accept exactly what the plain fixed-point
 // reference reader accepts, with identical gate names per ID and
-// identical Canonical bytes; and any netlist it does accept must satisfy
-// the round-trip property: Write serializes it to text that Read accepts
-// again with identical port and gate counts.
+// identical Hash; and any netlist it does accept must satisfy the
+// round-trip property: Write serializes it to text that Read accepts
+// again with identical port and gate counts and the same Hash.
 func FuzzBenchRead(f *testing.F) {
 	f.Add("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n")
 	f.Add("# comment\nINPUT(G1)\nINPUT(G2)\nOUTPUT(G3)\nG3 = NAND(G1, G2)\n")
@@ -51,6 +51,13 @@ func FuzzBenchRead(f *testing.F) {
 			t.Fatalf("round trip changed shape: %d/%d/%d/%d → %d/%d/%d/%d",
 				c.NumInputs(), c.NumKeys(), c.NumOutputs(), c.NumGates(),
 				c2.NumInputs(), c2.NumKeys(), c2.NumOutputs(), c2.NumGates())
+		}
+		h1, err := Hash(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h2, err := Hash(c2); err != nil || h2 != h1 {
+			t.Fatalf("round trip changed the hash: %s → %s (%v)\n%s", h1, h2, err, text)
 		}
 	})
 }

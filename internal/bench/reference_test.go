@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -151,8 +150,7 @@ func refDecl(line string) (kw, name string, ok bool, err error) {
 }
 
 // sameCircuit compares two readers' results: identical gate names per ID
-// and identical Canonical bytes. It returns "" when they agree, or what
-// differs.
+// and identical Hash. It returns "" when they agree, or what differs.
 func sameCircuit(got, want *netlist.Circuit) string {
 	if got.NumGates() != want.NumGates() {
 		return fmt.Sprintf("%d gates, reference %d", got.NumGates(), want.NumGates())
@@ -162,13 +160,13 @@ func sameCircuit(got, want *netlist.Circuit) string {
 			return fmt.Sprintf("gate ID %d is %q, reference %q", id, g, w)
 		}
 	}
-	gb, gerr := Canonical(got)
-	wb, werr := Canonical(want)
+	gh, gerr := Hash(got)
+	wh, werr := Hash(want)
 	if gerr != nil || werr != nil {
-		return fmt.Sprintf("canonical form: %v / %v", gerr, werr)
+		return fmt.Sprintf("hash: %v / %v", gerr, werr)
 	}
-	if !bytes.Equal(gb, wb) {
-		return fmt.Sprintf("canonical forms differ:\n%s\n---\n%s", gb, wb)
+	if gh != wh {
+		return fmt.Sprintf("hashes differ: %s / %s", gh, wh)
 	}
 	return ""
 }

@@ -56,12 +56,13 @@ const (
 // triple so a resume against the wrong instance is refused; progress
 // fields let the resumed run skip or seed work instead of redoing it.
 type Snapshot struct {
-	// LockedHash is the content hash of the attacked netlist's canonical
-	// serialization (for MCAS runs, of the SPS-stripped inner instance).
+	// LockedHash is bench.Hash of the attacked netlist (for MCAS runs,
+	// of the SPS-stripped inner instance), set by core.
 	LockedHash string
-	// OracleHash is the content hash of the oracle netlist's canonical
-	// serialization; core cannot see through the Oracle interface, so
-	// the boundary that owns the netlist (CLI, service) validates it.
+	// OracleHash is bench.Hash of the oracle netlist. Core cannot see
+	// through the Oracle interface, so the boundary that owns the
+	// netlist (CLI, service) configures it on the Writer, which stamps
+	// it into every snapshot it writes, and validates it on resume.
 	OracleHash string
 	// OptionsSig fingerprints the semantics-affecting attack options.
 	OptionsSig string

@@ -98,9 +98,6 @@ func NewWriter(cfg WriterConfig) (*Writer, error) {
 // Path returns the snapshot file this writer maintains.
 func (w *Writer) Path() string { return w.cfg.Path }
 
-// OracleHash returns the configured oracle identity for snapshots.
-func (w *Writer) OracleHash() string { return w.cfg.OracleHash }
-
 // Writes returns the number of snapshots successfully persisted.
 func (w *Writer) Writes() uint64 { return w.writes.Load() }
 

@@ -79,11 +79,12 @@ type Options struct {
 	// off the hot path. See internal/checkpoint and DESIGN.md §11.
 	Checkpointer *checkpoint.Writer
 	// ResumeFrom, when non-nil, continues an interrupted attack from a
-	// snapshot: it is validated against this instance's canonical netlist
-	// hash and options signature (refused with ErrResumeMismatch on any
-	// mismatch), its complete DIP sets are restored outright and partial
-	// ones are re-seeded into the SAT engine as blocking clauses. The
-	// final key is bit-identical to an uninterrupted run's.
+	// snapshot: it is validated against the locked netlist's bench.Hash
+	// and this instance's options signature (refused with
+	// ErrResumeMismatch on any mismatch), its complete DIP sets are
+	// restored outright and partial ones are re-seeded into the SAT
+	// engine as blocking clauses. The final key is bit-identical to an
+	// uninterrupted run's.
 	ResumeFrom *checkpoint.Snapshot
 }
 

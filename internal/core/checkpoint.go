@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"repro/internal/bench"
-	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/events"
 )
@@ -16,16 +15,6 @@ import (
 func optionsSig(o *Options) string {
 	return fmt.Sprintf("v2 seed=%d retries=%d satwidth=%d",
 		o.Seed, o.MismatchRetries, o.SATWidthLimit)
-}
-
-// lockedHash returns the content hash of the circuit's canonical
-// serialization — the identity a snapshot is pinned to.
-func lockedHash(o *Options) (string, error) {
-	canon, err := bench.Canonical(o.Locked)
-	if err != nil {
-		return "", fmt.Errorf("core: hashing locked netlist for checkpointing: %w", err)
-	}
-	return cache.SumParts(canon), nil
 }
 
 // ckptState is the attack-side half of checkpointing: the identity
@@ -52,9 +41,9 @@ func (a *attack) armDurability() error {
 	if opts.Checkpointer == nil && opts.ResumeFrom == nil {
 		return nil
 	}
-	hash, err := lockedHash(opts)
+	hash, err := bench.Hash(opts.Locked)
 	if err != nil {
-		return err
+		return fmt.Errorf("core: hashing locked netlist for checkpointing: %w", err)
 	}
 	sig := optionsSig(opts)
 
@@ -134,11 +123,11 @@ func (a *attack) ckptPump(n uint64) {
 // buildSnapshot assembles a Snapshot from the attack's current state.
 // It runs on the attack goroutine (the only mutator of that state); the
 // DIP words are copied so the writer goroutine owns its data outright.
+// The writer stamps the oracle identity as it persists the snapshot.
 func (a *attack) buildSnapshot() *checkpoint.Snapshot {
 	ck := a.ck
 	s := &checkpoint.Snapshot{
 		LockedHash:    ck.lockedHash,
-		OracleHash:    ck.w.OracleHash(),
 		OptionsSig:    ck.sig,
 		Active:        ck.active,
 		Calib:         ck.calib,

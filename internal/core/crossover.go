@@ -3,7 +3,9 @@ package core
 import (
 	"strconv"
 
+	"repro/internal/engine"
 	"repro/internal/events"
+	"repro/internal/netlist"
 	"repro/internal/telemetry"
 )
 
@@ -42,12 +44,12 @@ func (a *attack) newCalibratedSim() (*SimExtractor, error) {
 func (a *attack) chooseExtractor() (Extractor, error) {
 	opts, layout, tel := &a.opts, a.layout, a.env.Tel
 	n := layout.N()
-	publish := func(engine, reason string) {
+	publish := func(eng, reason string) {
 		if a.env.Bus == nil {
 			return
 		}
 		a.env.Bus.Publish(events.Event{Type: events.TypeCrossover, Phase: "calibrate", Fields: map[string]string{
-			"engine": engine,
+			"engine": eng,
 			"reason": reason,
 			"width":  strconv.Itoa(n),
 		}})
@@ -65,25 +67,39 @@ func (a *attack) chooseExtractor() (Extractor, error) {
 	tel.Gauge("crossover_block_width").Set(int64(n))
 	ph := a.enterPhase(a.root, "calibrate")
 	defer a.exitPhase(ph)
-	engine, reason := "sim", "default"
-	var ext Extractor
-	se, err := a.newCalibratedSim()
-	if err == nil {
-		ext = se
-	} else {
-		if n > 30 {
-			// Neither engine can take the instance (the SAT extractor caps
-			// at 30 chain inputs).
-			return nil, err
-		}
-		if ext, err = NewSATExtractor(opts.Locked, layout, a.env); err != nil {
-			return nil, err
-		}
-		engine, reason = "sat", "sim-unavailable"
+	ext, err := SelectExtractor(opts.Locked, layout, opts.Seed, a.env, a.sim)
+	if err != nil {
+		return nil, err
 	}
-	ph.sp.SetArg("engine", engine)
+	eng, reason := "sim", "default"
+	if se, ok := ext.(*SimExtractor); ok {
+		se.SetWorkers(opts.Workers)
+	} else {
+		eng, reason = "sat", "sim-unavailable"
+	}
+	ph.sp.SetArg("engine", eng)
 	ph.sp.SetArg("reason", reason)
-	tel.Counter(telemetry.Label("crossover_selected_total", "engine", engine)).Inc()
-	publish(engine, reason)
+	tel.Counter(telemetry.Label("crossover_selected_total", "engine", eng)).Inc()
+	publish(eng, reason)
 	return ext, nil
+}
+
+// SelectExtractor applies the regime rule of an unpinned run: the
+// simulation extractor by default, and the SAT extractor only when
+// simulation refuses the instance and the block is narrow enough for
+// full SAT enumeration (n ≤ 30). The simulation self-check runs on sim,
+// a simulator of locked the caller already compiled; nil compiles one.
+// The attack and the bypass attack both choose their extractor through
+// it.
+func SelectExtractor(locked *netlist.Circuit, layout *BlockLayout, seed int64, env *engine.Env, sim *netlist.Simulator) (Extractor, error) {
+	se, err := newSimExtractor(locked, layout, seed, env, sim)
+	if err == nil {
+		return se, nil
+	}
+	if layout.N() > 30 {
+		// Neither engine can take the instance (the SAT extractor caps
+		// at 30 chain inputs).
+		return nil, err
+	}
+	return NewSATExtractor(locked, layout, env)
 }

@@ -42,7 +42,7 @@ var ErrBlockWidth = errors.New("core: block width outside supported range")
 
 // ErrResumeMismatch classifies resume refusals: the checkpoint snapshot
 // passed to Options.ResumeFrom was taken from a different attack — a
-// different locked netlist (canonical hash mismatch), different
+// different locked netlist (bench.Hash mismatch), different
 // semantics options, or a different block width. Resuming anyway would
 // silently blend two instances' progress, so the attack refuses before
 // touching the oracle.

@@ -131,7 +131,8 @@ func TestTransitiveFanout(t *testing.T) {
 
 // topoOrderListRef is Kahn's algorithm over per-gate fanout lists, the
 // form TopoOrder took before its fanout went flat. It pins the order
-// TopoOrder returns (Canonical bytes and Tseitin numbering follow it).
+// TopoOrder returns (bench.Write, bench.Hash and Tseitin numbering
+// follow it).
 func topoOrderListRef(c *Circuit) []ID {
 	n := c.NumGates()
 	indeg := make([]int, n)

@@ -13,8 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
-	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/oracle"
@@ -37,11 +35,7 @@ func hashFixture(t *testing.T, req AttackRequest) (string, *parsedRequest) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash, err := hashRequest(parsed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return hash, parsed
+	return hashRequest(parsed), parsed
 }
 
 // TestJournalRestartRestoresJobs is the tentpole service property: a
@@ -144,13 +138,9 @@ func TestJournalResumeFromCheckpoint(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(dir, "cas"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	origBytes, err := bench.Canonical(parsed.orig)
-	if err != nil {
-		t.Fatal(err)
-	}
 	w, err := checkpoint.NewWriter(checkpoint.WriterConfig{
 		Path:        filepath.Join(dir, "cas", "ck-"+hash+".bin"),
-		OracleHash:  cache.SumParts(origBytes),
+		OracleHash:  parsed.oracleHash,
 		EveryEvents: 1,
 		Interval:    time.Hour,
 	})

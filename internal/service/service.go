@@ -178,12 +178,16 @@ func (o *outcome) state() JobState {
 	}
 }
 
-// parsedRequest is an admission-validated request.
+// parsedRequest is an admission-validated request. lockedHash and
+// oracleHash are the netlists' bench.Hash digests, taken once at
+// admission.
 type parsedRequest struct {
-	req    AttackRequest
-	locked *netlist.Circuit
-	orig   *netlist.Circuit
-	width  int
+	req        AttackRequest
+	locked     *netlist.Circuit
+	orig       *netlist.Circuit
+	lockedHash string
+	oracleHash string
+	width      int
 }
 
 // execution is one in-flight attack shared by all jobs with its hash.
@@ -477,23 +481,15 @@ func (s *Service) logf(format string, args ...any) {
 	}
 }
 
-// hashRequest derives the content address: SHA-256 over the canonical
-// serializations of both netlists plus the attack-semantics options.
+// hashRequest derives the content address: SHA-256 over both
+// netlists' digests plus the attack-semantics options.
 // Budget/parallelism knobs (TimeoutMS, Workers) are deliberately
 // excluded — they change how long the computation may take, not what it
 // computes.
-func hashRequest(p *parsedRequest) (string, error) {
-	lockedBytes, err := bench.Canonical(p.locked)
-	if err != nil {
-		return "", err
-	}
-	origBytes, err := bench.Canonical(p.orig)
-	if err != nil {
-		return "", err
-	}
-	opts := fmt.Sprintf("v6 attack=%s mcas=%t seed=%d retries=%d satwidth=%d",
+func hashRequest(p *parsedRequest) string {
+	opts := fmt.Sprintf("v7 attack=%s mcas=%t seed=%d retries=%d satwidth=%d",
 		p.req.Attack, p.req.MCAS, p.req.Seed, p.req.Retries, p.req.SATWidthLimit)
-	return cache.SumParts(lockedBytes, origBytes, []byte(opts)), nil
+	return cache.SumParts([]byte(p.lockedHash), []byte(p.oracleHash), []byte(opts))
 }
 
 // servableUniverse renders the attacks the service admits as jobs.
@@ -573,6 +569,12 @@ func (s *Service) validate(req AttackRequest) (*parsedRequest, error) {
 		return nil, &JobError{Kind: KindInvalid, Err: fmt.Errorf("%w: block width %d outside [1, %d]",
 			core.ErrBlockWidth, p.width, s.cfg.MaxBlockWidth)}
 	}
+	if p.lockedHash, err = bench.Hash(locked); err != nil {
+		return nil, errInvalid("hashing locked netlist: %v", err)
+	}
+	if p.oracleHash, err = bench.Hash(orig); err != nil {
+		return nil, errInvalid("hashing oracle netlist: %v", err)
+	}
 	return p, nil
 }
 
@@ -586,10 +588,7 @@ func (s *Service) Submit(req AttackRequest) (*Job, error) {
 		s.tel.Counter(telemetry.Label("service_jobs_rejected_total", "reason", "invalid")).Inc()
 		return nil, err
 	}
-	hash, err := hashRequest(parsed)
-	if err != nil {
-		return nil, errInvalid("canonicalizing request: %v", err)
-	}
+	hash := hashRequest(parsed)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1085,11 +1084,7 @@ func (s *Service) armDurability(exec *execution, opts *core.Options) *checkpoint
 	if s.journal == nil {
 		return nil
 	}
-	origBytes, err := bench.Canonical(exec.parsed.orig)
-	if err != nil {
-		return nil
-	}
-	oracleHash := cache.SumParts(origBytes)
+	oracleHash := exec.parsed.oracleHash
 	path := s.journal.checkpointPath(exec.hash)
 	if snap, err := checkpoint.Load(path); err == nil {
 		if snap.OracleHash == "" || snap.OracleHash == oracleHash {

@@ -421,11 +421,7 @@ func TestHashExcludesBudgetKnobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := hashRequest(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sum
+		return hashRequest(p)
 	}
 	want := h(base)
 	budget := base
