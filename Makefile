@@ -16,6 +16,8 @@
 #   make trace-smoke end-to-end telemetry check: lock a seed circuit,
 #                    attack it with -trace, and validate the Chrome
 #                    trace (all five phase spans, wall-clock coverage);
+#                    a noisy-oracle leg (-noise 1e-2) that must SAT-prove
+#                    its key with at least one vote overruled;
 #                    then a pinned SAT-regime leg (width-12 block,
 #                    -sat-width-limit 12) that must SAT-prove its key
 #                    on exactly one engine encoding and trace cleanly
@@ -113,6 +115,12 @@ trace-smoke:
 	$(GO) run ./cmd/caslock-attack -locked $(SMOKEDIR)/locked.bench -oracle $(SMOKEDIR)/orig.bench \
 		-trace $(SMOKEDIR)/trace.json -metrics-out $(SMOKEDIR)/metrics.prom
 	$(GO) run ./cmd/tracecheck -in $(SMOKEDIR)/trace.json
+	$(GO) run ./cmd/caslock-attack -locked $(SMOKEDIR)/locked.bench -oracle $(SMOKEDIR)/orig.bench \
+		-noise 1e-2 > $(SMOKEDIR)/noise.out
+	@grep -q "SAT-PROVEN equivalent" $(SMOKEDIR)/noise.out || \
+		{ echo "trace-smoke: noisy-oracle key not SAT-proven" >&2; cat $(SMOKEDIR)/noise.out >&2; exit 1; }
+	@grep -Eq "oracle resilience: .* [1-9][0-9]* votes overruled" $(SMOKEDIR)/noise.out || \
+		{ echo "trace-smoke: the majority vote overruled no noisy answer" >&2; cat $(SMOKEDIR)/noise.out >&2; exit 1; }
 	$(GO) run ./cmd/casgen -inputs 14 -gates 70 -scheme cas -chain "5A-O-5A" \
 		-out $(SMOKEDIR)/sat_locked.bench -orig $(SMOKEDIR)/sat_orig.bench
 	$(GO) run ./cmd/caslock-attack -locked $(SMOKEDIR)/sat_locked.bench -oracle $(SMOKEDIR)/sat_orig.bench \

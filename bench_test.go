@@ -468,8 +468,8 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 // BenchmarkEventOverhead guards the event-bus acceptance criterion:
 // running the full attack with a bus and an actively draining
 // subscriber attached must stay within 5% of the bus-disabled
-// baseline (publishers batch per dipEventBatch/oracleEventBatch, and
-// Publish never blocks on a slow reader). bench-compare gates the
+// baseline (the DIP publisher batches per dipEventBatch, and Publish
+// never blocks on a slow reader). bench-compare gates the
 // disabled/subscribed pair; compare locally with
 //
 //	go test -run XXX -bench EventOverhead -count 10 . | benchstat

@@ -64,9 +64,9 @@ const (
 	// per progress event, so anything past 5% is a broken cadence path.
 	maxCheckpointOverhead = 0.05
 	// maxEventOverhead caps what an attached, actively draining event
-	// subscriber may add: publishers batch per dipEventBatch /
-	// oracleEventBatch and Publish never blocks, so anything past 5%
-	// means an event found its way onto a per-unit path.
+	// subscriber may add: the DIP publisher batches per dipEventBatch
+	// and Publish never blocks, so anything past 5% means an event found
+	// its way onto a per-unit path.
 	maxEventOverhead = 0.05
 )
 

@@ -161,7 +161,7 @@ func main() {
 		prove      = flag.Bool("prove", true, "SAT-prove the recovered key against the oracle netlist")
 		timeout    = flag.Duration("timeout", 0, "attack deadline (0 = none); on expiry the partial structure is printed and the exit code is 3")
 		satWidth   = flag.Int("sat-width-limit", 0, "largest block width attacked with the SAT engine (0 = simulation, SAT only where simulation refuses the instance; a positive value pins the fixed rule)")
-		retries    = flag.Int("retries", 0, "transient-failure retry budget and per-mismatch re-query count (0 = defaults)")
+		retries    = flag.Int("retries", 0, "transient-failure retry budget of the resilient oracle decorator (0 = default)")
 		noise      = flag.Float64("noise", 0, "inject this per-output-bit flip rate into the oracle (demo; arms majority voting)")
 		votes      = flag.Int("votes", 0, "majority-vote repeats per oracle query (0 = auto: 5 when -noise > 0, else 1)")
 		trace      = flag.String("trace", "", "write a Chrome-trace JSON of the attack's phase spans here (open in Perfetto / chrome://tracing)")
@@ -237,7 +237,7 @@ func main() {
 		out := atk.Run(&attack.Context{
 			Ctx: ctx, Locked: locked, Host: original, MCAS: *mcas,
 			NewOracle: func() oracle.Oracle { return orc },
-			SATCap:    *satCap, Seed: *seed, Retries: *retries,
+			SATCap:    *satCap, Seed: *seed,
 			Telemetry: tel, SATWidthLimit: *satWidth,
 		})
 		fmt.Printf("%s: %s (%v)\n", atk.Label, out.Detail, time.Since(start).Round(time.Millisecond))
@@ -253,12 +253,11 @@ func main() {
 	}
 
 	opts := core.Options{
-		Context:         ctx,
-		Oracle:          orc,
-		Seed:            *seed,
-		MismatchRetries: *retries,
-		SATWidthLimit:   *satWidth,
-		Telemetry:       tel,
+		Context:       ctx,
+		Oracle:        orc,
+		Seed:          *seed,
+		SATWidthLimit: *satWidth,
+		Telemetry:     tel,
 	}
 	if *progress {
 		opts.Log = func(format string, args ...any) {

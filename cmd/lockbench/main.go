@@ -75,7 +75,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "experiment seed")
 		workers   = flag.Int("workers", 0, "cell worker count (0 = GOMAXPROCS)")
 		timeout   = flag.Duration("timeout", 0, "deadline for the whole grid (0 = none)")
-		retries   = flag.Int("retries", 0, "oracle transient-retry budget and attack mismatch re-query count (0 = defaults)")
+		retries   = flag.Int("retries", 0, "transient-failure retry budget of the resilient oracle decorator (0 = default)")
 		satWidth  = flag.Int("sat-width-limit", 0, "largest block width attacked with the SAT engine in the DIP-learning cells (0 = simulation, SAT only where simulation refuses the instance)")
 		noise     = flag.Float64("noise", 0, "per-output-bit oracle flip rate injected into every cell (arms majority voting)")
 		trace     = flag.String("trace", "", "write a Chrome-trace JSON of the grid's attack spans here (open in Perfetto)")

@@ -60,8 +60,6 @@ type Context struct {
 	SATCap int
 	// Seed drives the attack's own sampling.
 	Seed int64
-	// Retries is the mismatch re-query budget for noisy oracles.
-	Retries int
 	// Telemetry instruments the mount (attack_*/engine_* families).
 	Telemetry *telemetry.Registry
 	// SATWidthLimit pins the DIP-learning SAT/sim regime boundary.
@@ -332,7 +330,7 @@ func init() {
 		Servable:    true,
 		Run: func(c *Context) Outcome {
 			opts := core.Options{
-				Context: c.context(), Seed: c.Seed, MismatchRetries: c.Retries,
+				Context: c.context(), Seed: c.Seed,
 				Telemetry: c.Telemetry, SATWidthLimit: c.SATWidthLimit,
 			}
 			if c.MCAS {

@@ -18,7 +18,7 @@ func fullSnapshot() *Snapshot {
 	return &Snapshot{
 		LockedHash:    "sha256:locked",
 		OracleHash:    "sha256:oracle",
-		OptionsSig:    "v2 seed=7 retries=0 satwidth=0",
+		OptionsSig:    "v3 seed=7 satwidth=0",
 		Active:        2,
 		Calib:         5,
 		Phase:         "enumerate",

@@ -44,12 +44,6 @@ type Options struct {
 	// expiration the attack returns a *PartialError carrying whatever
 	// structure it had recovered. Nil means context.Background().
 	Context context.Context
-	// MismatchRetries enables targeted re-querying for noisy oracles:
-	// when a candidate key disagrees with the oracle on a pattern, the
-	// pattern is re-queried 2·MismatchRetries+1 times and the
-	// disagreement only counts if the per-bit majority confirms it.
-	// 0 trusts every answer (the perfect-oracle model of the paper).
-	MismatchRetries int
 	// Seed drives probe sampling.
 	Seed int64
 	// Log, when non-nil, receives progress messages (stage boundaries,
@@ -66,7 +60,7 @@ type Options struct {
 	Telemetry *telemetry.Registry
 	// Events, when non-nil, receives the attack's lifecycle events:
 	// phase enter/exit, DIP progress with running counts, crossover
-	// decisions, oracle batches, budget-starved distinguish verdicts,
+	// decisions, budget-starved distinguish verdicts,
 	// checkpoint writes and resume replays. Publishing never blocks —
 	// slow consumers lose their oldest events (see internal/events) —
 	// and the disabled path costs one nil check per hook. The attack does not publish
@@ -117,7 +111,7 @@ type Result struct {
 	Extractions, Calibrations, CandidatesTried int
 	// OracleQueries counts the patterns the chip evaluated for the
 	// attack: 64 per shared probe (unused lanes included) plus one per
-	// scalar query (distinguishing inputs and noise re-queries).
+	// distinguishing witness.
 	OracleQueries uint64
 }
 
@@ -193,8 +187,8 @@ type attack struct {
 	// env is the run environment the extractor and the engine share:
 	// the attack's context, registry, bus and current phase.
 	env *engine.Env
-	// sim is the locked netlist compiled once per attack; probing and
-	// oracle adjudication run on it. Its Run and Run64 results share one
+	// sim is the locked netlist compiled once per attack; extraction and
+	// candidate probing run on it. Its Run and Run64 results share one
 	// output buffer, so a caller that holds one across another run
 	// copies it first.
 	sim *netlist.Simulator
@@ -204,8 +198,6 @@ type attack struct {
 	cCandidates   *telemetry.Counter
 	cCalibrations *telemetry.Counter
 
-	evQueries uint64 // oracle queries since the last oracle_batch event
-
 	ck     *ckptState           // non-nil when a Checkpointer is armed
 	resume *checkpoint.Snapshot // pending resume state, consumed one-shot
 
@@ -214,29 +206,17 @@ type attack struct {
 	candidates   int
 }
 
-// oracleEventBatch and dipEventBatch throttle the hot-path event
-// publishers: one oracle_batch event per this many queries, one
-// dip_progress event per this many enumerated DIPs. The batch sizes
-// keep the stream informative (hundreds of events on a long run) while
-// the per-unit cost stays at one nil check plus an increment.
-const (
-	oracleEventBatch = 256
-	dipEventBatch    = 256
-)
+// dipEventBatch throttles the hot-path dip_progress publisher: one
+// event per this many enumerated DIPs. The batch size keeps the stream
+// informative (hundreds of events on a long run) while the per-DIP
+// cost stays at one nil check plus an increment.
+const dipEventBatch = 256
 
 // countQueries accounts oracle pattern evaluations in both the local
-// tally and the registry. Every oracleEventBatch queries it also
-// publishes an oracle_batch event with the cumulative total.
+// tally and the registry.
 func (a *attack) countQueries(n uint64) {
 	a.queries += n
 	a.cQueries.Add(n)
-	if bus := a.env.Bus; bus != nil {
-		a.evQueries += n
-		if a.evQueries >= oracleEventBatch {
-			a.evQueries = 0
-			bus.Publish(events.Event{Type: events.TypeOracleBatch, Count: a.queries})
-		}
-	}
 }
 
 // installProgress wires the extractor's per-DIP progress hook into
@@ -841,11 +821,10 @@ func (a *attack) buildCandidates(active int, calib uint64, st *structured) []can
 // is distinguished from the others in order; the first witness is put
 // to the oracle once and every live candidate that disagrees with the
 // answer is removed. live[0] wins once every other live candidate is
-// proved equivalent to it. A candidate dies only on a confirmed oracle
+// proved equivalent to it. A candidate dies only on an oracle
 // disagreement, and no verdict rests on an Unknown: decide re-asks a
-// starved pair, and a pair it cannot settle, or a witness whose answer
-// removes neither side, fails with errUndecided instead of naming a
-// key. nil means none is left.
+// starved pair, and a pair it cannot settle fails with errUndecided
+// instead of naming a key. nil means none is left.
 func (a *attack) eliminate(live []candidate, st *structured, budget uint64) (*candidate, error) {
 	head := -1
 	var proved map[int]bool // ids proved equivalent to head
@@ -885,6 +864,11 @@ func (a *attack) eliminate(live []candidate, st *structured, budget uint64) (*ca
 		if live, err = a.keepAgreeing(answer, live); err != nil {
 			return nil, err
 		}
+		// One answer cannot agree with two keys that the keyed miter has
+		// shown to differ on the witness, so both survive only if the
+		// simulator does not confirm the witness. Guard progress anyway:
+		// such a witness ends the hypothesis instead of being re-asked
+		// forever.
 		if len(live) > 0 && live[0].id == head && slices.ContainsFunc(live, func(c candidate) bool { return c.id == rival }) {
 			return nil, fmt.Errorf("%w: candidates %d and %d both survive the oracle's answer to their witness", errUndecided, head, rival)
 		}
@@ -959,8 +943,9 @@ const (
 
 // errUndecided ends a hypothesis whose elimination cannot single out a
 // key: a candidate pair the prover leaves Unknown at the budget ceiling,
-// or a witness whose oracle answer removes neither side (possible only
-// under noise). Either candidate could be the wrong one.
+// or a witness the simulator does not confirm, whose oracle answer
+// therefore removes neither side. Either candidate could be the wrong
+// one.
 var errUndecided = errors.New("core: candidate pair left undecided")
 
 // distinguish looks for an input on which the locked circuit behaves
@@ -989,60 +974,6 @@ func (a *attack) distinguish(keyA, keyB []bool, budget uint64) (sat.Status, []bo
 		a.logf("distinguish verdict unknown_budget (budget %d)", budget)
 	}
 	return st, w, err
-}
-
-// confirmDisagreement re-adjudicates one oracle/candidate disagreement
-// for unreliable oracles: the pattern is re-queried 2·MismatchRetries+1
-// times, each output bit takes its majority value, and the disagreement
-// only stands if the denoised answer still differs from the candidate's
-// — Algorithm 1's targeted re-query for a noise-corrupted observation.
-// With MismatchRetries == 0 (the paper's perfect-oracle model) the
-// first answer is final.
-func (a *attack) confirmDisagreement(in []bool, key []bool) (bool, error) {
-	k := a.opts.MismatchRetries
-	if k <= 0 {
-		return true, nil
-	}
-	votes := 2*k + 1
-	counts := make([]int, a.opts.Oracle.NumOutputs())
-	for v := 0; v < votes; v++ {
-		out, err := a.opts.Oracle.Query(in)
-		if err != nil {
-			return false, err
-		}
-		a.countQueries(1)
-		for i, b := range out {
-			if b {
-				counts[i]++
-			}
-		}
-	}
-	got, err := a.sim.Run(in, key)
-	if err != nil {
-		return false, err
-	}
-	for i := range got {
-		if (2*counts[i] > votes) != got[i] {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// confirmLanes adjudicates the disagreeing lanes (bad) of one packed
-// batch in lane order and reports whether any disagreement stands.
-// Callers reduce their simulator output to bad before calling: each
-// adjudication reruns the shared simulator.
-func (a *attack) confirmLanes(in []uint64, bad uint64, key []bool) (bool, error) {
-	for bad != 0 {
-		lane := trailingZeros(bad)
-		bad &^= 1 << uint(lane)
-		confirmed, err := a.confirmDisagreement(laneInput(in, lane), key)
-		if err != nil || confirmed {
-			return confirmed, err
-		}
-	}
-	return false, nil
 }
 
 // errCalibrationBudget marks Algorithm-2 budget exhaustion, which the
@@ -1151,16 +1082,14 @@ func (a *attack) newProbeSet(st *structured) (*probeSet, error) {
 }
 
 // passesProbes checks a candidate key against the probe set in one
-// 64-lane simulation. Every lane where the candidate and the oracle
-// disagree goes to confirmDisagreement; the candidate fails on the first
-// disagreement that stands.
+// 64-lane simulation: it passes when no lane differs from the oracle's
+// answer.
 func (a *attack) passesProbes(p *probeSet, key []bool) (bool, error) {
 	got, err := a.sim.Run64(p.in, keyWords(key))
 	if err != nil {
 		return false, err
 	}
-	confirmed, err := a.confirmLanes(p.in, diffLanes(p.want, got, p.lanes), key)
-	return !confirmed && err == nil, err
+	return diffLanes(p.want, got, p.lanes) == 0, nil
 }
 
 // probeLanes is the size of the shared probe set: one packed batch.
@@ -1244,15 +1173,6 @@ func keyWords(key []bool) []uint64 {
 		}
 	}
 	return w
-}
-
-// laneInput unpacks one lane of a packed input batch.
-func laneInput(in []uint64, lane int) []bool {
-	out := make([]bool, len(in))
-	for i, w := range in {
-		out[i] = w&(1<<uint(lane)) != 0
-	}
-	return out
 }
 
 // diffLanes returns the lanes, among the first lanes, on which two

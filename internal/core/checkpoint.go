@@ -13,8 +13,7 @@ import (
 // stream or decisions; a snapshot is only resumable under identical
 // semantics (mirrors the service cache key's options component).
 func optionsSig(o *Options) string {
-	return fmt.Sprintf("v2 seed=%d retries=%d satwidth=%d",
-		o.Seed, o.MismatchRetries, o.SATWidthLimit)
+	return fmt.Sprintf("v3 seed=%d satwidth=%d", o.Seed, o.SATWidthLimit)
 }
 
 // ckptState is the attack-side half of checkpointing: the identity

@@ -164,10 +164,11 @@ func TestResumeMismatchRefused(t *testing.T) {
 	}
 }
 
-// TestResumeRefusesV1Snapshot: a snapshot written under the v1 options
-// signature (which carried the since-removed encoding switch) is
-// refused with ErrResumeMismatch even when every remaining option
-// matches, rather than resumed under semantics it was not taken with.
+// TestResumeRefusesV1Snapshot: a snapshot written under an older
+// options signature — v1 carried the since-removed encoding switch, v2
+// the since-removed mismatch re-query count — is refused with
+// ErrResumeMismatch even when every remaining option matches, rather
+// than resumed under semantics it was not taken with.
 func TestResumeRefusesV1Snapshot(t *testing.T) {
 	lockedC, _, h := lockedInstance(t, "2A-O-A", 53)
 	path := filepath.Join(t.TempDir(), "snap.ckpt")
@@ -188,12 +189,17 @@ func TestResumeRefusesV1Snapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.OptionsSig = "v1 seed=7 retries=0 satwidth=0 legacy=false"
-	if _, err := Run(Options{
-		Locked: lockedC, Oracle: oracle.MustNewSim(h), Seed: 7,
-		Telemetry: telemetry.New(), ResumeFrom: snap,
-	}); !errors.Is(err, ErrResumeMismatch) {
-		t.Fatalf("v1 snapshot: got %v, want ErrResumeMismatch", err)
+	for _, sig := range []string{
+		"v1 seed=7 retries=0 satwidth=0 legacy=false",
+		"v2 seed=7 retries=0 satwidth=0",
+	} {
+		snap.OptionsSig = sig
+		if _, err := Run(Options{
+			Locked: lockedC, Oracle: oracle.MustNewSim(h), Seed: 7,
+			Telemetry: telemetry.New(), ResumeFrom: snap,
+		}); !errors.Is(err, ErrResumeMismatch) {
+			t.Fatalf("%s snapshot: got %v, want ErrResumeMismatch", sig[:2], err)
+		}
 	}
 }
 

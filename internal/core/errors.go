@@ -25,8 +25,8 @@ var ErrLemma2 = errors.New("core: DIP set inconsistent with Lemma 2")
 // eliminated on a concrete oracle disagreement, and the true key is
 // always among the candidates of a consistent decode — so this outcome
 // means the oracle's answers are self-inconsistent: a noisy or faulty
-// activated chip. Retrying through a denoising oracle (majority vote,
-// Options.MismatchRetries) is the remedy; emitting a key is not.
+// activated chip. Retrying through a denoising oracle (the majority vote
+// of oracle.Resilient) is the remedy; emitting a key is not.
 var ErrOracleInconsistent = errors.New("core: oracle disagreements eliminated every candidate of a Lemma-2-consistent DIP structure (noisy oracle?)")
 
 // ErrPartial classifies interrupted attacks: errors.Is(err, ErrPartial)

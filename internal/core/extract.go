@@ -948,6 +948,4 @@ func (e *SimExtractor) selfCheck(locked *netlist.Circuit, sim *netlist.Simulator
 	return nil
 }
 
-func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
-
 func popcount64(x uint64) int { return bits.OnesCount64(x) }

@@ -3,11 +3,8 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -95,20 +92,16 @@ func TestVerifyOracleAccounting(t *testing.T) {
 
 // laneFlipper flips output bit 0 in lanes 0 and 1 of every 64-lane
 // answer and answers scalar queries truthfully: noise that lands in the
-// shared probe, and that the targeted re-query of MismatchRetries always
-// voids. Two flipped lanes mean the true key adjudicates more than one
-// lane, each adjudication rerunning the shared simulator.
+// shared probe, the same on every call, so that no repeated query can
+// vote it away.
 type laneFlipper struct {
-	inner         oracle.Oracle
-	calls, scalar int
+	inner oracle.Oracle
+	calls int
 }
 
-func (o *laneFlipper) NumInputs() int  { return o.inner.NumInputs() }
-func (o *laneFlipper) NumOutputs() int { return o.inner.NumOutputs() }
-func (o *laneFlipper) Query(in []bool) ([]bool, error) {
-	o.scalar++
-	return o.inner.Query(in)
-}
+func (o *laneFlipper) NumInputs() int                  { return o.inner.NumInputs() }
+func (o *laneFlipper) NumOutputs() int                 { return o.inner.NumOutputs() }
+func (o *laneFlipper) Query(in []bool) ([]bool, error) { return o.inner.Query(in) }
 func (o *laneFlipper) Query64(in []uint64) ([]uint64, error) {
 	out, err := o.inner.Query64(in)
 	if err != nil {
@@ -120,33 +113,23 @@ func (o *laneFlipper) Query64(in []uint64) ([]uint64, error) {
 	return out, nil
 }
 
-// TestVerifyNoisyProbe runs the attack against noise in the shared
-// probe: with MismatchRetries the attack must still recover the clean
-// run's key, after re-querying both flipped lanes against it.
+// TestVerifyNoisyProbe runs the attack against persistent noise in the
+// shared probe with no denoising decorator in front: the true key's
+// class disagrees with both flipped lanes and is eliminated, so the
+// attack must fail loudly with ErrOracleInconsistent rather than name a
+// wrong survivor.
 func TestVerifyNoisyProbe(t *testing.T) {
-	locked, inst, h := tableIRowInstance(t)
-	clean, err := Run(Options{Locked: locked.Circuit, Oracle: oracle.MustNewSim(h), Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
+	locked, _, h := tableIRowInstance(t)
 	noisy := &laneFlipper{inner: oracle.MustNewSim(h)}
-	res, err := Run(Options{Locked: locked.Circuit, Oracle: noisy, Seed: 11, MismatchRetries: 1})
-	if err != nil {
-		t.Fatalf("noisy attack failed: %v", err)
+	res, err := Run(Options{Locked: locked.Circuit, Oracle: noisy, Seed: 11})
+	if res != nil {
+		t.Fatalf("noisy probe yielded a key (%v); want a loud failure", res.Key)
 	}
-	if !inst.IsCorrectCASKey(res.Key) {
-		t.Fatal("noisy attack recovered a wrong key")
+	if !errors.Is(err, ErrOracleInconsistent) {
+		t.Fatalf("err = %v, want ErrOracleInconsistent", err)
 	}
-	if !reflect.DeepEqual(res.Key, clean.Key) {
-		t.Fatal("noisy attack recovered a different key than the clean run")
-	}
-	if noisy.calls != 1 {
-		t.Fatalf("%d flipped Query64 answers, want the 1 shared probe", noisy.calls)
-	}
-	// The true key disagrees with both flipped lanes, and each is
-	// re-queried 2·MismatchRetries+1 = 3 times before it is voided.
-	if noisy.scalar < 6 {
-		t.Errorf("%d scalar queries, want at least 6 re-queries of the flipped lanes", noisy.scalar)
+	if noisy.calls == 0 {
+		t.Fatal("no Query64 answer was flipped; the test exercised nothing")
 	}
 }
 
@@ -300,55 +283,5 @@ func TestUnknownNeverReturnsWrongSurvivor(t *testing.T) {
 	}
 	if reg.Snapshot().Counters["engine_distinguish_unknown_total"] == 0 {
 		t.Fatal("no distinguish ran out of budget; the test exercised no Unknown verdict")
-	}
-}
-
-// scriptedOracle answers scalar queries as the locked circuit does
-// under keys[i] on its i-th call (the last key thereafter): an oracle
-// whose noise agrees with whichever candidate is being adjudicated.
-type scriptedOracle struct {
-	locked *netlist.Circuit
-	sim    *netlist.Simulator
-	keys   [][]bool
-	calls  int
-}
-
-func (o *scriptedOracle) NumInputs() int  { return o.locked.NumInputs() }
-func (o *scriptedOracle) NumOutputs() int { return o.locked.NumOutputs() }
-func (o *scriptedOracle) Query(in []bool) ([]bool, error) {
-	key := o.keys[min(o.calls, len(o.keys)-1)]
-	o.calls++
-	out, err := o.sim.Run(in, key)
-	return append([]bool(nil), out...), err
-}
-func (o *scriptedOracle) Query64([]uint64) ([]uint64, error) {
-	return nil, errors.New("scriptedOracle: no batches")
-}
-
-// TestEliminateRefusesUnresolvedWitness pins the noise branch of
-// elimination: when the oracle's answer to a witness removes neither
-// candidate (here it first agrees with the head, then out-votes itself
-// in the rival's favour during the re-query), elimination names no key,
-// and verification ends in a PartialError naming both candidates.
-func TestEliminateRefusesUnresolvedWitness(t *testing.T) {
-	locked, _, h := tableIRowInstance(t)
-	a, st, right, wrong := rowSurvivors(t, Options{Locked: locked.Circuit, Oracle: oracle.MustNewSim(h), Seed: 11}, nil)
-	head, rival := wrong[0], right[0]
-	sim, err := netlist.NewSimulator(locked.Circuit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.opts.Oracle = &scriptedOracle{locked: locked.Circuit, sim: sim, keys: [][]bool{head.key, rival.key}}
-	a.opts.MismatchRetries = 1
-	win, err := a.eliminate([]candidate{head, rival}, st, distinguishConflictBudget)
-	if win != nil || !errors.Is(err, errUndecided) {
-		t.Fatalf("eliminate = (%v, %v), want no key and errUndecided", win, err)
-	}
-	if names := fmt.Sprintf("candidates %d and %d", head.id, rival.id); !strings.Contains(err.Error(), names) {
-		t.Errorf("%q does not name %s", err, names)
-	}
-	var pe *PartialError
-	if perr := a.verifyErr(1, st, err); !errors.As(perr, &pe) || pe.Stage != "verify" {
-		t.Fatalf("verifyErr(%v) = %v, want a PartialError at stage verify", err, perr)
 	}
 }

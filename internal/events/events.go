@@ -3,8 +3,8 @@
 //
 // Producers in core, engine, and checkpoint publish typed lifecycle
 // events (phase enter/exit, DIP progress with running counts, crossover
-// decisions, checkpoint writes, oracle batches, budget-starved
-// distinguish verdicts, resume replays). The bus fans each event out to
+// decisions, checkpoint writes, budget-starved distinguish verdicts,
+// resume replays). The bus fans each event out to
 // bounded per-subscriber ring buffers that drop their oldest entries —
 // with an events_dropped_total counter — rather than ever blocking the
 // publisher: the enumeration hot path must not stall because an SSE
@@ -46,9 +46,6 @@ const (
 	// TypeCheckpoint marks a durable checkpoint write; Count is the
 	// writer's cumulative write total.
 	TypeCheckpoint Type = "checkpoint"
-	// TypeOracleBatch reports oracle consumption; Count is the
-	// cumulative query total.
-	TypeOracleBatch Type = "oracle_batch"
 	// TypeResume records a checkpoint resume, before any fresh work:
 	// Fields["active"] is the hypothesis in flight and
 	// Fields["complete"] whether its DIP set was complete.
@@ -80,8 +77,7 @@ type Event struct {
 	// in scope (enumerate, decode, algo1, algo2, verify, calibrate).
 	Phase string `json:"phase,omitempty"`
 	// Count is a running total whose meaning depends on Type: DIPs
-	// for dip_progress, queries for oracle_batch, writes for
-	// checkpoint.
+	// for dip_progress, writes for checkpoint.
 	Count uint64 `json:"count,omitempty"`
 	// Done/Total, when Total > 0, express enumerated units of a known
 	// universe (sim batches walked, patterns visited).

@@ -37,7 +37,7 @@ func TestBusDeliversInOrder(t *testing.T) {
 	b := New(Options{})
 	sub := b.Subscribe(0)
 	for i := 0; i < 10; i++ {
-		b.Publish(Event{Type: TypeOracleBatch, Count: uint64(i)})
+		b.Publish(Event{Type: TypeDIPProgress, Count: uint64(i)})
 	}
 	got := collect(t, sub, 10)
 	if len(got) != 10 {
@@ -103,7 +103,7 @@ func TestSlowSubscriberDropsOldest(t *testing.T) {
 func TestSubscribeReplaysHistoryAfterSeq(t *testing.T) {
 	b := New(Options{})
 	for i := 1; i <= 8; i++ {
-		b.Publish(Event{Type: TypeOracleBatch, Count: uint64(i)})
+		b.Publish(Event{Type: TypeDIPProgress, Count: uint64(i)})
 	}
 	sub := b.Subscribe(5) // Last-Event-ID: 5 → replay 6,7,8
 	got := sub.Poll()
@@ -126,7 +126,7 @@ func TestSubscribeReplaysHistoryAfterSeq(t *testing.T) {
 func TestHistoryRingEviction(t *testing.T) {
 	b := New(Options{History: 8})
 	for i := 1; i <= 20; i++ {
-		b.Publish(Event{Type: TypeOracleBatch})
+		b.Publish(Event{Type: TypeDIPProgress})
 	}
 	all := b.History(0)
 	if len(all) != 8 {
@@ -147,7 +147,7 @@ func TestCloseEndsSubscriptionsAfterDrain(t *testing.T) {
 	b.Publish(Event{Type: TypeDone})
 	b.Close()
 	b.Close()                               // idempotent
-	b.Publish(Event{Type: TypeOracleBatch}) // dropped after close
+	b.Publish(Event{Type: TypeDIPProgress}) // dropped after close
 	got := collect(t, sub, 2)
 	if len(got) != 2 {
 		t.Fatalf("drained %d events, want 2", len(got))

@@ -123,16 +123,16 @@ func TestRunScaling(t *testing.T) {
 	if len(points) != 3 {
 		t.Fatalf("%d points", len(points))
 	}
-	// DIP counts must grow along the sweep and oracle cost must track
-	// them within a constant factor (the O(m) claim).
+	// DIP counts must grow along the sweep while the oracle cost does
+	// not: the DIP set is enumerated in simulation, and the chip only
+	// answers the probe and the witnesses.
 	for i := 1; i < len(points); i++ {
 		if points[i].DIPs <= points[i-1].DIPs {
 			t.Errorf("sweep not increasing: %v", points)
 		}
-	}
-	for _, p := range points {
-		if p.OracleQueries > 8*p.DIPs+2048 {
-			t.Errorf("%s: %d queries for %d DIPs", p.Chain, p.OracleQueries, p.DIPs)
+		if points[i].OracleQueries > points[i-1].OracleQueries {
+			t.Errorf("oracle queries rose along the sweep: %s asks %d, %s asks %d",
+				points[i-1].Chain, points[i-1].OracleQueries, points[i].Chain, points[i].OracleQueries)
 		}
 	}
 }

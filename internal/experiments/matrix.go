@@ -55,8 +55,8 @@ type MatrixOptions struct {
 	// oracle (0 = clean oracle). Positive noise also arms the resilient
 	// decorator's majority voting so the attacks see denoised answers.
 	Noise float64
-	// Retries is the resilient decorator's transient-retry budget and
-	// the attack's mismatch re-query count (0 = library defaults).
+	// Retries is the resilient decorator's transient-retry budget
+	// (0 = library default).
 	Retries int
 	// Telemetry, when non-nil, instruments every cell: the attacks'
 	// spans, the fault injectors' and resilient decorators' counters.
@@ -174,7 +174,7 @@ func RunMatrixOptions(mo MatrixOptions) ([]MatrixCell, error) {
 			Ctx: ctx, Locked: locked.Circuit, Host: h,
 			KeyCheck: keyCheck, MCAS: sch.MCAS,
 			NewOracle: func() oracle.Oracle { return mo.newOracle(h, seed^int64(idx)<<20) },
-			SATCap:    mo.SATCap, Seed: seed, Retries: mo.Retries,
+			SATCap:    mo.SATCap, Seed: seed,
 			Telemetry: mo.Telemetry, SATWidthLimit: mo.SATWidthLimit,
 		})
 		return MatrixCell{

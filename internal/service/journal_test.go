@@ -205,9 +205,9 @@ func TestJournalResumeFromCheckpoint(t *testing.T) {
 }
 
 // TestJournalRefusesRemovedOption: a request journaled with an option
-// this build no longer has — the removed "portfolio" field, and a
-// stand-in for any later removal — replays as a typed attack_failed job
-// instead of silently running without the option.
+// this build no longer has — the removed "portfolio" and "retries"
+// fields, and a stand-in for any later removal — replays as a typed
+// attack_failed job instead of silently running without the option.
 func TestJournalRefusesRemovedOption(t *testing.T) {
 	for _, removed := range []struct {
 		field string
@@ -215,6 +215,7 @@ func TestJournalRefusesRemovedOption(t *testing.T) {
 	}{
 		{"removed_option", true},
 		{"portfolio", 3},
+		{"retries", 1},
 	} {
 		t.Run(removed.field, func(t *testing.T) {
 			dir := t.TempDir()

@@ -90,8 +90,6 @@ type AttackRequest struct {
 	MCAS bool `json:"mcas,omitempty"`
 	// Seed drives the attack's probe sampling (part of the cache key).
 	Seed int64 `json:"seed,omitempty"`
-	// Retries arms targeted re-querying for noisy oracles.
-	Retries int `json:"retries,omitempty"`
 	// SATWidthLimit pins the SAT/simulation extractor boundary; 0 runs
 	// the simulation extractor unless it refuses the instance (see
 	// core.Options.SATWidthLimit).
@@ -487,8 +485,8 @@ func (s *Service) logf(format string, args ...any) {
 // excluded — they change how long the computation may take, not what it
 // computes.
 func hashRequest(p *parsedRequest) string {
-	opts := fmt.Sprintf("v7 attack=%s mcas=%t seed=%d retries=%d satwidth=%d",
-		p.req.Attack, p.req.MCAS, p.req.Seed, p.req.Retries, p.req.SATWidthLimit)
+	opts := fmt.Sprintf("v8 attack=%s mcas=%t seed=%d satwidth=%d",
+		p.req.Attack, p.req.MCAS, p.req.Seed, p.req.SATWidthLimit)
 	return cache.SumParts([]byte(p.lockedHash), []byte(p.oracleHash), []byte(opts))
 }
 
@@ -512,7 +510,7 @@ func (s *Service) validate(req AttackRequest) (*parsedRequest, error) {
 	if strings.TrimSpace(req.Locked) == "" || strings.TrimSpace(req.Oracle) == "" {
 		return nil, errInvalid("locked and oracle netlists are required")
 	}
-	if req.Retries < 0 || req.SATWidthLimit < 0 || req.Workers < 0 || req.TimeoutMS < 0 {
+	if req.SATWidthLimit < 0 || req.Workers < 0 || req.TimeoutMS < 0 {
 		return nil, errInvalid("negative option values")
 	}
 	attackName := req.Attack
@@ -1036,14 +1034,13 @@ func (s *Service) runProtected(exec *execution) (out *outcome) {
 		return &outcome{jobErr: &JobError{Kind: KindAttackFailed, Err: err}}
 	}
 	opts := core.Options{
-		Oracle:          sim,
-		Context:         exec.ctx,
-		Seed:            req.Seed,
-		MismatchRetries: req.Retries,
-		SATWidthLimit:   req.SATWidthLimit,
-		Workers:         req.Workers,
-		Telemetry:       exec.tel,
-		Events:          exec.bus,
+		Oracle:        sim,
+		Context:       exec.ctx,
+		Seed:          req.Seed,
+		SATWidthLimit: req.SATWidthLimit,
+		Workers:       req.Workers,
+		Telemetry:     exec.tel,
+		Events:        exec.bus,
 	}
 	if w := s.armDurability(exec, &opts); w != nil {
 		defer w.Close()

@@ -326,7 +326,7 @@ func TestAdmissionValidation(t *testing.T) {
 		{"garbage locked", AttackRequest{Locked: "not a bench file (", Oracle: f.orig}, KindInvalid},
 		{"oracle with keys", AttackRequest{Locked: f.locked, Oracle: f.locked}, KindInvalid},
 		{"unlocked locked", AttackRequest{Locked: f.orig, Oracle: f.orig}, KindInvalid},
-		{"negative seeds ok, negative retries not", AttackRequest{Locked: f.locked, Oracle: f.orig, Retries: -1}, KindInvalid},
+		{"negative sat width limit", AttackRequest{Locked: f.locked, Oracle: f.orig, SATWidthLimit: -1}, KindInvalid},
 		{"unknown attack", AttackRequest{Locked: f.locked, Oracle: f.orig, Attack: "frobnicate"}, KindInvalid},
 		{"registered but non-servable attack", AttackRequest{Locked: f.locked, Oracle: f.orig, Attack: "sat"}, KindInvalid},
 	}
@@ -434,11 +434,6 @@ func TestHashExcludesBudgetKnobs(t *testing.T) {
 	seeded.Seed = 6
 	if h(seeded) == want {
 		t.Error("seed change did not change the content address")
-	}
-	retried := base
-	retried.Retries = 2
-	if h(retried) == want {
-		t.Error("retry change did not change the content address")
 	}
 	// Attack-name spellings normalize: "", "dip" and the display label
 	// are the same job and must share one cache entry.
