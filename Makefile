@@ -32,10 +32,12 @@
 #                    restart/resume, and assert the resumed key is
 #                    bit-identical with strictly fewer chip queries and
 #                    the daemon's jobs survive the restart
-#   make matrix-smoke end-to-end registry check: lockbench -list must
+#   make matrix-smoke end-to-end experiment check: lockbench -list must
 #                    enumerate both registries, a -schemes/-attacks
 #                    sub-grid must hold the narrative verdicts, unknown
-#                    names rejected
+#                    names rejected; examples/leakage must leak its CAS
+#                    chain and SFLL-HD h = 1, 2, 3, and dipcount -chain
+#                    2A-O-A-O -verify must measure 23 DIPs
 #   make events-smoke end-to-end observability check: caslock-attack
 #                    -events-out NDJSON validated by tracecheck -events,
 #                    live SSE job stream consumed to the terminal done

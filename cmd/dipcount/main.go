@@ -38,12 +38,7 @@ func main() {
 	fmt.Printf("OR positions:   %v (gate indices)\n", chain.ORPositions())
 	fmt.Printf("Lemma 2 #DIPs:  %d\n", core.MaxDIPs(chain))
 	if chain.Terminator() == lock.ChainOr {
-		dual := make(lock.ChainConfig, len(chain))
-		for i, g := range chain {
-			if g == lock.ChainAnd {
-				dual[i] = lock.ChainOr
-			}
-		}
+		dual := chain.Dual()
 		fmt.Printf("dual chain:     %s (miter-visible count %d)\n", dual, core.MaxDIPs(dual))
 	}
 	if !*verify {

@@ -11,6 +11,7 @@ package sps
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/netlist"
@@ -303,7 +304,7 @@ func EstimateProbabilitiesSim(c *netlist.Circuit, rounds int, seed int64) ([]flo
 			return nil, err
 		}
 		for id := 0; id < c.NumGates(); id++ {
-			counts[id] += uint64(popcount(sim.NodeValue64(netlist.ID(id))))
+			counts[id] += uint64(bits.OnesCount64(sim.NodeValue64(netlist.ID(id))))
 		}
 	}
 	total := float64(rounds) * 64
@@ -312,15 +313,6 @@ func EstimateProbabilitiesSim(c *netlist.Circuit, rounds int, seed int64) ([]flo
 		out[id] = float64(counts[id]) / total
 	}
 	return out, nil
-}
-
-func popcount(x uint64) int {
-	count := 0
-	for x != 0 {
-		x &= x - 1
-		count++
-	}
-	return count
 }
 
 // splitMix is a tiny deterministic PRNG (SplitMix64); used instead of

@@ -1198,7 +1198,7 @@ func (a *attack) report(active int, st *structured, c *candidate) *Result {
 		a1, a2 = c.aActive, c.aCalib
 	} else {
 		cas = 2
-		chain = dualChain(st.chainH)
+		chain = st.chainH.Dual()
 		a2 = c.aActive
 		a1 = ^c.aCalib & mask
 	}
@@ -1223,20 +1223,6 @@ func kgFromMask(m uint64, n int) []netlist.GateType {
 			out[i] = netlist.Xnor
 		} else {
 			out[i] = netlist.Xor
-		}
-	}
-	return out
-}
-
-// dualChain swaps AND and OR at every position (De Morgan dual), which
-// maps the Case-2 reduced-space chain back to the physical one.
-func dualChain(c lock.ChainConfig) lock.ChainConfig {
-	out := make(lock.ChainConfig, len(c))
-	for i, g := range c {
-		if g == lock.ChainAnd {
-			out[i] = lock.ChainOr
-		} else {
-			out[i] = lock.ChainAnd
 		}
 	}
 	return out

@@ -80,9 +80,6 @@ func (s *DIPSet) setWords(b uint64, ws []uint64) {
 	copy(s.words[b:], ws)
 }
 
-// word returns the membership mask of word index b.
-func (s *DIPSet) word(b uint64) uint64 { return s.words[b] }
-
 // laneMask returns the valid-lane mask of a single word: all-ones except
 // for n < 6, where only the low 2^n lanes exist.
 func (s *DIPSet) laneMask() uint64 {

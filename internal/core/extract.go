@@ -792,15 +792,15 @@ func (e *SimExtractor) classesExact(p *prepared) (ClassSizes, error) {
 		var c0, c1 uint64
 		pr.enumerateShard(ctx, startB, endB, func(b uint64, diffs []uint64) {
 			if e.n <= 6 {
-				c1 += uint64(popcount64(diffs[0] & topMaskInWord))
-				c0 += uint64(popcount64(diffs[0] &^ topMaskInWord))
+				c1 += uint64(bits.OnesCount64(diffs[0] & topMaskInWord))
+				c0 += uint64(bits.OnesCount64(diffs[0] &^ topMaskInWord))
 				return
 			}
 			for j, d := range diffs {
 				if (b+uint64(j))&topB != 0 {
-					c1 += uint64(popcount64(d))
+					c1 += uint64(bits.OnesCount64(d))
 				} else {
-					c0 += uint64(popcount64(d))
+					c0 += uint64(bits.OnesCount64(d))
 				}
 			}
 		})
@@ -844,8 +844,8 @@ func (e *SimExtractor) classesSampled(p *prepared) (ClassSizes, error) {
 			}
 			diff := pr.diff(block)
 			topMask := block[e.n-1]
-			c1 += uint64(popcount64(diff & topMask))
-			c0 += uint64(popcount64(diff &^ topMask))
+			c1 += uint64(bits.OnesCount64(diff & topMask))
+			c0 += uint64(bits.OnesCount64(diff &^ topMask))
 		}
 		counts[shard] = [2]uint64{c0, c1}
 	})
@@ -947,5 +947,3 @@ func (e *SimExtractor) selfCheck(locked *netlist.Circuit, sim *netlist.Simulator
 	}
 	return nil
 }
-
-func popcount64(x uint64) int { return bits.OnesCount64(x) }

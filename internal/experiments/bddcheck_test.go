@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/lock"
 	"repro/internal/netlist"
+	"repro/internal/synth"
 )
 
 func uniformKG(n int, t netlist.GateType) []netlist.GateType {
@@ -49,10 +51,12 @@ func TestBDDCountMatchesTableI(t *testing.T) {
 }
 
 // TestBDDCountMatchesExtraction cross-checks the symbolic count against
-// the concrete extraction engines on random instances with independent
-// key gates (where |I_l| deviates from the closed form).
+// the brute-force pair evaluator and the simulation extractor on random
+// instances with independent key gates (where |I_l| deviates from the
+// closed form).
 func TestBDDCountMatchesExtraction(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
+	keyRng := rand.New(rand.NewSource(82)) // wrong keys; rng alone draws the instances
 	for trial := 0; trial < 12; trial++ {
 		n := 4 + rng.Intn(5)
 		chain := make(lock.ChainConfig, n-1)
@@ -97,7 +101,7 @@ func TestBDDCountMatchesExtraction(t *testing.T) {
 			if lim := (uint64(1) << uint(n)) - base; lim < 64 {
 				diff &= (uint64(1) << lim) - 1
 			}
-			concrete += int64(popcount(diff))
+			concrete += int64(bits.OnesCount64(diff))
 			if uint64(1)<<uint(n) <= 64 {
 				break
 			}
@@ -105,6 +109,59 @@ func TestBDDCountMatchesExtraction(t *testing.T) {
 		if symbolic.Cmp(big.NewInt(concrete)) != 0 {
 			t.Errorf("trial %d (%s): symbolic %v, concrete %d", trial, chain, symbolic, concrete)
 		}
+
+		// The simulation extractor's count for (correct key, random
+		// wrong key) — the count MeasureCorruptibility takes — against
+		// the symbolic count of the same pair.
+		host, err := synth.Generate(synth.Config{Name: "bdd", Inputs: n, Outputs: 1, Gates: n, Seed: int64(trial)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		locked, inst, err := lock.ApplyCAS(host, lock.CASOptions{Chain: chain, KeyGates1: kg1, KeyGates2: kg2, Seed: int64(trial)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		layout, err := core.DiscoverLayout(locked.Circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext, err := core.NewSimExtractor(locked.Circuit, layout, int64(trial), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrong := make([]bool, 2*n)
+		for i := range wrong {
+			wrong[i] = keyRng.Intn(2) == 1
+		}
+		dips, err := ext.DIPs(core.PairAssign{A: inst.CorrectKey, B: wrong})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c1, c2 := inst.CorrectKey[:n], inst.CorrectKey[n:]
+		want, err := BDDDIPCount(chain, kg1, kg2, c1, c2, wrong[:n], wrong[n:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Cmp(new(big.Int).SetUint64(dips.Count())) != 0 {
+			t.Errorf("trial %d (%s): sim extractor %d DIPs for (correct, wrong), symbolic %v", trial, chain, dips.Count(), want)
+		}
+	}
+}
+
+func lanePatternWord(i int) uint64 {
+	switch i {
+	case 0:
+		return 0xAAAAAAAAAAAAAAAA
+	case 1:
+		return 0xCCCCCCCCCCCCCCCC
+	case 2:
+		return 0xF0F0F0F0F0F0F0F0
+	case 3:
+		return 0xFF00FF00FF00FF00
+	case 4:
+		return 0xFFFF0000FFFF0000
+	default:
+		return 0xFFFFFFFF00000000
 	}
 }
 

@@ -44,19 +44,11 @@ type ComparisonResult struct {
 
 // RunComparison locks one host and mounts all three attacks. satCap
 // bounds the SAT attack's iterations so the experiment terminates on
-// SAT-resilient instances (the point of CAS-Lock).
+// SAT-resilient instances (the point of CAS-Lock). Per-attack wall
+// times (SATTime, DIPTime) are span durations on a private telemetry
+// registry.
 func RunComparison(hostInputs int, chainCfg string, satCap int, seed int64) (*ComparisonResult, error) {
-	return RunComparisonT(nil, hostInputs, chainCfg, satCap, seed)
-}
-
-// RunComparisonT is RunComparison with an explicit telemetry registry.
-// Per-attack wall times (SATTime, DIPTime) are span durations, so the
-// reported numbers and any exported trace come from the same clock; a
-// nil registry gets a private one, keeping the timing path identical.
-func RunComparisonT(tel *telemetry.Registry, hostInputs int, chainCfg string, satCap int, seed int64) (*ComparisonResult, error) {
-	if tel == nil {
-		tel = telemetry.New()
-	}
+	tel := telemetry.New()
 	chain, err := lock.ParseChain(chainCfg)
 	if err != nil {
 		return nil, err
@@ -175,7 +167,7 @@ func VerifyLemma2(trials, maxWidth int, seed int64) ([]Lemma2Result, error) {
 		// (Case 1 reports the primal chain, Case 2 the dual's primal).
 		h := res.Chain
 		if res.Case == 2 {
-			h = dual(h)
+			h = h.Dual()
 		}
 		predicted := core.MaxDIPs(h)
 		out = append(out, Lemma2Result{
@@ -199,17 +191,11 @@ type ScalingPoint struct {
 }
 
 // RunScaling sweeps chain configurations with growing DIP counts on one
-// host, demonstrating the O(m) complexity claim.
+// host, demonstrating the O(m) complexity claim. Each sweep point's Time
+// is the duration of its "scaling_point" span on a private telemetry
+// registry.
 func RunScaling(hostInputs int, chains []string, seed int64) ([]ScalingPoint, error) {
-	return RunScalingT(nil, hostInputs, chains, seed)
-}
-
-// RunScalingT is RunScaling with an explicit telemetry registry; each
-// sweep point's Time is the duration of its "scaling_point" span.
-func RunScalingT(tel *telemetry.Registry, hostInputs int, chains []string, seed int64) ([]ScalingPoint, error) {
-	if tel == nil {
-		tel = telemetry.New()
-	}
+	tel := telemetry.New()
 	host, err := synth.Generate(synth.Config{
 		Name: "scale", Inputs: hostInputs, Outputs: 4, Gates: 60, Seed: seed,
 	})
@@ -266,17 +252,10 @@ type MCASExperimentResult struct {
 // RunMCASExperiment locks a host with M-CAS, strips the outer instance
 // with the SPS removal attack and recovers the inner key with the
 // DIP-learning attack, then proves the mirrored key unlocks the original
-// circuit.
+// circuit. Time is the duration of the "mcas_attack" span on a private
+// telemetry registry.
 func RunMCASExperiment(hostInputs int, chainCfg string, seed int64) (*MCASExperimentResult, error) {
-	return RunMCASExperimentT(nil, hostInputs, chainCfg, seed)
-}
-
-// RunMCASExperimentT is RunMCASExperiment with an explicit telemetry
-// registry; Time is the duration of the "mcas_attack" span.
-func RunMCASExperimentT(tel *telemetry.Registry, hostInputs int, chainCfg string, seed int64) (*MCASExperimentResult, error) {
-	if tel == nil {
-		tel = telemetry.New()
-	}
+	tel := telemetry.New()
 	chain, err := lock.ParseChain(chainCfg)
 	if err != nil {
 		return nil, err

@@ -3,8 +3,10 @@ package experiments
 import (
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/lock"
 	"repro/internal/netlist"
+	"repro/internal/synth"
 )
 
 // Output corruptibility is the defender-side metric CAS-Lock trades
@@ -12,8 +14,10 @@ import (
 // fraction of the block-input space does the flip signal corrupt? The
 // paper's Table I discussion ("row 6 verifies that a cascaded chain of
 // AND gates terminated by an OR gate produces the maximum output
-// corruption") is reproduced here by direct bit-parallel measurement
-// over sampled wrong keys.
+// corruption") is reproduced here by counting DIPs: the correct key
+// never flips, so a wrong key corrupts exactly the patterns of the
+// (correct key, wrong key) miter, which the attack's simulation
+// extractor enumerates exhaustively.
 
 // CorruptibilityResult summarizes the corruption of one chain config.
 type CorruptibilityResult struct {
@@ -50,77 +54,46 @@ func MeasureCorruptibility(chainCfg string, samples int, seed int64) (*Corruptib
 			kg2[i] = netlist.Xnor
 		}
 	}
-	res := &CorruptibilityResult{Chain: chainCfg, DIPFormula: dipFormula(chain)}
-	total := float64(uint64(1) << uint(n))
-	k1 := make([]bool, n)
-	k2 := make([]bool, n)
-	x := make([]uint64, n)
-	// Wide sweep state (n ≥ 9, where the word count is a multiple of 8):
-	// the 8-word banks of the low six inputs never change, so they are
-	// filled once outside the sample loop.
-	var x8 [][8]uint64
-	if n >= 9 {
-		x8 = make([][8]uint64, n)
-		for i := 0; i < 6; i++ {
-			for j := range x8[i] {
-				x8[i][j] = lanePatternWord(i)
-			}
-		}
+	host, err := synth.Generate(synth.Config{
+		Name: "corrupt", Inputs: n, Outputs: 1, Gates: n, Seed: seed,
+	})
+	if err != nil {
+		return nil, err
 	}
+	locked, inst, err := lock.ApplyCAS(host, lock.CASOptions{
+		Chain: chain, KeyGates1: kg1, KeyGates2: kg2, Seed: seed + 1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	layout, err := core.DiscoverLayout(locked.Circuit)
+	if err != nil {
+		return nil, err
+	}
+	ext, err := core.NewSimExtractor(locked.Circuit, layout, seed+2, nil)
+	if err != nil {
+		return nil, err
+	}
+	res := &CorruptibilityResult{Chain: chainCfg, DIPFormula: core.MaxDIPs(chain)}
+	total := float64(uint64(1) << uint(n))
+	wrong := make([]bool, 2*n) // K1 || K2, the locked circuit's key order
 	for s := 0; s < samples; s++ {
 		// A uniformly random wrong key (rejection-sample out the 2^n
 		// correct ones, which are a 2^-n fraction).
 		for {
 			for i := 0; i < n; i++ {
-				k1[i] = rng.Intn(2) == 1
-				k2[i] = rng.Intn(2) == 1
+				wrong[i] = rng.Intn(2) == 1
+				wrong[n+i] = rng.Intn(2) == 1
 			}
-			if !masksEqual(kg1, kg2, k1, k2) {
+			if !inst.IsCorrectCASKey(wrong) {
 				break
 			}
 		}
-		corrupted := 0
-		if n >= 9 {
-			nWords := uint64(1) << uint(n-6)
-			for w0 := uint64(0); w0 < nWords; w0 += 8 {
-				for i := 6; i < n; i++ {
-					bit := uint64(1) << uint(i-6)
-					for j := 0; j < 8; j++ {
-						if (w0+uint64(j))&bit != 0 {
-							x8[i][j] = ^uint64(0)
-						} else {
-							x8[i][j] = 0
-						}
-					}
-				}
-				g, gb := lock.EvalCASPair512(chain, kg1, kg2, k1, k2, x8)
-				for j := 0; j < 8; j++ {
-					corrupted += popcount(g[j] & gb[j])
-				}
-			}
-		} else {
-			for base := uint64(0); base < 1<<uint(n); base += 64 {
-				for i := 0; i < n; i++ {
-					if i < 6 {
-						x[i] = lanePatternWord(i)
-					} else if base&(1<<uint(i)) != 0 {
-						x[i] = ^uint64(0)
-					} else {
-						x[i] = 0
-					}
-				}
-				g, gb := lock.EvalCASPair(chain, kg1, kg2, k1, k2, x)
-				flip := g & gb
-				if lim := (uint64(1) << uint(n)) - base; lim < 64 {
-					flip &= (uint64(1) << lim) - 1
-				}
-				corrupted += popcount(flip)
-				if uint64(1)<<uint(n) <= 64 {
-					break
-				}
-			}
+		dips, err := ext.DIPs(core.PairAssign{A: inst.CorrectKey, B: wrong})
+		if err != nil {
+			return nil, err
 		}
-		frac := float64(corrupted) / total
+		frac := float64(dips.Count()) / total
 		res.Mean += frac
 		if frac > res.Max {
 			res.Max = frac
@@ -128,53 +101,6 @@ func MeasureCorruptibility(chainCfg string, samples int, seed int64) (*Corruptib
 	}
 	res.Mean /= float64(samples)
 	return res, nil
-}
-
-func masksEqual(kg1, kg2 []netlist.GateType, k1, k2 []bool) bool {
-	for i := range k1 {
-		m1 := k1[i] != (kg1[i] == netlist.Xnor)
-		m2 := k2[i] != (kg2[i] == netlist.Xnor)
-		if m1 != m2 {
-			return false
-		}
-	}
-	return true
-}
-
-func dipFormula(chain lock.ChainConfig) uint64 {
-	total := uint64(1)
-	for j, g := range chain {
-		if g == lock.ChainOr {
-			total += 1 << uint(j+1)
-		}
-	}
-	return total
-}
-
-func lanePatternWord(i int) uint64 {
-	switch i {
-	case 0:
-		return 0xAAAAAAAAAAAAAAAA
-	case 1:
-		return 0xCCCCCCCCCCCCCCCC
-	case 2:
-		return 0xF0F0F0F0F0F0F0F0
-	case 3:
-		return 0xFF00FF00FF00FF00
-	case 4:
-		return 0xFFFF0000FFFF0000
-	default:
-		return 0xFFFFFFFF00000000
-	}
-}
-
-func popcount(x uint64) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
 }
 
 type errTooWide int

@@ -46,6 +46,19 @@ func TestCorruptibilityTradesAgainstDIPs(t *testing.T) {
 		t.Errorf("trade-off violated: corruption %v/%v, DIPs %d/%d",
 			low.Mean, high.Mean, low.DIPFormula, high.DIPFormula)
 	}
+	// Pinned: the corrupted counts are exact and the wrong keys are drawn
+	// from the seed, so these fractions repeat bit for bit.
+	for _, c := range []struct {
+		res       *CorruptibilityResult
+		mean, max float64
+	}{
+		{low, 0.110107421875, 0.1259765625},
+		{high, 0.37451171875, 0.4990234375},
+	} {
+		if c.res.Mean != c.mean || c.res.Max != c.max {
+			t.Errorf("%s: mean/max %v/%v, pinned %v/%v", c.res.Chain, c.res.Mean, c.res.Max, c.mean, c.max)
+		}
+	}
 }
 
 func TestCorruptibilityValidation(t *testing.T) {

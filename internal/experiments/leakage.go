@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"math/big"
 
-	"repro/internal/cnf"
+	"repro/internal/engine"
 	"repro/internal/lock"
 	"repro/internal/netlist"
-	"repro/internal/sat"
 	"repro/internal/synth"
 )
 
@@ -50,8 +49,8 @@ func SFLLLeakCount(n, h int) uint64 {
 }
 
 // LeakSFLLH locks a host with SFLL-HD^h and recovers h purely from the
-// DIP count of a two-key miter (keys all-0 and e1), enumerated by SAT
-// with blocking clauses over the protected inputs.
+// DIP count of a two-key miter (keys all-0 and e1), enumerated by the
+// attack's SAT engine with blocking clauses over the protected inputs.
 func LeakSFLLH(hostInputs, n, h int, seed int64) (*SFLLLeakResult, error) {
 	host, err := synth.Generate(synth.Config{
 		Name: "sfllleak", Inputs: hostInputs, Outputs: 3, Gates: 50, Seed: seed,
@@ -87,120 +86,25 @@ func LeakSFLLH(hostInputs, n, h int, seed int64) (*SFLLLeakResult, error) {
 	}, nil
 }
 
-// countSFLLDIPs enumerates the miter DIPs projected onto the protected
-// inputs.
+// countSFLLDIPs counts the patterns over the protected inputs on which
+// the locked circuit under k1 disagrees with it under k2, on the
+// attack's incremental engine (key-differential miter, blocking clauses
+// projected onto the protected inputs).
 func countSFLLDIPs(locked *netlist.Circuit, inst *lock.SFLLInstance, k1, k2 []bool) (uint64, error) {
-	full := append(append([]bool(nil), k1...), k2...)
-	_ = full
-	// Build the fixed-key miter manually (keys k1 on copy A, k2 on copy
-	// B) using the miter package via core-compatible plumbing: the lock
-	// package key order is just the n SFLL key bits.
-	m, err := buildSFLLMiter(locked, k1, k2)
+	eng, err := engine.New(locked, inst.InputSel, nil)
 	if err != nil {
 		return 0, err
-	}
-	solver := sat.New()
-	enc, err := cnf.EncodeInto(m, solver)
-	if err != nil {
-		return 0, err
-	}
-	solver.Add(enc.OutputLits(m)[0])
-	inLits := enc.InputLits(m)
-	blockLits := make([]cnf.Lit, len(inst.InputSel))
-	for i, pos := range inst.InputSel {
-		blockLits[i] = inLits[pos]
 	}
 	var count uint64
-	for solver.Solve() == sat.Sat {
+	err = eng.EnumerateDIPs(k1, k2, func(uint64) bool {
 		count++
-		if count > 1<<22 {
-			return 0, fmt.Errorf("experiments: SFLL DIP enumeration exceeded 2^22 patterns")
-		}
-		blocking := make([]cnf.Lit, len(blockLits))
-		for i, l := range blockLits {
-			if solver.ModelValue(l) {
-				blocking[i] = l.Neg()
-			} else {
-				blocking[i] = l
-			}
-		}
-		solver.Add(blocking...)
+		return count <= 1<<22
+	})
+	if err != nil {
+		return 0, err
+	}
+	if count > 1<<22 {
+		return 0, fmt.Errorf("experiments: SFLL DIP enumeration exceeded 2^22 patterns")
 	}
 	return count, nil
-}
-
-func buildSFLLMiter(locked *netlist.Circuit, k1, k2 []bool) (*netlist.Circuit, error) {
-	m := netlist.New("sfll_miter")
-	inputMap := make([]netlist.ID, locked.NumInputs())
-	for i, id := range locked.Inputs() {
-		inputMap[i] = m.MustAddInput(locked.Gate(id).Name)
-	}
-	outsA, err := importWithKey(m, locked, "A_", inputMap, k1)
-	if err != nil {
-		return nil, err
-	}
-	outsB, err := importWithKey(m, locked, "B_", inputMap, k2)
-	if err != nil {
-		return nil, err
-	}
-	var diff netlist.ID = netlist.InvalidID
-	for i := range outsA {
-		x := m.MustAddGate(netlist.Xor, fmt.Sprintf("dx%d", i), outsA[i], outsB[i])
-		if diff == netlist.InvalidID {
-			diff = x
-		} else {
-			diff = m.MustAddGate(netlist.Or, fmt.Sprintf("do%d", i), diff, x)
-		}
-	}
-	m.MustMarkOutput(diff)
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// importWithKey imports a locked circuit with its key baked to constants.
-func importWithKey(m *netlist.Circuit, locked *netlist.Circuit, prefix string, inputMap []netlist.ID, key []bool) ([]netlist.ID, error) {
-	order, err := locked.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	remap := make([]netlist.ID, locked.NumGates())
-	for i := range remap {
-		remap[i] = netlist.InvalidID
-	}
-	for i, id := range locked.Inputs() {
-		remap[id] = inputMap[i]
-	}
-	for i, id := range locked.Keys() {
-		typ := netlist.Const0
-		if key[i] {
-			typ = netlist.Const1
-		}
-		kid, err := m.AddGate(typ, prefix+locked.Gate(id).Name)
-		if err != nil {
-			return nil, err
-		}
-		remap[id] = kid
-	}
-	for _, id := range order {
-		g := locked.Gate(id)
-		if g.Type == netlist.Input {
-			continue
-		}
-		fanin := make([]netlist.ID, len(g.Fanin))
-		for i, f := range g.Fanin {
-			fanin[i] = remap[f]
-		}
-		nid, err := m.AddGate(g.Type, prefix+g.Name, fanin...)
-		if err != nil {
-			return nil, err
-		}
-		remap[id] = nid
-	}
-	outs := make([]netlist.ID, locked.NumOutputs())
-	for i, o := range locked.Outputs() {
-		outs[i] = remap[o]
-	}
-	return outs, nil
 }

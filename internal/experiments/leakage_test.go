@@ -20,16 +20,18 @@ func TestSFLLLeakCount(t *testing.T) {
 // secret Hamming-distance parameter of SFLL-HD leaks from a single
 // DIP-set count.
 func TestLeakSFLLH(t *testing.T) {
-	for _, h := range []int{0, 1, 2, 3} {
-		res, err := LeakSFLLH(10, 8, h, int64(40+h))
+	for _, c := range []struct{ hostInputs, n, h int }{
+		{10, 8, 0}, {10, 8, 1}, {10, 8, 2}, {10, 8, 3}, {12, 10, 2}, {14, 12, 3},
+	} {
+		res, err := LeakSFLLH(c.hostInputs, c.n, c.h, int64(40+c.h))
 		if err != nil {
-			t.Fatalf("h=%d: %v", h, err)
+			t.Fatalf("n=%d h=%d: %v", c.n, c.h, err)
 		}
 		if res.DIPCount != res.Predicted {
-			t.Errorf("h=%d: measured %d DIPs, closed form %d", h, res.DIPCount, res.Predicted)
+			t.Errorf("n=%d h=%d: measured %d DIPs, closed form %d", c.n, c.h, res.DIPCount, res.Predicted)
 		}
 		if !res.Success {
-			t.Errorf("h=%d: learned %d", h, res.LearnedH)
+			t.Errorf("n=%d h=%d: learned %d", c.n, c.h, res.LearnedH)
 		}
 	}
 }

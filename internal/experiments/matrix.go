@@ -123,20 +123,6 @@ func (o MatrixOptions) resolveGrid() ([]lock.Scheme, []attack.Attack, error) {
 	return rows, cols, nil
 }
 
-// RunMatrix evaluates every attack against every scheme with the
-// default worker pool (GOMAXPROCS) and no deadline.
-func RunMatrix(hostInputs, satCap int, seed int64) ([]MatrixCell, error) {
-	return RunMatrixWorkers(context.Background(), hostInputs, satCap, seed, 0)
-}
-
-// RunMatrixWorkers evaluates the matrix on a bounded pool of workers
-// with a clean oracle; see RunMatrixOptions for the full knob set.
-func RunMatrixWorkers(ctx context.Context, hostInputs, satCap int, seed int64, workers int) ([]MatrixCell, error) {
-	return RunMatrixOptions(MatrixOptions{
-		Context: ctx, HostInputs: hostInputs, SATCap: satCap, Seed: seed, Workers: workers,
-	})
-}
-
 // RunMatrixOptions evaluates the matrix on a bounded pool of workers
 // (≤ 0 means GOMAXPROCS). Cells are independent: every cell locks and
 // attacks its own clone of the shared host (netlist circuits cache
@@ -185,7 +171,7 @@ func RunMatrixOptions(mo MatrixOptions) ([]MatrixCell, error) {
 }
 
 // PrintMatrix renders the matrix with schemes as rows. Row and column
-// order follow first appearance in the cell slice, which RunMatrix
+// order follow first appearance in the cell slice, which RunMatrixOptions
 // emits in registry order.
 func PrintMatrix(w io.Writer, cells []MatrixCell) {
 	byKey := map[string]MatrixCell{}

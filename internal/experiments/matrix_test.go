@@ -12,7 +12,7 @@ func TestMatrixStory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 36 attack instances")
 	}
-	cells, err := RunMatrix(14, 500, 1)
+	cells, err := RunMatrixOptions(MatrixOptions{HostInputs: 14, SATCap: 500, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

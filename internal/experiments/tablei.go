@@ -168,7 +168,7 @@ func RunTableIRow(row TableIRow, opts TableIOptions) (*TableIResult, error) {
 		AttackTime:    elapsed,
 		OracleQueries: res.OracleQueries,
 		KeyRecovered:  inst.IsCorrectCASKey(res.Key),
-		ChainOK:       res.Chain.Equal(chain) || res.Chain.Equal(dual(chain)),
+		ChainOK:       res.Chain.Equal(chain) || res.Chain.Equal(chain.Dual()),
 	}
 	stats, err := host.ComputeStats()
 	if err != nil {
@@ -196,18 +196,6 @@ func randomKeyGates(n int, seed int64) []netlist.GateType {
 			out[i] = netlist.Xor
 		} else {
 			out[i] = netlist.Xnor
-		}
-	}
-	return out
-}
-
-func dual(c lock.ChainConfig) lock.ChainConfig {
-	out := make(lock.ChainConfig, len(c))
-	for i, g := range c {
-		if g == lock.ChainAnd {
-			out[i] = lock.ChainOr
-		} else {
-			out[i] = lock.ChainAnd
 		}
 	}
 	return out

@@ -215,8 +215,8 @@ func ApplyCAS(host *netlist.Circuit, opts CASOptions) (*Locked, *CASInstance, er
 // EvalCASPair evaluates the pure CAS block pair bit-parallel: given the
 // chain, key-gate types and keys of both blocks, it computes (g, ḡ) for
 // 64 packed block-input patterns. It is the independent functional
-// reference the netlist construction is tested against, and the kernel
-// of the exhaustive DIP enumerator.
+// reference that tests check the netlist construction and the DIP
+// extractors against.
 func EvalCASPair(chain ChainConfig, kg1, kg2 []netlist.GateType, k1, k2 []bool, x []uint64) (g, gbar uint64) {
 	g = evalCASChain(chain, kg1, k1, x, false)
 	gbar = evalCASChain(chain, kg2, k2, x, true)
@@ -246,51 +246,6 @@ func evalCASChain(chain ChainConfig, kg []netlist.GateType, k []bool, x []uint64
 		}
 		if complemented && j == n-2 {
 			acc = ^acc
-		}
-	}
-	return acc
-}
-
-// EvalCASPair512 is the 512-lane EvalCASPair: each block input carries an
-// 8-word bank (word j holds patterns 512·batch + 64j …), and the two
-// returned banks hold the packed g / ḡ values of all 512 patterns. It
-// feeds the wide corruptibility sweep and any other exhaustive walk over
-// the pure CAS pair.
-func EvalCASPair512(chain ChainConfig, kg1, kg2 []netlist.GateType, k1, k2 []bool, x [][8]uint64) (g, gbar [8]uint64) {
-	g = evalCASChain512(chain, kg1, k1, x, false)
-	gbar = evalCASChain512(chain, kg2, k2, x, true)
-	return g, gbar
-}
-
-func evalCASChain512(chain ChainConfig, kg []netlist.GateType, k []bool, x [][8]uint64, complemented bool) [8]uint64 {
-	n := len(chain) + 1
-	v := func(i int) [8]uint64 {
-		w := x[i]
-		// Combined inversion of key bit and XNOR polarity (see the scalar
-		// kernel above): invert iff exactly one of the two applies.
-		if k[i] != (kg[i] == netlist.Xnor) {
-			for j := range w {
-				w[j] = ^w[j]
-			}
-		}
-		return w
-	}
-	acc := v(0)
-	for j := 0; j < n-1; j++ {
-		in := v(j + 1)
-		if chain[j] == ChainAnd {
-			for l := range acc {
-				acc[l] &= in[l]
-			}
-		} else {
-			for l := range acc {
-				acc[l] |= in[l]
-			}
-		}
-		if complemented && j == n-2 {
-			for l := range acc {
-				acc[l] = ^acc[l]
-			}
 		}
 	}
 	return acc

@@ -288,52 +288,3 @@ func TestAntiSATIsSinglePointFunction(t *testing.T) {
 		t.Errorf("wrong Anti-SAT key corrupts %d block patterns, want exactly 1", len(blockValues))
 	}
 }
-
-// TestEvalCASPair512MatchesScalar checks the 8-word wide pair evaluator
-// against the 64-lane reference word for word on random chains, key-gate
-// polarities, keys, and packed pattern banks.
-func TestEvalCASPair512MatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(12)
-		chain := make(ChainConfig, n-1)
-		kg1 := make([]netlist.GateType, n)
-		kg2 := make([]netlist.GateType, n)
-		k1 := make([]bool, n)
-		k2 := make([]bool, n)
-		for i := range chain {
-			if rng.Intn(2) == 0 {
-				chain[i] = ChainOr
-			}
-		}
-		for i := 0; i < n; i++ {
-			kg1[i], kg2[i] = netlist.Xor, netlist.Xor
-			if rng.Intn(2) == 0 {
-				kg1[i] = netlist.Xnor
-			}
-			if rng.Intn(2) == 0 {
-				kg2[i] = netlist.Xnor
-			}
-			k1[i] = rng.Intn(2) == 1
-			k2[i] = rng.Intn(2) == 1
-		}
-		x8 := make([][8]uint64, n)
-		for i := range x8 {
-			for j := range x8[i] {
-				x8[i][j] = rng.Uint64()
-			}
-		}
-		g8, gb8 := EvalCASPair512(chain, kg1, kg2, k1, k2, x8)
-		xw := make([]uint64, n)
-		for j := 0; j < 8; j++ {
-			for i := range xw {
-				xw[i] = x8[i][j]
-			}
-			g, gb := EvalCASPair(chain, kg1, kg2, k1, k2, xw)
-			if g8[j] != g || gb8[j] != gb {
-				t.Fatalf("trial %d word %d: wide (%#x,%#x), scalar (%#x,%#x)",
-					trial, j, g8[j], gb8[j], g, gb)
-			}
-		}
-	}
-}

@@ -76,6 +76,22 @@ func (c ChainConfig) Equal(o ChainConfig) bool {
 	return true
 }
 
+// Dual swaps AND and OR at every position (the De Morgan dual): an
+// OR-terminated chain's miter-visible DIP count is its dual's Lemma-2
+// count, and the dual maps a Case-2 attack's reduced-space chain back
+// to the physical one.
+func (c ChainConfig) Dual() ChainConfig {
+	out := make(ChainConfig, len(c))
+	for i, g := range c {
+		if g == ChainAnd {
+			out[i] = ChainOr
+		} else {
+			out[i] = ChainAnd
+		}
+	}
+	return out
+}
+
 // String renders the chain in the paper's run-length notation, e.g.
 // "A-O-2A-O" (repetition groups are expanded).
 func (c ChainConfig) String() string {

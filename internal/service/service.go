@@ -17,11 +17,13 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -813,20 +815,12 @@ func (s *Service) List() []JobStatus {
 	for i, j := range jobs {
 		out[i] = j.snapshot()
 	}
-	sortStatuses(out)
+	// Newest first: ID suffixes are monotonic in submission order. They
+	// compare as numbers, since the zero padding stops at six digits.
+	slices.SortFunc(out, func(a, b JobStatus) int {
+		return cmp.Compare(idSuffix(b.ID), idSuffix(a.ID))
+	})
 	return out
-}
-
-func sortStatuses(xs []JobStatus) {
-	// Newest first: IDs are monotonic, so reverse-lexicographic on the
-	// zero-padded numeric suffix is submission order reversed.
-	for i := 0; i < len(xs); i++ {
-		for j := i + 1; j < len(xs); j++ {
-			if xs[j].ID > xs[i].ID {
-				xs[i], xs[j] = xs[j], xs[i]
-			}
-		}
-	}
 }
 
 func (s *Service) lookup(id string) (*Job, error) {

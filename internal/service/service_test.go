@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -390,6 +391,30 @@ func TestQueueFullRejects(t *testing.T) {
 	}
 	if dup.Hash() == "" {
 		t.Fatal("dup job has no hash")
+	}
+}
+
+// TestListNewestFirst: List orders jobs by the numeric suffix of their
+// IDs, newest first, also across the six-to-seven-digit boundary where
+// string order would put j-999999 ahead of j-1000000.
+func TestListNewestFirst(t *testing.T) {
+	f := makeFixture(t, 8, 4, 61)
+	s, _ := newTestService(t, Config{Workers: 1, QueueDepth: 4})
+	const first, n = 999_995, 12
+	s.nextID.Store(first - 1)
+	for i := 0; i < n; i++ {
+		if _, err := s.Submit(AttackRequest{Locked: f.locked, Oracle: f.orig}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	list := s.List()
+	if len(list) != n {
+		t.Fatalf("List returned %d jobs, want %d", len(list), n)
+	}
+	for i, st := range list {
+		if want := fmt.Sprintf("j-%06d", first+n-1-i); st.ID != want {
+			t.Errorf("List()[%d] = %s, want %s", i, st.ID, want)
+		}
 	}
 }
 

@@ -1,12 +1,16 @@
 #!/bin/sh
-# matrix-smoke: end-to-end check of the registry-driven experiment
-# matrix through the lockbench CLI.
+# matrix-smoke: end-to-end check of the experiment surfaces: the
+# registry-driven matrix through the lockbench CLI, the DIP-count
+# leakage demo and dipcount's measured DIP count.
 #
 # Exercises the scheme and attack registries end to end: -list must
 # enumerate both registries, a -schemes/-attacks sub-grid must run only
 # the requested cells, the narrative cells must hold (SAT breaks RLL,
 # is capped on CAS-Lock, DIP learning breaks CAS-Lock), and an unknown
 # registry name must be rejected with the valid universe in the error.
+# examples/leakage must leak its secret CAS chain and learn SFLL-HD's h
+# for h = 1, 2, 3; dipcount -verify must measure the miter-visible 23
+# DIPs of the OR-terminated 2A-O-A-O.
 #
 # Usage: matrix_smoke.sh <workdir>
 set -eu
@@ -15,7 +19,7 @@ DIR=${1:?usage: matrix_smoke.sh workdir}
 GO=${GO:-go}
 rm -rf "$DIR" && mkdir -p "$DIR/bin"
 
-$GO build -o "$DIR/bin/" ./cmd/lockbench
+$GO build -o "$DIR/bin/" ./cmd/lockbench ./cmd/dipcount ./examples/leakage
 
 "$DIR/bin/lockbench" -list >"$DIR/list.out"
 for name in rll cas mcas sat dip sps-removal bypass; do
@@ -72,5 +76,36 @@ grep -q "have:" "$DIR/bad.out" || {
 	exit 1
 }
 
-echo "matrix-smoke: OK (registries listed, sub-grid verdicts hold, unknown names rejected)"
+"$DIR/bin/leakage" >"$DIR/leakage.out" 2>&1 || {
+	echo "matrix-smoke: examples/leakage failed" >&2
+	cat "$DIR/leakage.out" >&2
+	exit 1
+}
+for h in 1 2 3; do
+	grep -q "learned h = $h (secret was $h)" "$DIR/leakage.out" || {
+		echo "matrix-smoke: leakage did not learn SFLL-HD h = $h" >&2
+		cat "$DIR/leakage.out" >&2
+		exit 1
+	}
+done
+chains=$(sed -n 's/.*leaked chain: \(.*\) (secret was \(.*\))$/\1 \2/p' "$DIR/leakage.out")
+set -- $chains
+if [ $# -ne 2 ] || [ "$1" != "$2" ]; then
+	echo "matrix-smoke: leaked CAS chain differs from its secret" >&2
+	cat "$DIR/leakage.out" >&2
+	exit 1
+fi
+
+"$DIR/bin/dipcount" -chain "2A-O-A-O" -verify >"$DIR/dipcount.out" 2>&1 || {
+	echo "matrix-smoke: dipcount -verify failed" >&2
+	cat "$DIR/dipcount.out" >&2
+	exit 1
+}
+grep -q "measured |I_l|: 23 " "$DIR/dipcount.out" || {
+	echo "matrix-smoke: dipcount measured the wrong DIP count for 2A-O-A-O" >&2
+	cat "$DIR/dipcount.out" >&2
+	exit 1
+}
+
+echo "matrix-smoke: OK (registries listed, sub-grid verdicts hold, unknown names rejected, DIP counts leak and verify)"
 rm -rf "$DIR"
